@@ -76,10 +76,10 @@ def test_throughput_batched_walks_csr(benchmark, facebook_csr):
     engine = BatchedWalkEngine(facebook_csr, rng=1)
 
     def run():
-        return engine.run(512, 500)
+        return engine.run_fleet(512, 500)
 
     result = benchmark(run)
-    assert result.nodes.shape == (512, 500)
+    assert result.collected.shape == (512, 500)
 
 
 def test_throughput_neighbor_sample(benchmark, facebook_graph):
@@ -185,7 +185,7 @@ def test_fleet_cell_speedup(facebook_graph, facebook_csr, settings):
     # Raw fleet walker throughput (steps/second) on the same graph.
     engine = BatchedWalkEngine(facebook_csr, rng=1)
     started = time.perf_counter()
-    engine.run(512, 500)
+    engine.run_fleet(512, 500)
     engine_seconds = time.perf_counter() - started
 
     bench_support.write_json(

@@ -23,14 +23,7 @@ recording its wall-clock and NRMSE rows (the statistical equivalence of
 the fleet baselines is enforced by
 ``tests/integration/test_baseline_fleet_equivalence.py``).
 
-A fourth test (``bench_compiled_kernels``) times the numba-compiled
-fleet kernels against the vectorized numpy tier — the SRW node fleet
-and the EX-MHRW implicit line-graph fleet at the ≥10⁵ rung — asserting
-bit-identical trajectories/ledgers always, and the ≥5× acceptance floor
-when numba is importable (without numba the compiled engine falls back
-to numpy and the entry records that honestly).
-
-A fifth test (``graph_store``) benches the buffer-backend plane: the
+A fourth test (``graph_store``) benches the buffer-backend plane: the
 same multi-process fleet table run with ``graph_store="ram"`` (the
 graph pickled into every worker) versus ``"shm"`` (one shared-memory
 segment, workers reattach O(1) handles), recording worker-spawn
@@ -306,100 +299,6 @@ def test_baseline_fleet_speedup():
     assert min(floor) >= 5, f"EX-* fleet speedups below 5x: {baselines}"
 
 
-def test_compiled_kernels_speedup():
-    """bench_compiled_kernels: numba-njit fleets vs the vectorized numpy tier.
-
-    Times the SRW node fleet and the EX-MHRW implicit line-graph fleet
-    on the compiled engine against the numpy engine at the >=10^5 rung
-    (falling back to the smallest rung on a 10^4-only ladder), asserts
-    bit-identical trajectories and ledgers between the tiers, and — only
-    when numba is actually importable — asserts the >=5x acceptance
-    floor.  Without numba the compiled engine resolves to numpy with a
-    typed ``CompiledFallbackWarning`` and the entry records the fallback
-    (speedup ~1x, still bit-identical) instead of a fake floor.
-    """
-    import warnings
-
-    from repro.walks.compiled import CompiledFallbackWarning, numba_available
-    from repro.walks.line_batched import BatchedLineWalkEngine
-
-    big_rungs = [rung for rung in RUNGS if rung >= 100_000]
-    graph = _ladder_graph(min(big_rungs) if big_rungs else min(RUNGS), seed=50)
-    have_numba = numba_available()
-
-    def fleet_pair(factory, steps_per_run):
-        """Time numpy vs compiled twins of one fleet; check bit-parity."""
-        numpy_result, numpy_seconds = _timed(lambda: factory("numpy"))
-        with warnings.catch_warnings():
-            # On a numba-less host the engine falls back to numpy with a
-            # typed warning; the bench records the fallback, not noise.
-            warnings.simplefilter("ignore", CompiledFallbackWarning)
-            compiled_result, compiled_seconds = _timed(lambda: factory("compiled"))
-        # Warm run (JIT compile on first call) distorts the cold timing;
-        # re-time the compiled side now that the dispatcher is hot.
-        if have_numba:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", CompiledFallbackWarning)
-                compiled_result, compiled_seconds = _timed(
-                    lambda: factory("compiled")
-                )
-        return {
-            "numpy_seconds": round(numpy_seconds, 4),
-            "compiled_seconds": round(compiled_seconds, 4),
-            "speedup": round(numpy_seconds / compiled_seconds, 1),
-            "numpy_steps_per_second": round(steps_per_run / numpy_seconds),
-            "compiled_steps_per_second": round(steps_per_run / compiled_seconds),
-        }, numpy_result, compiled_result
-
-    kernels = {}
-    srw_entry, srw_numpy, srw_compiled = fleet_pair(
-        lambda engine: BatchedWalkEngine(
-            graph, kernel="simple", rng=51, engine=engine
-        ).run_fleet(FLEET_WALKERS, FLEET_STEPS),
-        FLEET_WALKERS * FLEET_STEPS,
-    )
-    # The replay contract: same seed, same draws, same bits — whichever
-    # tier actually ran.
-    assert np.array_equal(srw_numpy.trajectories, srw_compiled.trajectories)
-    assert np.array_equal(srw_numpy.charged_calls(), srw_compiled.charged_calls())
-    kernels["SRW-node-fleet"] = srw_entry
-
-    line_walkers, line_steps = 64, 400
-    line_entry, line_numpy, line_compiled = fleet_pair(
-        lambda engine: BatchedLineWalkEngine(
-            graph, kernel="mhrw", rng=52, engine=engine
-        ).run_fleet(line_walkers, line_steps),
-        line_walkers * line_steps,
-    )
-    assert np.array_equal(line_numpy.src, line_compiled.src)
-    assert np.array_equal(line_numpy.dst, line_compiled.dst)
-    assert np.array_equal(
-        line_numpy.charged_calls(), line_compiled.charged_calls()
-    )
-    kernels["EX-MHRW-line-fleet"] = line_entry
-
-    _RESULTS["bench_compiled_kernels"] = {
-        "num_nodes": graph.num_nodes,
-        "num_edges": graph.num_edges,
-        "numba_available": have_numba,
-        "fleet_walkers": FLEET_WALKERS,
-        "fleet_steps": FLEET_STEPS,
-        "line_walkers": line_walkers,
-        "line_steps": line_steps,
-        "bit_identical_to_numpy": True,
-        "kernels": kernels,
-        "equivalence": (
-            "bit-parity in tests/unit/test_compiled_backend.py, KS legs in "
-            "tests/integration/test_backend_equivalence.py"
-        ),
-    }
-    if have_numba:
-        # Acceptance floor: >=5x over the vectorized numpy tier on both
-        # the node and the implicit line-graph fleets.
-        floors = [entry["speedup"] for entry in kernels.values()]
-        assert min(floors) >= 5, _RESULTS["bench_compiled_kernels"]
-
-
 def test_ten_algorithm_table_at_scale():
     """Full ten-algorithm CSR-native fleet table at the >=10^5 rung."""
     from repro.experiments.algorithms import build_algorithm_suite
@@ -644,7 +543,6 @@ def test_write_scale_json():
     for key in (
         "prefix_reuse_sweep",
         "bench_baselines",
-        "bench_compiled_kernels",
         "ten_algorithm_table",
         "graph_store",
     ):

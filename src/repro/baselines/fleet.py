@@ -48,19 +48,16 @@ def run_baseline_fleet(
     repetitions: int,
     burn_in: int = 0,
     rng: RandomSource = None,
-    engine: str = "numpy",
 ) -> LineFleetResult:
     """Walk all *repetitions* of one EX-* cell as one line-graph fleet.
 
     One walker per repetition, ``burn_in + k`` vectorized transitions
     each; the kernel (and its ``alpha`` / ``delta`` / line-max-degree
     knobs) comes off the *baseline* instance, so tuned suites vectorize
-    with their own configuration.  ``engine="compiled"`` walks the
-    fleet with the bit-identical numba kernels instead of the numpy
-    step loop.
+    with their own configuration.
     """
     line_engine = BatchedLineWalkEngine(
-        csr, kernel=baseline.csr_kernel_spec(), rng=ensure_numpy_rng(rng), engine=engine
+        csr, kernel=baseline.csr_kernel_spec(), rng=ensure_numpy_rng(rng)
     )
     return line_engine.run_fleet(repetitions, k, burn_in=burn_in)
 

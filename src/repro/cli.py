@@ -79,9 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=BACKENDS,
         default="python",
-        help="walk backend: dict-based reference engine, vectorized CSR "
-        "arrays, or numba-compiled kernels (bit-identical to csr; numpy "
-        "fallback when numba is absent)",
+        help="walk backend: dict-based reference engine or vectorized CSR "
+        "arrays",
     )
 
     table = subparsers.add_parser("table", help="reproduce a paper NRMSE table")
@@ -102,8 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=BACKENDS,
         default="python",
-        help="walk backend for the proposed algorithms ('compiled' runs "
-        "numba-njit fleet kernels, bit-identical to 'csr')",
+        help="walk backend of the proposed algorithms' sequential cells "
+        "(fleets always run vectorized)",
     )
     table.add_argument(
         "--execution",
@@ -167,8 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=BACKENDS,
         default="python",
-        help="walk backend for the proposed algorithms ('compiled' runs "
-        "numba-njit fleet kernels, bit-identical to 'csr')",
+        help="walk backend of the proposed algorithms' sequential cells "
+        "(fleets always run vectorized)",
     )
     figure.add_argument(
         "--execution",
@@ -266,14 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(fits-in-RAM, fastest), 'mmap' (out-of-core sidecar), 'ram' "
         "(no publication; dev only)",
     )
-    serve.add_argument(
-        "--backend",
-        choices=("csr", "compiled"),
-        default="csr",
-        help="fleet tier the server walks with: 'csr' (vectorized numpy) "
-        "or 'compiled' (numba-njit kernels; numpy fallback with a typed "
-        "warning when numba is absent) — answers are bit-identical",
-    )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8000)
     serve.add_argument(
@@ -300,14 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         dest="burn_in",
         help="default burn-in per query (default: measured on the graph)",
-    )
-    serve.add_argument(
-        "--transport",
-        choices=("auto", "fastapi", "stdlib"),
-        default="auto",
-        help="HTTP front: 'fastapi' (needs the optional dependency), "
-        "'stdlib' (dependency-free asyncio server), 'auto' prefers "
-        "fastapi and falls back",
     )
     serve.add_argument(
         "--deadline-ms",
@@ -627,14 +610,12 @@ def _command_serve(args) -> int:
         scale=args.scale,
         seed=args.seed,
         graph_store=args.graph_store,
-        backend=args.backend,
         host=args.host,
         port=args.port,
         batch_window_ms=args.batch_window_ms,
         cache_size=args.cache_size,
         repetitions=args.repetitions,
         burn_in=args.burn_in,
-        transport=args.transport,
         deadline_ms=args.deadline_ms,
         max_in_flight=args.max_in_flight,
         breaker_threshold=args.breaker_threshold,
@@ -651,7 +632,6 @@ def _command_serve(args) -> int:
     service = EstimationService(
         dataset.graph,
         graph_store=config.graph_store,
-        backend=config.backend,
         default_repetitions=config.repetitions,
         default_burn_in=config.burn_in,
         cache_size=config.cache_size,
@@ -665,7 +645,6 @@ def _command_serve(args) -> int:
             service,
             host=config.host,
             port=config.port,
-            transport=config.transport,
             window_seconds=config.window_seconds,
             max_in_flight=config.max_in_flight,
             deadline_ms=config.deadline_ms,

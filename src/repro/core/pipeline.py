@@ -191,9 +191,7 @@ def estimate_target_edge_count(
         numpy CSR arrays and runs the vectorized backend — typically an
         order of magnitude faster, with identical charged-API-call
         accounting and a distributionally equivalent sampling law (the
-        equivalence test suite enforces this).  ``"compiled"`` behaves
-        exactly like ``"csr"`` on this scalar path (the numba kernels
-        accelerate fleet execution; see ``run_trials``).  Prefer
+        equivalence test suite enforces this).  Prefer
         ``"csr"`` for large graphs and repeated trials; prefer
         ``"python"`` when auditing API-call traces or using a
         non-vectorized kernel.

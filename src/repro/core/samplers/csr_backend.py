@@ -79,12 +79,8 @@ from repro.core.samplers.base import (
     NodeSampleSet,
 )
 #: Walk-backend choices, shared by the samplers, the pipeline, the
-#: experiment config and the CLI.  ``"compiled"`` is the CSR data plane
-#: driven by the numba-njit fleet kernels of
-#: :mod:`repro.walks.compiled` — bit-identical to ``"csr"`` from the
-#: same seed, and falling back to it (typed warning) when numba is
-#: absent; scalar walk paths behave exactly as ``"csr"``.
-BACKENDS: Tuple[str, ...] = ("python", "csr", "compiled")
+#: experiment config and the CLI.
+BACKENDS: Tuple[str, ...] = ("python", "csr")
 
 #: Trial-execution choices for the experiment harness: one repetition at
 #: a time through a fresh API wrapper, or all repetitions of a cell as
@@ -135,16 +131,6 @@ def validate_backend_and_kernel(backend: str, kernel) -> str:
     if validate_backend(backend) != "python":
         resolve_kernel_spec(kernel)
     return backend
-
-
-def fleet_engine(backend: str) -> str:
-    """The batched-engine name a validated *backend* selects.
-
-    ``"compiled"`` drives the fleets with the numba kernels (numpy
-    fallback when numba is missing); every other backend uses the
-    vectorized numpy engine.
-    """
-    return "compiled" if backend == "compiled" else "numpy"
 
 
 def _run_walk(
@@ -419,15 +405,12 @@ def run_fleet_walk(
     burn_in: int,
     rng: RandomSource,
     kernel: KernelLike,
-    engine: str = "numpy",
 ):
     check_positive_int(k, "k")
     check_positive_int(repetitions, "repetitions")
     check_non_negative_int(burn_in, "burn_in")
-    fleet_engine_ = BatchedWalkEngine(
-        csr, kernel=kernel, rng=ensure_numpy_rng(rng), engine=engine
-    )
-    return fleet_engine_.run_fleet(repetitions, k, burn_in=burn_in)
+    engine = BatchedWalkEngine(csr, kernel=kernel, rng=ensure_numpy_rng(rng))
+    return engine.run_fleet(repetitions, k, burn_in=burn_in)
 
 
 def enforce_fleet_budget(charges: np.ndarray, budget: Optional[int]) -> None:
@@ -637,19 +620,17 @@ def sample_edges_fleet(
     budget: Optional[int] = None,
     known_num_nodes: Optional[int] = None,
     known_num_edges: Optional[int] = None,
-    engine: str = "numpy",
 ) -> EdgeSampleBatch:
     """NeighborSample for *repetitions* independent trials in one fleet.
 
     One walker per trial, advanced with vectorized numpy steps (burn-in
-    included) or, with ``engine="compiled"``, the bit-identical numba
-    kernels; the result is the array-native
+    included); the result is the array-native
     :class:`~repro.core.samplers.base.EdgeSampleBatch` — per-trial
     source/destination/target-flag rows — plus a per-trial charged-call
     ledger with the same distinct-page semantics as running each trial
     through its own caching :class:`RestrictedGraphAPI`.
     """
-    fleet = run_fleet_walk(csr, k, repetitions, burn_in, rng, kernel, engine=engine)
+    fleet = run_fleet_walk(csr, k, repetitions, burn_in, rng, kernel)
     return classify_edge_fleet(
         csr, fleet, t1, t2,
         budget=budget,
@@ -670,7 +651,6 @@ def explore_nodes_fleet(
     budget: Optional[int] = None,
     known_num_nodes: Optional[int] = None,
     known_num_edges: Optional[int] = None,
-    engine: str = "numpy",
 ) -> NodeSampleBatch:
     """NeighborExploration for *repetitions* independent trials in one fleet.
 
@@ -679,7 +659,7 @@ def explore_nodes_fleet(
     trial explores around its labeled sampled nodes, exactly like the
     reference sampler running through a fresh caching wrapper.
     """
-    fleet = run_fleet_walk(csr, k, repetitions, burn_in, rng, kernel, engine=engine)
+    fleet = run_fleet_walk(csr, k, repetitions, burn_in, rng, kernel)
     return classify_node_fleet(
         csr, fleet, t1, t2,
         budget=budget,
@@ -695,7 +675,6 @@ __all__ = [
     "validate_backend",
     "validate_execution",
     "validate_reuse",
-    "fleet_engine",
     "run_fleet_walk",
     "sample_edges_csr",
     "explore_nodes_csr",

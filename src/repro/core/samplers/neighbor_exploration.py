@@ -51,9 +51,7 @@ class NeighborExplorationSampler:
         ``"python"`` (default) for the dict-based reference engine,
         ``"csr"`` for the vectorized numpy backend (same charged-call
         accounting, distributionally equivalent samples; simple and
-        non-backtracking kernels only).  ``"compiled"`` behaves exactly
-        like ``"csr"`` on this scalar path (the numba kernels
-        accelerate fleet execution only).
+        non-backtracking kernels only).
     exact_rng:
         With ``backend="csr"``, reproduce the reference engine's random
         stream bit for bit (same seed, same samples).
@@ -92,9 +90,7 @@ class NeighborExplorationSampler:
         independent samples (ablation only).
         """
         check_positive_int(k, "k")
-        if self.backend in ("csr", "compiled"):
-            # Scalar single-walk sampling has no fleet loop to compile;
-            # the compiled backend behaves exactly like csr here.
+        if self.backend == "csr":
             if not single_walk:
                 raise ConfigurationError(
                     "the csr backend implements the single-walk path only; "

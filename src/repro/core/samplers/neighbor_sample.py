@@ -68,9 +68,7 @@ class NeighborSampleSampler:
         (:mod:`repro.core.samplers.csr_backend`) with identical
         charged-call accounting and a distributionally equivalent
         sampling law.  Only the simple and non-backtracking kernels are
-        vectorized.  ``"compiled"`` behaves exactly like ``"csr"`` on
-        this scalar path (the numba kernels accelerate fleet execution
-        only).
+        vectorized.
     exact_rng:
         With ``backend="csr"``, consume random bits exactly like the
         reference engine so the same seed reproduces its samples
@@ -120,9 +118,7 @@ class NeighborSampleSampler:
             Optional fixed starting node (useful in tests).
         """
         check_positive_int(k, "k")
-        if self.backend in ("csr", "compiled"):
-            # Scalar single-walk sampling has no fleet loop to compile;
-            # the compiled backend behaves exactly like csr here.
+        if self.backend == "csr":
             if not single_walk:
                 raise ConfigurationError(
                     "the csr backend implements the single-walk path only; "

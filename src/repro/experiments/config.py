@@ -61,15 +61,12 @@ class ExperimentConfig:
         Explicit walk burn-in; ``None`` derives it from the graph's
         mixing time.
     backend:
-        Walk backend: ``"python"`` (the dict-based reference engine),
-        ``"csr"`` (the vectorized numpy backend), or ``"compiled"``
-        (the CSR data plane driven by numba-njit fleet kernels —
-        bit-identical to ``"csr"`` from the same seed, falling back to
-        it with a typed warning when numba is absent).  The EX-*
+        Walk backend: ``"python"`` (the dict-based reference engine)
+        or ``"csr"`` (the vectorized numpy backend).  The EX-*
         baselines ignore the selector sequentially — they run the
         reference line-graph engine; under ``execution="fleet"`` /
-        ``reuse="prefix"`` they run vectorized line-graph fleets on the
-        selected tier.
+        ``reuse="prefix"`` every algorithm runs vectorized fleets
+        whatever the backend.
     execution:
         Trial execution: ``"sequential"`` (one repetition at a time
         through a fresh API wrapper) or ``"fleet"`` (all repetitions of

@@ -84,13 +84,6 @@ class PrefixFleet:
     Hand-written runner callables cannot vectorize and raise
     :class:`ConfigurationError`, exactly like the historical inline
     check in ``run_trials_prefix``.
-
-    *engine* selects the fleet execution tier (``"numpy"`` default,
-    ``"compiled"`` for the numba kernels).  It is deliberately **not**
-    part of :class:`FleetSpec`: the engines are bit-identical from the
-    same seed, so a fleet walked by either engine answers the same
-    queries with the same bits — answer caches and fleet sharing stay
-    engine-agnostic.
     """
 
     def __init__(
@@ -99,7 +92,6 @@ class PrefixFleet:
         runner: AlgorithmRunner,
         spec: FleetSpec,
         max_budget: int,
-        engine: str = "numpy",
     ) -> None:
         if not isinstance(runner, (ProposedRunner, BaselineRunner)):
             raise ConfigurationError(
@@ -122,7 +114,6 @@ class PrefixFleet:
                 spec.repetitions,
                 burn_in=spec.burn_in,
                 rng=rng,
-                engine=engine,
             )
         else:
             self._fleet = run_fleet_walk(
@@ -132,7 +123,6 @@ class PrefixFleet:
                 spec.burn_in,
                 rng,
                 "simple",
-                engine=engine,
             )
 
     @property

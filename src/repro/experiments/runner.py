@@ -66,7 +66,6 @@ from repro.baselines.fleet import (
 from repro.core.pipeline import ProposedRunner
 from repro.core.samplers.csr_backend import (
     explore_nodes_fleet,
-    fleet_engine,
     sample_edges_fleet,
     validate_backend,
     validate_execution,
@@ -234,10 +233,9 @@ def run_trials(
 
     ``backend`` is orthogonal: it selects the per-walk engine of the
     *sequential* proposed algorithms (``"csr"`` still requires the dict
-    graph for the wrapper) and, under ``execution="fleet"``, the fleet
-    tier — ``"compiled"`` runs the numba kernels, bit-identical to the
-    numpy fleets from the same seed.  :class:`ExperimentConfig`
-    enforces the same matrix eagerly for whole experiment runs.
+    graph for the wrapper); fleets always run the vectorized numpy
+    engine.  :class:`ExperimentConfig` enforces the same matrix eagerly
+    for whole experiment runs.
     """
     check_positive_int(sample_size, "sample_size")
     check_positive_int(repetitions, "repetitions")
@@ -262,7 +260,6 @@ def run_trials(
             seed,
             true_count,
             csr,
-            backend,
         )
     if execution == "fleet" and isinstance(runner, BaselineRunner):
         return _run_trials_fleet_baseline(
@@ -277,7 +274,6 @@ def run_trials(
             seed,
             true_count,
             csr,
-            backend,
         )
     if isinstance(graph, CSRGraph):
         raise ConfigurationError(
@@ -293,7 +289,7 @@ def run_trials(
     # with the historical 6-argument signature keep working.
     extra = {} if backend == "python" else {"backend": backend}
     shared_csr = csr
-    if backend in ("csr", "compiled") and shared_csr is None:
+    if backend == "csr" and shared_csr is None:
         shared_csr = csr_view(graph)
     for rng in spawn_rngs(seed, repetitions):
         api = RestrictedGraphAPI(graph)
@@ -317,15 +313,12 @@ def _run_trials_fleet(
     seed: RandomSource,
     true_count: int,
     csr: Optional[CSRGraph],
-    backend: str = "python",
 ) -> TrialOutcome:
     """One (algorithm, budget) cell as a single vectorized walker fleet.
 
     The sampler kind and estimator come off the *runner* itself, so a
     custom :class:`ProposedRunner` (e.g. a thinning ablation) vectorizes
     with its own configuration rather than a registry lookup's.
-    ``backend="compiled"`` drives the fleet with the numba kernels
-    (bit-identical to the numpy engine from the same seed).
     """
     shared_csr = ensure_same_graph(csr, graph) if csr is not None else csr_view(graph)
     sampler = sample_edges_fleet if runner.sampler == "edge" else explore_nodes_fleet
@@ -337,7 +330,6 @@ def _run_trials_fleet(
         repetitions,
         burn_in=burn_in,
         rng=ensure_numpy_rng(seed),
-        engine=fleet_engine(backend),
     )
     estimates = runner.estimator_factory().estimate_batch(batch)
     return TrialOutcome(
@@ -361,7 +353,6 @@ def _run_trials_fleet_baseline(
     seed: RandomSource,
     true_count: int,
     csr: Optional[CSRGraph],
-    backend: str = "python",
 ) -> TrialOutcome:
     """One EX-* (algorithm, budget) cell as a single line-graph fleet.
 
@@ -370,7 +361,6 @@ def _run_trials_fleet_baseline(
     with their own configuration.  Estimates and per-trial ledgers are
     distributionally equivalent to the sequential
     :meth:`LineGraphBaseline.estimate` loop (KS-enforced).
-    ``backend="compiled"`` drives the fleet with the numba kernels.
     """
     shared_csr = ensure_same_graph(csr, graph) if csr is not None else csr_view(graph)
     baseline = runner.baseline
@@ -381,7 +371,6 @@ def _run_trials_fleet_baseline(
         repetitions,
         burn_in=burn_in,
         rng=ensure_numpy_rng(seed),
-        engine=fleet_engine(backend),
     )
     batch = classify_line_fleet(shared_csr, fleet, t1, t2)
     estimates = reweighted_estimates(batch)
@@ -406,7 +395,6 @@ def run_trials_prefix(
     seed: RandomSource = None,
     true_count: Optional[int] = None,
     csr: Optional[CSRGraph] = None,
-    backend: str = "csr",
 ) -> List[TrialOutcome]:
     """Every budget column of one algorithm from a single max-budget fleet.
 
@@ -442,17 +430,11 @@ def run_trials_prefix(
     with the frequency sweeps and the :mod:`repro.service`
     micro-batcher; this function is the table-shaped wrapper (one pair,
     many budgets, :class:`TrialOutcome` rows).
-
-    *backend* selects the fleet execution tier (``"csr"`` numpy,
-    ``"compiled"`` numba); the engines are bit-identical from the same
-    seed, so every prefix slice — estimates and ledgers — comes out the
-    same either way (pinned by the differential suite).
     """
     if not sample_sizes:
         raise ConfigurationError("sample_sizes must not be empty")
     for sample_size in sample_sizes:
         check_positive_int(sample_size, "sample_size")
-    validate_backend(backend)
     if true_count is None:
         true_count = count_target_edges(graph, t1, t2)
     if true_count <= 0:
@@ -465,7 +447,6 @@ def run_trials_prefix(
         runner,
         FleetSpec(algorithm_name, seed, repetitions, burn_in),
         max(sample_sizes),
-        engine=fleet_engine(backend),
     )
     outcomes: List[TrialOutcome] = []
     for sample_size in sample_sizes:
@@ -523,15 +504,12 @@ def compare_algorithms(
     progress:
         Optional callback ``(algorithm, sample_size, fraction_done)``.
     backend:
-        Walk backend: ``"python"``, ``"csr"``, or ``"compiled"``.  For
-        the *sequential* proposed algorithms it selects the per-walk
-        engine (``"compiled"`` behaves like ``"csr"`` there — the numba
-        kernels accelerate fleets only).  Under ``execution="fleet"`` /
-        ``reuse="prefix"`` the fleets themselves run on the selected
-        tier; ``"compiled"`` is bit-identical to ``"csr"`` from the
-        same seed.  The EX-* baselines sequentially run the reference
-        line-graph engine regardless, and vectorize on the selected
-        tier under fleet/prefix execution.
+        Walk backend of the *sequential* proposed algorithms:
+        ``"python"`` (the dict reference engine) or ``"csr"``.  Under
+        ``execution="fleet"`` / ``reuse="prefix"`` the fleets run the
+        vectorized numpy engine whatever the backend, and the EX-*
+        baselines sequentially run the reference line-graph engine
+        regardless.
     execution:
         ``"sequential"`` (one repetition at a time) or ``"fleet"`` (all
         repetitions of a cell as one vectorized walker fleet — NS/NE
@@ -592,7 +570,7 @@ def compare_algorithms(
         burn_in = recommended_burn_in(graph, rng=seed)
     true_count = count_target_edges(graph, t1, t2)
     # Freeze the CSR arrays once for the whole table, not once per cell.
-    needs_csr = backend in ("csr", "compiled") or execution == "fleet" or reuse == "prefix"
+    needs_csr = backend == "csr" or execution == "fleet" or reuse == "prefix"
     shared_csr = csr_view(graph) if needs_csr else None
 
     sample_sizes = [max(1, math.ceil(fraction * graph.num_nodes)) for fraction in sample_fractions]
@@ -675,7 +653,6 @@ def compare_algorithms(
                 seed=_derive_group_seed(seed, name),
                 true_count=true_count,
                 csr=shared_csr,
-                backend=backend if backend != "python" else "csr",
             )
             for column, outcome in enumerate(row):
                 fresh = (name, column) not in outcomes
@@ -945,7 +922,7 @@ def run_cells_parallel(
             "suites with n_jobs=1"
         ) from error
     needs_csr = any(
-        cell.backend in ("csr", "compiled") or cell.execution == "fleet"
+        cell.backend == "csr" or cell.execution == "fleet"
         for cell in cells
     )
     publication = None

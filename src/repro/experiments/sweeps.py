@@ -17,7 +17,6 @@ from repro.durability import ExperimentJournal, suite_fingerprint
 
 from repro.core.pipeline import ProposedRunner
 from repro.core.samplers.csr_backend import (
-    fleet_engine,
     validate_backend,
     validate_execution,
     validate_reuse,
@@ -187,7 +186,7 @@ def frequency_sweep(
         burn_in = recommended_burn_in(graph, rng=seed)
     sample_size = max(1, math.ceil(budget_fraction * graph.num_nodes))
     # Freeze the CSR arrays once for the whole sweep, not once per point.
-    needs_csr = backend in ("csr", "compiled") or execution == "fleet" or reuse == "prefix"
+    needs_csr = backend == "csr" or execution == "fleet" or reuse == "prefix"
     shared_csr = csr_view(graph) if needs_csr else None
 
     # Ground truths up front: they define which pairs are plottable and
@@ -264,7 +263,6 @@ def frequency_sweep(
                     name, derive_seed(seed, name, "prefix-frequency"), repetitions, burn_in
                 ),
                 sample_size,
-                engine=fleet_engine(backend),
             )
             for pair_index, (t1, t2), true_count in plottable:
                 fresh = (name, pair_index) not in outcomes

@@ -5,8 +5,9 @@ clock.  It travels alongside a query from the HTTP layer through the
 :class:`~repro.service.batcher.MicroBatcher` into
 :meth:`EstimationService.estimate_many`, where the engine *checks* it
 at plan boundaries — an expired query is dropped before its walks are
-spent rather than interrupted mid-walk (walk kernels are tight numba
-loops; cooperative checks at plan granularity keep them signal-free).
+spent rather than interrupted mid-walk (a fleet walk is one
+uninterruptible run of vectorized steps; cooperative checks at plan
+granularity keep it signal-free).
 
 Two layers of enforcement:
 

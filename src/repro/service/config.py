@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.samplers.csr_backend import validate_backend
 from repro.datasets.registry import DATASET_SPECS
 from repro.exceptions import ConfigurationError
 from repro.graph.store import validate_graph_store
@@ -20,9 +19,6 @@ from repro.utils.validation import (
     check_positive,
     check_positive_int,
 )
-
-TRANSPORTS = ("auto", "fastapi", "stdlib")
-
 
 @dataclass
 class ServiceConfig:
@@ -33,13 +29,6 @@ class ServiceConfig:
     memory-mapped sidecar (out-of-core graphs); ``"ram"`` skips
     publication entirely (single-process dev server).  See
     ``docs/scaling-guide.md`` for the trade-off.
-
-    ``backend`` selects the fleet tier the server walks with:
-    ``"csr"`` (default, vectorized numpy) or ``"compiled"`` (numba-njit
-    kernels, falling back to numpy with a typed warning when numba is
-    absent).  The tiers are bit-identical from the same seed, so
-    answers — and the answer cache — are backend-agnostic.
-    ``"python"`` has no fleet engine and is rejected.
 
     The resilience knobs (``docs/operations.md`` is the runbook):
 
@@ -68,14 +57,12 @@ class ServiceConfig:
     scale: float = 0.25
     seed: int = 0
     graph_store: str = "shm"
-    backend: str = "csr"
     host: str = "127.0.0.1"
     port: int = 8000
     batch_window_ms: float = 5.0
     cache_size: int = 1024
     repetitions: int = 20
     burn_in: Optional[int] = None
-    transport: str = "auto"
     include_baselines: bool = True
     deadline_ms: Optional[float] = None
     max_in_flight: Optional[int] = None
@@ -93,12 +80,6 @@ class ServiceConfig:
             )
         check_positive(self.scale, "scale")
         validate_graph_store(self.graph_store)
-        validate_backend(self.backend)
-        if self.backend == "python":
-            raise ConfigurationError(
-                "the estimation service walks vectorized fleets; "
-                "backend must be 'csr' or 'compiled'"
-            )
         if not (0 <= int(self.port) <= 65535):
             raise ConfigurationError(f"port must be in [0, 65535], got {self.port}")
         if self.batch_window_ms < 0:
@@ -109,11 +90,6 @@ class ServiceConfig:
         check_positive_int(self.repetitions, "repetitions")
         if self.burn_in is not None:
             check_non_negative_int(self.burn_in, "burn_in")
-        if self.transport not in TRANSPORTS:
-            raise ConfigurationError(
-                f"unknown transport {self.transport!r}; "
-                f"choose one of {', '.join(TRANSPORTS)}"
-            )
         if self.deadline_ms is not None:
             check_positive(self.deadline_ms, "deadline_ms")
         if self.max_in_flight is not None:
@@ -144,4 +120,4 @@ class ServiceConfig:
         return self.snapshot_interval_ms / 1000.0
 
 
-__all__ = ["ServiceConfig", "TRANSPORTS"]
+__all__ = ["ServiceConfig"]

@@ -44,7 +44,6 @@ from repro.exceptions import (
     DeadlineExceededError,
     ExperimentError,
 )
-from repro.core.samplers.csr_backend import fleet_engine, validate_backend
 from repro.experiments.algorithms import AlgorithmRunner, build_algorithm_suite
 from repro.experiments.metrics import nrmse
 from repro.experiments.planner import PrefixFleet
@@ -154,7 +153,7 @@ class EstimateAnswer:
         return nrmse(self.estimates, self.true_count)
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-ready payload for the HTTP transports."""
+        """JSON-ready payload for the HTTP transport."""
         return {
             "algorithm": self.algorithm,
             "t1": self.t1,
@@ -188,13 +187,6 @@ class EstimationService:
         ``"mmap"`` (serve from a memory-mapped sidecar; the paging
         choice for graphs larger than RAM), or ``"ram"`` (no external
         publication; single-process serving).
-    backend:
-        Fleet tier the service walks with: ``"csr"`` (default,
-        vectorized numpy) or ``"compiled"`` (numba-njit kernels, numpy
-        fallback with a typed warning when numba is absent).  The tiers
-        are bit-identical from the same seed, so answers and the answer
-        cache are backend-agnostic — a query answered on one tier is
-        byte-for-byte the answer the other would give.
     algorithms:
         The servable runner registry; defaults to the full paper suite
         (proposed + EX-* baselines) built against the serving graph.
@@ -236,19 +228,11 @@ class EstimationService:
         breaker_threshold: int = 3,
         breaker_cooldown_seconds: float = 5.0,
         snapshot_path: Optional[Union[str, Path]] = None,
-        backend: str = "csr",
     ) -> None:
         validate_graph_store(graph_store)
-        validate_backend(backend)
-        if backend == "python":
-            raise ConfigurationError(
-                "the estimation service walks vectorized fleets; "
-                "backend must be 'csr' or 'compiled'"
-            )
         check_positive_int(default_repetitions, "default_repetitions")
         self.name = name
         self.graph_store = graph_store
-        self.backend = backend
         self.default_repetitions = int(default_repetitions)
         self._cache = AnswerCache(cache_size)
         self.breakers = BreakerBoard(breaker_threshold, breaker_cooldown_seconds)
@@ -654,7 +638,6 @@ class EstimationService:
                     self._suite[plan.spec.algorithm],
                     plan.spec,
                     plan.max_budget,
-                    engine=fleet_engine(self.backend),
                 )
             except Exception as exc:
                 breaker.record_failure()

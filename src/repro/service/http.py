@@ -1,18 +1,13 @@
-"""HTTP transports for the estimation service.
+"""HTTP transport for the estimation service.
 
-Two interchangeable fronts over the same :class:`EstimationService` +
-:class:`MicroBatcher` pair:
-
-* :class:`ServiceHTTPServer` — a dependency-free asyncio HTTP/1.1
-  server (``asyncio.start_server`` + a minimal request parser).  It is
-  the transport the test suite and the CI smoke job use, and the
-  fallback ``repro-osn serve`` boots when FastAPI/uvicorn are absent;
-  it speaks exactly the three endpoints below and nothing else.
-* :func:`create_fastapi_app` — a FastAPI application factory, gated on
-  the optional dependency (raises
-  :class:`~repro.exceptions.ConfigurationError` with an actionable
-  message when ``fastapi`` is not importable).  Same endpoints, same
-  payloads; pointing uvicorn at it gives the production front.
+:class:`ServiceHTTPServer` is a dependency-free asyncio HTTP/1.1 server
+(``asyncio.start_server`` + a minimal request parser) over an
+:class:`EstimationService` + :class:`MicroBatcher` pair.  It speaks
+exactly the three endpoints below and nothing else, and bounds what a
+client can make it buffer: a request or header line longer than
+:data:`MAX_LINE_BYTES`, more than :data:`MAX_HEADERS` header lines, or a
+``Content-Length`` above :data:`MAX_BODY_BYTES` is refused before
+anything is read past the headers.
 
 Endpoints:
 
@@ -36,7 +31,12 @@ guidance):
 status     meaning                                      client action
 ========== ============================================ =================
 ``400``    invalid query (unknown algorithm, bad        fix the request
-           budget, zero-target pair)
+           budget, zero-target pair) or malformed
+           request (bad ``Content-Length``)
+``413``    ``Content-Length`` above ``MAX_BODY_BYTES``  shrink the body
+``431``    request/header line above                    shrink the
+           ``MAX_LINE_BYTES``, or more than             headers
+           ``MAX_HEADERS`` header lines
 ``429``    admission queue full, no cached fallback     back off for
            (``Retry-After`` header)                     ``Retry-After``
 ``503``    circuit breaker open, no cached fallback     back off for
@@ -66,11 +66,24 @@ from repro.exceptions import (
 from repro.service.batcher import MicroBatcher
 from repro.service.core import EstimationService
 
+#: Longest request or header line accepted, terminator included (the
+#: stream reader's buffer limit, so a longer line never accumulates).
+MAX_LINE_BYTES = 64 * 1024
+
+#: Most header lines accepted in one request.
+MAX_HEADERS = 100
+
+#: Largest request body accepted; an estimate query is a few hundred
+#: bytes of JSON.
+MAX_BODY_BYTES = 1024 * 1024
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
+    413: "Content Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",
@@ -112,7 +125,7 @@ async def _dispatch(
     path: str,
     body: bytes,
 ) -> Response:
-    """Route one request; shared by both transports' error contract."""
+    """Route one request to its endpoint and map errors to statuses."""
     if method == "GET" and path == "/healthz":
         return 200, _health_payload(service, batcher), {}
     if method == "GET" and path == "/stats":
@@ -184,7 +197,7 @@ class ServiceHTTPServer:
     async def start(self) -> None:
         """Bind and start accepting connections (returns immediately)."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=MAX_LINE_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -229,86 +242,55 @@ class ServiceHTTPServer:
                 pass
 
     async def _handle_request(self, reader: asyncio.StreamReader) -> Response:
-        request_line = (await reader.readline()).decode("ascii", "replace")
+        # readline raises ValueError once a line outgrows the reader's
+        # limit (MAX_LINE_BYTES) and discards what it buffered.
+        too_long = (
+            431,
+            {"error": f"request and header lines are limited to {MAX_LINE_BYTES} bytes"},
+            {},
+        )
+        try:
+            request_line = (await reader.readline()).decode("ascii", "replace")
+        except ValueError:
+            return too_long
         parts = request_line.split()
         if len(parts) < 2:
             return 400, {"error": "malformed request line"}, {}
         method, path = parts[0].upper(), parts[1]
         headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
+        for _ in range(MAX_HEADERS + 1):
+            try:
+                line = await reader.readline()
+            except ValueError:
+                return too_long
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("ascii", "replace").partition(":")
             headers[name.strip().lower()] = value.strip()
-        try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
-            return 400, {"error": "bad Content-Length"}, {}
+        else:
+            return 431, {"error": f"at most {MAX_HEADERS} header lines are accepted"}, {}
+        declared = headers.get("content-length", "0")
+        if not declared.isdigit():
+            return 400, {"error": "Content-Length must be a non-negative integer"}, {}
+        # Compare digit counts first: int() refuses strings beyond
+        # sys.get_int_max_str_digits, which a 64 KiB line can carry.
+        digits = declared.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+            return (
+                413,
+                {"error": f"request bodies are limited to {MAX_BODY_BYTES} bytes"},
+                {},
+            )
+        length = int(digits)
         body = await reader.readexactly(length) if length > 0 else b""
         return await _dispatch(self.service, self.batcher, method, path, body)
-
-
-def create_fastapi_app(
-    service: EstimationService,
-    window_seconds: float = 0.005,
-    max_in_flight: Optional[int] = None,
-    deadline_ms: Optional[float] = None,
-):
-    """Build the FastAPI application (requires the optional dependency).
-
-    Raises :class:`ConfigurationError` when ``fastapi`` is not
-    installed, so ``repro-osn serve --transport fastapi`` fails with an
-    actionable message instead of an ImportError traceback; the
-    ``auto`` transport falls back to :class:`ServiceHTTPServer`.
-    """
-    try:
-        from fastapi import FastAPI
-        from fastapi.responses import JSONResponse
-    except ImportError as exc:
-        raise ConfigurationError(
-            "fastapi is not installed; install it (pip install fastapi uvicorn) "
-            "or use the dependency-free transport (--transport stdlib)"
-        ) from exc
-
-    batcher = MicroBatcher(
-        service,
-        window_seconds,
-        max_in_flight=max_in_flight,
-        default_deadline_seconds=(
-            deadline_ms / 1000.0 if deadline_ms is not None else None
-        ),
-    )
-    app = FastAPI(title="repro-osn estimation service")
-    app.state.service = service
-    app.state.batcher = batcher
-
-    @app.get("/healthz")
-    async def healthz():  # pragma: no cover - exercised only with fastapi
-        return _health_payload(service, batcher)
-
-    @app.get("/stats")
-    async def stats():  # pragma: no cover - exercised only with fastapi
-        return _service_stats(service, batcher)
-
-    @app.post("/estimate")
-    async def estimate(payload: dict):  # pragma: no cover - ditto
-        body = json.dumps(payload).encode("utf-8")
-        status, response, headers = await _dispatch(
-            service, batcher, "POST", "/estimate", body
-        )
-        if status == 200:
-            return response
-        return JSONResponse(status_code=status, content=response, headers=headers)
-
-    return app
 
 
 def run_server(
     service: EstimationService,
     host: str = "127.0.0.1",
     port: int = 8000,
-    transport: str = "auto",
+    transport: str = "stdlib",
     window_seconds: float = 0.005,
     max_in_flight: Optional[int] = None,
     deadline_ms: Optional[float] = None,
@@ -316,13 +298,10 @@ def run_server(
 ) -> None:
     """Run the service until interrupted (the ``repro-osn serve`` core).
 
-    ``transport="fastapi"`` requires fastapi + uvicorn; ``"stdlib"``
-    always works; ``"auto"`` prefers fastapi when importable and falls
-    back silently — the container images this repo targets ship
-    without either extra, so ``auto`` normally lands on the stdlib
-    server.
+    *transport* names the HTTP front; :class:`ServiceHTTPServer`
+    (``"stdlib"``) is the only one.
 
-    The stdlib transport installs ``SIGTERM`` / ``SIGINT`` handlers for
+    The server installs ``SIGTERM`` / ``SIGINT`` handlers for
     **graceful shutdown**: stop accepting connections, drain the
     micro-batch window (in-flight queries get their answers), snapshot
     the answer cache, exit 0.  A ``SIGKILL`` skips all of that and the
@@ -330,29 +309,10 @@ def run_server(
     *snapshot_interval_seconds* (with the service's ``snapshot_path``)
     enables that timer.
     """
-    if transport not in ("auto", "fastapi", "stdlib"):
+    if transport != "stdlib":
         raise ConfigurationError(
-            f"unknown transport {transport!r}; choose auto, fastapi, or stdlib"
+            f"unknown transport {transport!r}; the only transport is 'stdlib'"
         )
-    if transport in ("auto", "fastapi"):
-        try:
-            import uvicorn  # noqa: F401
-
-            app = create_fastapi_app(
-                service,
-                window_seconds,
-                max_in_flight=max_in_flight,
-                deadline_ms=deadline_ms,
-            )
-        except (ImportError, ConfigurationError):
-            if transport == "fastapi":
-                raise ConfigurationError(
-                    "transport='fastapi' needs fastapi and uvicorn installed; "
-                    "use --transport stdlib for the dependency-free server"
-                )
-        else:  # pragma: no cover - needs uvicorn installed
-            uvicorn.run(app, host=host, port=port)
-            return
 
     async def _serve() -> None:
         server = ServiceHTTPServer(
@@ -426,4 +386,10 @@ def run_server(
     asyncio.run(_serve())
 
 
-__all__ = ["ServiceHTTPServer", "create_fastapi_app", "run_server"]
+__all__ = [
+    "MAX_BODY_BYTES",
+    "MAX_HEADERS",
+    "MAX_LINE_BYTES",
+    "ServiceHTTPServer",
+    "run_server",
+]

@@ -3,10 +3,8 @@
 from repro.walks.engine import RandomWalk, WalkResult, NeighborProvider
 from repro.walks.batched import (
     BatchedWalkEngine,
-    BatchedWalkResult,
     FleetWalkResult,
     KernelSpec,
-    PageBudgetTracker,
     BASELINE_CSR_KERNELS,
     SUPPORTED_CSR_KERNELS,
     charge_distinct_pages,
@@ -41,12 +39,10 @@ __all__ = [
     "WalkResult",
     "NeighborProvider",
     "BatchedWalkEngine",
-    "BatchedWalkResult",
     "FleetWalkResult",
     "BatchedLineWalkEngine",
     "LineFleetResult",
     "KernelSpec",
-    "PageBudgetTracker",
     "BASELINE_CSR_KERNELS",
     "SUPPORTED_CSR_KERNELS",
     "charge_distinct_pages",

@@ -42,6 +42,7 @@ use the chunked-gather fallback documented on
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -55,18 +56,12 @@ from repro.exceptions import (
 )
 from repro.graph.csr import CSRGraph
 from repro.utils.rng import RandomSource, ensure_numpy_rng, ensure_rng
-from repro.walks.compiled import (
-    compiled_node_fleet,
-    pow_like_scalar,
-    resolve_engine,
-)
 from repro.utils.validation import (
     check_in_range,
     check_non_negative_int,
     check_positive,
     check_positive_int,
 )
-from repro.walks.engine import WalkResult
 
 #: The kernels whose stationary law is proportional to degree — the
 #: walks the paper's proposed algorithms run.
@@ -190,6 +185,36 @@ def resolve_kernel_spec(
     )
 
 
+def pow_like_scalar(values, exponent: float) -> np.ndarray:
+    """Elementwise ``values ** exponent`` with *scalar* (libm) rounding.
+
+    numpy's vectorized float64 power loop may come from a SIMD
+    implementation that disagrees with libm ``pow`` by 1 ULP on some
+    inputs (machine-dependent), while every scalar path — Python
+    ``**``, the reference kernels and the per-step CSR loops — calls
+    libm.  The vectorized engines route their generic powers through
+    this helper so all paths compute the same accept probabilities and
+    stationary weights bit for bit, on every machine: the
+    correctly-rounded exponents (1, 2, 0.5) vectorize directly,
+    everything else evaluates libm ``pow`` once per *unique* base —
+    degrees and degree ratios repeat heavily — and gathers the results
+    back.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if exponent == 1.0:
+        return values.copy()
+    if exponent == 2.0:
+        return values * values
+    if exponent == 0.5:
+        return np.sqrt(values)
+    unique, inverse = np.unique(values, return_inverse=True)
+    powered = np.array(
+        [math.pow(base, exponent) for base in unique.tolist()], dtype=np.float64
+    )
+    # numpy < 2.1 flattens return_inverse; reshape covers both behaviors.
+    return powered[np.reshape(inverse, values.shape)]
+
+
 def kernel_move_probabilities(
     spec: KernelSpec,
     current_degrees: np.ndarray,
@@ -219,8 +244,8 @@ def kernel_move_probabilities(
         if spec.alpha == 0.0:
             return None
         # pow_like_scalar, not `** alpha`: numpy's SIMD pow can be 1 ULP
-        # off libm, which every scalar tier (and the compiled engine)
-        # calls — the bit-exactness contract spans all of them.
+        # off libm, which every scalar path calls — the bit-exactness
+        # contract spans all of them.
         return np.minimum(
             1.0, pow_like_scalar(current_degrees / proposal_degrees, spec.alpha)
         )
@@ -515,14 +540,13 @@ def charge_distinct_pages(
     pages: np.ndarray,
     visited: np.ndarray,
     budget: Optional[int],
-    already_charged: int = 0,
 ) -> int:
     """Charge the never-downloaded pages of *pages*; return the new charge.
 
-    The one implementation of the distinct-page crossing invariant,
-    shared by the samplers' page filters and the batched engine: pages
-    are considered in first-download order, on exhaustion only the
-    still-affordable ones are marked in *visited* (mutated in place),
+    The one implementation of the distinct-page crossing invariant
+    behind the CSR samplers' page filters: pages are considered in
+    first-download order, on exhaustion only the still-affordable ones
+    are marked in *visited* (mutated in place),
     and the raised error reports the crossing attempt ``budget + 1`` —
     exactly :meth:`APICallCounter.charge`'s behavior mid-crawl.
     """
@@ -530,58 +554,17 @@ def charge_distinct_pages(
     ordered = distinct[np.argsort(first_seen)]
     new = ordered[~visited[ordered]]
     if budget is not None:
-        affordable = budget - already_charged
-        if new.size > affordable:
-            visited[new[: max(0, affordable)]] = True
+        if new.size > budget:
+            visited[new[:budget]] = True
             raise APIBudgetExceededError(budget, budget + 1)
     visited[new] = True
     return int(new.size)
 
 
-class PageBudgetTracker:
-    """Distinct-page-download accounting for CSR walks.
-
-    Mirrors a budgeted :class:`RestrictedGraphAPI` with caching enabled:
-    the first fetch of a node's page is charged, revisits are free, and
-    crossing *budget* raises :class:`APIBudgetExceededError`.
-    """
-
-    def __init__(self, num_nodes: int, budget: Optional[int] = None) -> None:
-        self._visited = np.zeros(num_nodes, dtype=bool)
-        self.budget = budget if budget is None else check_non_negative_int(budget, "budget")
-        self._charged = 0
-
-    @property
-    def charged(self) -> int:
-        """Distinct pages downloaded so far."""
-        if self.budget is None:
-            # Unbudgeted: pages are only marked (cheap per step); count lazily.
-            return int(np.count_nonzero(self._visited))
-        return self._charged
-
-    def charge_pages(self, node_indices: np.ndarray) -> None:
-        """Charge the pages of *node_indices* that were never fetched before.
-
-        See :func:`charge_distinct_pages` for the crossing semantics.
-        """
-        if self.budget is None:
-            # Unbudgeted fast path: mark only, count lazily in `charged`.
-            self._visited[np.atleast_1d(node_indices)] = True
-            return
-        try:
-            self._charged += charge_distinct_pages(
-                node_indices, self._visited, self.budget, self._charged
-            )
-        except APIBudgetExceededError:
-            self._charged = self.budget + 1
-            raise
-
-
 def per_walker_distinct_counts(trajectories: np.ndarray, *extra: np.ndarray) -> np.ndarray:
     """Distinct pages downloaded by each walker of an independent fleet.
 
-    Unlike :class:`PageBudgetTracker` (one cache shared by the whole
-    fleet), this models ``N`` *independent* crawlers: walker ``w`` is
+    The fleet models ``N`` *independent* crawlers: walker ``w`` is
     charged once per distinct node in ``trajectories[w]`` — exactly what
     ``N`` separate :class:`~repro.graph.api.RestrictedGraphAPI` wrappers
     with caching on would each record, which is how the experiment
@@ -610,69 +593,12 @@ def per_walker_distinct_counts(trajectories: np.ndarray, *extra: np.ndarray) -> 
 # batched engine
 # ----------------------------------------------------------------------
 @dataclass
-class BatchedWalkResult:
-    """Trajectories of ``N`` independent walkers, post burn-in.
-
-    Attributes
-    ----------
-    nodes:
-        ``(num_walkers, num_steps)`` node indices, one row per walker.
-    degrees:
-        Degrees of the collected nodes (same shape).
-    start_nodes:
-        Where each walker started.
-    tail_nodes:
-        Each walker's position just before the first collected step
-        (the start node when ``burn_in == 0``) — needed to reconstruct
-        the first traversed edge.
-    burn_in:
-        Steps discarded per walker before collection.
-    charged_calls:
-        Distinct pages downloaded across the whole fleet (shared cache).
-    """
-
-    nodes: np.ndarray
-    degrees: np.ndarray
-    start_nodes: np.ndarray
-    tail_nodes: np.ndarray
-    burn_in: int
-    charged_calls: int
-
-    @property
-    def num_walkers(self) -> int:
-        return int(self.nodes.shape[0])
-
-    @property
-    def num_steps(self) -> int:
-        return int(self.nodes.shape[1])
-
-    def walk_result(self, walker: int, csr: CSRGraph) -> WalkResult:
-        """Convert one walker's trajectory into a reference :class:`WalkResult`."""
-        row = self.nodes[walker]
-        ids = csr.node_ids
-        previous = int(self.tail_nodes[walker])
-        edges = []
-        for index in row:
-            index = int(index)
-            edges.append(None if index == previous else (ids[previous], ids[index]))
-            previous = index
-        return WalkResult(
-            nodes=[ids[int(i)] for i in row],
-            degrees=[int(d) for d in self.degrees[walker]],
-            edges=edges,
-            burn_in=self.burn_in,
-            start_node=ids[int(self.start_nodes[walker])],
-        )
-
-
-@dataclass
 class FleetWalkResult:
     """Full trajectories of ``N`` independent walkers (burn-in included).
 
     Produced by :meth:`BatchedWalkEngine.run_fleet`, the execution mode
     behind ``run_trials(..., execution="fleet")``: one walker stands for
-    one experiment repetition, so — unlike :class:`BatchedWalkResult`,
-    whose fleet shares a page cache — every walker keeps its *own*
+    one experiment repetition, so every walker keeps its *own*
     distinct-page ledger, mirroring the fresh
     :class:`~repro.graph.api.RestrictedGraphAPI` each repetition gets.
 
@@ -789,24 +715,11 @@ class BatchedWalkEngine:
         :func:`kernel_move_probabilities`, and rejected walkers stay in
         place (self-loop semantics).
     budget:
-        Optional charged-API-call cap, with the same distinct-page
-        semantics as a caching :class:`RestrictedGraphAPI`: the fleet
-        shares one page cache, and the engine raises
-        :class:`APIBudgetExceededError` mid-walk as soon as the number of
-        distinct pages fetched exceeds the budget.
+        Optional per-walker charged-API-call cap, with the same
+        distinct-page semantics as a caching :class:`RestrictedGraphAPI`
+        (see :meth:`run_fleet`).
     rng:
         Seed / generator (normalised to a numpy generator).
-    engine:
-        ``"numpy"`` (default) steps the fleet with one vectorized numpy
-        pass per transition; ``"compiled"`` runs the numba-njit twin
-        kernels of :mod:`repro.walks.compiled` over chunked pre-drawn
-        uniforms.  Both consume the generator identically, so the two
-        engines are **bit-identical** from the same seed (the
-        differential suite in ``tests/unit/test_compiled_backend.py``
-        pins this).  When numba is missing, ``"compiled"`` falls back
-        to ``"numpy"`` with a
-        :class:`~repro.walks.compiled.CompiledFallbackWarning` — never
-        an import error.
     """
 
     def __init__(
@@ -815,82 +728,12 @@ class BatchedWalkEngine:
         kernel: KernelLike = "simple",
         budget: Optional[int] = None,
         rng: RandomSource = None,
-        engine: str = "numpy",
     ) -> None:
         self.csr = csr
         self.kernel = resolve_kernel_spec(kernel)
         self.kernel_name = self.kernel.name
         self.budget = budget if budget is None else check_non_negative_int(budget, "budget")
         self._nprng = ensure_numpy_rng(rng)
-        self.engine = resolve_engine(engine)
-
-    def run(
-        self,
-        num_walkers: int,
-        num_steps: int,
-        burn_in: int = 0,
-        start_nodes: Optional[Sequence[int]] = None,
-    ) -> BatchedWalkResult:
-        """Run the fleet and collect *num_steps* positions per walker."""
-        check_positive_int(num_walkers, "num_walkers")
-        check_positive_int(num_steps, "num_steps")
-        check_non_negative_int(burn_in, "burn_in")
-        _check_not_empty(self.csr)
-        csr = self.csr
-        current = self._draw_starts(num_walkers, start_nodes)
-        starts = current.copy()
-
-        tracker = PageBudgetTracker(csr.num_nodes, self.budget)
-        total = burn_in + num_steps
-
-        if self.engine == "compiled":
-            # The compiled kernels walk the whole fleet first; the page
-            # charges are then replayed per step from the trajectory
-            # columns in the exact order the numpy loop issues them, so
-            # a budget crossing raises at the same step either way.
-            trajectories, probes = self._fleet_trajectories(current, total)
-            for step in range(total):
-                tracker.charge_pages(trajectories[:, step])
-                if probes is not None:
-                    tracker.charge_pages(probes[:, step])
-            tracker.charge_pages(trajectories[:, total])
-            nodes = np.ascontiguousarray(trajectories[:, burn_in + 1 :])
-            return BatchedWalkResult(
-                nodes=nodes,
-                degrees=csr.degrees[nodes],
-                start_nodes=starts,
-                tail_nodes=trajectories[:, burn_in].copy(),
-                burn_in=burn_in,
-                charged_calls=tracker.charged,
-            )
-
-        nodes = np.empty((num_walkers, num_steps), dtype=np.int64)
-        tail = starts.copy()
-        previous = np.full(num_walkers, -1, dtype=np.int64)
-
-        for step in range(total):
-            tracker.charge_pages(current)  # fetch pages of current positions
-            nxt, probed = self._advance(current, previous)
-            if probed is not None:
-                # MH-family accept tests fetched the proposals' pages.
-                tracker.charge_pages(probed)
-            previous = current
-            current = nxt
-            if step >= burn_in:
-                nodes[:, step - burn_in] = current
-            if step == burn_in - 1:
-                tail = current.copy()
-        # Collected degrees are read off the final pages too.
-        tracker.charge_pages(current)
-
-        return BatchedWalkResult(
-            nodes=nodes,
-            degrees=csr.degrees[nodes],
-            start_nodes=starts,
-            tail_nodes=tail,
-            burn_in=burn_in,
-            charged_calls=tracker.charged,
-        )
 
     def run_fleet(
         self,
@@ -921,7 +764,19 @@ class BatchedWalkEngine:
         current = self._draw_starts(num_walkers, start_nodes)
 
         total = burn_in + num_steps
-        trajectories, probes = self._fleet_trajectories(current, total)
+        trajectories = np.empty((num_walkers, total + 1), dtype=np.int64)
+        trajectories[:, 0] = current
+        probes: Optional[np.ndarray] = None
+        if self.kernel.probes_proposals:
+            probes = np.empty((num_walkers, total), dtype=np.int64)
+        previous = np.full(num_walkers, -1, dtype=np.int64)
+        for step in range(total):
+            nxt, probed = self._advance(current, previous)
+            if probes is not None:
+                probes[:, step] = probed
+            previous = current
+            current = nxt
+            trajectories[:, step + 1] = current
 
         result = FleetWalkResult(
             trajectories=trajectories,
@@ -936,40 +791,6 @@ class BatchedWalkEngine:
         return result
 
     # ------------------------------------------------------------------
-    def _fleet_trajectories(
-        self, current: np.ndarray, total: int
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Walk *total* transitions from *current*; return the full record.
-
-        The single seam both engines share: ``trajectories`` is
-        ``(N, total + 1)`` with the start positions in column 0, and
-        ``probes`` is the ``(N, total)`` proposal record for probing
-        kernels (else ``None``).  The compiled engine consumes the
-        generator in chunked pre-drawn blocks that replay the numpy
-        loop's per-step draws bit for bit, so both engines return
-        identical arrays from the same generator state.
-        """
-        num_walkers = int(current.shape[0])
-        trajectories = np.empty((num_walkers, total + 1), dtype=np.int64)
-        trajectories[:, 0] = current
-        probes: Optional[np.ndarray] = None
-        if self.kernel.probes_proposals:
-            probes = np.empty((num_walkers, total), dtype=np.int64)
-        if self.engine == "compiled":
-            compiled_node_fleet(
-                self.csr, self.kernel, self._nprng, current.copy(), trajectories, probes
-            )
-            return trajectories, probes
-        previous = np.full(num_walkers, -1, dtype=np.int64)
-        for step in range(total):
-            nxt, probed = self._advance(current, previous)
-            if probes is not None:
-                probes[:, step] = probed
-            previous = current
-            current = nxt
-            trajectories[:, step + 1] = current
-        return trajectories, probes
-
     def _draw_starts(
         self, num_walkers: int, start_nodes: Optional[Sequence[int]]
     ) -> np.ndarray:
@@ -1009,9 +830,7 @@ class BatchedWalkEngine:
             # an offset over the d−1 allowed slots and, when it lands on
             # the excluded neighbor, take the last slot instead — a
             # bijection onto row∖{previous} that needs no redraw loop
-            # (fixed one-draw-per-step consumption, which is what lets
-            # the compiled engine pre-draw its uniforms and stay
-            # bit-identical).  Dead ends (degree 1) and the first step
+            # (fixed one-draw-per-step consumption).  Dead ends (degree 1) and the first step
             # (previous = −1) fall back to the plain uniform draw, so
             # backtracking stays the only option at a dead end.
             eligible = (previous >= 0) & (degrees > 1)
@@ -1056,8 +875,7 @@ __all__ = [
     "csr_walk",
     "charge_distinct_pages",
     "per_walker_distinct_counts",
-    "PageBudgetTracker",
-    "BatchedWalkResult",
+    "pow_like_scalar",
     "FleetWalkResult",
     "BatchedWalkEngine",
 ]

@@ -20,8 +20,7 @@ of ``G``:
   incident edges, then draw a uniform neighbor of the pivot excluding
   the opposite endpoint (a swap-with-last draw over the ``d − 1``
   allowed slots, the same device the non-backtracking kernel uses —
-  fixed draw consumption per step, so the compiled engine can pre-draw
-  its uniforms and replay bit-identically);
+  fixed draw consumption per step);
 * the kernel's accept test is one vectorized mask over the current and
   proposal line degrees (:func:`~repro.walks.batched.kernel_move_probabilities`),
   with stay-in-place semantics on rejection.
@@ -56,7 +55,6 @@ from repro.walks.batched import (
     per_walker_distinct_counts,
     resolve_kernel_spec,
 )
-from repro.walks.compiled import compiled_line_fleet, resolve_engine
 
 
 @dataclass
@@ -177,12 +175,6 @@ class BatchedLineWalkEngine:
         (:func:`repro.baselines.adaptations.line_graph_max_degree`).
     rng:
         Seed / generator (normalised to a numpy generator).
-    engine:
-        ``"numpy"`` (default) or ``"compiled"`` — see
-        :class:`~repro.walks.batched.BatchedWalkEngine`; the two
-        engines consume the generator identically and are bit-identical
-        from the same seed, and ``"compiled"`` falls back to
-        ``"numpy"`` (typed warning) when numba is absent.
     """
 
     def __init__(
@@ -190,7 +182,6 @@ class BatchedLineWalkEngine:
         csr: CSRGraph,
         kernel: KernelLike = "simple",
         rng: RandomSource = None,
-        engine: str = "numpy",
     ) -> None:
         self.csr = csr
         self.kernel = resolve_kernel_spec(kernel)
@@ -200,7 +191,6 @@ class BatchedLineWalkEngine:
                 "accept/reject kernels; non_backtracking has no baseline"
             )
         self._nprng = ensure_numpy_rng(rng)
-        self.engine = resolve_engine(engine)
 
     def run_fleet(
         self,
@@ -254,18 +244,13 @@ class BatchedLineWalkEngine:
                 np.empty((num_walkers, total), dtype=np.int64),
             )
 
-        if self.engine == "compiled":
-            compiled_line_fleet(
-                csr, spec, rng, u.copy(), v.copy(), src, dst, probes[0], probes[1]
-            )
-        else:
-            for step in range(total):
-                u, v, proposal = self._advance(u, v)
-                if probes[0] is not None:
-                    probes[0][:, step] = proposal[0]
-                    probes[1][:, step] = proposal[1]
-                src[:, step + 1] = u
-                dst[:, step + 1] = v
+        for step in range(total):
+            u, v, proposal = self._advance(u, v)
+            if probes[0] is not None:
+                probes[0][:, step] = proposal[0]
+                probes[1][:, step] = proposal[1]
+            src[:, step + 1] = u
+            dst[:, step + 1] = v
 
         return LineFleetResult(
             src=src,
@@ -315,8 +300,7 @@ class BatchedLineWalkEngine:
         # d−1 allowed slots (pivot degree >= 2 on the chosen side) and
         # bump a draw that lands on the excluded endpoint to the last
         # slot — a bijection onto row∖{other} with exactly one uniform
-        # consumed per walker per step (what lets the compiled engine
-        # pre-draw its uniforms and replay bit-identically).
+        # consumed per walker per step.
         pivot_degrees = degrees[pivot]
         span = pivot_degrees - 1
         offsets = (rng.random(u.size) * span).astype(np.int64)

@@ -26,30 +26,6 @@ def pytest_configure(config):
         "markers",
         "slow: statistical / multi-seed tests, excluded from the fast tier",
     )
-    config.addinivalue_line(
-        "markers",
-        "requires_numba: exercises the real numba JIT; skipped when numba "
-        "is not installed (the compiled-engine *semantics* are still "
-        "covered — the differential suite runs the kernels un-jitted)",
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    """Skip ``requires_numba`` tests on the no-numba CI leg.
-
-    Only tests that need the actual JIT (dispatcher objects, compile
-    caches, speedups) carry the marker; bit-parity tests run everywhere
-    because the un-jitted kernels are the same Python code numba
-    compiles.
-    """
-    from repro.walks.compiled import numba_available
-
-    if numba_available():
-        return
-    skip_numba = pytest.mark.skip(reason="numba is not installed")
-    for item in items:
-        if "requires_numba" in item.keywords:
-            item.add_marker(skip_numba)
 
 
 from repro.datasets.labeling import assign_binary_labels, assign_zipf_labels

@@ -10,23 +10,12 @@ engine's estimates *distribution for distribution*.  Two layers:
   compared against the reference path over ≥ 50 independent seeds with
   a two-sample Kolmogorov–Smirnov test plus a relative-mean tolerance,
   per algorithm family.
-
-The compiled tier rides the same two layers: ``backend="compiled"`` is
-**bit-identical** to ``"csr"`` (exact layer — no tolerance, no KS), and
-therefore its estimates and distinct-page ledgers must also pass the
-same KS legs against the reference engine (statistical layer).  The
-service leg pins that a server booted with ``backend="compiled"``
-answers ``POST /estimate`` bit-identically to a ``"csr"`` twin.
 """
-
-import asyncio
-import json
 
 import numpy as np
 import pytest
 from scipy import stats
 
-import repro.walks.compiled as compiled_module
 from repro.core.pipeline import estimate_target_edge_count
 from repro.core.samplers import (
     NeighborExplorationSampler,
@@ -141,189 +130,3 @@ class TestStatisticalLayer:
         )
         _, p_value = stats.ks_2samp(python_estimates, csr_estimates)
         assert p_value > KS_ALPHA
-
-
-# ----------------------------------------------------------------------
-# compiled tier
-# ----------------------------------------------------------------------
-@pytest.fixture
-def force_compiled(monkeypatch):
-    """Dispatch ``backend="compiled"`` to the compiled kernels even when
-    numba is absent (they run un-jitted; same code, same bits)."""
-    monkeypatch.setattr(compiled_module, "_NUMBA_AVAILABLE", True)
-
-
-def _reference_runs(graph, t1, t2, algorithm):
-    """Reference-engine estimates *and* charged-call ledgers per seed."""
-    estimates, calls = [], []
-    for seed in range(NUM_SEEDS):
-        result = estimate_target_edge_count(
-            graph, t1, t2, algorithm=algorithm, sample_size=SAMPLE_SIZE,
-            burn_in=BURN_IN, seed=seed, backend="python",
-        )
-        estimates.append(result.estimate)
-        calls.append(result.api_calls)
-    return np.asarray(estimates), np.asarray(calls, dtype=np.float64)
-
-
-def _compiled_fleet_runs(graph, t1, t2, algorithm):
-    """One compiled fleet whose walkers are NUM_SEEDS independent trials."""
-    from repro.experiments.algorithms import build_algorithm_suite
-    from repro.experiments.runner import run_trials
-
-    suite = build_algorithm_suite(graph)
-    outcome = run_trials(
-        graph, t1, t2, suite[algorithm], algorithm,
-        sample_size=SAMPLE_SIZE, repetitions=NUM_SEEDS, burn_in=BURN_IN,
-        seed=1234, backend="compiled", execution="fleet",
-    )
-    return (
-        np.asarray(outcome.estimates),
-        np.asarray(outcome.api_calls, dtype=np.float64),
-    )
-
-
-@pytest.mark.usefixtures("force_compiled")
-class TestCompiledExactLayer:
-    """backend="compiled" == backend="csr", bit for bit (fast tier)."""
-
-    @pytest.mark.parametrize(
-        "algorithm", ["NeighborSample-HH", "NeighborExploration-HT", "EX-RCMH"]
-    )
-    def test_fleet_outcomes_identical_to_csr(self, gender_osn, algorithm):
-        from repro.experiments.algorithms import build_algorithm_suite
-        from repro.experiments.runner import run_trials
-
-        suite = build_algorithm_suite(gender_osn)
-        outcomes = {}
-        for backend in ("csr", "compiled"):
-            outcomes[backend] = run_trials(
-                gender_osn, 1, 2, suite[algorithm], algorithm,
-                sample_size=SAMPLE_SIZE, repetitions=8, burn_in=BURN_IN,
-                seed=5, backend=backend, execution="fleet",
-            )
-        assert outcomes["compiled"].estimates == outcomes["csr"].estimates
-        assert outcomes["compiled"].api_calls == outcomes["csr"].api_calls
-
-
-@pytest.mark.slow
-@pytest.mark.usefixtures("force_compiled")
-class TestCompiledStatisticalLayer:
-    """Compiled fleets vs the reference engine over >= 50 seeds."""
-
-    @pytest.mark.parametrize(
-        "algorithm", ["NeighborSample-HH", "NeighborExploration-HH"]
-    )
-    def test_estimates_and_ledgers_distributed_like_reference(
-        self, gender_osn, algorithm
-    ):
-        ref_estimates, ref_calls = _reference_runs(gender_osn, 1, 2, algorithm)
-        cmp_estimates, cmp_calls = _compiled_fleet_runs(
-            gender_osn, 1, 2, algorithm
-        )
-
-        statistic, p_value = stats.ks_2samp(ref_estimates, cmp_estimates)
-        assert p_value > KS_ALPHA, (
-            f"{algorithm}: KS statistic {statistic:.3f} (p={p_value:.4f}) — "
-            "compiled-fleet estimates are not distributed like reference "
-            "estimates"
-        )
-        statistic, p_value = stats.ks_2samp(ref_calls, cmp_calls)
-        assert p_value > KS_ALPHA, (
-            f"{algorithm}: KS statistic {statistic:.3f} (p={p_value:.4f}) — "
-            "compiled-fleet distinct-page ledgers are not distributed like "
-            "the reference charged-call counts"
-        )
-
-        truth = count_target_edges(gender_osn, 1, 2)
-        mean_gap = abs(ref_estimates.mean() - cmp_estimates.mean())
-        assert mean_gap < 0.15 * truth, (
-            f"{algorithm}: backend means differ by {mean_gap:.1f} "
-            f"({100 * mean_gap / truth:.1f}% of the true count {truth})"
-        )
-
-    def test_baseline_line_fleet_ledgers_distributed_like_reference(
-        self, gender_osn
-    ):
-        """EX-MHRW: compiled line fleets, probes included in the ledgers."""
-        from repro.experiments.algorithms import build_algorithm_suite
-        from repro.experiments.runner import run_trials
-
-        suite = build_algorithm_suite(gender_osn)
-        sequential = run_trials(
-            gender_osn, 1, 2, suite["EX-MHRW"], "EX-MHRW",
-            sample_size=SAMPLE_SIZE, repetitions=NUM_SEEDS, burn_in=BURN_IN,
-            seed=77, execution="sequential",
-        )
-        cmp_estimates, cmp_calls = _compiled_fleet_runs(
-            gender_osn, 1, 2, "EX-MHRW"
-        )
-        _, p_value = stats.ks_2samp(np.asarray(sequential.estimates), cmp_estimates)
-        assert p_value > KS_ALPHA
-        _, p_value = stats.ks_2samp(
-            np.asarray(sequential.api_calls, dtype=np.float64), cmp_calls
-        )
-        assert p_value > KS_ALPHA
-
-
-class TestCompiledServiceBitIdentity:
-    """POST /estimate answers are backend-agnostic, over real HTTP."""
-
-    @staticmethod
-    def _serving_graph():
-        from repro.datasets.labeling import assign_binary_labels
-        from repro.datasets.synthetic import powerlaw_cluster_osn
-
-        graph = powerlaw_cluster_osn(250, 5, 0.3, rng=7)
-        assign_binary_labels(graph, 0.5, labels=(1, 2), rng=8)
-        return graph
-
-    @staticmethod
-    async def _post_estimate(port, payload):
-        reader, writer = await asyncio.open_connection("127.0.0.1", port)
-        body = json.dumps(payload).encode("utf-8")
-        head = (
-            f"POST /estimate HTTP/1.1\r\nHost: 127.0.0.1\r\n"
-            f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
-        )
-        writer.write(head.encode("ascii") + body)
-        await writer.drain()
-        raw = await reader.read()
-        writer.close()
-        await writer.wait_closed()
-        header_blob, _, body_blob = raw.partition(b"\r\n\r\n")
-        return int(header_blob.split()[1]), json.loads(body_blob.decode("utf-8"))
-
-    def test_post_estimate_identical_across_backends(self, force_compiled):
-        from repro.service import EstimationService, ServiceHTTPServer
-
-        payload = dict(
-            algorithm="NeighborSample-HH", t1=1, t2=2, budget=25,
-            seed=7, repetitions=6, burn_in=5,
-        )
-
-        async def serve_once(service):
-            server = ServiceHTTPServer(service, port=0, window_seconds=0.005)
-            await server.start()
-            try:
-                return await self._post_estimate(server.port, payload)
-            finally:
-                await server.stop()
-
-        answers = {}
-        for backend in ("csr", "compiled"):
-            with EstimationService(
-                self._serving_graph(), graph_store="ram", backend=backend,
-                default_burn_in=5, name=f"equiv-{backend}",
-            ) as service:
-                status, body = asyncio.run(serve_once(service))
-            assert status == 200
-            answers[backend] = body
-
-        assert (
-            answers["compiled"]["estimates"] == answers["csr"]["estimates"]
-        )
-        assert (
-            answers["compiled"]["api_calls"] == answers["csr"]["api_calls"]
-        )
-        assert answers["compiled"]["cached"] is False

@@ -11,7 +11,8 @@ import json
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.service import ServiceHTTPServer, create_fastapi_app
+from repro.service import ServiceHTTPServer, run_server
+from repro.service.http import MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE_BYTES
 
 BURN_IN = 5  # matches the conftest fixtures
 
@@ -199,13 +200,97 @@ class TestErrorContract:
         assert "t1" in body["error"]
 
 
-class TestFastAPIGate:
-    def test_factory_raises_actionably_without_fastapi(self, ram_service):
-        try:
-            import fastapi  # noqa: F401
-        except ImportError:
-            with pytest.raises(ConfigurationError, match="stdlib"):
-                create_fastapi_app(ram_service)
-        else:  # pragma: no cover - containers without the extra skip this
-            app = create_fastapi_app(ram_service)
-            assert app is not None
+async def _raw_exchange(port, data):
+    """Send raw bytes, half-close, return (status code, JSON body)."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(data)
+    await writer.drain()
+    writer.write_eof()
+    raw = await asyncio.wait_for(reader.read(), timeout=10)
+    writer.close()
+    await writer.wait_closed()
+    header_blob, _, body_blob = raw.partition(b"\r\n\r\n")
+    return int(header_blob.split()[1]), json.loads(body_blob.decode("utf-8"))
+
+
+class TestRequestLimits:
+    """Oversized or malformed framing gets a typed 4xx, never a dropped
+    connection, a hang or an unhandled exception on the loop."""
+
+    @staticmethod
+    def _exchange(service, data):
+        errors = []
+
+        async def scenario(port):
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context)
+            )
+            return await _raw_exchange(port, data)
+
+        response = _run(service, scenario)
+        assert errors == []
+        return response
+
+    def test_over_long_header_line_is_431(self, ram_service):
+        line = b"X-Padding: " + b"a" * (MAX_LINE_BYTES + 1) + b"\r\n"
+        status, body = self._exchange(
+            ram_service, b"GET /healthz HTTP/1.1\r\n" + line + b"\r\n"
+        )
+        assert status == 431
+        assert str(MAX_LINE_BYTES) in body["error"]
+
+    def test_over_long_request_line_is_431(self, ram_service):
+        path = b"/" + b"a" * (MAX_LINE_BYTES + 1)
+        status, _ = self._exchange(ram_service, b"GET " + path + b" HTTP/1.1\r\n\r\n")
+        assert status == 431
+
+    def test_too_many_header_lines_is_431(self, ram_service):
+        headers = b"".join(b"X-%d: 1\r\n" % index for index in range(MAX_HEADERS + 1))
+        status, body = self._exchange(
+            ram_service, b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n"
+        )
+        assert status == 431
+        assert str(MAX_HEADERS) in body["error"]
+
+    def test_header_count_at_the_limit_is_served(self, ram_service):
+        headers = b"".join(b"X-%d: 1\r\n" % index for index in range(MAX_HEADERS))
+        status, body = self._exchange(
+            ram_service, b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n"
+        )
+        assert status == 200
+        assert body["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "declared", [b"1000000000", b"9" * 5000], ids=["1e9", "5000-digits"]
+    )
+    def test_content_length_above_limit_is_413(self, ram_service, declared):
+        status, body = self._exchange(
+            ram_service,
+            b"POST /estimate HTTP/1.1\r\nContent-Length: " + declared + b"\r\n\r\n{}",
+        )
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in body["error"]
+
+    @pytest.mark.parametrize("declared", [b"-5", b"12abc", b""])
+    def test_malformed_content_length_is_400(self, ram_service, declared):
+        status, body = self._exchange(
+            ram_service,
+            b"POST /estimate HTTP/1.1\r\nContent-Length: " + declared + b"\r\n\r\n",
+        )
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+    def test_body_at_the_limit_is_read(self, ram_service):
+        body = json.dumps(_estimate_payload()).encode("utf-8")
+        body += b" " * (MAX_BODY_BYTES - len(body))
+        # Leading zeros do not count against the limit.
+        head = b"POST /estimate HTTP/1.1\r\nContent-Length: 00%d\r\n\r\n" % len(body)
+        status, answer = self._exchange(ram_service, head + body)
+        assert status == 200
+        assert len(answer["estimates"]) == 6
+
+
+class TestRunServer:
+    def test_only_the_stdlib_transport_exists(self, ram_service):
+        with pytest.raises(ConfigurationError, match="stdlib"):
+            run_server(ram_service, port=0, transport="fastapi")

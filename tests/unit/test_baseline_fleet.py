@@ -213,8 +213,16 @@ class TestLineFleet:
         # A single-edge graph: its line graph is one isolated node.
         csr = CSRGraph.from_edge_array(np.array([[0, 1]]))
         engine = BatchedLineWalkEngine(csr, kernel="simple", rng=1)
-        with pytest.raises(WalkError):
+        with pytest.raises(WalkError, match="isolated line node"):
             engine.run_fleet(3, 4)
+
+    def test_mdrw_rejects_line_degree_above_max(self, csr_osn):
+        max_degree = float(line_graph_max_degree(csr_osn))
+        engine = BatchedLineWalkEngine(
+            csr_osn, kernel=KernelSpec("mdrw", max_degree=max_degree / 4), rng=2
+        )
+        with pytest.raises(WalkError, match="max_degree"):
+            engine.run_fleet(16, 30)
 
     def test_non_backtracking_rejected(self, csr_osn):
         with pytest.raises(ConfigurationError):

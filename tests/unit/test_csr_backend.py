@@ -8,8 +8,8 @@ Covers, on small graphs with exactly known structure:
   and the dict-based reference engine, for both supported kernels,
 * same-seed sample-for-sample and charged-API-call agreement between
   the CSR samplers (``exact_rng=True``) and the reference samplers,
-* the batched engine's structural invariants (valid transitions,
-  non-backtracking property, degree-stationary accounting, budgets).
+* the batched fleet engine's structural invariants (valid transitions,
+  non-backtracking property, start validation, per-walker budgets).
 """
 
 import random
@@ -34,7 +34,6 @@ from repro.graph.csr import CSRGraph
 from repro.graph.labeled_graph import LabeledGraph
 from repro.walks.batched import (
     BatchedWalkEngine,
-    PageBudgetTracker,
     csr_walk,
     resolve_csr_kernel,
 )
@@ -368,99 +367,87 @@ class TestCSRSamplerBehaviour:
 class TestBatchedWalkEngine:
     def test_shapes_and_validity(self, gender_osn):
         csr = CSRGraph.from_labeled_graph(gender_osn)
-        engine = BatchedWalkEngine(csr, rng=5)
-        result = engine.run(16, 40, burn_in=8)
-        assert result.nodes.shape == (16, 40)
-        assert result.degrees.shape == (16, 40)
-        assert result.num_walkers == 16
-        assert result.num_steps == 40
-        assert result.burn_in == 8
+        fleet = BatchedWalkEngine(csr, rng=5).run_fleet(16, 40, burn_in=8)
+        assert fleet.trajectories.shape == (16, 8 + 40 + 1)
+        assert fleet.num_walkers == 16
+        assert fleet.num_steps == 40
+        assert fleet.burn_in == 8
         # every recorded transition must be a real edge
-        for walker in range(16):
-            previous = int(result.tail_nodes[walker])
-            for index in result.nodes[walker]:
-                index = int(index)
-                assert index in csr.neighbors(previous)
-                previous = index
-
-    def test_degrees_are_correct(self, gender_osn):
-        csr = CSRGraph.from_labeled_graph(gender_osn)
-        result = BatchedWalkEngine(csr, rng=2).run(4, 25)
-        assert np.array_equal(result.degrees, csr.degrees[result.nodes])
+        for row in fleet.trajectories:
+            for u, v in zip(row[:-1].tolist(), row[1:].tolist()):
+                assert v in csr.neighbors(u)
 
     def test_non_backtracking_property(self, gender_osn):
         csr = CSRGraph.from_labeled_graph(gender_osn)
         engine = BatchedWalkEngine(csr, kernel="non_backtracking", rng=13)
-        result = engine.run(8, 60)
-        for walker in range(8):
-            path = [int(result.start_nodes[walker])] + [
-                int(i) for i in result.nodes[walker]
-            ]
-            for a, b, c in zip(path, path[1:], path[2:]):
+        fleet = engine.run_fleet(8, 60)
+        for row in fleet.trajectories.tolist():
+            for a, b, c in zip(row, row[1:], row[2:]):
                 if csr.degree(b) > 1:
                     assert c != a, "walk backtracked at a non-dead-end"
 
     def test_deterministic_with_seed(self, gender_osn):
         csr = CSRGraph.from_labeled_graph(gender_osn)
-        one = BatchedWalkEngine(csr, rng=99).run(6, 30)
-        two = BatchedWalkEngine(csr, rng=99).run(6, 30)
-        assert np.array_equal(one.nodes, two.nodes)
+        for kernel in ("simple", "non_backtracking", "mhrw"):
+            one = BatchedWalkEngine(csr, kernel=kernel, rng=99).run_fleet(6, 30)
+            two = BatchedWalkEngine(csr, kernel=kernel, rng=99).run_fleet(6, 30)
+            assert np.array_equal(one.trajectories, two.trajectories), kernel
 
     def test_explicit_start_nodes(self, triangle_graph):
         csr = CSRGraph.from_labeled_graph(triangle_graph)
-        result = BatchedWalkEngine(csr, rng=1).run(3, 10, start_nodes=[0, 1, 2])
-        assert result.start_nodes.tolist() == [0, 1, 2]
-        with pytest.raises(ConfigurationError):
-            BatchedWalkEngine(csr, rng=1).run(2, 5, start_nodes=[0])
-        with pytest.raises(ConfigurationError):
-            BatchedWalkEngine(csr, rng=1).run(2, 5, start_nodes=[0, 99])
+        fleet = BatchedWalkEngine(csr, rng=1).run_fleet(3, 10, start_nodes=[0, 1, 2])
+        assert fleet.start_nodes.tolist() == [0, 1, 2]
+        with pytest.raises(ConfigurationError, match="shape"):
+            BatchedWalkEngine(csr, rng=1).run_fleet(2, 5, start_nodes=[0])
+        with pytest.raises(ConfigurationError, match="out-of-range"):
+            BatchedWalkEngine(csr, rng=1).run_fleet(2, 5, start_nodes=[0, 99])
+        with pytest.raises(ConfigurationError, match="out-of-range"):
+            BatchedWalkEngine(csr, rng=1).run_fleet(2, 5, start_nodes=[-1, 0])
 
     def test_charged_calls_are_distinct_pages(self, triangle_graph):
         csr = CSRGraph.from_labeled_graph(triangle_graph)
-        result = BatchedWalkEngine(csr, rng=7).run(2, 50)
+        fleet = BatchedWalkEngine(csr, rng=7).run_fleet(2, 50)
         # a long walk on a triangle touches every page exactly once
-        assert result.charged_calls == 3
+        assert fleet.charged_calls().tolist() == [3, 3]
 
-    def test_budget_exhaustion_mid_walk(self, gender_osn):
+    def test_budget_crossing_is_per_walker(self, gender_osn):
+        """The tightest budget any walker crosses raises; one more passes.
+
+        mhrw so the rejected-proposal probes count towards the crossing.
+        """
         csr = CSRGraph.from_labeled_graph(gender_osn)
-        engine = BatchedWalkEngine(csr, budget=20, rng=3)
+        probe = BatchedWalkEngine(csr, kernel="mhrw", rng=3).run_fleet(16, 60)
+        heaviest = int(probe.charged_calls().max())
         with pytest.raises(APIBudgetExceededError) as excinfo:
-            engine.run(16, 200)
+            BatchedWalkEngine(
+                csr, kernel="mhrw", rng=3, budget=heaviest - 1
+            ).run_fleet(16, 60)
         # reference semantics: the counter stops at the crossing attempt
-        assert excinfo.value.budget == 20
-        assert excinfo.value.used == 21
+        assert excinfo.value.budget == heaviest - 1
+        assert excinfo.value.used == heaviest
+        fleet = BatchedWalkEngine(
+            csr, kernel="mhrw", rng=3, budget=heaviest
+        ).run_fleet(16, 60)
+        assert np.array_equal(fleet.trajectories, probe.trajectories)
 
     def test_zero_budget_raises_immediately(self, triangle_graph):
         csr = CSRGraph.from_labeled_graph(triangle_graph)
         engine = BatchedWalkEngine(csr, budget=0, rng=1)
         with pytest.raises(APIBudgetExceededError):
-            engine.run(1, 1)
+            engine.run_fleet(1, 1)
 
-    def test_walk_result_conversion(self, gender_osn):
+    def test_prefix_is_bitwise_a_shorter_fleet(self, gender_osn):
+        """Trajectories, proposal probes and ledgers of a prefix equal a
+        fresh fleet walked to exactly that length from the same seed."""
         csr = CSRGraph.from_labeled_graph(gender_osn)
-        result = BatchedWalkEngine(csr, rng=21).run(3, 20, burn_in=4)
-        converted = result.walk_result(1, csr)
-        assert len(converted) == 20
-        assert converted.burn_in == 4
-        assert converted.nodes[0] in gender_osn
-        for (u, v), node in zip(converted.traversed_edges(), converted.nodes):
-            assert gender_osn.has_edge(u, v)
-            assert v == node
-        assert converted.degrees == [gender_osn.degree(n) for n in converted.nodes]
-
-
-class TestPageBudgetTracker:
-    def test_revisits_are_free(self):
-        tracker = PageBudgetTracker(10, budget=3)
-        tracker.charge_pages(np.array([1, 2]))
-        tracker.charge_pages(np.array([1, 2, 1]))
-        assert tracker.charged == 2
-        tracker.charge_pages(np.array([3]))
-        assert tracker.charged == 3
-        with pytest.raises(APIBudgetExceededError):
-            tracker.charge_pages(np.array([4]))
-
-    def test_unbudgeted_counts_only(self):
-        tracker = PageBudgetTracker(5)
-        tracker.charge_pages(np.arange(5))
-        assert tracker.charged == 5
+        fleet = BatchedWalkEngine(csr, kernel="mhrw", rng=11).run_fleet(
+            9, 40, burn_in=9
+        )
+        for num_steps in (1, 20):
+            short = fleet.prefix(num_steps)
+            fresh = BatchedWalkEngine(csr, kernel="mhrw", rng=11).run_fleet(
+                9, num_steps, burn_in=9
+            )
+            assert np.array_equal(short.trajectories, fresh.trajectories)
+            assert np.array_equal(short.probed, fresh.probed)
+            assert np.array_equal(short.charged_calls(), fresh.charged_calls())
