@@ -10,10 +10,13 @@ the vectorized backend, so the speedup of the CSR walk path is tracked
 in the perf trajectory alongside the reference engine.
 
 ``test_fleet_cell_speedup`` additionally times one representative NRMSE
-table cell on the sequential CSR path and on the fleet path and writes
-the machine-readable ``benchmarks/results/BENCH_core.json`` (fleet
-steps/s, per-path cell wall-clock, speedup), so the perf trajectory of
-the experiment engine is diffable across PRs.
+table cell on the sequential CSR path and on the fleet path and
+``test_exploration_ledger_budgets`` times the NeighborExploration
+ledgers of a ten-budget prefix fleet charged in one pass against one
+charge per budget.  Both merge their keys into the machine-readable
+``benchmarks/results/BENCH_core.json`` (fleet steps/s, per-path cell
+wall-clock, speedups), so the perf trajectory of the experiment engine
+is diffable across PRs.
 """
 
 import math
@@ -29,10 +32,15 @@ from repro.core.estimators import (
     NodeReweightedEstimator,
 )
 from repro.core.samplers import NeighborExplorationSampler, NeighborSampleSampler
+from repro.datasets.labeling import zipf_label_array
 from repro.datasets.registry import load_dataset
+from repro.datasets.synthetic import chung_lu_edges, powerlaw_degree_sequence
 from repro.experiments.algorithms import build_algorithm_suite
+from repro.experiments.config import DEFAULT_SAMPLE_FRACTIONS
+from repro.experiments.planner import FleetSpec, PrefixFleet
 from repro.experiments.runner import run_trials
 from repro.graph.api import RestrictedGraphAPI
+from repro.graph.cleaning import largest_connected_component_csr
 from repro.graph.csr import CSRGraph
 from repro.walks.batched import BatchedWalkEngine, csr_walk
 from repro.walks.engine import RandomWalk
@@ -188,7 +196,7 @@ def test_fleet_cell_speedup(facebook_graph, facebook_csr, settings):
     engine.run_fleet(512, 500)
     engine_seconds = time.perf_counter() - started
 
-    bench_support.write_json(
+    bench_support.merge_json(
         "BENCH_core.json",
         {
             "dataset": "facebook",
@@ -211,6 +219,65 @@ def test_fleet_cell_speedup(facebook_graph, facebook_csr, settings):
     speedup_ne = cells["NeighborExploration-HH"]["fleet_speedup"]
     assert speedup_ns >= 5, f"fleet speedup {speedup_ns:.1f}x below the 5x floor"
     assert speedup_ne >= 3.5, f"exploration fleet speedup regressed: {speedup_ne:.1f}x"
+
+
+def test_exploration_ledger_budgets():
+    """NE-HH prefix fleet: one-pass ledgers vs one ledger per budget.
+
+    The paper's ten budgets (0.5-5 % of |V|) on a 10^5-node Chung-Lu
+    graph at the fleet widths the tables use (20 and 200 walkers):
+    :meth:`PrefixFleet.estimate_many` charges every prefix in one
+    ascending pass, a loop of :meth:`PrefixFleet.estimate` charges each
+    prefix from scratch.  The answers (estimates and per-walker
+    ledgers) must be equal; the wall-clocks land in ``BENCH_core.json``
+    without a timing floor.
+    """
+    weights = powerlaw_degree_sequence(100_000, average_degree=12.0)
+    graph = largest_connected_component_csr(
+        CSRGraph.from_edge_array(chung_lu_edges(weights, rng=1), num_nodes=100_000)
+    )
+    graph = graph.with_labels(
+        label_array=zipf_label_array(graph.num_nodes, num_labels=50, exponent=1.0, rng=2)
+    )
+    runner = build_algorithm_suite(graph, include_baselines=False)["NeighborExploration-HH"]
+    budgets = [max(1, math.ceil(f * graph.num_nodes)) for f in DEFAULT_SAMPLE_FRACTIONS]
+
+    def best_of(runs, call):
+        seconds, answers = [], None
+        for _ in range(runs):
+            started = time.perf_counter()
+            answers = call()
+            seconds.append(time.perf_counter() - started)
+        return min(seconds), answers
+
+    widths = {}
+    for walkers in (20, 200):
+        spec = FleetSpec("NeighborExploration-HH", 7, walkers, 300)
+        fleet = PrefixFleet(graph, runner, spec, max(budgets))
+        loop_seconds, per_budget = best_of(
+            2, lambda: [fleet.estimate(1, 2, budget) for budget in budgets]
+        )
+        many_seconds, many = best_of(2, lambda: fleet.estimate_many(1, 2, budgets))
+        assert many == per_budget
+        widths[str(walkers)] = {
+            "per_budget_estimate_seconds": round(loop_seconds, 4),
+            "estimate_many_seconds": round(many_seconds, 4),
+            "speedup": round(loop_seconds / many_seconds, 2),
+        }
+
+    bench_support.merge_json(
+        "BENCH_core.json",
+        {
+            "exploration_ledger": {
+                "algorithm": "NeighborExploration-HH",
+                "num_nodes": graph.num_nodes,
+                "num_edges": graph.num_edges,
+                "burn_in": 300,
+                "budgets": budgets,
+                "walkers": widths,
+            }
+        },
+    )
 
 
 def test_throughput_edge_hh_estimator(benchmark, facebook_graph):

@@ -39,6 +39,19 @@ def write_json(name: str, payload: dict) -> Path:
     return write_result(name, json.dumps(payload, indent=2, sort_keys=True))
 
 
+def merge_json(name: str, payload: dict) -> Path:
+    """Update one JSON artifact's top-level keys, keeping all others.
+
+    For files several benches write into (``BENCH_core.json``): each
+    bench owns its keys, so running one bench refreshes its numbers
+    without dropping the rest.
+    """
+    path = RESULTS_DIR / name
+    merged = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    merged.update(payload)
+    return write_json(name, merged)
+
+
 def bench_settings() -> dict:
     """The shared (repetitions, scale, fractions, seed) mapping."""
     return {

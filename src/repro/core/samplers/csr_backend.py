@@ -50,7 +50,7 @@ run unchanged over shm/mmap-backed CSR buffers
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -433,51 +433,138 @@ def enforce_fleet_budget(charges: np.ndarray, budget: Optional[int]) -> None:
 _MASK_LEDGER_MAX_CELLS = 1 << 27
 
 
+def _ledger_segments(csr: CSRGraph, fleet, has_label: np.ndarray, steps: np.ndarray):
+    """The pages each walker first downloads between consecutive budgets.
+
+    Yields, for every ascending budget in *steps*, the
+    ``walker · |V| + page`` codes of the segment
+    ``[previous budget, budget)``: the new trajectory columns, the new
+    MH probe columns (when the fleet carries ``probed``) and the
+    neighbor lists of the (walker, labeled node) pairs first explored in
+    that segment.  The union over the first ``i + 1`` segments is
+    exactly what the walkers downloaded had they stopped at
+    ``steps[i]``.
+    """
+    span = np.int64(csr.num_nodes)
+    burn_in = fleet.burn_in
+    row_codes = np.arange(fleet.num_walkers, dtype=np.int64)[:, None] * span
+    # Each (walker, explored node) pair once, at its first collected
+    # index: the row-major nonzero walks each row left to right, so
+    # unique's first occurrence is the earliest exploration.
+    rows, cols = np.nonzero(has_label[:, : steps[-1]])
+    pair_codes, first_at = np.unique(
+        rows * span + fleet.collected[rows, cols], return_index=True
+    )
+    first = cols[first_at]
+    order = np.argsort(first, kind="stable")
+    pair_codes, first = pair_codes[order], first[order]
+    explorer_codes = pair_codes - pair_codes % span
+    explored = pair_codes % span
+    pair_stops = np.searchsorted(first, steps)
+
+    trajectory_start = probe_start = pair_start = 0
+    for step, pair_stop in zip(steps.tolist(), pair_stops.tolist()):
+        segment = [row_codes + fleet.trajectories[:, trajectory_start : burn_in + step + 1]]
+        if fleet.probed is not None:
+            segment.append(row_codes + fleet.probed[:, probe_start : burn_in + step])
+        nodes = explored[pair_start:pair_stop]
+        segment.append(
+            np.repeat(explorer_codes[pair_start:pair_stop], csr.degrees[nodes])
+            + csr.gather_neighbors(nodes)
+        )
+        yield [codes.ravel() for codes in segment]
+        trajectory_start, probe_start, pair_start = burn_in + step + 1, burn_in + step, pair_stop
+
+
 def _exploration_charges(
     csr: CSRGraph,
-    trajectories: np.ndarray,
-    collected: np.ndarray,
+    fleet,
     has_label: np.ndarray,
+    budgets,
 ) -> np.ndarray:
-    """Per-walker distinct pages: own trajectory ∪ own explored neighbors.
+    """Per-walker distinct pages at every budget, ``(len(budgets), walkers)``.
+
+    Row ``i`` is what each walker of *fleet* charged had it stopped
+    after ``budgets[i]`` collected steps: its own trajectory (and MH
+    probes) ∪ the neighbors it explored around the labeled nodes among
+    those steps (*has_label*, over the fleet's collected steps).  Rows
+    follow the caller's budget order; duplicates are allowed.  The
+    budgets are swept in ascending order in one pass, so a table's ten
+    prefixes cost one max-budget ledger, not ten.
 
     Fully vectorized across the fleet, no per-walker Python loop.  The
-    default strategy scatters every downloaded page into a dense
-    ``(fleet, |V|)`` boolean ledger and row-sums it; when that matrix
-    would be unreasonably large the pages are encoded as
-    ``walker · |V| + page`` codes instead and counted with one global
-    ``unique`` + ``bincount``.  Either way the (walker, labeled node)
-    exploration pairs are deduplicated before their neighborhoods are
-    gathered.
+    default strategy scatters each segment's pages into one dense
+    ``(fleet, |V|)`` boolean ledger and row-sums it after every
+    segment; when that matrix would be unreasonably large the
+    ``walker · |V| + page`` codes are concatenated in segment order
+    instead, so one global ``unique`` finds the segment each distinct
+    page is first charged in and a ``bincount`` + ``cumsum`` counts
+    them.
     """
-    num_walkers = trajectories.shape[0]
-    span = np.int64(csr.num_nodes)
-    explorers = explored = None
-    if has_label.any():
-        rows, cols = np.nonzero(has_label)
-        explore_pairs = np.unique(rows * span + collected[rows, cols])
-        explorers = explore_pairs // span
-        explored = explore_pairs % span
+    budgets = np.asarray(budgets, dtype=np.int64)
+    if budgets.size == 0 or budgets.min() < 1 or budgets.max() > fleet.num_steps:
+        raise ConfigurationError(
+            f"ledger budgets must lie in [1, {fleet.num_steps}], got {budgets.tolist()}"
+        )
+    steps, inverse = np.unique(budgets, return_inverse=True)
+    num_walkers = fleet.num_walkers
+    segments = _ledger_segments(csr, fleet, has_label, steps)
 
     if num_walkers * csr.num_nodes <= _MASK_LEDGER_MAX_CELLS:
         visited = np.zeros((num_walkers, csr.num_nodes), dtype=bool)
-        visited[np.arange(num_walkers)[:, None], trajectories] = True
-        if explored is not None:
-            visited[
-                np.repeat(explorers, csr.degrees[explored]),
-                csr.gather_neighbors(explored),
-            ] = True
-        return visited.sum(axis=1).astype(np.int64)
+        cells = visited.reshape(-1)
+        charges = np.empty((steps.size, num_walkers), dtype=np.int64)
+        for index, segment in enumerate(segments):
+            for codes in segment:
+                cells[codes] = True
+            charges[index] = np.count_nonzero(visited, axis=1)
+        return charges[inverse]
 
-    codes = (np.arange(num_walkers, dtype=np.int64)[:, None] * span + trajectories).ravel()
-    if explored is not None:
-        neighbor_codes = (
-            np.repeat(explorers, csr.degrees[explored]) * span
-            + csr.gather_neighbors(explored)
-        )
-        codes = np.concatenate([codes, neighbor_codes])
-    distinct = np.unique(codes)
-    return np.bincount(distinct // span, minlength=num_walkers).astype(np.int64)
+    codes, segment_starts, size = [], [], 0
+    for segment in segments:
+        segment_starts.append(size)
+        codes.extend(segment)
+        size += sum(part.size for part in segment)
+    distinct, first_at = np.unique(np.concatenate(codes), return_index=True)
+    first_segment = np.searchsorted(segment_starts, first_at, side="right") - 1
+    counts = np.bincount(
+        (distinct // csr.num_nodes) * steps.size + first_segment,
+        minlength=num_walkers * steps.size,
+    ).reshape(num_walkers, steps.size)
+    return np.cumsum(counts, axis=1).T[inverse]
+
+
+class ExplorationLedger:
+    """One target pair's NeighborExploration ledgers at many prefixes.
+
+    Built over a max-budget *fleet* for the budgets a caller is about to
+    read off its prefixes; the first :meth:`charges` call computes every
+    budget's ledger in one :func:`_exploration_charges` pass and later
+    calls look theirs up.  Handing one to :func:`classify_node_fleet`
+    for each prefix therefore charges the fleet once instead of once per
+    budget.
+    """
+
+    def __init__(self, csr: CSRGraph, fleet, t1: Label, t2: Label, budgets) -> None:
+        self.csr = csr
+        self.fleet = fleet
+        self.targets = (t1, t2)
+        self.budgets = sorted({int(budget) for budget in budgets})
+        self._charges: Optional[Dict[int, np.ndarray]] = None
+
+    def charges(self, prefix, t1: Label, t2: Label) -> np.ndarray:
+        """Per-walker charges of *prefix*, a prefix of the ledger's fleet."""
+        if (t1, t2) != self.targets or prefix.num_steps not in self.budgets:
+            raise ConfigurationError(
+                f"this ledger covers pair {self.targets!r} at budgets "
+                f"{self.budgets}, not ({t1!r}, {t2!r}) at {prefix.num_steps}"
+            )
+        if self._charges is None:
+            collected = self.fleet.collected
+            has_label = self.csr.label_mask(t1)[collected] | self.csr.label_mask(t2)[collected]
+            rows = _exploration_charges(self.csr, self.fleet, has_label, self.budgets)
+            self._charges = dict(zip(self.budgets, rows))
+        return self._charges[prefix.num_steps]
 
 
 def _fleet_weights(csr: CSRGraph, fleet, nodes: np.ndarray) -> Optional[np.ndarray]:
@@ -563,16 +650,19 @@ def classify_node_fleet(
     budget: Optional[int] = None,
     known_num_nodes: Optional[int] = None,
     known_num_edges: Optional[int] = None,
+    ledger: Optional[ExplorationLedger] = None,
 ) -> NodeSampleBatch:
     """NeighborExploration classification of an already-walked fleet.
 
     ``T(u)`` comes from the precomputed vectorized incident counts; the
     per-trial charged-call ledger adds the pages of the neighbors each
-    trial explores around its labeled sampled nodes — recomputed per
-    classification because which nodes get explored depends on the
-    target pair.  When the fleet walked a non-degree-stationary kernel
-    (:attr:`FleetWalkResult.kernel`) the batch also carries the
-    collected nodes' stationary ``weights`` (see
+    trial explores around its labeled sampled nodes — computed per
+    target pair, because which nodes get explored depends on it.  A
+    caller classifying several prefixes of one fleet against one pair
+    passes the pair's :class:`ExplorationLedger`, which charges every
+    prefix in a single pass on the first call.  When the fleet walked a
+    non-degree-stationary kernel (:attr:`FleetWalkResult.kernel`) the
+    batch also carries the collected nodes' stationary ``weights`` (see
     :func:`classify_edge_fleet`).
     """
     collected = fleet.collected
@@ -583,14 +673,12 @@ def classify_node_fleet(
         has_label, csr.target_incident_counts(t1, t2)[collected], 0
     ).astype(np.int64)
 
-    # MH-family kernels probed their proposals' pages too; folding the
-    # probe columns into the page matrix charges them alongside the
-    # trajectory (the ledger helper only cares that each row lists the
-    # walker's downloaded pages).
-    pages = fleet.trajectories
-    if getattr(fleet, "probed", None) is not None:
-        pages = np.concatenate([pages, fleet.probed], axis=1)
-    charges = _exploration_charges(csr, pages, collected, has_label)
+    # MH-family kernels probed their proposals' pages too; the ledger
+    # charges the fleet's probe columns alongside the trajectory.
+    if ledger is None:
+        charges = _exploration_charges(csr, fleet, has_label, [fleet.num_steps])[0]
+    else:
+        charges = ledger.charges(fleet, t1, t2)
     enforce_fleet_budget(charges, budget)
 
     return NodeSampleBatch(
@@ -680,6 +768,7 @@ __all__ = [
     "explore_nodes_csr",
     "classify_edge_fleet",
     "classify_node_fleet",
+    "ExplorationLedger",
     "sample_edges_fleet",
     "explore_nodes_fleet",
     "run_csr_sampler",

@@ -21,13 +21,19 @@ The exactness contract callers rely on:
   ``tests/service/test_planner.py``), because the fleet engines consume
   their random streams step-by-step across all walkers;
 * two queries differing only in target pair and/or budget are served
-  from the *same* walk, so coalescing them changes no estimate.
+  from the *same* walk, so coalescing them changes no estimate;
+* :meth:`PrefixFleet.estimate_many` at several budgets equals one
+  :meth:`PrefixFleet.estimate` per budget, bit for bit; it only shares
+  the work: a NeighborExploration fleet charges every requested prefix
+  of the pair in one ledger pass
+  (:class:`~repro.core.samplers.csr_backend.ExplorationLedger`)
+  instead of one pass per budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.baselines.fleet import (
     classify_line_fleet,
@@ -36,6 +42,7 @@ from repro.baselines.fleet import (
 )
 from repro.core.pipeline import ProposedRunner
 from repro.core.samplers.csr_backend import (
+    ExplorationLedger,
     classify_edge_fleet,
     classify_node_fleet,
     run_fleet_walk,
@@ -105,6 +112,8 @@ class PrefixFleet:
         self.runner = runner
         self.spec = spec
         self.max_budget = int(max_budget)
+        #: The pair's one-pass NE ledger while estimate_many runs.
+        self._ledger: Optional[ExplorationLedger] = None
         rng = ensure_numpy_rng(spec.seed)
         if isinstance(runner, BaselineRunner):
             self._fleet = run_baseline_fleet(
@@ -140,6 +149,15 @@ class PrefixFleet:
         """
         return self.spec.repetitions * (self.spec.burn_in + self.max_budget)
 
+    def _check_budget(self, budget: int) -> int:
+        check_positive_int(budget, "budget")
+        if budget > self.max_budget:
+            raise ConfigurationError(
+                f"budget {budget} exceeds this fleet's max budget "
+                f"{self.max_budget}"
+            )
+        return int(budget)
+
     def estimate(self, t1, t2, budget: int) -> Tuple[List[float], List[int]]:
         """Per-repetition estimates and charged-call ledgers at *budget*.
 
@@ -147,32 +165,47 @@ class PrefixFleet:
         the (*t1*, *t2*) label masks and pushes them through the
         runner's batch estimator.  Bit-identical to a fresh fleet of
         exactly *budget* steps from the same spec; the per-walker
-        ledgers are recomputed over the truncated trajectories
-        (rejection probes included), so the charged-call accounting
-        matches a crawl stopped at exactly that budget.
+        ledgers cover the truncated trajectories (rejection probes
+        included), so the charged-call accounting matches a crawl
+        stopped at exactly that budget.  Inside :meth:`estimate_many`
+        a NeighborExploration fleet reads its ledger off the pair's
+        one-pass :class:`ExplorationLedger` instead of charging this
+        prefix on its own.
         """
-        check_positive_int(budget, "budget")
-        if budget > self.max_budget:
-            raise ConfigurationError(
-                f"budget {budget} exceeds this fleet's max budget "
-                f"{self.max_budget}"
-            )
-        prefix = self._fleet.prefix(budget)
+        prefix = self._fleet.prefix(self._check_budget(budget))
         if isinstance(self.runner, BaselineRunner):
             batch = classify_line_fleet(self.csr, prefix, t1, t2)
             estimates = reweighted_estimates(batch)
         else:
-            classify = (
-                classify_edge_fleet
-                if self.runner.sampler == "edge"
-                else classify_node_fleet
-            )
-            batch = classify(self.csr, prefix, t1, t2)
+            if self.runner.sampler == "edge":
+                batch = classify_edge_fleet(self.csr, prefix, t1, t2)
+            else:
+                batch = classify_node_fleet(self.csr, prefix, t1, t2, ledger=self._ledger)
             estimates = self.runner.estimator_factory().estimate_batch(batch)
         return (
             [float(value) for value in estimates],
             [int(calls) for calls in batch.api_calls],
         )
+
+    def estimate_many(
+        self, t1, t2, budgets: Sequence[int]
+    ) -> List[Tuple[List[float], List[int]]]:
+        """:meth:`estimate` at every budget, in the caller's order.
+
+        Every budget is validated before any work is done.  The answers
+        equal one :meth:`estimate` call per budget, bit for bit; a
+        NeighborExploration fleet, whose ledgers depend on the pair,
+        charges all of these prefixes in one pass (one
+        :class:`ExplorationLedger`, held only for this call), so a
+        table pays for one max-budget ledger instead of one per budget.
+        """
+        budgets = [self._check_budget(budget) for budget in budgets]
+        # Lazy: only NeighborExploration classification ever charges it.
+        self._ledger = ExplorationLedger(self.csr, self._fleet, t1, t2, budgets)
+        try:
+            return [self.estimate(t1, t2, budget) for budget in budgets]
+        finally:
+            self._ledger = None
 
 
 __all__ = ["FleetSpec", "PrefixFleet"]

@@ -403,10 +403,12 @@ def run_trials_prefix(
     seed, so one fleet at ``max(sample_sizes)`` steps serves every
     column — smaller budgets are read off trajectory prefixes
     (:meth:`FleetWalkResult.prefix`), classified against the label masks
-    and pushed through the estimator's ``estimate_batch``, with the
-    per-walker distinct-page ledgers recomputed per prefix so the
-    charged-call accounting matches a fleet run to exactly that budget.
-    Walk cost is O(max budget) instead of O(Σ budgets).
+    and pushed through the estimator's ``estimate_batch``, with
+    per-walker distinct-page ledgers that match a fleet run to exactly
+    that budget.  Walk cost is O(max budget) instead of O(Σ budgets),
+    and so is the NeighborExploration ledger cost: one
+    :meth:`PrefixFleet.estimate_many` call charges every prefix in a
+    single ascending pass over the budgets.
 
     Within one call the columns are nested (the budget-``b₁`` estimates
     are computed from a prefix of the budget-``b₂`` walks), exactly as
@@ -448,19 +450,18 @@ def run_trials_prefix(
         FleetSpec(algorithm_name, seed, repetitions, burn_in),
         max(sample_sizes),
     )
-    outcomes: List[TrialOutcome] = []
-    for sample_size in sample_sizes:
-        estimates, api_calls = fleet.estimate(t1, t2, sample_size)
-        outcomes.append(
-            TrialOutcome(
-                algorithm=algorithm_name,
-                sample_size=sample_size,
-                true_count=true_count,
-                estimates=estimates,
-                api_calls=api_calls,
-            )
+    return [
+        TrialOutcome(
+            algorithm=algorithm_name,
+            sample_size=sample_size,
+            true_count=true_count,
+            estimates=estimates,
+            api_calls=api_calls,
         )
-    return outcomes
+        for sample_size, (estimates, api_calls) in zip(
+            sample_sizes, fleet.estimate_many(t1, t2, sample_sizes)
+        )
+    ]
 
 
 def compare_algorithms(

@@ -7,7 +7,8 @@ exactly the three endpoints below and nothing else, and bounds what a
 client can make it buffer: a request or header line longer than
 :data:`MAX_LINE_BYTES`, more than :data:`MAX_HEADERS` header lines, or a
 ``Content-Length`` above :data:`MAX_BODY_BYTES` is refused before
-anything is read past the headers.
+anything is read past the headers, and a request not fully received
+within :data:`READ_TIMEOUT_SECONDS` is answered ``408``.
 
 Endpoints:
 
@@ -33,6 +34,8 @@ status     meaning                                      client action
 ``400``    invalid query (unknown algorithm, bad        fix the request
            budget, zero-target pair) or malformed
            request (bad ``Content-Length``)
+``408``    request line, headers and body not all       send the whole
+           received within ``READ_TIMEOUT_SECONDS``     request at once
 ``413``    ``Content-Length`` above ``MAX_BODY_BYTES``  shrink the body
 ``431``    request/header line above                    shrink the
            ``MAX_LINE_BYTES``, or more than             headers
@@ -54,7 +57,7 @@ import contextlib
 import json
 import math
 import signal
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.exceptions import (
     CircuitOpenError,
@@ -77,10 +80,16 @@ MAX_HEADERS = 100
 #: bytes of JSON.
 MAX_BODY_BYTES = 1024 * 1024
 
+#: Seconds a client gets to deliver its request line, headers and body;
+#: a connection still short of its request then is answered 408 and
+#: closed.  Only the reads are bounded, never the estimate itself.
+READ_TIMEOUT_SECONDS = 10.0
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
+    408: "Request Timeout",
     413: "Content Too Large",
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
@@ -193,6 +202,7 @@ class ServiceHTTPServer:
             ),
         )
         self._server: Optional[asyncio.AbstractServer] = None
+        self._connections: Set[asyncio.Task] = set()
 
     async def start(self) -> None:
         """Bind and start accepting connections (returns immediately)."""
@@ -208,16 +218,26 @@ class ServiceHTTPServer:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Stop accepting, flush the batch window, close the server."""
+        """Stop accepting, flush the batch window, close the server.
+
+        Open connections are waited out, as ``Server.wait_closed`` does
+        from Python 3.12 on: each is answered by then, or still reading
+        its request and answered 408 within :data:`READ_TIMEOUT_SECONDS`.
+        """
         await self.batcher.drain()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        if self._connections:
+            await asyncio.gather(*self._connections, return_exceptions=True)
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
         try:
             status, payload, extra_headers = await self._handle_request(reader)
             body = json.dumps(payload).encode("utf-8")
@@ -242,48 +262,65 @@ class ServiceHTTPServer:
                 pass
 
     async def _handle_request(self, reader: asyncio.StreamReader) -> Response:
-        # readline raises ValueError once a line outgrows the reader's
-        # limit (MAX_LINE_BYTES) and discards what it buffered.
-        too_long = (
-            431,
-            {"error": f"request and header lines are limited to {MAX_LINE_BYTES} bytes"},
-            {},
-        )
         try:
-            request_line = (await reader.readline()).decode("ascii", "replace")
-        except ValueError:
-            return too_long
-        parts = request_line.split()
-        if len(parts) < 2:
-            return 400, {"error": "malformed request line"}, {}
-        method, path = parts[0].upper(), parts[1]
-        headers: Dict[str, str] = {}
-        for _ in range(MAX_HEADERS + 1):
-            try:
-                line = await reader.readline()
-            except ValueError:
-                return too_long
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("ascii", "replace").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        else:
-            return 431, {"error": f"at most {MAX_HEADERS} header lines are accepted"}, {}
-        declared = headers.get("content-length", "0")
-        if not declared.isdigit():
-            return 400, {"error": "Content-Length must be a non-negative integer"}, {}
-        # Compare digit counts first: int() refuses strings beyond
-        # sys.get_int_max_str_digits, which a 64 KiB line can carry.
-        digits = declared.lstrip("0") or "0"
-        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+            method, path, body = await asyncio.wait_for(
+                _read_request(reader), READ_TIMEOUT_SECONDS
+            )
+        except _RequestRefused as refusal:
+            return refusal.response
+        except asyncio.TimeoutError:
             return (
-                413,
-                {"error": f"request bodies are limited to {MAX_BODY_BYTES} bytes"},
+                408,
+                {"error": f"request not received within {READ_TIMEOUT_SECONDS} seconds"},
                 {},
             )
-        length = int(digits)
-        body = await reader.readexactly(length) if length > 0 else b""
         return await _dispatch(self.service, self.batcher, method, path, body)
+
+
+class _RequestRefused(Exception):
+    """The request's framing was refused; carries the response to send."""
+
+    def __init__(self, status: int, error: str) -> None:
+        super().__init__(error)
+        self.response: Response = (status, {"error": error}, {})
+
+
+async def _read_request(reader: asyncio.StreamReader) -> Tuple[str, str, bytes]:
+    """Read one request's method, path and body, or raise _RequestRefused."""
+    # readline raises ValueError once a line outgrows the reader's
+    # limit (MAX_LINE_BYTES) and discards what it buffered.
+    too_long = f"request and header lines are limited to {MAX_LINE_BYTES} bytes"
+    try:
+        request_line = (await reader.readline()).decode("ascii", "replace")
+    except ValueError:
+        raise _RequestRefused(431, too_long) from None
+    parts = request_line.split()
+    if len(parts) < 2:
+        raise _RequestRefused(400, "malformed request line")
+    method, path = parts[0].upper(), parts[1]
+    headers: Dict[str, str] = {}
+    for _ in range(MAX_HEADERS + 1):
+        try:
+            line = await reader.readline()
+        except ValueError:
+            raise _RequestRefused(431, too_long) from None
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("ascii", "replace").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    else:
+        raise _RequestRefused(431, f"at most {MAX_HEADERS} header lines are accepted")
+    declared = headers.get("content-length", "0")
+    if not declared.isdigit():
+        raise _RequestRefused(400, "Content-Length must be a non-negative integer")
+    # Compare digit counts first: int() refuses strings beyond
+    # sys.get_int_max_str_digits, which a 64 KiB line can carry.
+    digits = declared.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+        raise _RequestRefused(413, f"request bodies are limited to {MAX_BODY_BYTES} bytes")
+    length = int(digits)
+    body = await reader.readexactly(length) if length > 0 else b""
+    return method, path, body
 
 
 def run_server(
@@ -390,6 +427,7 @@ __all__ = [
     "MAX_BODY_BYTES",
     "MAX_HEADERS",
     "MAX_LINE_BYTES",
+    "READ_TIMEOUT_SECONDS",
     "ServiceHTTPServer",
     "run_server",
 ]

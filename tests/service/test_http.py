@@ -12,6 +12,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.service import ServiceHTTPServer, run_server
+from repro.service import http as service_http
 from repro.service.http import MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE_BYTES
 
 BURN_IN = 5  # matches the conftest fixtures
@@ -288,6 +289,93 @@ class TestRequestLimits:
         status, answer = self._exchange(ram_service, head + body)
         assert status == 200
         assert len(answer["estimates"]) == 6
+
+    # -- read deadline: a stalled client is answered 408, not held --------
+    @staticmethod
+    async def _stalled_exchange(port, data):
+        """Send *data* without half-closing; return the raw response."""
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        try:
+            writer.write(data)
+            await writer.drain()
+            return await asyncio.wait_for(reader.read(), timeout=5)
+        finally:
+            writer.close()
+            await writer.wait_closed()
+
+    @pytest.fixture
+    def short_read_timeout(self, monkeypatch):
+        monkeypatch.setattr(service_http, "READ_TIMEOUT_SECONDS", 0.2)
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"POST /estimate HTTP/1.1\r\nContent-Length: 10\r\n\r\n", b""],
+        ids=["headers-only", "silent"],
+    )
+    def test_stalled_request_is_408_and_closed(
+        self, ram_service, short_read_timeout, data
+    ):
+        errors = []
+
+        async def scenario(port):
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context)
+            )
+            return await self._stalled_exchange(port, data)
+
+        raw = _run(ram_service, scenario)
+        assert errors == []
+        header_blob, _, body_blob = raw.partition(b"\r\n\r\n")
+        assert header_blob.startswith(b"HTTP/1.1 408 Request Timeout")
+        assert "0.2 seconds" in json.loads(body_blob)["error"]
+
+    def test_estimate_time_is_not_bounded_by_the_read_deadline(
+        self, ram_service, short_read_timeout
+    ):
+        async def scenario():
+            # The batch window alone outlasts the read deadline.
+            server = ServiceHTTPServer(ram_service, port=0, window_seconds=0.5)
+            await server.start()
+            try:
+                return await _request(server.port, "POST", "/estimate", _estimate_payload())
+            finally:
+                await server.stop()
+
+        status, body = asyncio.run(scenario())
+        assert status == 200
+        assert len(body["estimates"]) == 6
+
+    def test_stop_with_a_reader_mid_read_logs_nothing(
+        self, ram_service, short_read_timeout
+    ):
+        errors = []
+
+        async def scenario():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context)
+            )
+            server = ServiceHTTPServer(ram_service, port=0)
+            await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(b"GET /healthz HTTP/1.1\r\nHost: x\r\n")
+            await writer.drain()
+            try:
+                await asyncio.sleep(0.05)  # the handler is now inside readline
+                await asyncio.wait_for(server.stop(), timeout=5)
+                # Nothing is left for the loop's shutdown to cancel.
+                running = [
+                    task for task in asyncio.all_tasks()
+                    if task is not asyncio.current_task() and not task.done()
+                ]
+                return running, await asyncio.wait_for(reader.read(), timeout=5)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+
+        running, raw = asyncio.run(scenario())
+        assert running == []
+        assert raw.startswith(b"HTTP/1.1 408 ")
+        assert errors == []
 
 
 class TestRunServer:

@@ -1,9 +1,18 @@
-"""Query planning: coalescing rules, seed derivation, cache keys."""
+"""Query planning: coalescing rules, seed derivation, cache keys, and
+the prefix fleet's many-budget answers."""
 
-from repro.experiments.planner import FleetSpec
+import pytest
+
+import repro.experiments.planner as planner
+from repro.exceptions import ConfigurationError
+from repro.experiments.algorithms import ALL_ALGORITHM_ORDER, build_algorithm_suite
+from repro.experiments.planner import FleetSpec, PrefixFleet
 from repro.experiments.runner import _derive_group_seed
+from repro.graph.csr import csr_view
 from repro.service import EstimateQuery, plan_queries
 from repro.utils.rng import derive_seed
+
+BURN_IN = 5  # matches the conftest fixtures
 
 
 def _query(**overrides) -> EstimateQuery:
@@ -95,3 +104,52 @@ class TestCacheKey:
 
     def test_equal_queries_share_a_key(self):
         assert _query().cache_key(3) == _query().cache_key(3)
+
+
+# ----------------------------------------------------------------------
+# PrefixFleet.estimate_many
+# ----------------------------------------------------------------------
+MAX_BUDGET = 40
+#: Unsorted, with a duplicate, the smallest and the largest budget.
+BUDGETS = [25, 1, MAX_BUDGET, 9, 25]
+
+
+@pytest.fixture(scope="module")
+def planner_graph(serving_graph):
+    return csr_view(serving_graph), build_algorithm_suite(serving_graph)
+
+
+def _fleet(planner_graph, name, max_budget=MAX_BUDGET):
+    csr, suite = planner_graph
+    spec = FleetSpec(name, derive_seed(5, name, "prefix"), 6, BURN_IN)
+    return PrefixFleet(csr, suite[name], spec, max_budget)
+
+
+class TestEstimateMany:
+    @pytest.mark.parametrize("name", ALL_ALGORITHM_ORDER)
+    def test_equals_per_budget_estimate_and_fresh_fleets(self, planner_graph, name):
+        fleet = _fleet(planner_graph, name)
+        answers = fleet.estimate_many(1, 2, BUDGETS)
+        assert len(answers) == len(BUDGETS)
+        for budget, answer in zip(BUDGETS, answers):
+            assert answer == fleet.estimate(1, 2, budget)
+            assert answer == _fleet(planner_graph, name, budget).estimate(1, 2, budget)
+
+    def test_every_budget_is_checked_before_any_classify_call(
+        self, planner_graph, monkeypatch
+    ):
+        fleet = _fleet(planner_graph, "NeighborExploration-HH")
+        calls = []
+        monkeypatch.setattr(
+            planner, "classify_node_fleet", lambda *args, **kwargs: calls.append(args)
+        )
+        with pytest.raises(ConfigurationError, match="max budget"):
+            fleet.estimate_many(1, 2, [10, MAX_BUDGET + 1])
+        assert calls == []
+
+    def test_the_ledger_lives_only_for_the_call(self, planner_graph):
+        fleet = _fleet(planner_graph, "NeighborExploration-RW")
+        expected = fleet.estimate(2, 2, 30)
+        fleet.estimate_many(1, 2, [30, 10])
+        # a later pair must not read the previous pair's ledger
+        assert fleet.estimate(2, 2, 30) == expected
