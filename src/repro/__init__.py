@@ -58,7 +58,9 @@ The experiment harness builds on that engine: with
 walker fleet — one walker per repetition, each with its own
 distinct-page budget ledger — and the estimators consume the whole
 fleet's samples through their array-native ``estimate_batch`` entry
-points.  ``n_jobs`` additionally spreads cells across worker processes
+points.  A fleet cell is a single-budget prefix fleet, so the mode only
+matters under ``reuse="none"``: ``reuse="prefix"`` reads every registry
+cell off one max-budget fleet per algorithm.  ``n_jobs`` additionally spreads cells across worker processes
 with pre-derived per-cell seeds, so results are identical for any
 worker count.
 

@@ -109,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=EXECUTIONS,
         default="sequential",
         help="run each cell's repetitions one at a time or as one vectorized "
-        "walker fleet (all ten algorithms; EX-* run line-graph fleets)",
+        "walker fleet (all ten algorithms; EX-* run line-graph fleets); only "
+        "matters with --reuse none",
     )
     table.add_argument(
         "--jobs",
@@ -174,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=EXECUTIONS,
         default="sequential",
         help="run each point's repetitions one at a time or as one vectorized "
-        "walker fleet",
+        "walker fleet; only matters with --reuse none",
     )
     figure.add_argument(
         "--jobs",

@@ -21,7 +21,7 @@ from repro.experiments.algorithms import (
 )
 from repro.experiments.config import ExperimentConfig, DEFAULT_SAMPLE_FRACTIONS
 from repro.experiments.runner import TrialOutcome, NRMSETable, run_trials, compare_algorithms
-from repro.experiments.sweeps import sample_size_sweep, frequency_sweep, FrequencyPoint
+from repro.experiments.sweeps import frequency_sweep, FrequencyPoint
 from repro.experiments.reporting import (
     format_nrmse_table,
     format_summary_table,
@@ -52,7 +52,6 @@ __all__ = [
     "NRMSETable",
     "run_trials",
     "compare_algorithms",
-    "sample_size_sweep",
     "frequency_sweep",
     "FrequencyPoint",
     "format_nrmse_table",

@@ -5,13 +5,13 @@ property this module packages: a budget-``b`` crawl from a given seed
 *is* the first ``b`` collected steps of a longer crawl from the same
 seed, for the NS/NE walker fleets **and** the EX-* implicit line-graph
 fleets alike.  Classification is the only label-dependent step, so one
-fleet also answers *every* target pair.  Historically that logic lived
-inline in :func:`repro.experiments.runner.run_trials_prefix` (budget
-sweeps) and :func:`repro.experiments.sweeps.frequency_sweep` (pair
-sweeps); this module factors it into a first-class planner object so a
-third caller — the :mod:`repro.service` micro-batcher, which coalesces
-concurrent (pair, budget) queries from many clients — can share the
-same walks without duplicating the classify/estimate dispatch.
+fleet also answers *every* target pair.  :class:`PrefixFleet` is the
+one fleet dispatcher: the harness's grid driver
+(:func:`repro.experiments.runner.run_grid`, behind tables and frequency
+sweeps), its single-budget fleet cells
+(``run_trials(execution="fleet")``) and the :mod:`repro.service`
+micro-batcher, which coalesces concurrent (pair, budget) queries from
+many clients, all walk through it.
 
 The exactness contract callers rely on:
 

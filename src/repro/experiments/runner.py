@@ -1,34 +1,42 @@
-"""Running repeated estimation trials and collecting NRMSE tables.
+"""Running repeated estimation trials and collecting NRMSE grids.
 
-Two entry points:
+Entry points:
 
 * :func:`run_trials` — one (algorithm, budget) cell: repeat the
   estimation over fresh API wrappers / random streams and summarise.
+* :func:`run_trials_prefix` — every budget of one algorithm and one
+  target pair off a single max-budget fleet.
 * :func:`compare_algorithms` — a whole table: every algorithm × every
   budget, returning an :class:`NRMSETable` whose rows mirror Tables 4–17
   of the paper.
 
-Three orthogonal performance knobs:
+Tables and the frequency sweeps of Figures 1–2
+(:func:`repro.experiments.sweeps.frequency_sweep`) are the same object,
+an NRMSE grid of algorithms × columns, where a column is a target pair
+at one budget (:class:`GridColumn`).  Both run through one driver,
+:func:`run_grid`, which owns the input validation, the CSR freeze, the
+journal, the prefix fleets and the remaining cells.
 
-* ``execution="fleet"`` runs *all repetitions of a cell at once* as one
-  vectorized walker fleet over the shared CSR arrays (one walker per
-  repetition, per-walker budget ledgers, array-native estimators).
-  Every registry algorithm vectorizes: the proposed algorithms through
-  the NS/NE fleet samplers, the EX-* baselines through the implicit
-  line-graph fleet (:mod:`repro.baselines.fleet`); only hand-written
-  runner callables fall back to the sequential loop.
+The performance knobs, and how they interact:
+
 * ``reuse="prefix"`` exploits that a budget-``b₁`` crawl from a given
   seed is a literal prefix of a budget-``b₂ > b₁`` crawl from the same
-  seed: one max-budget fleet per (pair, algorithm) and every smaller
-  budget column is classified and estimated off trajectory/ledger
-  prefixes (:func:`run_trials_prefix`) — sweep walking cost drops from
-  O(Σ budgets) to O(max budget).  Applies to the proposed algorithms
+  seed, and that the walk is label-agnostic: one max-budget
+  :class:`~repro.experiments.planner.PrefixFleet` per registry
+  algorithm serves every column of the grid, each classified and
+  estimated off trajectory/ledger prefixes — walking cost drops from
+  O(Σ columns) to O(max budget).  Applies to the proposed algorithms
   *and* the EX-* baselines (whose prefixes keep the rejected-proposal
-  probes in the ledgers); hand-written runners keep fresh walks per
-  cell.
-* ``n_jobs > 1`` distributes whole cells across worker processes.
-  Per-cell seeds are derived with :func:`derive_seed` before
-  submission, so the resulting table is identical for any worker count
+  probes in the ledgers).
+* ``execution="fleet"`` runs *all repetitions of a cell at once* as one
+  vectorized walker fleet: a fleet cell is a single-budget prefix fleet.
+  It only matters for the cells ``reuse="prefix"`` leaves over — all
+  cells under ``reuse="none"``, none of the registry cells under
+  ``reuse="prefix"``.  Hand-written runner callables cannot vectorize
+  and run the sequential loop either way.
+* ``n_jobs > 1`` distributes the remaining cells across worker
+  processes.  Per-cell seeds are derived with :func:`derive_seed`
+  before submission, so the result is identical for any worker count
   and scheduling order.  ``graph_store`` controls how the graph reaches
   the workers: ``"ram"`` pickles it once per worker (the only option
   for dict graphs), while ``"shm"`` / ``"mmap"`` publish the CSR
@@ -36,14 +44,14 @@ Three orthogonal performance knobs:
   an O(1) :class:`~repro.graph.store.CSRHandle` that workers reattach
   zero-copy — at the 10⁶-node rung the serialization this avoids dwarfs
   the cell work itself.  The store never touches any random stream, so
-  tables are bit-identical across all three stores.
+  results are bit-identical across all three stores.
 
 One durability knob: ``journal=`` names an append-only JSONL WAL
 (:class:`repro.durability.ExperimentJournal`) that records every
 completed cell the moment it finishes, keyed by a suite fingerprint.
 ``resume=True`` replays the finished cells out of it and re-runs only
 the missing ones — bit-identical to an uninterrupted run, because each
-cell's seed is pre-derived.
+cell's and each fleet's seed is pre-derived.
 """
 
 from __future__ import annotations
@@ -58,15 +66,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from repro.durability import ExperimentJournal, suite_fingerprint
 
-from repro.baselines.fleet import (
-    classify_line_fleet,
-    reweighted_estimates,
-    run_baseline_fleet,
-)
 from repro.core.pipeline import ProposedRunner
 from repro.core.samplers.csr_backend import (
-    explore_nodes_fleet,
-    sample_edges_fleet,
     validate_backend,
     validate_execution,
     validate_reuse,
@@ -79,8 +80,8 @@ from repro.graph.labeled_graph import Label, LabeledGraph
 from repro.graph.statistics import count_target_edges
 from repro.resilience.faults import fire
 from repro.resilience.retry import Retry
-from repro.utils.rng import RandomSource, derive_seed, ensure_numpy_rng, spawn_rngs
-from repro.utils.validation import check_positive_int
+from repro.utils.rng import RandomSource, derive_seed, spawn_rngs
+from repro.utils.validation import check_fraction, check_positive_int
 from repro.walks.mixing import recommended_burn_in
 
 from repro.experiments.algorithms import (
@@ -190,25 +191,25 @@ def run_trials(
     :func:`compare_algorithms` does.
 
     With ``execution="fleet"`` all *repetitions* run as **one**
-    vectorized walker fleet over the shared CSR arrays: one walker per
-    repetition (each with its own distinct-page ledger, matching the
-    fresh wrapper it stands for), vectorized burn-in, and array-native
-    ``estimate_batch`` estimators instead of per-sample Python loops.
-    Fleet estimates are distributionally equivalent to sequential ones
+    vectorized walker fleet over the shared CSR arrays: the cell is a
+    single-budget :class:`~repro.experiments.planner.PrefixFleet` (one
+    walker per repetition, each with its own distinct-page ledger
+    matching the fresh wrapper it stands for), so it equals
+    :func:`run_trials_prefix` at ``[sample_size]`` bit for bit.  Fleet
+    estimates are distributionally equivalent to sequential ones
     (enforced by the KS equivalence suite) but not bit-identical — the
     random streams are consumed walker-by-step instead of
     trial-by-trial.  Any :class:`ProposedRunner` vectorizes through the
-    NS/NE fleet samplers — its own sampler kind and estimator
-    configuration are honored, custom or registry alike.  Any
-    :class:`~repro.experiments.algorithms.BaselineRunner` (the EX-*
-    rows) vectorizes through the implicit line-graph fleet
-    (:mod:`repro.baselines.fleet`) with its own ``alpha`` / ``delta`` /
-    line-max-degree knobs.  Only hand-written runner callables fall
-    back to the sequential loop, exactly like ``backend="csr"``.
+    NS/NE fleet samplers with its own sampler kind and estimator, and
+    any :class:`~repro.experiments.algorithms.BaselineRunner` (the EX-*
+    rows) through the implicit line-graph fleet with its own ``alpha``
+    / ``delta`` / line-max-degree knobs.  Only hand-written runner
+    callables fall back to the sequential loop, exactly like
+    ``backend="csr"``.
 
-    Support matrix (``execution`` × walk reuse × graph representation)
-    — ``reuse`` lives on :func:`run_trials_prefix` /
-    :func:`compare_algorithms`, but the combinations are decided here:
+    Support matrix of the harness (``reuse`` lives on
+    :func:`compare_algorithms` / ``frequency_sweep``; ``execution`` only
+    matters for the cells that ``reuse`` leaves over):
 
     ========== ========== ============== =================================
     execution  reuse      representation behavior
@@ -217,64 +218,42 @@ def run_trials(
     sequential none       csr            **raises** ``ConfigurationError``
                                          (no dict graph to simulate the
                                          restricted API over)
-    sequential prefix     dict / csr     registry runners go through
-                                         :func:`run_trials_prefix`
-                                         fleets; hand-written runners
-                                         keep sequential cells (dict
-                                         only — csr raises for them)
-    fleet      none       dict / csr     registry runners vectorize
-                                         (NS/NE fleet or line fleet);
+    fleet      none       dict / csr     registry runners run
+                                         single-budget prefix fleets;
                                          hand-written runners fall back
                                          to sequential (csr raises)
-    fleet      prefix     dict / csr     prefix fleets for registry
-                                         runners; remaining cells as
-                                         ``fleet``/``none``
+    either     prefix     dict / csr     one max-budget prefix fleet per
+                                         registry runner for the whole
+                                         grid; hand-written runners keep
+                                         per-cell walks as under
+                                         ``none`` (dict only)
     ========== ========== ============== =================================
 
-    ``backend`` is orthogonal: it selects the per-walk engine of the
-    *sequential* proposed algorithms (``"csr"`` still requires the dict
-    graph for the wrapper); fleets always run the vectorized numpy
-    engine.  :class:`ExperimentConfig` enforces the same matrix eagerly
-    for whole experiment runs.
+    ``backend`` selects the per-walk engine of the *sequential* proposed
+    algorithms (``"csr"`` still requires the dict graph for the
+    wrapper); fleets always run the vectorized numpy engine.
+    :class:`ExperimentConfig` enforces the same matrix eagerly for whole
+    experiment runs.
     """
     check_positive_int(sample_size, "sample_size")
     check_positive_int(repetitions, "repetitions")
     validate_backend(backend)
     validate_execution(execution)
-    if true_count is None:
-        true_count = count_target_edges(graph, t1, t2)
-    if true_count <= 0:
-        raise ExperimentError(
-            f"the target pair ({t1!r}, {t2!r}) has no target edges; NRMSE is undefined"
-        )
-    if execution == "fleet" and isinstance(runner, ProposedRunner):
-        return _run_trials_fleet(
+    true_count = _true_count(graph, t1, t2, true_count)
+    if execution == "fleet" and isinstance(runner, (ProposedRunner, BaselineRunner)):
+        return run_trials_prefix(
             graph,
             t1,
             t2,
             runner,
             algorithm_name,
-            sample_size,
+            [sample_size],
             repetitions,
             burn_in,
-            seed,
-            true_count,
-            csr,
-        )
-    if execution == "fleet" and isinstance(runner, BaselineRunner):
-        return _run_trials_fleet_baseline(
-            graph,
-            t1,
-            t2,
-            runner,
-            algorithm_name,
-            sample_size,
-            repetitions,
-            burn_in,
-            seed,
-            true_count,
-            csr,
-        )
+            seed=seed,
+            true_count=true_count,
+            csr=csr,
+        )[0]
     if isinstance(graph, CSRGraph):
         raise ConfigurationError(
             "the sequential execution path simulates the restricted API over "
@@ -301,86 +280,15 @@ def run_trials(
     return outcome
 
 
-def _run_trials_fleet(
-    graph: LabeledGraph,
-    t1: Label,
-    t2: Label,
-    runner: ProposedRunner,
-    algorithm_name: str,
-    sample_size: int,
-    repetitions: int,
-    burn_in: int,
-    seed: RandomSource,
-    true_count: int,
-    csr: Optional[CSRGraph],
-) -> TrialOutcome:
-    """One (algorithm, budget) cell as a single vectorized walker fleet.
-
-    The sampler kind and estimator come off the *runner* itself, so a
-    custom :class:`ProposedRunner` (e.g. a thinning ablation) vectorizes
-    with its own configuration rather than a registry lookup's.
-    """
-    shared_csr = ensure_same_graph(csr, graph) if csr is not None else csr_view(graph)
-    sampler = sample_edges_fleet if runner.sampler == "edge" else explore_nodes_fleet
-    batch = sampler(
-        shared_csr,
-        t1,
-        t2,
-        sample_size,
-        repetitions,
-        burn_in=burn_in,
-        rng=ensure_numpy_rng(seed),
-    )
-    estimates = runner.estimator_factory().estimate_batch(batch)
-    return TrialOutcome(
-        algorithm=algorithm_name,
-        sample_size=sample_size,
-        true_count=true_count,
-        estimates=[float(value) for value in estimates],
-        api_calls=[int(calls) for calls in batch.api_calls],
-    )
-
-
-def _run_trials_fleet_baseline(
-    graph: LabeledGraph,
-    t1: Label,
-    t2: Label,
-    runner: BaselineRunner,
-    algorithm_name: str,
-    sample_size: int,
-    repetitions: int,
-    burn_in: int,
-    seed: RandomSource,
-    true_count: int,
-    csr: Optional[CSRGraph],
-) -> TrialOutcome:
-    """One EX-* (algorithm, budget) cell as a single line-graph fleet.
-
-    The kernel spec — ``alpha`` / ``delta`` / line-max-degree included —
-    comes off the wrapped baseline instance, so tuned suites vectorize
-    with their own configuration.  Estimates and per-trial ledgers are
-    distributionally equivalent to the sequential
-    :meth:`LineGraphBaseline.estimate` loop (KS-enforced).
-    """
-    shared_csr = ensure_same_graph(csr, graph) if csr is not None else csr_view(graph)
-    baseline = runner.baseline
-    fleet = run_baseline_fleet(
-        shared_csr,
-        baseline,
-        sample_size,
-        repetitions,
-        burn_in=burn_in,
-        rng=ensure_numpy_rng(seed),
-    )
-    batch = classify_line_fleet(shared_csr, fleet, t1, t2)
-    estimates = reweighted_estimates(batch)
-    return TrialOutcome(
-        algorithm=algorithm_name,
-        sample_size=sample_size,
-        true_count=true_count,
-        estimates=[float(value) for value in estimates],
-        api_calls=[int(calls) for calls in batch.api_calls],
-    )
+def _true_count(graph: LabeledGraph, t1: Label, t2: Label, true_count: Optional[int]) -> int:
+    """The ground truth *F* of the pair (counted when not given); must be positive."""
+    if true_count is None:
+        true_count = count_target_edges(graph, t1, t2)
+    if true_count <= 0:
+        raise ExperimentError(
+            f"the target pair ({t1!r}, {t2!r}) has no target edges; NRMSE is undefined"
+        )
+    return true_count
 
 
 def run_trials_prefix(
@@ -429,39 +337,239 @@ def run_trials_prefix(
 
     The fleet mechanics live in
     :class:`repro.experiments.planner.PrefixFleet`, which is shared
-    with the frequency sweeps and the :mod:`repro.service`
-    micro-batcher; this function is the table-shaped wrapper (one pair,
-    many budgets, :class:`TrialOutcome` rows).
+    with the :mod:`repro.service` micro-batcher; this function is a
+    one-pair call into the grid driver's prefix helper (one pair, many
+    budgets, :class:`TrialOutcome` rows).
     """
     if not sample_sizes:
         raise ConfigurationError("sample_sizes must not be empty")
     for sample_size in sample_sizes:
         check_positive_int(sample_size, "sample_size")
-    if true_count is None:
-        true_count = count_target_edges(graph, t1, t2)
-    if true_count <= 0:
-        raise ExperimentError(
-            f"the target pair ({t1!r}, {t2!r}) has no target edges; NRMSE is undefined"
-        )
+    true_count = _true_count(graph, t1, t2, true_count)
     shared_csr = ensure_same_graph(csr, graph) if csr is not None else csr_view(graph)
-    fleet = PrefixFleet(
+    return _prefix_outcomes(
         shared_csr,
         runner,
         FleetSpec(algorithm_name, seed, repetitions, burn_in),
         max(sample_sizes),
+        [GridColumn(t1, t2, sample_size, true_count) for sample_size in sample_sizes],
     )
+
+
+# ----------------------------------------------------------------------
+# the NRMSE grid: tables and frequency sweeps
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class GridColumn:
+    """One column of an NRMSE grid: a target pair at one budget.
+
+    A table's columns are the budgets of one pair; a frequency sweep's
+    columns are target pairs at one budget.
+    """
+
+    t1: Label
+    t2: Label
+    sample_size: int
+    true_count: int
+
+
+def grid_budgets(graph: LabeledGraph, fractions: Sequence[float]) -> List[int]:
+    """Budgets as fractions of ``|V|`` → sample sizes (at least 1 each).
+
+    The one validation of a grid's budgets: an empty list, or any
+    fraction outside (0, 1], raises :class:`ConfigurationError`.
+    """
+    if not fractions:
+        raise ConfigurationError("sample_fractions must not be empty")
     return [
-        TrialOutcome(
-            algorithm=algorithm_name,
-            sample_size=sample_size,
-            true_count=true_count,
-            estimates=estimates,
-            api_calls=api_calls,
-        )
-        for sample_size, (estimates, api_calls) in zip(
-            sample_sizes, fleet.estimate_many(t1, t2, sample_sizes)
-        )
+        max(1, math.ceil(check_fraction(fraction, "sample fraction") * graph.num_nodes))
+        for fraction in fractions
     ]
+
+
+def _prefix_outcomes(
+    csr: CSRGraph,
+    runner: AlgorithmRunner,
+    spec: FleetSpec,
+    max_budget: int,
+    columns: Sequence[GridColumn],
+) -> List[TrialOutcome]:
+    """*columns* of one algorithm off one :class:`PrefixFleet`, in order.
+
+    The fleet walks once to *max_budget*; the columns of each distinct
+    target pair share one :meth:`PrefixFleet.estimate_many` call over
+    that pair's budgets (one NeighborExploration ledger pass per pair).
+    """
+    fleet = PrefixFleet(csr, runner, spec, max_budget)
+    by_pair: Dict[Tuple[Label, Label], List[int]] = {}
+    for index, column in enumerate(columns):
+        by_pair.setdefault((column.t1, column.t2), []).append(index)
+    answers: Dict[int, Tuple[List[float], List[int]]] = {}
+    for (t1, t2), indices in by_pair.items():
+        budgets = [columns[index].sample_size for index in indices]
+        answers.update(zip(indices, fleet.estimate_many(t1, t2, budgets)))
+    return [
+        TrialOutcome(spec.algorithm, column.sample_size, column.true_count, *answers[index])
+        for index, column in enumerate(columns)
+    ]
+
+
+def run_grid(
+    graph: LabeledGraph,
+    algorithms: Mapping[str, AlgorithmRunner],
+    columns: Mapping[int, GridColumn],
+    repetitions: int,
+    burn_in: Optional[int],
+    seed: RandomSource,
+    *,
+    cell_seed: Callable[[str, int], int],
+    fleet_seed: Callable[[str], int],
+    fingerprint: Mapping[str, object],
+    backend: str,
+    execution: str,
+    n_jobs: int,
+    reuse: str,
+    graph_store: str,
+    journal: Optional[Union[str, Path]],
+    resume: bool,
+    progress: Optional[Callable[[str, int, float], None]] = None,
+) -> Dict[Tuple[str, int], TrialOutcome]:
+    """Every (algorithm, column) cell of an NRMSE grid, keyed ``(name, key)``.
+
+    The one driver behind :func:`compare_algorithms` (columns keyed by
+    budget index) and :func:`repro.experiments.sweeps.frequency_sweep`
+    (columns keyed by pair index).  In order it:
+
+    1. validates the knobs (and ``resume`` without a journal) before
+       any expensive work, then derives the burn-in if none was given;
+    2. freezes the CSR arrays once for the whole grid;
+    3. opens the journal, fingerprinted by *fingerprint* (the caller's
+       ``kind`` and its own fields) plus the shared run parameters, and
+       replays its finished cells under ``resume``;
+    4. under ``reuse="prefix"`` walks one :class:`PrefixFleet` per
+       registry algorithm at the grid's max budget, seeded
+       ``fleet_seed(name)``, and reads every missing column off it;
+    5. runs the remaining cells, seeded ``cell_seed(name, key)``,
+       serially or through :func:`run_cells_parallel`.
+
+    Every fresh cell is journaled and reported to *progress* as it
+    finishes.  Seeds are pre-derived, so the result does not depend on
+    worker count, scheduling, crashes or resumes.
+    """
+    check_positive_int(n_jobs, "n_jobs")
+    check_positive_int(repetitions, "repetitions")
+    validate_backend(backend)
+    validate_execution(execution)
+    validate_reuse(reuse)
+    validate_graph_store(graph_store)
+    if resume and journal is None:
+        raise ConfigurationError("resume=True needs a journal path to replay")
+    if burn_in is None:
+        burn_in = recommended_burn_in(graph, rng=seed)
+    # Freeze the CSR arrays once for the whole grid, not once per cell.
+    needs_csr = backend == "csr" or execution == "fleet" or reuse == "prefix"
+    shared_csr = csr_view(graph) if needs_csr else None
+    total_cells = len(algorithms) * len(columns)
+    outcomes: Dict[Tuple[str, int], TrialOutcome] = {}
+    active_journal: Optional[ExperimentJournal] = None
+    if journal is not None:
+        # The fingerprint covers the graph content and every parameter
+        # that shapes a cell, so a journal can never replay into a run
+        # it does not belong to.
+        active_journal = ExperimentJournal(
+            journal,
+            suite_fingerprint(
+                graph,
+                **fingerprint,
+                repetitions=repetitions,
+                seed=seed,
+                burn_in=burn_in,
+                backend=backend,
+                execution=execution,
+                reuse=reuse,
+                algorithms=list(algorithms),
+            ),
+            resume=resume,
+        )
+        for (name, key), record in active_journal.completed_cells().items():
+            if name in algorithms and isinstance(key, int) and key in columns:
+                outcomes[(name, key)] = _outcome_from_record(record)
+
+    def finish(name: str, key: int, outcome: TrialOutcome) -> None:
+        outcomes[(name, key)] = outcome
+        if active_journal is not None:
+            active_journal.append_cell(
+                name,
+                key,
+                outcome.sample_size,
+                outcome.true_count,
+                outcome.estimates,
+                outcome.api_calls,
+            )
+        if progress is not None:
+            progress(name, outcome.sample_size, len(outcomes) / total_cells)
+
+    prefix_names = [
+        name
+        for name in algorithms
+        if reuse == "prefix"
+        and isinstance(algorithms[name], (ProposedRunner, BaselineRunner))
+    ]
+    try:
+        for name in prefix_names:
+            missing = [key for key in columns if (name, key) not in outcomes]
+            if not missing:
+                continue  # every column of this fleet was replayed
+            row = _prefix_outcomes(
+                shared_csr,
+                algorithms[name],
+                FleetSpec(name, fleet_seed(name), repetitions, burn_in),
+                max(column.sample_size for column in columns.values()),
+                [columns[key] for key in missing],
+            )
+            for key, outcome in zip(missing, row):
+                finish(name, key, outcome)
+
+        cells = [
+            CellTask(
+                algorithm=name,
+                column=key,
+                sample_size=column.sample_size,
+                seed=cell_seed(name, key),
+                t1=column.t1,
+                t2=column.t2,
+                repetitions=repetitions,
+                burn_in=burn_in,
+                true_count=column.true_count,
+                backend=backend,
+                execution=execution,
+            )
+            for name in algorithms
+            if name not in prefix_names
+            for key, column in columns.items()
+            if (name, key) not in outcomes
+        ]
+        if cells and n_jobs > 1:
+            run_cells_parallel(
+                graph, algorithms, cells, n_jobs, None,
+                graph_store=graph_store,
+                on_cell=lambda cell, outcome: finish(cell.algorithm, cell.column, outcome),
+            )
+        else:
+            for cell in cells:
+                finish(
+                    cell.algorithm,
+                    cell.column,
+                    run_cell(graph, algorithms[cell.algorithm], cell, shared_csr),
+                )
+        if active_journal is not None:
+            active_journal.commit(total_cells)
+    finally:
+        # On failure the journal stays uncommitted — that *is* the
+        # resume state a crashed run leaves behind.
+        if active_journal is not None:
+            active_journal.close()
+    return outcomes
 
 
 def compare_algorithms(
@@ -485,6 +593,9 @@ def compare_algorithms(
 ) -> NRMSETable:
     """Reproduce one NRMSE table: every algorithm at every budget.
 
+    The table is an NRMSE grid whose columns are the budgets of one
+    target pair; :func:`run_grid` runs it.
+
     Parameters
     ----------
     graph:
@@ -493,7 +604,8 @@ def compare_algorithms(
     t1, t2:
         The target-label pair of the table.
     sample_fractions:
-        Budgets as fractions of ``|V|`` (the paper: 0.5%–5%).
+        Budgets as fractions of ``|V|`` (the paper: 0.5%–5%); must be
+        non-empty, each in (0, 1].
     repetitions:
         Independent simulations per cell (the paper: 200).
     algorithms:
@@ -501,21 +613,23 @@ def compare_algorithms(
     burn_in:
         Walk burn-in; derived from the graph's mixing time when omitted.
     seed:
-        Master seed; cells get deterministic derived streams.
+        Master seed; cells get deterministic derived streams
+        (``derive_seed(seed, name, column)`` per cell,
+        ``derive_seed(seed, name, "prefix")`` per prefix fleet).
     progress:
         Optional callback ``(algorithm, sample_size, fraction_done)``.
     backend:
         Walk backend of the *sequential* proposed algorithms:
-        ``"python"`` (the dict reference engine) or ``"csr"``.  Under
-        ``execution="fleet"`` / ``reuse="prefix"`` the fleets run the
-        vectorized numpy engine whatever the backend, and the EX-*
-        baselines sequentially run the reference line-graph engine
+        ``"python"`` (the dict reference engine) or ``"csr"``.  Fleets
+        run the vectorized numpy engine whatever the backend, and the
+        EX-* baselines sequentially run the reference line-graph engine
         regardless.
     execution:
         ``"sequential"`` (one repetition at a time) or ``"fleet"`` (all
-        repetitions of a cell as one vectorized walker fleet — NS/NE
-        fleets for the proposed algorithms, line-graph fleets for the
-        EX-* baselines; see :func:`run_trials`).
+        repetitions of a cell as one single-budget prefix fleet; see
+        :func:`run_trials`).  Only matters with ``reuse="none"``: under
+        ``reuse="prefix"`` every registry cell comes off the prefix
+        fleets and hand-written runners run sequentially either way.
     n_jobs:
         Number of worker processes for cell-level parallelism.  Every
         cell's seed is derived with :func:`derive_seed` *before*
@@ -553,13 +667,11 @@ def compare_algorithms(
         cell and fleet seeds are pre-derived, the resumed table is
         bit-identical to an uninterrupted run.  Raises
         :class:`ExperimentError` if the journal belongs to a different
-        suite (fingerprint mismatch).
+        suite (fingerprint mismatch), and :class:`ConfigurationError`
+        without a *journal*.
     """
-    check_positive_int(n_jobs, "n_jobs")
-    validate_backend(backend)
-    validate_execution(execution)
-    validate_reuse(reuse)
-    validate_graph_store(graph_store)
+    sample_sizes = grid_budgets(graph, sample_fractions)
+    true_count = _true_count(graph, t1, t2, None)
     if algorithms is None:
         if isinstance(graph, CSRGraph) and execution != "fleet" and reuse != "prefix":
             # Without a vectorized execution mode a CSR-native run has
@@ -567,14 +679,33 @@ def compare_algorithms(
             algorithms = build_algorithm_suite(include_baselines=False)
         else:
             algorithms = build_algorithm_suite(graph)
-    if burn_in is None:
-        burn_in = recommended_burn_in(graph, rng=seed)
-    true_count = count_target_edges(graph, t1, t2)
-    # Freeze the CSR arrays once for the whole table, not once per cell.
-    needs_csr = backend == "csr" or execution == "fleet" or reuse == "prefix"
-    shared_csr = csr_view(graph) if needs_csr else None
-
-    sample_sizes = [max(1, math.ceil(fraction * graph.num_nodes)) for fraction in sample_fractions]
+    outcomes = run_grid(
+        graph,
+        algorithms,
+        {
+            column: GridColumn(t1, t2, sample_size, true_count)
+            for column, sample_size in enumerate(sample_sizes)
+        },
+        repetitions,
+        burn_in,
+        seed,
+        cell_seed=lambda name, column: derive_seed(seed, name, column),
+        fleet_seed=lambda name: _derive_group_seed(seed, name),
+        fingerprint=dict(
+            kind="nrmse-table",
+            dataset=dataset_name,
+            target_pair=[t1, t2],
+            sample_sizes=sample_sizes,
+        ),
+        backend=backend,
+        execution=execution,
+        n_jobs=n_jobs,
+        reuse=reuse,
+        graph_store=graph_store,
+        journal=journal,
+        resume=resume,
+        progress=progress,
+    )
     table = NRMSETable(
         dataset=dataset_name,
         target_pair=(t1, t2),
@@ -582,154 +713,8 @@ def compare_algorithms(
         sample_sizes=sample_sizes,
         sample_fractions=list(sample_fractions),
     )
-    outcomes: Dict[Tuple[str, int], TrialOutcome] = {}
-    if resume and journal is None:
-        raise ConfigurationError("resume=True needs a journal path to replay")
-    active_journal: Optional[ExperimentJournal] = None
-    if journal is not None:
-        # The fingerprint covers the graph content and every parameter
-        # that shapes a cell, so a journal can never replay into a run
-        # it does not belong to.
-        fingerprint = suite_fingerprint(
-            graph,
-            kind="nrmse-table",
-            dataset=dataset_name,
-            target_pair=[t1, t2],
-            sample_sizes=sample_sizes,
-            repetitions=repetitions,
-            seed=seed,
-            burn_in=burn_in,
-            backend=backend,
-            execution=execution,
-            reuse=reuse,
-            algorithms=list(algorithms),
-        )
-        active_journal = ExperimentJournal(journal, fingerprint, resume=resume)
-        for (name, column), record in active_journal.completed_cells().items():
-            if (
-                name in algorithms
-                and isinstance(column, int)
-                and 0 <= column < len(sample_sizes)
-            ):
-                outcomes[(name, column)] = _outcome_from_record(record)
-
-    def record_cell(cell: CellTask, outcome: TrialOutcome) -> None:
-        if active_journal is not None:
-            active_journal.append_cell(
-                outcome.algorithm,
-                cell.column,
-                outcome.sample_size,
-                outcome.true_count,
-                outcome.estimates,
-                outcome.api_calls,
-            )
-
-    prefix_names = [
-        name
-        for name in algorithms
-        if reuse == "prefix"
-        and isinstance(algorithms[name], (ProposedRunner, BaselineRunner))
-    ]
-    total_cells = len(algorithms) * len(sample_sizes)
-    done = len(outcomes)
-    try:
-        for name in prefix_names:
-            if all(
-                (name, column) in outcomes
-                for column in range(len(sample_sizes))
-            ):
-                continue  # every column of this fleet was replayed
-            # A partially journaled fleet re-runs whole: the fleet seed
-            # is pre-derived, so recomputed columns are bit-identical to
-            # the journaled ones they overwrite.
-            row = run_trials_prefix(
-                graph,
-                t1,
-                t2,
-                algorithms[name],
-                name,
-                sample_sizes,
-                repetitions,
-                burn_in,
-                seed=_derive_group_seed(seed, name),
-                true_count=true_count,
-                csr=shared_csr,
-            )
-            for column, outcome in enumerate(row):
-                fresh = (name, column) not in outcomes
-                outcomes[(name, column)] = outcome
-                if fresh:
-                    if active_journal is not None:
-                        active_journal.append_cell(
-                            name,
-                            column,
-                            outcome.sample_size,
-                            outcome.true_count,
-                            outcome.estimates,
-                            outcome.api_calls,
-                        )
-                    done += 1
-                    if progress is not None:
-                        progress(name, outcome.sample_size, done / total_cells)
-
-        cells = [
-            CellTask(
-                algorithm=name,
-                column=column,
-                sample_size=sample_size,
-                seed=_derive_cell_seed(seed, name, column),
-                t1=t1,
-                t2=t2,
-                repetitions=repetitions,
-                burn_in=burn_in,
-                true_count=true_count,
-                backend=backend,
-                execution=execution,
-            )
-            for name in algorithms
-            if name not in prefix_names
-            for column, sample_size in enumerate(sample_sizes)
-            if (name, column) not in outcomes
-        ]
-        if cells and n_jobs > 1:
-
-            def pool_progress(
-                algorithm: str, sample_size: int, _fraction: float
-            ) -> None:
-                nonlocal done
-                done += 1
-                if progress is not None:
-                    progress(algorithm, sample_size, done / total_cells)
-
-            outcomes.update(
-                run_cells_parallel(
-                    graph, algorithms, cells, n_jobs,
-                    pool_progress if progress is not None else None,
-                    graph_store=graph_store,
-                    on_cell=record_cell,
-                )
-            )
-        else:
-            for cell in cells:
-                outcome = run_cell(
-                    graph, algorithms[cell.algorithm], cell, shared_csr
-                )
-                outcomes[(cell.algorithm, cell.column)] = outcome
-                record_cell(cell, outcome)
-                done += 1
-                if progress is not None:
-                    progress(cell.algorithm, cell.sample_size, done / total_cells)
-        for name in algorithms:
-            table.cells[name] = [
-                outcomes[(name, column)] for column in range(len(sample_sizes))
-            ]
-        if active_journal is not None:
-            active_journal.commit(total_cells)
-    finally:
-        # On failure the journal stays uncommitted — that *is* the
-        # resume state a crashed run leaves behind.
-        if active_journal is not None:
-            active_journal.close()
+    for name in algorithms:
+        table.cells[name] = [outcomes[(name, column)] for column in range(len(sample_sizes))]
     return table
 
 
@@ -748,11 +733,6 @@ def _outcome_from_record(record: Mapping[str, object]) -> TrialOutcome:
     )
 
 
-def _derive_cell_seed(seed: RandomSource, algorithm: str, column: int) -> int:
-    """Deterministic per-cell seed so tables are reproducible cell-by-cell."""
-    return derive_seed(seed, algorithm, column)
-
-
 def _derive_group_seed(seed: RandomSource, algorithm: str) -> int:
     """Deterministic seed for one algorithm's whole prefix-reuse fleet."""
     return derive_seed(seed, algorithm, "prefix")
@@ -767,11 +747,9 @@ class CellTask:
 
     Only scalars and labels — the graph and the suite live in per-worker
     globals (:func:`_init_cell_worker`), so submitting a task ships a
-    few bytes, not the adjacency.  Shared harness plumbing: both
-    :func:`compare_algorithms` and
-    :func:`repro.experiments.sweeps.frequency_sweep` build their cells
-    with it (deliberately not in ``__all__`` — it is not part of the
-    user-facing API).
+    few bytes, not the adjacency.  Harness plumbing: :func:`run_grid`
+    builds its cells with it (deliberately not in ``__all__`` — it is
+    not part of the user-facing API).
     """
 
     algorithm: str
@@ -796,7 +774,7 @@ def run_cell(
     """Run one :class:`CellTask` through :func:`run_trials`.
 
     The single unpacking of a cell into a trial run, shared by the
-    serial loops (tables and sweeps) and the process-pool workers.
+    grid driver's serial loop and the process-pool workers.
     """
     return run_trials(
         graph,

@@ -46,11 +46,11 @@ class TestShmAttach:
 
 class TestMmapAttach:
     def test_deleted_sidecar_raises_named_retryable_error(self, csr_graph, tmp_path):
-        publication = publish_csr(csr_graph, "mmap", directory=tmp_path)
-        handle = publication.handle
-        os.remove(handle.location)
-        with pytest.raises(StoreAttachError) as excinfo:
-            attach_csr(handle)
+        with publish_csr(csr_graph, "mmap", directory=tmp_path) as publication:
+            handle = publication.handle
+            os.remove(handle.location)
+            with pytest.raises(StoreAttachError) as excinfo:
+                attach_csr(handle)
         assert excinfo.value.retryable is True
         assert excinfo.value.location == handle.location
         assert handle.location in str(excinfo.value)

@@ -1,16 +1,17 @@
-"""Unit tests for the sample-size and frequency sweeps."""
+"""Unit tests for the budget (table) and frequency sweeps."""
 
 import pytest
 
 from repro.datasets.registry import select_target_pairs
 from repro.experiments.algorithms import PAPER_ALGORITHM_ORDER, build_algorithm_suite
-from repro.experiments.sweeps import FrequencyPoint, frequency_sweep, sample_size_sweep
+from repro.experiments.runner import compare_algorithms
+from repro.experiments.sweeps import FrequencyPoint, frequency_sweep
 
 
 class TestSampleSizeSweep:
     def test_returns_table(self, gender_osn):
         suite = build_algorithm_suite(gender_osn, include_baselines=False)
-        table = sample_size_sweep(
+        table = compare_algorithms(
             gender_osn,
             1,
             2,
