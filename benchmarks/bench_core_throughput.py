@@ -11,9 +11,9 @@ in the perf trajectory alongside the reference engine.
 
 ``test_fleet_cell_speedup`` additionally times one representative NRMSE
 table cell on the sequential CSR path and on the fleet path and
-``test_exploration_ledger_budgets`` times the NeighborExploration
-ledgers of a ten-budget prefix fleet charged in one pass against one
-charge per budget.  Both merge their keys into the machine-readable
+``test_prefix_classify_budgets`` times the ten-budget prefix fleets of
+all ten algorithms classified and charged once per pair against once
+per budget.  Both merge their keys into the machine-readable
 ``benchmarks/results/BENCH_core.json`` (fleet steps/s, per-path cell
 wall-clock, speedups), so the perf trajectory of the experiment engine
 is diffable across PRs.
@@ -35,7 +35,7 @@ from repro.core.samplers import NeighborExplorationSampler, NeighborSampleSample
 from repro.datasets.labeling import zipf_label_array
 from repro.datasets.registry import load_dataset
 from repro.datasets.synthetic import chung_lu_edges, powerlaw_degree_sequence
-from repro.experiments.algorithms import build_algorithm_suite
+from repro.experiments.algorithms import ALL_ALGORITHM_ORDER, build_algorithm_suite
 from repro.experiments.config import DEFAULT_SAMPLE_FRACTIONS
 from repro.experiments.planner import FleetSpec, PrefixFleet
 from repro.experiments.runner import run_trials
@@ -221,16 +221,18 @@ def test_fleet_cell_speedup(facebook_graph, facebook_csr, settings):
     assert speedup_ne >= 3.5, f"exploration fleet speedup regressed: {speedup_ne:.1f}x"
 
 
-def test_exploration_ledger_budgets():
-    """NE-HH prefix fleet: one-pass ledgers vs one ledger per budget.
+def test_prefix_classify_budgets():
+    """Ten-algorithm prefix fleets: classify once per pair vs per budget.
 
-    The paper's ten budgets (0.5-5 % of |V|) on a 10^5-node Chung-Lu
-    graph at the fleet widths the tables use (20 and 200 walkers):
-    :meth:`PrefixFleet.estimate_many` charges every prefix in one
-    ascending pass, a loop of :meth:`PrefixFleet.estimate` charges each
-    prefix from scratch.  The answers (estimates and per-walker
-    ledgers) must be equal; the wall-clocks land in ``BENCH_core.json``
-    without a timing floor.
+    The paper's ten budgets (0.5-5 % of |V|) on the 10^5-node Chung-Lu
+    graph of ``perfbench`` at the fleet widths the tables use (20 and
+    200 walkers), for every algorithm of the table:
+    :meth:`PrefixFleet.estimate_many` classifies each fleet once at the
+    largest budget and charges every budget in one ledger pass, a loop
+    of :meth:`PrefixFleet.estimate` classifies and charges each prefix
+    from scratch.  The answers (estimates and per-walker ledgers) must
+    be equal; the wall-clocks land in ``BENCH_core.json`` without a
+    timing floor.
     """
     weights = powerlaw_degree_sequence(100_000, average_degree=12.0)
     graph = largest_connected_component_csr(
@@ -239,7 +241,7 @@ def test_exploration_ledger_budgets():
     graph = graph.with_labels(
         label_array=zipf_label_array(graph.num_nodes, num_labels=50, exponent=1.0, rng=2)
     )
-    runner = build_algorithm_suite(graph, include_baselines=False)["NeighborExploration-HH"]
+    suite = build_algorithm_suite(graph)
     budgets = [max(1, math.ceil(f * graph.num_nodes)) for f in DEFAULT_SAMPLE_FRACTIONS]
 
     def best_of(runs, call):
@@ -252,24 +254,31 @@ def test_exploration_ledger_budgets():
 
     widths = {}
     for walkers in (20, 200):
-        spec = FleetSpec("NeighborExploration-HH", 7, walkers, 300)
-        fleet = PrefixFleet(graph, runner, spec, max(budgets))
-        loop_seconds, per_budget = best_of(
-            2, lambda: [fleet.estimate(1, 2, budget) for budget in budgets]
-        )
-        many_seconds, many = best_of(2, lambda: fleet.estimate_many(1, 2, budgets))
-        assert many == per_budget
+        algorithms = {}
+        for name in ALL_ALGORITHM_ORDER:
+            fleet = PrefixFleet(graph, suite[name], FleetSpec(name, 7, walkers, 300), max(budgets))
+            loop_seconds, per_budget = best_of(
+                2, lambda: [fleet.estimate(1, 2, budget) for budget in budgets]
+            )
+            many_seconds, many = best_of(2, lambda: fleet.estimate_many(1, 2, budgets))
+            assert many == per_budget, name
+            algorithms[name] = {
+                "per_budget_estimate_seconds": round(loop_seconds, 4),
+                "estimate_many_seconds": round(many_seconds, 4),
+            }
+        loop_total = sum(row["per_budget_estimate_seconds"] for row in algorithms.values())
+        many_total = sum(row["estimate_many_seconds"] for row in algorithms.values())
         widths[str(walkers)] = {
-            "per_budget_estimate_seconds": round(loop_seconds, 4),
-            "estimate_many_seconds": round(many_seconds, 4),
-            "speedup": round(loop_seconds / many_seconds, 2),
+            "algorithms": algorithms,
+            "per_budget_estimate_seconds": round(loop_total, 4),
+            "estimate_many_seconds": round(many_total, 4),
+            "speedup": round(loop_total / many_total, 2),
         }
 
     bench_support.merge_json(
         "BENCH_core.json",
         {
-            "exploration_ledger": {
-                "algorithm": "NeighborExploration-HH",
+            "prefix_classify": {
                 "num_nodes": graph.num_nodes,
                 "num_edges": graph.num_edges,
                 "burn_in": 300,

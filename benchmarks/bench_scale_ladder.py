@@ -533,12 +533,21 @@ def test_graph_store_fleets():
 
 
 def test_write_scale_json():
-    """Persist the ladder (runs last: pytest executes in file order)."""
+    """Persist the ladder (runs last: pytest executes in file order).
+
+    Merges into the committed ``BENCH_scale.json``: this run's rungs
+    replace the rungs of the same requested size and every other rung
+    stays, and so do the keys of benches this run skipped.  A 10^4-only
+    run therefore keeps the committed 10^5 and 10^6 rungs.
+    """
     assert "rungs" in _RESULTS, "rung test did not run"
+    path = bench_support.RESULTS_DIR / "BENCH_scale.json"
+    committed = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    rungs = {**committed.get("rungs", {}), **_RESULTS["rungs"]}
     payload = {
         "average_degree": AVERAGE_DEGREE,
         "generator": "chung_lu_csr (power-law expected degrees, exponent 2.5)",
-        "rungs": _RESULTS["rungs"],
+        "rungs": dict(sorted(rungs.items(), key=lambda item: int(item[0]))),
     }
     for key in (
         "prefix_reuse_sweep",
@@ -548,4 +557,4 @@ def test_write_scale_json():
     ):
         if key in _RESULTS:
             payload[key] = _RESULTS[key]
-    bench_support.write_json("BENCH_scale.json", payload)
+    bench_support.merge_json("BENCH_scale.json", payload)

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.samplers.base import EdgeSampleBatch
-from repro.core.samplers.csr_backend import enforce_fleet_budget
+from repro.core.samplers.csr_backend import PrefixLedger, enforce_fleet_budget
 from repro.exceptions import EstimationError
 from repro.graph.csr import CSRGraph
 from repro.graph.labeled_graph import Label
@@ -70,6 +70,7 @@ def classify_line_fleet(
     budget: Optional[int] = None,
     known_num_nodes: Optional[int] = None,
     known_num_edges: Optional[int] = None,
+    ledger: Optional[PrefixLedger] = None,
 ) -> EdgeSampleBatch:
     """Classify an already-walked line fleet against a target pair.
 
@@ -80,7 +81,10 @@ def classify_line_fleet(
     (:attr:`LineFleetResult.kernel` — carried on the result so a
     mismatched spec cannot silently mis-weight the estimates) on the
     line degrees ``d(u) + d(v) − 2``, and ``api_calls`` the per-trial
-    distinct-``G``-page ledgers, rejected proposal probes included.
+    distinct-``G``-page ledgers, rejected proposal probes included.  A
+    caller classifying several prefixes of one fleet passes a
+    :class:`~repro.core.samplers.csr_backend.PrefixLedger`, which
+    charges every prefix in one pass.
     """
     spec = fleet.kernel
     if spec is None:
@@ -97,7 +101,7 @@ def classify_line_fleet(
     line_degrees = csr.degrees[sources] + csr.degrees[dests] - 2
     weights = kernel_stationary_weights(spec, line_degrees)
 
-    charges = fleet.charged_calls()
+    charges = fleet.charged_calls() if ledger is None else ledger.charges(fleet, t1, t2)
     enforce_fleet_budget(charges, budget)
 
     return EdgeSampleBatch(

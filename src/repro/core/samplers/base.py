@@ -23,7 +23,7 @@ one numpy row per trial, consumed wholesale by the estimators'
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -185,6 +185,15 @@ class NodeSampleSet:
         )
 
 
+def _trajectory_prefix(
+    trajectories: Optional[np.ndarray], k: int, keep: int
+) -> Optional[np.ndarray]:
+    """Full trajectories of a *k*-sample batch, cut to its first *keep* samples."""
+    if trajectories is None:
+        return None
+    return trajectories[:, : trajectories.shape[1] - k + keep]
+
+
 @dataclass
 class EdgeSampleBatch:
     """NeighborSample output for a whole fleet: one numpy row per trial.
@@ -249,6 +258,25 @@ class EdgeSampleBatch:
             node_ids=self.node_ids,
             trajectories=self.trajectories,
             weights=None if self.weights is None else self.weights[:, keep],
+        )
+
+    def prefix(self, k: int, api_calls: np.ndarray) -> "EdgeSampleBatch":
+        """The first *k* samples of every trial, charged *api_calls*.
+
+        A budget-``k`` crawl is the first ``k`` steps of a longer one,
+        so a batch classified at the longest budget answers every
+        shorter one by column slicing; only the per-trial charged calls
+        (:class:`~repro.core.samplers.csr_backend.PrefixLedger`) are
+        the caller's to supply.
+        """
+        return replace(
+            self,
+            sources=self.sources[:, :k],
+            dests=self.dests[:, :k],
+            is_target=self.is_target[:, :k],
+            api_calls=api_calls,
+            trajectories=_trajectory_prefix(self.trajectories, self.k, k),
+            weights=None if self.weights is None else self.weights[:, :k],
         )
 
     def sample_set(self, trial: int) -> EdgeSampleSet:
@@ -328,6 +356,19 @@ class NodeSampleBatch:
             node_ids=self.node_ids,
             trajectories=self.trajectories,
             weights=None if self.weights is None else self.weights[:, keep],
+        )
+
+    def prefix(self, k: int, api_calls: np.ndarray) -> "NodeSampleBatch":
+        """The first *k* samples of every trial (see :meth:`EdgeSampleBatch.prefix`)."""
+        return replace(
+            self,
+            nodes=self.nodes[:, :k],
+            degrees=self.degrees[:, :k],
+            has_target_label=self.has_target_label[:, :k],
+            incident_target_edges=self.incident_target_edges[:, :k],
+            api_calls=api_calls,
+            trajectories=_trajectory_prefix(self.trajectories, self.k, k),
+            weights=None if self.weights is None else self.weights[:, :k],
         )
 
     def sample_set(self, trial: int) -> NodeSampleSet:

@@ -427,79 +427,90 @@ def enforce_fleet_budget(charges: np.ndarray, budget: Optional[int]) -> None:
         raise APIBudgetExceededError(budget, budget + 1)
 
 
-#: Ledger-matrix size cap for the dense (fleet × |V|) boolean strategy;
-#: 2^27 cells is 128 MB of bools, beyond which the sort-based encoding
-#: takes over.
-_MASK_LEDGER_MAX_CELLS = 1 << 27
+#: Walker-block cap of the dense ledger, in ``walker · |V|`` cells of
+#: one byte each.  2^20 cells (1 MB) keeps a block's stamps in cache;
+#: it charged 10^5- and 10^6-node fleets faster than 2^22-2^27 cell
+#: blocks did, at a fraction of their memory.
+_MASK_LEDGER_MAX_CELLS = 1 << 20
 
 
-def _ledger_segments(csr: CSRGraph, fleet, has_label: np.ndarray, steps: np.ndarray):
-    """The pages each walker first downloads between consecutive budgets.
+def _ledger_segments(csr: CSRGraph, pages, burn_in: int, steps: np.ndarray, explored=None):
+    """The pages each walker downloads between consecutive budgets.
 
-    Yields, for every ascending budget in *steps*, the
-    ``walker · |V| + page`` codes of the segment
-    ``[previous budget, budget)``: the new trajectory columns, the new
-    MH probe columns (when the fleet carries ``probed``) and the
-    neighbor lists of the (walker, labeled node) pairs first explored in
-    that segment.  The union over the first ``i + 1`` segments is
-    exactly what the walkers downloaded had they stopped at
-    ``steps[i]``.
+    *pages* is a fleet's ``(positions, probes)`` page arrays (see
+    :attr:`~repro.walks.batched.FleetWalkResult.pages`).  Yields
+    ``(i, codes)`` for every ascending budget ``steps[i]``, **last
+    segment first**: *codes* are the ``walker · |V| + page`` codes of
+    the segment ``[steps[i - 1], steps[i])`` — the new position
+    columns, the new probe columns and, when *explored* is a
+    NeighborExploration ``(has_label, collected)`` pair, the neighbor
+    lists of the (walker, labeled node) pairs first explored in that
+    segment.  The union over the first ``i + 1`` segments is exactly
+    what the walkers downloaded had they stopped at ``steps[i]``.
     """
+    positions, probes = pages
     span = np.int64(csr.num_nodes)
-    burn_in = fleet.burn_in
-    row_codes = np.arange(fleet.num_walkers, dtype=np.int64)[:, None] * span
-    # Each (walker, explored node) pair once, at its first collected
-    # index: the row-major nonzero walks each row left to right, so
-    # unique's first occurrence is the earliest exploration.
-    rows, cols = np.nonzero(has_label[:, : steps[-1]])
-    pair_codes, first_at = np.unique(
-        rows * span + fleet.collected[rows, cols], return_index=True
-    )
-    first = cols[first_at]
-    order = np.argsort(first, kind="stable")
-    pair_codes, first = pair_codes[order], first[order]
-    explorer_codes = pair_codes - pair_codes % span
-    explored = pair_codes % span
-    pair_stops = np.searchsorted(first, steps)
-
-    trajectory_start = probe_start = pair_start = 0
-    for step, pair_stop in zip(steps.tolist(), pair_stops.tolist()):
-        segment = [row_codes + fleet.trajectories[:, trajectory_start : burn_in + step + 1]]
-        if fleet.probed is not None:
-            segment.append(row_codes + fleet.probed[:, probe_start : burn_in + step])
-        nodes = explored[pair_start:pair_stop]
-        segment.append(
-            np.repeat(explorer_codes[pair_start:pair_stop], csr.degrees[nodes])
-            + csr.gather_neighbors(nodes)
+    row_codes = np.arange(positions[0].shape[0], dtype=np.int64)[:, None] * span
+    position_bounds = np.concatenate(([0], burn_in + 1 + steps))
+    probe_bounds = np.concatenate(([0], burn_in + steps))
+    if explored is not None:
+        has_label, collected = explored
+        # Each (walker, explored node) pair once, at its first collected
+        # index: the row-major nonzero walks each row left to right, so
+        # unique's first occurrence is the earliest exploration.
+        rows, cols = np.nonzero(has_label[:, : steps[-1]])
+        pair_codes, first_at = np.unique(
+            rows * span + collected[rows, cols], return_index=True
         )
-        yield [codes.ravel() for codes in segment]
-        trajectory_start, probe_start, pair_start = burn_in + step + 1, burn_in + step, pair_stop
+        first = cols[first_at]
+        order = np.argsort(first, kind="stable")
+        pair_codes, first = pair_codes[order], first[order]
+        explorer_codes = pair_codes - pair_codes % span
+        explored_nodes = pair_codes % span
+        pair_bounds = np.concatenate(([0], np.searchsorted(first, steps)))
+
+    for index in range(steps.size - 1, -1, -1):
+        low, high = position_bounds[index], position_bounds[index + 1]
+        codes = [row_codes + array[:, low:high] for array in positions]
+        low, high = probe_bounds[index], probe_bounds[index + 1]
+        codes += [row_codes + array[:, low:high] for array in probes]
+        if explored is not None:
+            low, high = pair_bounds[index], pair_bounds[index + 1]
+            nodes = explored_nodes[low:high]
+            codes.append(
+                np.repeat(explorer_codes[low:high], csr.degrees[nodes])
+                + csr.gather_neighbors(nodes)
+            )
+        yield index, [part.ravel() for part in codes]
 
 
-def _exploration_charges(
+def _prefix_charges(
     csr: CSRGraph,
     fleet,
-    has_label: np.ndarray,
     budgets,
+    has_label: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Per-walker distinct pages at every budget, ``(len(budgets), walkers)``.
 
-    Row ``i`` is what each walker of *fleet* charged had it stopped
-    after ``budgets[i]`` collected steps: its own trajectory (and MH
-    probes) ∪ the neighbors it explored around the labeled nodes among
-    those steps (*has_label*, over the fleet's collected steps).  Rows
-    follow the caller's budget order; duplicates are allowed.  The
-    budgets are swept in ascending order in one pass, so a table's ten
-    prefixes cost one max-budget ledger, not ten.
+    Row ``i`` is what each walker of *fleet* — a node fleet
+    (:class:`~repro.walks.batched.FleetWalkResult`) or a line fleet
+    (:class:`~repro.walks.line_batched.LineFleetResult`) — charged had
+    it stopped after ``budgets[i]`` collected steps: its positions and
+    MH probes (:attr:`pages`) and, given *has_label* over a node fleet's
+    collected steps (NeighborExploration), the neighbors it explored
+    around the labeled nodes among those steps.  Rows follow the
+    caller's budget order; duplicates are allowed.
 
-    Fully vectorized across the fleet, no per-walker Python loop.  The
-    default strategy scatters each segment's pages into one dense
-    ``(fleet, |V|)`` boolean ledger and row-sums it after every
-    segment; when that matrix would be unreasonably large the
-    ``walker · |V| + page`` codes are concatenated in segment order
-    instead, so one global ``unique`` finds the segment each distinct
-    page is first charged in and a ``bincount`` + ``cumsum`` counts
-    them.
+    One pass charges every budget, vectorized across the fleet: a dense
+    ``(walkers, |V|)`` stamp ledger holds in each cell ``i + 1`` for the
+    first segment ``i`` that downloads that page, and 0 for pages never
+    downloaded (segments are stamped last to first, so the earliest one
+    wins).  A single scan of the stamped cells then counts each
+    walker's new pages per segment (``bincount``) and a ``cumsum``
+    turns the counts into charges; one budget only needs a per-row
+    count of the stamped cells.  A fleet wider than
+    ``_MASK_LEDGER_MAX_CELLS`` cells is charged a block of walkers at a
+    time.
     """
     budgets = np.asarray(budgets, dtype=np.int64)
     if budgets.size == 0 or budgets.min() < 1 or budgets.max() > fleet.num_steps:
@@ -507,42 +518,51 @@ def _exploration_charges(
             f"ledger budgets must lie in [1, {fleet.num_steps}], got {budgets.tolist()}"
         )
     steps, inverse = np.unique(budgets, return_inverse=True)
+    positions, probes = fleet.pages
+    span = csr.num_nodes
+    num_segments = steps.size
     num_walkers = fleet.num_walkers
-    segments = _ledger_segments(csr, fleet, has_label, steps)
-
-    if num_walkers * csr.num_nodes <= _MASK_LEDGER_MAX_CELLS:
-        visited = np.zeros((num_walkers, csr.num_nodes), dtype=bool)
-        cells = visited.reshape(-1)
-        charges = np.empty((steps.size, num_walkers), dtype=np.int64)
-        for index, segment in enumerate(segments):
+    block = max(1, _MASK_LEDGER_MAX_CELLS // span)
+    charges = np.empty((num_walkers, num_segments), dtype=np.int64)
+    for start in range(0, num_walkers, block):
+        rows = slice(start, start + block)
+        width = min(block, num_walkers - start)
+        explored = None if has_label is None else (has_label[rows], fleet.collected[rows])
+        segments = _ledger_segments(
+            csr,
+            ([pages[rows] for pages in positions], [pages[rows] for pages in probes]),
+            fleet.burn_in,
+            steps,
+            explored,
+        )
+        stamps = np.zeros(width * span, dtype=np.min_scalar_type(num_segments))
+        for index, segment in segments:
             for codes in segment:
-                cells[codes] = True
-            charges[index] = np.count_nonzero(visited, axis=1)
-        return charges[inverse]
-
-    codes, segment_starts, size = [], [], 0
-    for segment in segments:
-        segment_starts.append(size)
-        codes.extend(segment)
-        size += sum(part.size for part in segment)
-    distinct, first_at = np.unique(np.concatenate(codes), return_index=True)
-    first_segment = np.searchsorted(segment_starts, first_at, side="right") - 1
-    counts = np.bincount(
-        (distinct // csr.num_nodes) * steps.size + first_segment,
-        minlength=num_walkers * steps.size,
-    ).reshape(num_walkers, steps.size)
-    return np.cumsum(counts, axis=1).T[inverse]
+                stamps[codes] = index + 1
+        if num_segments == 1:
+            # One budget: a row count beats locating every stamped cell.
+            charges[rows, 0] = np.count_nonzero(stamps.reshape(width, span), axis=1)
+            continue
+        # Through a bool mask: nonzero runs several times faster on bools.
+        cells = np.flatnonzero(stamps != 0)
+        counts = np.bincount(
+            (cells // span) * num_segments + stamps[cells] - 1,
+            minlength=width * num_segments,
+        )
+        charges[rows] = np.cumsum(counts.reshape(width, num_segments), axis=1)
+    return charges.T[inverse]
 
 
-class ExplorationLedger:
-    """One target pair's NeighborExploration ledgers at many prefixes.
+class PrefixLedger:
+    """One fleet's charged calls at many prefixes, for one target pair.
 
-    Built over a max-budget *fleet* for the budgets a caller is about to
-    read off its prefixes; the first :meth:`charges` call computes every
-    budget's ledger in one :func:`_exploration_charges` pass and later
-    calls look theirs up.  Handing one to :func:`classify_node_fleet`
-    for each prefix therefore charges the fleet once instead of once per
-    budget.
+    Built over a max-budget *fleet* — node or line — for the budgets a
+    caller is about to read off its prefixes.  The first
+    :meth:`charges` call charges every budget in one
+    :func:`_prefix_charges` pass and later calls look theirs up, so
+    classifying a fleet's prefixes charges it once instead of once per
+    budget.  NeighborExploration charges depend on the target pair,
+    which is why a ledger serves one pair only.
     """
 
     def __init__(self, csr: CSRGraph, fleet, t1: Label, t2: Label, budgets) -> None:
@@ -552,17 +572,22 @@ class ExplorationLedger:
         self.budgets = sorted({int(budget) for budget in budgets})
         self._charges: Optional[Dict[int, np.ndarray]] = None
 
-    def charges(self, prefix, t1: Label, t2: Label) -> np.ndarray:
-        """Per-walker charges of *prefix*, a prefix of the ledger's fleet."""
+    def charges(
+        self, prefix, t1: Label, t2: Label, has_label: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Per-walker charges of *prefix*, a prefix of the ledger's fleet.
+
+        *has_label* — NeighborExploration's labeled-sample mask over at
+        least the longest budget's collected steps — is read by the
+        first call only, which charges every budget.
+        """
         if (t1, t2) != self.targets or prefix.num_steps not in self.budgets:
             raise ConfigurationError(
                 f"this ledger covers pair {self.targets!r} at budgets "
                 f"{self.budgets}, not ({t1!r}, {t2!r}) at {prefix.num_steps}"
             )
         if self._charges is None:
-            collected = self.fleet.collected
-            has_label = self.csr.label_mask(t1)[collected] | self.csr.label_mask(t2)[collected]
-            rows = _exploration_charges(self.csr, self.fleet, has_label, self.budgets)
+            rows = _prefix_charges(self.csr, self.fleet, self.budgets, has_label)
             self._charges = dict(zip(self.budgets, rows))
         return self._charges[prefix.num_steps]
 
@@ -592,6 +617,7 @@ def classify_edge_fleet(
     budget: Optional[int] = None,
     known_num_nodes: Optional[int] = None,
     known_num_edges: Optional[int] = None,
+    ledger: Optional[PrefixLedger] = None,
 ) -> EdgeSampleBatch:
     """NeighborSample classification of an already-walked fleet.
 
@@ -605,7 +631,9 @@ def classify_edge_fleet(
     (EX-*-style) kernel — read off :attr:`FleetWalkResult.kernel`, so
     no mismatched spec can be injected — the batch carries the
     per-sample stationary ``weights`` of the *source* nodes, the
-    importance weights a re-weighted estimator needs.
+    importance weights a re-weighted estimator needs.  A caller
+    classifying several prefixes of one fleet passes a
+    :class:`PrefixLedger`, which charges every prefix in one pass.
     """
     sources = fleet.sources
     dests = fleet.collected
@@ -625,7 +653,7 @@ def classify_edge_fleet(
     # As on the sequential CSR path, every page a NeighborSample crawler
     # downloads belongs to a walk position — plus, for MH-family
     # kernels, the probed proposals, which the fleet's ledger includes.
-    charges = fleet.charged_calls()
+    charges = fleet.charged_calls() if ledger is None else ledger.charges(fleet, t1, t2)
     enforce_fleet_budget(charges, budget)
 
     return EdgeSampleBatch(
@@ -650,7 +678,7 @@ def classify_node_fleet(
     budget: Optional[int] = None,
     known_num_nodes: Optional[int] = None,
     known_num_edges: Optional[int] = None,
-    ledger: Optional[ExplorationLedger] = None,
+    ledger: Optional[PrefixLedger] = None,
 ) -> NodeSampleBatch:
     """NeighborExploration classification of an already-walked fleet.
 
@@ -659,7 +687,7 @@ def classify_node_fleet(
     trial explores around its labeled sampled nodes — computed per
     target pair, because which nodes get explored depends on it.  A
     caller classifying several prefixes of one fleet against one pair
-    passes the pair's :class:`ExplorationLedger`, which charges every
+    passes the pair's :class:`PrefixLedger`, which charges every
     prefix in a single pass on the first call.  When the fleet walked a
     non-degree-stationary kernel (:attr:`FleetWalkResult.kernel`) the
     batch also carries the collected nodes' stationary ``weights`` (see
@@ -676,9 +704,9 @@ def classify_node_fleet(
     # MH-family kernels probed their proposals' pages too; the ledger
     # charges the fleet's probe columns alongside the trajectory.
     if ledger is None:
-        charges = _exploration_charges(csr, fleet, has_label, [fleet.num_steps])[0]
+        charges = _prefix_charges(csr, fleet, [fleet.num_steps], has_label)[0]
     else:
-        charges = ledger.charges(fleet, t1, t2)
+        charges = ledger.charges(fleet, t1, t2, has_label)
     enforce_fleet_budget(charges, budget)
 
     return NodeSampleBatch(
@@ -768,7 +796,7 @@ __all__ = [
     "explore_nodes_csr",
     "classify_edge_fleet",
     "classify_node_fleet",
-    "ExplorationLedger",
+    "PrefixLedger",
     "sample_edges_fleet",
     "explore_nodes_fleet",
     "run_csr_sampler",

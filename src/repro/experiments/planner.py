@@ -24,10 +24,15 @@ The exactness contract callers rely on:
   from the *same* walk, so coalescing them changes no estimate;
 * :meth:`PrefixFleet.estimate_many` at several budgets equals one
   :meth:`PrefixFleet.estimate` per budget, bit for bit; it only shares
-  the work: a NeighborExploration fleet charges every requested prefix
-  of the pair in one ledger pass
-  (:class:`~repro.core.samplers.csr_backend.ExplorationLedger`)
-  instead of one pass per budget.
+  the work.  It classifies the fleet against the pair **once**, at the
+  largest requested budget — target flags, stationary weights, and the
+  NeighborExploration label, incident-count and degree gathers — and
+  answers each budget with a column slice ``[:, :b]`` of that batch
+  (:meth:`~repro.core.samplers.base.EdgeSampleBatch.prefix`).  The
+  per-walker charged calls of every budget come from one ledger pass
+  (:class:`~repro.core.samplers.csr_backend.PrefixLedger`), for node,
+  NeighborExploration and line fleets alike.  The held classification
+  lives only for that one call.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from repro.baselines.fleet import (
 )
 from repro.core.pipeline import ProposedRunner
 from repro.core.samplers.csr_backend import (
-    ExplorationLedger,
+    PrefixLedger,
     classify_edge_fleet,
     classify_node_fleet,
     run_fleet_walk,
@@ -112,8 +117,10 @@ class PrefixFleet:
         self.runner = runner
         self.spec = spec
         self.max_budget = int(max_budget)
-        #: The pair's one-pass NE ledger while estimate_many runs.
-        self._ledger: Optional[ExplorationLedger] = None
+        #: The pair's ledger, and its max-budget batch once classified,
+        #: while estimate_many runs.
+        self._ledger: Optional[PrefixLedger] = None
+        self._batch = None
         rng = ensure_numpy_rng(spec.seed)
         if isinstance(runner, BaselineRunner):
             self._fleet = run_baseline_fleet(
@@ -158,6 +165,14 @@ class PrefixFleet:
             )
         return int(budget)
 
+    def _classify(self, t1, t2, prefix, ledger: Optional[PrefixLedger] = None):
+        """*prefix* classified against the pair by the runner's fleet kind."""
+        if isinstance(self.runner, BaselineRunner):
+            return classify_line_fleet(self.csr, prefix, t1, t2, ledger=ledger)
+        if self.runner.sampler == "edge":
+            return classify_edge_fleet(self.csr, prefix, t1, t2, ledger=ledger)
+        return classify_node_fleet(self.csr, prefix, t1, t2, ledger=ledger)
+
     def estimate(self, t1, t2, budget: int) -> Tuple[List[float], List[int]]:
         """Per-repetition estimates and charged-call ledgers at *budget*.
 
@@ -168,19 +183,24 @@ class PrefixFleet:
         ledgers cover the truncated trajectories (rejection probes
         included), so the charged-call accounting matches a crawl
         stopped at exactly that budget.  Inside :meth:`estimate_many`
-        a NeighborExploration fleet reads its ledger off the pair's
-        one-pass :class:`ExplorationLedger` instead of charging this
-        prefix on its own.
+        the batch is instead a column slice of the pair's held
+        max-budget classification, charged off its one-pass
+        :class:`PrefixLedger`.
         """
-        prefix = self._fleet.prefix(self._check_budget(budget))
+        budget = self._check_budget(budget)
+        prefix = self._fleet.prefix(budget)
+        ledger = self._ledger
+        if ledger is not None and ledger.targets == (t1, t2):
+            if self._batch is None:
+                # The pair's one classification, at its largest budget.
+                top = self._fleet.prefix(ledger.budgets[-1])
+                self._batch = self._classify(t1, t2, top, ledger)
+            batch = self._batch.prefix(budget, ledger.charges(prefix, t1, t2))
+        else:
+            batch = self._classify(t1, t2, prefix)
         if isinstance(self.runner, BaselineRunner):
-            batch = classify_line_fleet(self.csr, prefix, t1, t2)
             estimates = reweighted_estimates(batch)
         else:
-            if self.runner.sampler == "edge":
-                batch = classify_edge_fleet(self.csr, prefix, t1, t2)
-            else:
-                batch = classify_node_fleet(self.csr, prefix, t1, t2, ledger=self._ledger)
             estimates = self.runner.estimator_factory().estimate_batch(batch)
         return (
             [float(value) for value in estimates],
@@ -193,19 +213,21 @@ class PrefixFleet:
         """:meth:`estimate` at every budget, in the caller's order.
 
         Every budget is validated before any work is done.  The answers
-        equal one :meth:`estimate` call per budget, bit for bit; a
-        NeighborExploration fleet, whose ledgers depend on the pair,
-        charges all of these prefixes in one pass (one
-        :class:`ExplorationLedger`, held only for this call), so a
-        table pays for one max-budget ledger instead of one per budget.
+        equal one :meth:`estimate` call per budget, bit for bit.  With
+        more than one distinct budget the first :meth:`estimate` call
+        classifies the fleet once, at the largest budget, and every
+        budget reads a column slice of that batch with its charges from
+        one :class:`PrefixLedger` pass; the batch and ledger are held
+        only for this call.  A single budget keeps the plain
+        :meth:`estimate` path (a per-row sort ledger).
         """
         budgets = [self._check_budget(budget) for budget in budgets]
-        # Lazy: only NeighborExploration classification ever charges it.
-        self._ledger = ExplorationLedger(self.csr, self._fleet, t1, t2, budgets)
+        if len(set(budgets)) > 1:
+            self._ledger = PrefixLedger(self.csr, self._fleet, t1, t2, budgets)
         try:
             return [self.estimate(t1, t2, budget) for budget in budgets]
         finally:
-            self._ledger = None
+            self._ledger = self._batch = None
 
 
 __all__ = ["FleetSpec", "PrefixFleet"]

@@ -652,6 +652,17 @@ class FleetWalkResult:
         """Source endpoint of each collected transition (same shape)."""
         return self.trajectories[:, self.burn_in : -1]
 
+    @property
+    def pages(self) -> Tuple[Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]:
+        """Every page array a walker downloads: ``(positions, probes)``.
+
+        The positions are the trajectories; the probes are the MH-family
+        proposal columns (none for kernels that do not probe).  Column
+        ``t`` of a probe array belongs to the step into position column
+        ``t + 1``.
+        """
+        return (self.trajectories,), (() if self.probed is None else (self.probed,))
+
     def charged_calls(self) -> np.ndarray:
         """Per-walker distinct pages downloaded (independent crawlers).
 
@@ -660,9 +671,8 @@ class FleetWalkResult:
         acceptance ratio, exactly like the reference kernel's
         ``degree(proposal)`` call.
         """
-        if self.probed is None:
-            return per_walker_distinct_counts(self.trajectories)
-        return per_walker_distinct_counts(self.trajectories, self.probed)
+        positions, probes = self.pages
+        return per_walker_distinct_counts(*positions, *probes)
 
     def prefix(self, num_steps: int) -> "FleetWalkResult":
         """The fleet truncated to its first *num_steps* collected steps.

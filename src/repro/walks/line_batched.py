@@ -114,6 +114,17 @@ class LineFleetResult:
         """Second endpoints of the collected line nodes (same shape)."""
         return self.dst[:, self.burn_in + 1 :]
 
+    @property
+    def pages(self) -> Tuple[Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]:
+        """Every ``G`` page array a walker downloads: ``(positions, probes)``.
+
+        Both endpoint arrays of the trajectory, and both endpoint arrays
+        of the MH-family proposals (none for kernels that do not probe);
+        the same layout as :attr:`FleetWalkResult.pages`.
+        """
+        probes = () if self.probed_src is None else (self.probed_src, self.probed_dst)
+        return (self.src, self.dst), probes
+
     def charged_calls(self) -> np.ndarray:
         """Per-walker distinct ``G`` pages downloaded (independent crawlers).
 
@@ -122,10 +133,8 @@ class LineFleetResult:
         lists); MH-family proposal probes add the proposal endpoints
         even when the proposal was rejected.
         """
-        pages = [self.src, self.dst]
-        if self.probed_src is not None:
-            pages += [self.probed_src, self.probed_dst]
-        return per_walker_distinct_counts(*pages)
+        positions, probes = self.pages
+        return per_walker_distinct_counts(*positions, *probes)
 
     def prefix(self, num_steps: int) -> "LineFleetResult":
         """The fleet truncated to its first *num_steps* collected steps.

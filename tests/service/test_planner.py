@@ -135,6 +135,55 @@ class TestEstimateMany:
             assert answer == fleet.estimate(1, 2, budget)
             assert answer == _fleet(planner_graph, name, budget).estimate(1, 2, budget)
 
+    @pytest.mark.parametrize("name", ALL_ALGORITHM_ORDER)
+    def test_consecutive_pairs_equal_fresh_fleets(self, planner_graph, name):
+        # One classification per (fleet, pair): nothing of pair A may
+        # leak into pair B, nor into a later call off the held batch.
+        fleet = _fleet(planner_graph, name)
+        for pair in [(1, 2), (2, 2)]:
+            answers = fleet.estimate_many(*pair, BUDGETS)
+            for budget, answer in zip(BUDGETS, answers):
+                assert answer == _fleet(planner_graph, name, budget).estimate(*pair, budget)
+        # 17 is none of BUDGETS: only a fresh classification can answer it
+        assert fleet.estimate(2, 2, 17) == _fleet(planner_graph, name, 17).estimate(2, 2, 17)
+
+    @pytest.mark.parametrize("name", ALL_ALGORITHM_ORDER)
+    @pytest.mark.parametrize("budget", [1, 17, MAX_BUDGET])
+    def test_one_budget_equals_estimate(self, planner_graph, name, budget):
+        fleet = _fleet(planner_graph, name)
+        assert fleet.estimate_many(1, 2, [budget]) == [fleet.estimate(1, 2, budget)]
+
+    @pytest.mark.parametrize(
+        "name", ["NeighborSample-HT", "NeighborExploration-HH", "EX-RCMH"]
+    )
+    def test_one_classify_call_per_pair_inside_an_estimate_call(
+        self, planner_graph, monkeypatch, name
+    ):
+        # A per-layer trace attributes a classify span to the estimate
+        # call around it, so the one classification must run inside one.
+        depth, calls = [], []
+
+        class Watched(PrefixFleet):
+            def estimate(self, *args):
+                depth.append(args)
+                try:
+                    return super().estimate(*args)
+                finally:
+                    depth.pop()
+
+        for attribute in ("classify_edge_fleet", "classify_node_fleet", "classify_line_fleet"):
+            original = getattr(planner, attribute)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(len(depth))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(planner, attribute, counted)
+        csr, suite = planner_graph
+        spec = FleetSpec(name, derive_seed(5, name, "prefix"), 6, BURN_IN)
+        Watched(csr, suite[name], spec, MAX_BUDGET).estimate_many(1, 2, BUDGETS)
+        assert calls == [1]
+
     def test_every_budget_is_checked_before_any_classify_call(
         self, planner_graph, monkeypatch
     ):

@@ -123,8 +123,8 @@ class TestChargedCallParity:
             assert api.api_calls == int(batch.api_calls[trial])
 
     def test_exploration_ledger_strategies_agree(self, gender_csr, monkeypatch):
-        """The dense-mask ledger (small graphs) and the sort-based code
-        ledger (paper-scale graphs) must produce identical charges."""
+        """The ledger charged as one block of walkers and as one-walker
+        blocks (wide fleets on big graphs) must produce identical charges."""
         import repro.core.samplers.csr_backend as csr_backend
 
         kwargs = dict(k=K, repetitions=REPS, burn_in=BURN_IN, rng=6)
