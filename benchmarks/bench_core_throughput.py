@@ -5,24 +5,27 @@ these use pytest-benchmark conventionally: many rounds of the same
 operation, so regressions in the samplers, the walk engine or the
 estimators show up as timing changes.
 
-Every python-backend bench has a ``_csr`` twin doing the same work on
-the vectorized backend, so the speedup of the CSR walk path is tracked
-in the perf trajectory alongside the reference engine.
+Every reference-engine walk and sampler bench has a ``_csr`` twin doing
+the same work as a one-walker fleet over the CSR arrays — what a
+one-shot estimate on a :class:`CSRGraph` runs — so both engines are
+tracked in the perf trajectory.
 
 ``test_fleet_cell_speedup`` additionally times one representative NRMSE
-table cell on the sequential CSR path and on the fleet path and
+table cell on the sequential dict reference engine and on the fleet
+path, ``test_oneshot_engines`` times a one-shot estimate on both
+engines (the CSR freeze reported separately), and
 ``test_prefix_classify_budgets`` times the ten-budget prefix fleets of
 all ten algorithms classified and charged once per pair against once
-per budget.  Both merge their keys into the machine-readable
+per budget.  They merge their keys into the machine-readable
 ``benchmarks/results/BENCH_core.json`` (fleet steps/s, per-path cell
 wall-clock, speedups), so the perf trajectory of the experiment engine
 is diffable across PRs.
 """
 
+import json
 import math
 import time
 
-import numpy as np
 import pytest
 
 import bench_support
@@ -31,7 +34,13 @@ from repro.core.estimators import (
     NodeHansenHurwitzEstimator,
     NodeReweightedEstimator,
 )
-from repro.core.samplers import NeighborExplorationSampler, NeighborSampleSampler
+from repro.core.pipeline import estimate_target_edge_count
+from repro.core.samplers import (
+    NeighborExplorationSampler,
+    NeighborSampleSampler,
+    explore_nodes_fleet,
+    sample_edges_fleet,
+)
 from repro.datasets.labeling import zipf_label_array
 from repro.datasets.registry import load_dataset
 from repro.datasets.synthetic import chung_lu_edges, powerlaw_degree_sequence
@@ -41,8 +50,8 @@ from repro.experiments.planner import FleetSpec, PrefixFleet
 from repro.experiments.runner import run_trials
 from repro.graph.api import RestrictedGraphAPI
 from repro.graph.cleaning import largest_connected_component_csr
-from repro.graph.csr import CSRGraph
-from repro.walks.batched import BatchedWalkEngine, csr_walk
+from repro.graph.csr import CSRGraph, csr_view
+from repro.walks.batched import BatchedWalkEngine
 from repro.walks.engine import RandomWalk
 from repro.walks.kernels import SimpleRandomWalkKernel
 
@@ -68,14 +77,14 @@ def test_throughput_simple_walk(benchmark, facebook_graph):
 
 
 def test_throughput_simple_walk_csr(benchmark, facebook_csr):
-    # reuse one generator across rounds, like the engine and samplers do
-    generator = np.random.default_rng(1)
+    # One walker: the fleet a one-shot estimate on a CSRGraph runs.
+    engine = BatchedWalkEngine(facebook_csr, rng=1)
 
     def run():
-        return csr_walk(facebook_csr, 500, rng=generator)
+        return engine.run_fleet(1, 500)
 
     result = benchmark(run)
-    assert len(result) == 500
+    assert result.collected.shape == (1, 500)
 
 
 def test_throughput_batched_walks_csr(benchmark, facebook_csr):
@@ -101,13 +110,9 @@ def test_throughput_neighbor_sample(benchmark, facebook_graph):
     assert samples.k == 200
 
 
-def test_throughput_neighbor_sample_csr(benchmark, facebook_graph, facebook_csr):
-    api = RestrictedGraphAPI(facebook_graph)
-    api.adopt_csr(facebook_csr)
-
+def test_throughput_neighbor_sample_csr(benchmark, facebook_csr):
     def run():
-        sampler = NeighborSampleSampler(api, 1, 2, burn_in=10, rng=2, backend="csr")
-        return sampler.sample(200)
+        return sample_edges_fleet(facebook_csr, 1, 2, 200, 1, burn_in=10, rng=2).sample_set(0)
 
     samples = benchmark(run)
     assert samples.k == 200
@@ -124,27 +129,25 @@ def test_throughput_neighbor_exploration(benchmark, facebook_graph):
     assert samples.k == 200
 
 
-def test_throughput_neighbor_exploration_csr(benchmark, facebook_graph, facebook_csr):
-    api = RestrictedGraphAPI(facebook_graph)
-    api.adopt_csr(facebook_csr)
-
+def test_throughput_neighbor_exploration_csr(benchmark, facebook_csr):
     def run():
-        sampler = NeighborExplorationSampler(api, 1, 2, burn_in=10, rng=3, backend="csr")
-        return sampler.sample(200)
+        return explore_nodes_fleet(facebook_csr, 1, 2, 200, 1, burn_in=10, rng=3).sample_set(0)
 
     samples = benchmark(run)
     assert samples.k == 200
 
 
 def test_fleet_cell_speedup(facebook_graph, facebook_csr, settings):
-    """Time representative NRMSE cells: sequential CSR vs fleet.
+    """Time representative NRMSE cells: sequential dict engine vs fleet.
 
     Two cells mirroring the paper's setting — NeighborSample-HH and
     NeighborExploration-HH at a 5%·|V| budget with 200 repetitions
     (env-overridable via ``REPRO_REPETITIONS``) — each timed best-of-3
     per path; the wall-clocks land in ``BENCH_core.json`` together with
     the raw fleet walker throughput, so the perf trajectory of the
-    experiment engine is diffable across PRs.
+    experiment engine is diffable across PRs.  Each cell keeps the
+    ``sequential_csr_seconds`` an earlier version of this bench wrote,
+    as history: the scalar CSR walk it timed no longer exists.
     """
     repetitions = max(50, settings["repetitions"])
     sample_size = max(1, math.ceil(0.05 * facebook_graph.num_nodes))
@@ -163,13 +166,14 @@ def test_fleet_cell_speedup(facebook_graph, facebook_csr, settings):
             repetitions=repetitions,
             burn_in=burn_in,
             seed=settings["seed"],
-            backend="csr",
             csr=facebook_csr,
             execution=execution,
         )
         assert outcome.repetitions == repetitions
         return time.perf_counter() - started
 
+    path = bench_support.RESULTS_DIR / "BENCH_core.json"
+    history = json.loads(path.read_text()).get("cells", {}) if path.exists() else {}
     cells = {}
     for algorithm in ("NeighborSample-HH", "NeighborExploration-HH"):
         # Warm the shared caches (label masks, incident counts, list
@@ -177,7 +181,7 @@ def test_fleet_cell_speedup(facebook_graph, facebook_csr, settings):
         run_trials(
             facebook_graph, 1, 2, suite[algorithm], algorithm,
             sample_size=sample_size, repetitions=2, burn_in=10,
-            seed=0, backend="csr", csr=facebook_csr, execution="fleet",
+            seed=0, csr=facebook_csr, execution="fleet",
         )
         sequential_seconds = min(run_cell(algorithm, "sequential") for _ in range(3))
         fleet_seconds = min(run_cell(algorithm, "fleet") for _ in range(3))
@@ -185,10 +189,13 @@ def test_fleet_cell_speedup(facebook_graph, facebook_csr, settings):
             "sample_size": sample_size,
             "burn_in": burn_in,
             "repetitions": repetitions,
-            "sequential_csr_seconds": round(sequential_seconds, 4),
+            "sequential_seconds": round(sequential_seconds, 4),
             "fleet_seconds": round(fleet_seconds, 4),
             "fleet_speedup": round(sequential_seconds / fleet_seconds, 2),
         }
+        old = history.get(algorithm, {}).get("sequential_csr_seconds")
+        if old is not None:
+            cells[algorithm]["sequential_csr_seconds"] = old
 
     # Raw fleet walker throughput (steps/second) on the same graph.
     engine = BatchedWalkEngine(facebook_csr, rng=1)
@@ -212,13 +219,69 @@ def test_fleet_cell_speedup(facebook_graph, facebook_csr, settings):
         },
     )
     # Acceptance floor: the fleet path must reproduce a representative
-    # table cell at least 5x faster than the sequential CSR path (the
-    # NeighborSample cell typically lands >20x, NeighborExploration >5x;
-    # the latter gets a softer regression floor to absorb timer noise).
+    # table cell at least 5x faster than the sequential dict engine
+    # (NeighborExploration gets a softer regression floor to absorb
+    # timer noise).
     speedup_ns = cells["NeighborSample-HH"]["fleet_speedup"]
     speedup_ne = cells["NeighborExploration-HH"]["fleet_speedup"]
     assert speedup_ns >= 5, f"fleet speedup {speedup_ns:.1f}x below the 5x floor"
     assert speedup_ne >= 3.5, f"exploration fleet speedup regressed: {speedup_ne:.1f}x"
+
+
+def test_oneshot_engines():
+    """One-shot estimates on both engines at 10^4 nodes, freeze apart.
+
+    A Chung-Lu graph of 10^4 nodes (the perfbench generator at a tenth
+    of its size) as a dict graph runs the reference engine; its
+    ``csr_view`` runs a one-walker fleet.  The first ``csr_view`` call
+    freezes the arrays and is reported on its own, so a cold CSR
+    one-shot costs ``freeze_seconds`` plus the warm time.  Best of 5
+    at a 5%·|V| budget and a burn-in of 300.
+    """
+    weights = powerlaw_degree_sequence(10_000, average_degree=12.0)
+    csr = largest_connected_component_csr(
+        CSRGraph.from_edge_array(chung_lu_edges(weights, rng=1), num_nodes=10_000)
+    )
+    csr = csr.with_labels(
+        label_array=zipf_label_array(csr.num_nodes, num_labels=50, exponent=1.0, rng=2)
+    )
+    graph = csr.to_labeled_graph()
+    started = time.perf_counter()
+    frozen = csr_view(graph)
+    freeze_seconds = time.perf_counter() - started
+
+    def best_of_five(substrate, algorithm):
+        seconds = []
+        for seed in range(5):
+            started = time.perf_counter()
+            result = estimate_target_edge_count(
+                substrate, 1, 2, algorithm=algorithm,
+                budget_fraction=0.05, burn_in=300, seed=seed,
+            )
+            seconds.append(time.perf_counter() - started)
+            assert result.api_calls > 0
+        return round(min(seconds), 4)
+
+    algorithms = {
+        algorithm: {
+            "dict_seconds": best_of_five(graph, algorithm),
+            "csr_seconds": best_of_five(frozen, algorithm),
+        }
+        for algorithm in ("NeighborSample-HH", "NeighborExploration-HH")
+    }
+    bench_support.merge_json(
+        "BENCH_core.json",
+        {
+            "oneshot": {
+                "num_nodes": csr.num_nodes,
+                "num_edges": csr.num_edges,
+                "burn_in": 300,
+                "budget_fraction": 0.05,
+                "freeze_seconds": round(freeze_seconds, 4),
+                "algorithms": algorithms,
+            }
+        },
+    )
 
 
 def test_prefix_classify_budgets():

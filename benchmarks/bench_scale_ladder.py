@@ -436,7 +436,6 @@ def test_graph_store_fleets():
                 repetitions=repetitions,
                 burn_in=50,
                 true_count=true_count,
-                backend="python",
                 execution="fleet",
             )
             for name in suite

@@ -13,11 +13,11 @@ The script
 3. compares both estimates against the exact ground truth (which the
    estimators never see — they only use the restricted neighbor-list
    API),
-4. repeats one estimation on the vectorized CSR walk backend
-   (``backend="csr"``), which freezes the graph into numpy arrays and
-   is the right choice for large graphs and repeated trials; the
-   default ``backend="python"`` keeps the auditable dict-based engine,
-   best for small graphs and API-call-trace debugging, and
+4. repeats one estimation on both walk engines: the dict graph runs the
+   auditable reference engine through the restricted API, and its
+   frozen numpy view (``csr_view(graph)``) runs a one-walker fleet with
+   the same charged-call accounting — the type of the graph picks the
+   engine, and
 5. runs a whole NRMSE table cell (many repetitions of one estimation)
    with ``execution="fleet"``: every repetition becomes one walker of a
    vectorized fleet sharing the frozen CSR arrays, with per-walker
@@ -26,14 +26,10 @@ The script
 
 import time
 
-from repro import (
-    RestrictedGraphAPI,
-    count_target_edges,
-    estimate_target_edge_count,
-    load_dataset,
-)
+from repro import count_target_edges, estimate_target_edge_count, load_dataset
 from repro.experiments.algorithms import build_algorithm_suite
 from repro.experiments.runner import run_trials
+from repro.graph.csr import csr_view
 
 
 def main() -> None:
@@ -62,33 +58,32 @@ def main() -> None:
               f"(k = {result.sample_size} samples, {result.api_calls} API calls, "
               f"relative error = {error:.3f})")
 
-    # The same estimation on the vectorized CSR backend: identical
-    # charged-API-call accounting, distributionally equivalent estimates,
-    # several times faster per walk step.  Freezing the graph into CSR
-    # arrays is a one-off cost, so the backend pays off on repeated
-    # trials (tables, figures, sweeps) — which is how the experiment
-    # harness uses it; a shared API wrapper amortises it here.
+    # The same estimation on both engines.  The dict graph runs the
+    # reference engine; its CSR view runs a one-walker fleet with the
+    # same charged-API-call accounting and distributionally equivalent
+    # estimates.  One walker gains nothing from numpy, which pays per
+    # step for the whole fleet: the speed comes from fleets of many
+    # walkers, which is how the experiment harness uses the CSR arrays
+    # (next block).
     print()
     trials = 10
-    for backend in ("python", "csr"):
-        api = RestrictedGraphAPI(graph)
+    for name, substrate in (("dict", graph), ("csr_view", csr_view(graph))):
         started = time.perf_counter()
         estimates = [
             estimate_target_edge_count(
-                api,
+                substrate,
                 female,
                 male,
                 algorithm="NeighborSample-HH",
                 sample_size=5000,
                 burn_in=200,
                 seed=42 + trial,
-                backend=backend,
             ).estimate
             for trial in range(trials)
         ]
         elapsed = (time.perf_counter() - started) * 1000
         mean = sum(estimates) / trials
-        print(f"backend={backend:<7}: mean of {trials} estimates = {mean:9.1f}   "
+        print(f"{name:<8}: mean of {trials} estimates = {mean:9.1f}   "
               f"(relative error = {abs(mean - truth) / truth:.3f}, "
               f"{elapsed / trials:6.1f} ms/trial)")
 
@@ -112,7 +107,6 @@ def main() -> None:
             repetitions=200,
             burn_in=200,
             seed=42,
-            backend="csr",
             execution=execution,
         )
         elapsed = (time.perf_counter() - started) * 1000

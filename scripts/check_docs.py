@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Documentation checks: internal links resolve, ``>>>`` snippets run.
 
-Two passes over ``README.md`` and ``docs/*.md``:
+Two passes over ``README.md`` and ``docs/*.md``, plus a doctest pass
+over the package docstring (``src/repro/__init__.py``):
 
 1. **Links** — every relative markdown link target (``[text](path)``)
    must exist on disk, and every intra-repo path mentioned in backticks
@@ -9,8 +10,8 @@ Two passes over ``README.md`` and ``docs/*.md``:
    ``examples/...``, ``benchmarks/...``, ``scripts/...``) must exist,
    so renames cannot silently strand the prose.
 2. **Doctests** — ``python -m doctest`` semantics over each file: any
-   ``>>>`` examples embedded in the markdown are executed and their
-   outputs compared.
+   ``>>>`` examples embedded in the markdown, or in the docstrings of
+   :data:`DOCTEST_MODULES`, are executed and their outputs compared.
 
 Exit code 0 on success; prints every failure otherwise.  Run directly
 (``python scripts/check_docs.py``) or through the fast test tier
@@ -20,6 +21,7 @@ Exit code 0 on success; prints every failure otherwise.  Run directly
 from __future__ import annotations
 
 import doctest
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -35,6 +37,9 @@ _CODE_PATH = re.compile(
     r"`((?:src|tests|docs|examples|benchmarks|scripts)/[A-Za-z0-9_./-]+"
     r"\.(?:py|md|json|sh|yml))`"
 )
+
+#: Modules whose docstring ``>>>`` examples are doctested too.
+DOCTEST_MODULES = ("repro",)
 
 
 def doc_files() -> List[Path]:
@@ -75,8 +80,22 @@ def check_doctests(path: Path) -> List[str]:
     return []
 
 
+def check_module_doctests(name: str) -> List[str]:
+    """Failing ``>>>`` examples in the docstrings of module *name*."""
+    results = doctest.testmod(
+        importlib.import_module(name),
+        optionflags=doctest.NORMALIZE_WHITESPACE | doctest.ELLIPSIS,
+        verbose=False,
+    )
+    if results.failed:
+        return [f"{name}: {results.failed}/{results.attempted} doctests failed"]
+    return []
+
+
 def main() -> int:
     failures: List[str] = []
+    for name in DOCTEST_MODULES:
+        failures.extend(check_module_doctests(name))
     for path in doc_files():
         if not path.exists():
             failures.append(f"missing documentation file: {path}")

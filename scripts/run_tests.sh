@@ -5,7 +5,7 @@
 #   scripts/run_tests.sh slow   - tier 2: the statistical / multi-seed suite
 #   scripts/run_tests.sh all    - both tiers in one run (default)
 #
-# The slow tier holds the Kolmogorov-Smirnov backend-equivalence checks
+# The slow tier holds the Kolmogorov-Smirnov engine-equivalence checks
 # and the estimator-unbiasedness checks, which walk many seeds and are
 # not needed on every edit-compile loop.
 set -euo pipefail

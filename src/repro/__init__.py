@@ -14,35 +14,36 @@ Quick start
 >>> result.estimate > 0
 True
 
-Walk backends
--------------
-Every proposed algorithm can run on one of two interchangeable walk
-backends, selected with the ``backend=`` keyword of
-:func:`estimate_target_edge_count` (also exposed by the samplers, the
-experiment runner, :class:`repro.experiments.config.ExperimentConfig`
-and the CLI's ``--backend`` flag):
+Walk engines
+------------
+Two engines run the walks, and the type of the graph picks one; there
+is no engine option.
 
-``backend="python"`` (default)
-    The dict-based reference engine.  Every neighbor lookup goes through
-    :class:`repro.graph.RestrictedGraphAPI`, so API-call traces are
-    auditable call by call and any transition kernel works.  Prefer it
-    for correctness audits, small graphs, and the EX-* baselines.
-``backend="csr"``
-    The vectorized backend: the graph is frozen once into numpy CSR
-    arrays (:class:`repro.graph.CSRGraph`) and walks run over raw index
-    arithmetic — roughly an order of magnitude faster per step, with
-    *identical* charged-API-call accounting (distinct page downloads)
-    and a distributionally equivalent sampling law, enforced by the
-    Kolmogorov–Smirnov equivalence test suite.  Prefer it for large
-    graphs, table/figure regeneration, and repeated trials.  Only the
-    simple and non-backtracking kernels are vectorized.
+The dict reference engine
+    Runs on a :class:`repro.graph.LabeledGraph`.  Every neighbor lookup
+    goes through :class:`repro.graph.RestrictedGraphAPI`, so API-call
+    traces are auditable call by call and any transition kernel works.
+    It is the accounting reference, and the harness's sequential cells
+    run it.
+The numpy walker fleets
+    Run on a :class:`repro.graph.CSRGraph`: a graph frozen once into
+    numpy CSR arrays (``csr_view(graph)``) or a CSR-native dataset
+    (``load_dataset(..., representation="csr")``).  Each walker keeps
+    its own distinct-page ledger, so charged API calls match the
+    reference engine, and the sampling law is the same, enforced by
+    the Kolmogorov–Smirnov equivalence suites.  The random stream
+    differs, so the two engines agree in distribution, not seed for
+    seed.  A one-shot estimate on a ``CSRGraph`` runs a one-walker
+    fleet.
 
+>>> from repro.graph.csr import csr_view
 >>> fast = estimate_target_edge_count(
-...     dataset.graph, 1, 2,
+...     csr_view(dataset.graph), 1, 2,
 ...     algorithm="NeighborSample-HH", budget_fraction=0.05, seed=7,
-...     backend="csr",
 ... )
 >>> fast.estimate > 0
+True
+>>> fast.sample_size == result.sample_size
 True
 
 For fleet-style workloads (many independent walkers over one graph),
@@ -88,7 +89,6 @@ Sub-packages
 
 from repro.core import (
     ALGORITHMS,
-    BACKENDS,
     EXECUTIONS,
     AlgorithmSpec,
     EdgeHansenHurwitzEstimator,
@@ -134,7 +134,6 @@ __all__ = [
     "NodeReweightedEstimator",
     "EstimateResult",
     "ALGORITHMS",
-    "BACKENDS",
     "EXECUTIONS",
     "AlgorithmSpec",
     "available_algorithms",

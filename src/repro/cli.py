@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.core.bounds import compute_all_bounds
-from repro.core.samplers.csr_backend import BACKENDS, EXECUTIONS, REUSES
+from repro.core.samplers.csr_backend import EXECUTIONS, REUSES
 from repro.core.pipeline import available_algorithms, estimate_target_edge_count
 from repro.datasets.registry import dataset_names, load_dataset
 from repro.experiments.config import ExperimentConfig
@@ -76,11 +76,12 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("--scale", type=float, default=0.5, help="dataset scale")
     estimate.add_argument("--seed", type=int, default=2018)
     estimate.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="python",
-        help="walk backend: dict-based reference engine or vectorized CSR "
-        "arrays",
+        "--representation",
+        choices=("dict", "csr"),
+        default="dict",
+        help="dataset substrate, which picks the engine: 'dict' runs the "
+        "reference engine through the restricted API, 'csr' synthesises "
+        "array-natively and runs a one-walker fleet",
     )
 
     table = subparsers.add_parser("table", help="reproduce a paper NRMSE table")
@@ -96,13 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         default=[0.01, 0.03, 0.05],
         help="sample-size fractions of |V|",
-    )
-    table.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="python",
-        help="walk backend of the proposed algorithms' sequential cells "
-        "(fleets always run vectorized)",
     )
     table.add_argument(
         "--execution",
@@ -163,13 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--repetitions", type=int, default=None, help="default: 10")
     figure.add_argument("--scale", type=float, default=None, help="default: 0.25")
     figure.add_argument("--seed", type=int, default=2018)
-    figure.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="python",
-        help="walk backend of the proposed algorithms' sequential cells "
-        "(fleets always run vectorized)",
-    )
     figure.add_argument(
         "--execution",
         choices=EXECUTIONS,
@@ -446,7 +433,9 @@ def _command_datasets(args) -> int:
 
 
 def _command_estimate(args) -> int:
-    dataset = load_dataset(args.dataset, seed=args.seed, scale=args.scale)
+    dataset = load_dataset(
+        args.dataset, seed=args.seed, scale=args.scale, representation=args.representation
+    )
     t1, t2 = dataset.target_pairs[args.pair_index]
     truth = count_target_edges(dataset.graph, t1, t2)
     result = estimate_target_edge_count(
@@ -456,11 +445,10 @@ def _command_estimate(args) -> int:
         algorithm=args.algorithm,
         budget_fraction=args.budget,
         seed=args.seed,
-        backend=args.backend,
     )
     print(f"dataset            : {dataset.spec.paper_name} (scale {args.scale})")
     print(f"target labels      : ({t1}, {t2})")
-    print(f"backend            : {args.backend}")
+    print(f"representation     : {args.representation}")
     print(f"algorithm          : {result.estimator}")
     print(f"sample size (k)    : {result.sample_size}")
     print(f"API calls charged  : {result.api_calls}")
@@ -480,7 +468,6 @@ def _command_table(args) -> int:
         repetitions=repetitions,
         seed=args.seed,
         scale=scale,
-        backend=args.backend,
         execution=args.execution,
         reuse=args.reuse,
         representation=args.representation,
@@ -512,7 +499,6 @@ def _command_figure(args) -> int:
         repetitions=repetitions,
         seed=args.seed,
         scale=scale,
-        backend=args.backend,
         execution=args.execution,
         reuse=args.reuse,
         representation=args.representation,

@@ -27,7 +27,6 @@ from repro.core.bounds import (
 )
 from repro.core.pipeline import (
     ALGORITHMS,
-    BACKENDS,
     EXECUTIONS,
     AlgorithmSpec,
     estimate_target_edge_count,
@@ -60,7 +59,6 @@ __all__ = [
     "bound_neighbor_exploration_rw",
     "compute_all_bounds",
     "ALGORITHMS",
-    "BACKENDS",
     "EXECUTIONS",
     "AlgorithmSpec",
     "estimate_target_edge_count",

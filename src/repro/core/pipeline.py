@@ -13,11 +13,13 @@ Most users only need :func:`estimate_target_edge_count`:
 
 The function wires together the restricted API, the burn-in choice, the
 sampling process and the estimator, using the same defaults as the
-paper's experiments.  The registry :data:`ALGORITHMS` maps the Table 2
-abbreviations of the paper's five proposed configurations to runnable
-specs; the EX-* baselines live in :mod:`repro.baselines` and are merged
-into the experiment harness's registry
-(:mod:`repro.experiments.algorithms`).
+paper's experiments.  The graph's type picks the engine: a dict graph
+runs the reference engine through :class:`RestrictedGraphAPI`, and a
+:class:`~repro.graph.csr.CSRGraph` runs a one-walker numpy fleet.  The
+registry :data:`ALGORITHMS` maps the Table 2 abbreviations of the
+paper's five proposed configurations to runnable specs; the EX-*
+baselines live in :mod:`repro.baselines` and are merged into the
+experiment harness's registry (:mod:`repro.experiments.algorithms`).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from typing import Callable, Dict, List, Optional, Union
 
 from repro.exceptions import ConfigurationError
 from repro.graph.api import RestrictedGraphAPI
+from repro.graph.csr import CSRGraph
 from repro.graph.labeled_graph import Label, LabeledGraph, validate_target_labels
 from repro.utils.rng import RandomSource
 from repro.utils.validation import check_fraction, check_non_negative_int, check_positive_int
@@ -42,7 +45,11 @@ from repro.core.estimators import (
     NodeReweightedEstimator,
 )
 from repro.core.samplers import NeighborExplorationSampler, NeighborSampleSampler
-from repro.core.samplers.csr_backend import BACKENDS, EXECUTIONS, validate_backend
+from repro.core.samplers.csr_backend import (
+    EXECUTIONS,
+    explore_nodes_fleet,
+    sample_edges_fleet,
+)
 
 
 @dataclass(frozen=True)
@@ -56,8 +63,8 @@ class AlgorithmSpec:
     sampler:
         ``"edge"`` for NeighborSample, ``"node"`` for NeighborExploration.
     run:
-        ``run(api, t1, t2, k, burn_in, rng, backend="python") ->
-        EstimateResult``.  For the proposed algorithms this is a
+        ``run(api, t1, t2, k, burn_in, rng) -> EstimateResult``.  For
+        the proposed algorithms this is a
         :class:`ProposedRunner`, which also carries the sampler kind
         and estimator constructor the fleet execution path reads off it
         (``estimate_batch`` over whole trial batches instead of one
@@ -84,9 +91,9 @@ class ProposedRunner:
     sampler: str
     estimator_factory: Callable[[], object]
 
-    def __call__(self, api, t1, t2, k, burn_in, rng, backend: str = "python") -> EstimateResult:
+    def __call__(self, api, t1, t2, k, burn_in, rng) -> EstimateResult:
         sampler_cls = NeighborSampleSampler if self.sampler == "edge" else NeighborExplorationSampler
-        sampler = sampler_cls(api, t1, t2, burn_in=burn_in, rng=rng, backend=backend)
+        sampler = sampler_cls(api, t1, t2, burn_in=burn_in, rng=rng)
         return self.estimator_factory().estimate(sampler.sample(k))
 
 
@@ -153,7 +160,7 @@ def resolve_sample_size(
 
 
 def estimate_target_edge_count(
-    graph: Union[LabeledGraph, RestrictedGraphAPI],
+    graph: Union[LabeledGraph, CSRGraph, RestrictedGraphAPI],
     t1: Label,
     t2: Label,
     algorithm: str = "NeighborExploration-HH",
@@ -161,16 +168,28 @@ def estimate_target_edge_count(
     budget_fraction: Optional[float] = None,
     burn_in: Optional[int] = None,
     seed: RandomSource = None,
-    backend: str = "python",
 ) -> EstimateResult:
     """Estimate the number of edges whose endpoints carry ``t1`` and ``t2``.
+
+    The type of *graph* picks the engine.  A dict graph or a restricted
+    API runs the reference engine, which fetches every page through
+    :class:`RestrictedGraphAPI`.  A :class:`CSRGraph` runs a one-walker
+    fleet over the numpy arrays
+    (:func:`~repro.core.samplers.csr_backend.sample_edges_fleet` /
+    :func:`~repro.core.samplers.csr_backend.explore_nodes_fleet`).  It
+    charges the same distinct pages and draws from the same sampling
+    law, but from a numpy random stream, so the two engines agree in
+    distribution, not seed for seed.  The equivalence suites enforce
+    this.
 
     Parameters
     ----------
     graph:
-        Either a full :class:`LabeledGraph` (a restricted API is wrapped
-        around it automatically) or an existing
-        :class:`RestrictedGraphAPI` — e.g. one with an API budget.
+        A full :class:`LabeledGraph` (a restricted API is wrapped
+        around it automatically), an existing
+        :class:`RestrictedGraphAPI` — e.g. one with an API budget — or
+        a :class:`CSRGraph`, such as a CSR-native dataset or
+        ``csr_view(graph)``.
     t1, t2:
         The target labels (paper §3).
     algorithm:
@@ -185,60 +204,50 @@ def estimate_target_edge_count(
         (only possible when a full graph was passed).
     seed:
         Seed or generator for reproducibility.
-    backend:
-        ``"python"`` (default) runs the dict-based reference walk engine
-        through the restricted API.  ``"csr"`` freezes the graph into
-        numpy CSR arrays and runs the vectorized backend — typically an
-        order of magnitude faster, with identical charged-API-call
-        accounting and a distributionally equivalent sampling law (the
-        equivalence test suite enforces this).  Prefer
-        ``"csr"`` for large graphs and repeated trials; prefer
-        ``"python"`` when auditing API-call traces or using a
-        non-vectorized kernel.
 
     Returns
     -------
     EstimateResult
         The estimate plus bookkeeping (sample size, API calls, details).
     """
-    validate_backend(backend)
     if algorithm not in ALGORITHMS:
         raise ConfigurationError(
             f"unknown algorithm {algorithm!r}; available: {', '.join(ALGORITHMS)}"
         )
     spec = ALGORITHMS[algorithm]
 
+    if burn_in is not None:
+        burn_in = check_non_negative_int(burn_in, "burn_in")
     if isinstance(graph, RestrictedGraphAPI):
-        api = graph
-        underlying: Optional[LabeledGraph] = None
-    elif isinstance(graph, LabeledGraph):
-        validate_target_labels(graph, t1, t2)
-        api = RestrictedGraphAPI(graph)
-        underlying = graph
-    else:
-        raise ConfigurationError(
-            "graph must be a LabeledGraph or RestrictedGraphAPI, "
-            f"got {type(graph).__name__}"
-        )
-
-    if burn_in is None:
-        if underlying is None:
+        if burn_in is None:
             raise ConfigurationError(
                 "burn_in must be given explicitly when estimating through a "
                 "RestrictedGraphAPI (the mixing time cannot be computed without "
                 "full access)"
             )
-        burn_in = recommended_burn_in(underlying, rng=seed)
+    elif isinstance(graph, (LabeledGraph, CSRGraph)):
+        validate_target_labels(graph, t1, t2)
+        if burn_in is None:
+            burn_in = recommended_burn_in(graph, rng=seed)
     else:
-        burn_in = check_non_negative_int(burn_in, "burn_in")
+        raise ConfigurationError(
+            "graph must be a LabeledGraph, CSRGraph or RestrictedGraphAPI, "
+            f"got {type(graph).__name__}"
+        )
+    k = resolve_sample_size(graph.num_nodes, sample_size, budget_fraction)
 
-    k = resolve_sample_size(api.num_nodes, sample_size, budget_fraction)
-    return spec.run(api, t1, t2, k, burn_in, seed, backend=backend)
+    runner = spec.run
+    if isinstance(graph, CSRGraph):
+        sample = sample_edges_fleet if runner.sampler == "edge" else explore_nodes_fleet
+        batch = sample(graph, t1, t2, k, 1, burn_in=burn_in, rng=seed)
+        return runner.estimator_factory().estimate(batch.sample_set(0))
+    if isinstance(graph, LabeledGraph):
+        graph = RestrictedGraphAPI(graph)
+    return runner(graph, t1, t2, k, burn_in, seed)
 
 
 __all__ = [
     "AlgorithmSpec",
-    "BACKENDS",
     "EXECUTIONS",
     "ALGORITHMS",
     "available_algorithms",

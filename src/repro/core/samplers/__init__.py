@@ -10,12 +10,7 @@ from repro.core.samplers.base import (
 )
 from repro.core.samplers.neighbor_sample import NeighborSampleSampler
 from repro.core.samplers.neighbor_exploration import NeighborExplorationSampler
-from repro.core.samplers.csr_backend import (
-    explore_nodes_csr,
-    explore_nodes_fleet,
-    sample_edges_csr,
-    sample_edges_fleet,
-)
+from repro.core.samplers.csr_backend import explore_nodes_fleet, sample_edges_fleet
 
 __all__ = [
     "EdgeSample",
@@ -26,8 +21,6 @@ __all__ = [
     "NodeSampleBatch",
     "NeighborSampleSampler",
     "NeighborExplorationSampler",
-    "sample_edges_csr",
-    "explore_nodes_csr",
     "sample_edges_fleet",
     "explore_nodes_fleet",
 ]

@@ -1,31 +1,32 @@
-"""CSR-array implementations of the paper's two sampling processes.
+"""Fleet implementations of the paper's two sampling processes.
 
-These functions mirror :class:`NeighborSampleSampler` and
-:class:`NeighborExplorationSampler` over a frozen
-:class:`~repro.graph.csr.CSRGraph` instead of the dict-based
-:class:`RestrictedGraphAPI`.  They produce the very same
-:class:`EdgeSampleSet` / :class:`NodeSampleSet` containers, so every
-estimator downstream is backend-agnostic.
+Every repetition of a table cell runs as one walker of a vectorized
+fleet over a frozen :class:`~repro.graph.csr.CSRGraph`
+(:class:`~repro.walks.batched.BatchedWalkEngine`), and the walk is
+classified into the array-native :class:`EdgeSampleBatch` /
+:class:`NodeSampleBatch` the estimators' ``estimate_batch`` consume.
+A one-walker fleet is also what
+:func:`~repro.core.pipeline.estimate_target_edge_count` runs on a
+:class:`CSRGraph`; :meth:`EdgeSampleBatch.sample_set` turns its row
+into the reference sample containers.
 
 Fidelity guarantees:
 
-* ``exact_rng=True`` reproduces the reference sampler **bit for bit**:
-  same seed, same trajectory, same samples, same charged API calls.
-* ``exact_rng=False`` (default) uses the fast numpy-uniform walk; it has
-  the same per-step transition distribution, so estimates agree in
-  distribution (enforced by the Kolmogorov–Smirnov equivalence suite).
+* Fleet estimates agree in distribution with the dict reference engine
+  (:class:`NeighborSampleSampler` / :class:`NeighborExplorationSampler`
+  over a :class:`RestrictedGraphAPI`), enforced by the
+  Kolmogorov–Smirnov equivalence suites.
 * Charged API calls are counted with the reference distinct-page
-  semantics: one charge per distinct node whose neighbor-list page the
-  process downloads (walk positions, plus — for NeighborExploration —
-  the explored neighbors of labeled sampled nodes).  A *budget* makes
-  the functions raise :class:`APIBudgetExceededError` exactly when the
-  reference crawler would have run out mid-crawl.  Through
-  :func:`run_csr_sampler` the accounting also persists across repeated
-  calls on one wrapper (previously downloaded pages stay free), and a
-  non-caching wrapper is rejected — ``cache=False`` charges every
-  retrieval, which the distinct-page model cannot reproduce.  Only the
-  aggregate count is reproduced: the per-node call breakdown
-  (:attr:`APICallCounter.per_node`) is not tracked on this path.
+  semantics, per walker: one charge per distinct node whose
+  neighbor-list page the walker downloads (walk positions, MH-family
+  proposal probes and — for NeighborExploration — the explored
+  neighbors of labeled sampled nodes), exactly what a fresh caching
+  :class:`RestrictedGraphAPI` per repetition records.  A *budget*
+  raises :class:`APIBudgetExceededError` when any walker crosses it.
+* Classifying a path that :func:`~repro.walks.batched.csr_walk` walked
+  with the reference engine's random stream reproduces the reference
+  samplers' samples and charged calls exactly; the tests check the
+  edge and node classifiers against the dict samplers that way.
 
 Kernel support: every kernel of :mod:`repro.walks.kernels` is accepted
 — the degree-stationary walks the proposed algorithms use *and* the
@@ -50,37 +51,23 @@ run unchanged over shm/mmap-backed CSR buffers
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import APIBudgetExceededError, ConfigurationError, WalkError
 from repro.graph.csr import CSRGraph
-from repro.graph.labeled_graph import Label, Node
-from repro.utils.rng import RandomSource, ensure_numpy_rng, ensure_rng
+from repro.graph.labeled_graph import Label
+from repro.utils.rng import RandomSource, ensure_numpy_rng
 from repro.utils.validation import check_non_negative_int, check_positive_int
 from repro.walks.batched import (
     BatchedWalkEngine,
     DEGREE_STATIONARY_KERNELS,
     KernelLike,
-    charge_distinct_pages,
-    csr_walk,
-    draw_start_index,
     kernel_stationary_weights,
-    resolve_kernel_spec,
 )
 
-from repro.core.samplers.base import (
-    EdgeSample,
-    EdgeSampleBatch,
-    EdgeSampleSet,
-    NodeSample,
-    NodeSampleBatch,
-    NodeSampleSet,
-)
-#: Walk-backend choices, shared by the samplers, the pipeline, the
-#: experiment config and the CLI.
-BACKENDS: Tuple[str, ...] = ("python", "csr")
+from repro.core.samplers.base import EdgeSampleBatch, NodeSampleBatch
 
 #: Trial-execution choices for the experiment harness: one repetition at
 #: a time through a fresh API wrapper, or all repetitions of a cell as
@@ -92,15 +79,6 @@ EXECUTIONS: Tuple[str, ...] = ("sequential", "fleet")
 #: (and whose trajectories serve every target pair of a frequency
 #: sweep) — O(max budget) walking instead of O(Σ budgets).
 REUSES: Tuple[str, ...] = ("none", "prefix")
-
-
-def validate_backend(backend: str) -> str:
-    """Return *backend* or raise the shared unknown-backend error."""
-    if backend not in BACKENDS:
-        raise ConfigurationError(
-            f"unknown backend {backend!r}; available: {', '.join(BACKENDS)}"
-        )
-    return backend
 
 
 def validate_execution(execution: str) -> str:
@@ -119,280 +97,6 @@ def validate_reuse(reuse: str) -> str:
             f"unknown reuse {reuse!r}; available: {', '.join(REUSES)}"
         )
     return reuse
-
-
-def validate_backend_and_kernel(backend: str, kernel) -> str:
-    """Backend validation plus, for the CSR tiers, an eager kernel check.
-
-    Shared by both sampler constructors so an unknown or
-    under-parameterized kernel (e.g. a bare ``"mdrw"`` name without its
-    ``max_degree``) fails at construction time, not mid-sample.
-    """
-    if validate_backend(backend) != "python":
-        resolve_kernel_spec(kernel)
-    return backend
-
-
-def _run_walk(
-    csr: CSRGraph,
-    total_steps: int,
-    start_node: Optional[Node],
-    rng: RandomSource,
-    kernel_name,
-    exact_rng: bool,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Walk ``total_steps`` steps; return ``(positions, downloaded_pages)``.
-
-    *positions* is the start plus every position (length + 1);
-    *downloaded_pages* lists the pages the reference crawler fetches,
-    in fetch order — the positions themselves plus, for MH-family
-    kernels, each step's probed proposal interleaved right after the
-    position it was proposed from (``degree(proposal)`` fires between
-    consecutive ``neighbors(current)`` calls), so budget-crossing
-    accounting stays faithful even for rejected proposals.
-    """
-    # Normalise the rng up front so the start draw and the walk consume
-    # one generator (draw_start_index mirrors RestrictedGraphAPI.random_node
-    # in exact mode).
-    generator = ensure_rng(rng) if exact_rng else ensure_numpy_rng(rng)
-    if start_node is None:
-        start = draw_start_index(csr, generator, exact_rng=exact_rng)
-    else:
-        start = csr.index_of(start_node)
-    path, probes = csr_walk(
-        csr, total_steps, start, generator, kernel_name,
-        exact_rng=exact_rng, return_probes=True,
-    )
-    full = np.concatenate(([start], path))
-    if probes is None:
-        return full, full
-    pages = np.empty(full.size + probes.size, dtype=np.int64)
-    pages[0::2] = full
-    pages[1::2] = probes
-    return full, pages
-
-
-def _charge_pages(
-    pages: np.ndarray,
-    budget: Optional[int],
-    page_filter: Optional[np.ndarray],
-) -> int:
-    """Count the chargeable pages in *pages* and update *page_filter*.
-
-    *page_filter* is the caller's "already downloaded" mask (one bool
-    per CSR index); pages present in it are free, mirroring the
-    reference wrapper's cache.  Delegates to
-    :func:`charge_distinct_pages` for the crossing semantics (error
-    reports ``budget + 1``; pages fetched before the crossing stay
-    marked).
-    """
-    if budget is not None:
-        check_non_negative_int(budget, "budget")
-    if page_filter is None:
-        # Standalone use: nothing was downloaded before this crawl.
-        page_filter = np.zeros(int(pages.max()) + 1, dtype=bool)
-    return charge_distinct_pages(pages, page_filter, budget)
-
-
-def sample_edges_csr(
-    csr: CSRGraph,
-    t1: Label,
-    t2: Label,
-    k: int,
-    burn_in: int = 0,
-    rng: RandomSource = None,
-    kernel: KernelLike = "simple",
-    start_node: Optional[Node] = None,
-    budget: Optional[int] = None,
-    exact_rng: bool = False,
-    known_num_nodes: Optional[int] = None,
-    known_num_edges: Optional[int] = None,
-    page_filter: Optional[np.ndarray] = None,
-) -> EdgeSampleSet:
-    """NeighborSample (Algorithm 1, single-walk variant) on CSR arrays.
-
-    Returns the same :class:`EdgeSampleSet` the reference sampler would:
-    the edges traversed during the last ``k`` of ``burn_in + k`` steps,
-    each classified as target / non-target via the label masks.
-    *page_filter* marks pages already downloaded (free revisits); it is
-    updated in place.  Charged-call parity holds for every kernel: an
-    MH-family walk's probed proposals are charged in reference fetch
-    order, rejected ones included.
-    """
-    check_positive_int(k, "k")
-    check_non_negative_int(burn_in, "burn_in")
-    spec = resolve_kernel_spec(kernel)
-    full, pages = _run_walk(csr, burn_in + k, start_node, rng, spec, exact_rng)
-
-    sources = full[burn_in : burn_in + k]
-    dests = full[burn_in + 1 :]
-    loops = np.flatnonzero(sources == dests)
-    if loops.size:
-        # Accept/reject kernels can stay in place; NeighborSample needs a
-        # traversed edge per collected step — same error as the reference.
-        raise WalkError(
-            "NeighborSample requires a kernel that traverses an edge at "
-            f"every step, but step {int(loops[0])} was a self-loop"
-        )
-    m1 = csr.label_mask(t1)
-    m2 = csr.label_mask(t2)
-    is_target = (m1[sources] & m2[dests]) | (m2[sources] & m1[dests])
-
-    # Every page the reference crawler downloads is a walk position or —
-    # for MH-family kernels — a probed proposal; classification
-    # endpoints are walk nodes, hence cache hits.
-    charged = _charge_pages(pages, budget, page_filter)
-
-    ids = csr.node_ids
-    sample_set = EdgeSampleSet(
-        num_edges=csr.num_edges if known_num_edges is None else known_num_edges,
-        num_nodes=csr.num_nodes if known_num_nodes is None else known_num_nodes,
-        target_labels=(t1, t2),
-        api_calls_used=charged,
-    )
-    samples = sample_set.samples
-    for index in range(k):
-        samples.append(
-            EdgeSample(
-                u=ids[int(sources[index])],
-                v=ids[int(dests[index])],
-                is_target=bool(is_target[index]),
-                step_index=index,
-            )
-        )
-    return sample_set
-
-
-def explore_nodes_csr(
-    csr: CSRGraph,
-    t1: Label,
-    t2: Label,
-    k: int,
-    burn_in: int = 0,
-    rng: RandomSource = None,
-    kernel: KernelLike = "simple",
-    start_node: Optional[Node] = None,
-    budget: Optional[int] = None,
-    exact_rng: bool = False,
-    known_num_nodes: Optional[int] = None,
-    known_num_edges: Optional[int] = None,
-    page_filter: Optional[np.ndarray] = None,
-) -> NodeSampleSet:
-    """NeighborExploration (Algorithm 2, single-walk variant) on CSR arrays.
-
-    ``T(u)`` for labeled sampled nodes comes from the precomputed
-    vectorized incident-target-edge counts; the charged-call accounting
-    adds the pages of explored neighbors, as the reference sampler does.
-    *page_filter* marks pages already downloaded (free revisits); it is
-    updated in place.  (On budget exhaustion, which pages count as
-    fetched-before-crossing is approximated: explorations are accounted
-    in node-index rather than sample order.)
-    """
-    check_positive_int(k, "k")
-    check_non_negative_int(burn_in, "burn_in")
-    spec = resolve_kernel_spec(kernel)
-    full, walk_pages = _run_walk(csr, burn_in + k, start_node, rng, spec, exact_rng)
-
-    collected = full[burn_in + 1 :]
-    m1 = csr.label_mask(t1)
-    m2 = csr.label_mask(t2)
-    has_label = m1[collected] | m2[collected]
-    incident = csr.target_incident_counts(t1, t2)[collected]
-
-    labeled = np.unique(collected[has_label])
-    if labeled.size:
-        explored = [
-            csr.indices[csr.indptr[i] : csr.indptr[i + 1]] for i in labeled
-        ]
-        pages = np.concatenate([walk_pages] + explored)
-    else:
-        pages = walk_pages
-    charged = _charge_pages(pages, budget, page_filter)
-
-    ids = csr.node_ids
-    degrees = csr.degrees[collected]
-    sample_set = NodeSampleSet(
-        num_edges=csr.num_edges if known_num_edges is None else known_num_edges,
-        num_nodes=csr.num_nodes if known_num_nodes is None else known_num_nodes,
-        target_labels=(t1, t2),
-        api_calls_used=charged,
-    )
-    samples = sample_set.samples
-    for index in range(k):
-        labeled_here = bool(has_label[index])
-        samples.append(
-            NodeSample(
-                node=ids[int(collected[index])],
-                degree=int(degrees[index]),
-                has_target_label=labeled_here,
-                incident_target_edges=int(incident[index]) if labeled_here else 0,
-                step_index=index,
-            )
-        )
-    return sample_set
-
-
-def run_csr_sampler(
-    api,
-    sample_fn: Callable[..., object],
-    t1: Label,
-    t2: Label,
-    k: int,
-    burn_in: int,
-    kernel: KernelLike,
-    rng: RandomSource,
-    start_node: Optional[Node],
-    exact_rng: bool,
-):
-    """Run a CSR sampling function through a :class:`RestrictedGraphAPI`.
-
-    Shared by both sampler classes.  Keeps the wrapper's accounting in
-    step with the reference path:
-
-    * pages already in the wrapper's cache (downloaded by earlier calls,
-      on either backend) are free — the wrapper's page mask is threaded
-      through and updated in place;
-    * on budget exhaustion the counter lands on ``budget + 1`` and the
-      raised error reports the crossing attempt, exactly like
-      :meth:`APICallCounter.charge`;
-    * on success the charged calls are added to the wrapper's counter.
-
-    Requires a caching wrapper: with ``cache=False`` the reference
-    charges every retrieval, an accounting the distinct-page CSR model
-    cannot reproduce.
-    """
-    if not api.cache_enabled:
-        raise ConfigurationError(
-            "backend='csr' models the distinct-page-download accounting of a "
-            "caching crawler; build the RestrictedGraphAPI with cache=True or "
-            "use backend='python'"
-        )
-    counter = api.counter
-    remaining = None
-    if counter.budget is not None:
-        remaining = max(0, counter.budget - counter.calls)
-    try:
-        sample_set = sample_fn(
-            api.to_csr(),
-            t1,
-            t2,
-            k,
-            burn_in=burn_in,
-            rng=rng,
-            kernel=kernel,
-            start_node=start_node,
-            budget=remaining,
-            exact_rng=exact_rng,
-            known_num_nodes=api.num_nodes,
-            known_num_edges=api.num_edges,
-            page_filter=api.downloaded_page_mask(),
-        )
-    except APIBudgetExceededError:
-        counter.calls = counter.budget + 1  # mirror the reference counter
-        raise APIBudgetExceededError(counter.budget, counter.calls) from None
-    counter.calls += sample_set.api_calls_used
-    sample_set.api_calls_used = api.api_calls
-    return sample_set
 
 
 # ----------------------------------------------------------------------
@@ -640,8 +344,8 @@ def classify_edge_fleet(
     loops = np.flatnonzero((sources == dests).any(axis=1))
     if loops.size:
         # Accept/reject kernels can stay in place; NeighborSample needs
-        # a traversed edge per collected step — same error the scalar
-        # paths raise (walker index reported instead of step index).
+        # a traversed edge per collected step — same error the reference
+        # sampler raises (walker index reported instead of step index).
         raise WalkError(
             "NeighborSample requires a kernel that traverses an edge at "
             f"every step, but walker {int(loops[0])} self-looped"
@@ -650,9 +354,9 @@ def classify_edge_fleet(
     m2 = csr.label_mask(t2)
     is_target = (m1[sources] & m2[dests]) | (m2[sources] & m1[dests])
 
-    # As on the sequential CSR path, every page a NeighborSample crawler
-    # downloads belongs to a walk position — plus, for MH-family
-    # kernels, the probed proposals, which the fleet's ledger includes.
+    # Every page a NeighborSample crawler downloads belongs to a walk
+    # position — plus, for MH-family kernels, the probed proposals,
+    # which the fleet's ledger includes.
     charges = fleet.charged_calls() if ledger is None else ledger.charges(fleet, t1, t2)
     enforce_fleet_budget(charges, budget)
 
@@ -785,19 +489,14 @@ def explore_nodes_fleet(
 
 
 __all__ = [
-    "BACKENDS",
     "EXECUTIONS",
     "REUSES",
-    "validate_backend",
     "validate_execution",
     "validate_reuse",
     "run_fleet_walk",
-    "sample_edges_csr",
-    "explore_nodes_csr",
     "classify_edge_fleet",
     "classify_node_fleet",
     "PrefixLedger",
     "sample_edges_fleet",
     "explore_nodes_fleet",
-    "run_csr_sampler",
 ]

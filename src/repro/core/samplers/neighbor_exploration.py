@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.exceptions import ConfigurationError
 from repro.graph.api import RestrictedGraphAPI
 from repro.graph.labeled_graph import Label, Node
 from repro.utils.rng import RandomSource, ensure_rng
@@ -25,11 +24,6 @@ from repro.walks.engine import RandomWalk
 from repro.walks.kernels import SimpleRandomWalkKernel, TransitionKernel
 
 from repro.core.samplers.base import NodeSample, NodeSampleSet
-from repro.core.samplers.csr_backend import (
-    explore_nodes_csr,
-    run_csr_sampler,
-    validate_backend_and_kernel,
-)
 
 
 class NeighborExplorationSampler:
@@ -47,14 +41,10 @@ class NeighborExplorationSampler:
         Walk kernel, simple random walk by default (as in the paper).
     rng:
         Seed or generator.
-    backend:
-        ``"python"`` (default) for the dict-based reference engine,
-        ``"csr"`` for the vectorized numpy backend (same charged-call
-        accounting, distributionally equivalent samples; simple and
-        non-backtracking kernels only).
-    exact_rng:
-        With ``backend="csr"``, reproduce the reference engine's random
-        stream bit for bit (same seed, same samples).
+
+    This is the reference engine: every page goes through the
+    restricted API.  Its vectorized twin is
+    :func:`~repro.core.samplers.csr_backend.explore_nodes_fleet`.
     """
 
     def __init__(
@@ -65,16 +55,12 @@ class NeighborExplorationSampler:
         burn_in: int = 0,
         kernel: Optional[TransitionKernel] = None,
         rng: RandomSource = None,
-        backend: str = "python",
-        exact_rng: bool = False,
     ) -> None:
         self.api = api
         self.t1 = t1
         self.t2 = t2
         self.burn_in = check_non_negative_int(burn_in, "burn_in")
         self.kernel = kernel if kernel is not None else SimpleRandomWalkKernel()
-        self.backend = validate_backend_and_kernel(backend, self.kernel)
-        self.exact_rng = exact_rng
         self._rng = ensure_rng(rng)
 
     # ------------------------------------------------------------------
@@ -90,13 +76,6 @@ class NeighborExplorationSampler:
         independent samples (ablation only).
         """
         check_positive_int(k, "k")
-        if self.backend == "csr":
-            if not single_walk:
-                raise ConfigurationError(
-                    "the csr backend implements the single-walk path only; "
-                    "use backend='python' for the independent-walks ablation"
-                )
-            return self._sample_csr(k, start_node)
         if single_walk:
             walk = RandomWalk(self.api, self.kernel, burn_in=self.burn_in, rng=self._rng)
             result = walk.run(k, start_node=start_node)
@@ -118,20 +97,6 @@ class NeighborExplorationSampler:
             sample_set.samples.append(self._explore(node, index))
         sample_set.api_calls_used = self.api.api_calls
         return sample_set
-
-    def _sample_csr(self, k: int, start_node: Optional[Node]) -> NodeSampleSet:
-        return run_csr_sampler(
-            self.api,
-            explore_nodes_csr,
-            self.t1,
-            self.t2,
-            k,
-            burn_in=self.burn_in,
-            kernel=self.kernel,
-            rng=self._rng,
-            start_node=start_node,
-            exact_rng=self.exact_rng,
-        )
 
     # ------------------------------------------------------------------
     def _explore(self, node: Node, step_index: int) -> NodeSample:

@@ -35,11 +35,6 @@ from repro.walks.engine import RandomWalk
 from repro.walks.kernels import SimpleRandomWalkKernel, TransitionKernel
 
 from repro.core.samplers.base import EdgeSample, EdgeSampleSet
-from repro.core.samplers.csr_backend import (
-    run_csr_sampler,
-    sample_edges_csr,
-    validate_backend_and_kernel,
-)
 
 
 class NeighborSampleSampler:
@@ -62,17 +57,10 @@ class NeighborSampleSampler:
         stationary distribution, so the estimators stay unbiased.
     rng:
         Seed or generator.
-    backend:
-        ``"python"`` (default) walks the dict-based reference engine
-        through the restricted API; ``"csr"`` walks frozen numpy arrays
-        (:mod:`repro.core.samplers.csr_backend`) with identical
-        charged-call accounting and a distributionally equivalent
-        sampling law.  Only the simple and non-backtracking kernels are
-        vectorized.
-    exact_rng:
-        With ``backend="csr"``, consume random bits exactly like the
-        reference engine so the same seed reproduces its samples
-        verbatim (slower than the default numpy-uniform fast path).
+
+    This is the reference engine: every page goes through the
+    restricted API.  Its vectorized twin is
+    :func:`~repro.core.samplers.csr_backend.sample_edges_fleet`.
     """
 
     def __init__(
@@ -83,8 +71,6 @@ class NeighborSampleSampler:
         burn_in: int = 0,
         kernel: Optional[TransitionKernel] = None,
         rng: RandomSource = None,
-        backend: str = "python",
-        exact_rng: bool = False,
     ) -> None:
         self.api = api
         self.t1 = t1
@@ -93,8 +79,6 @@ class NeighborSampleSampler:
         self.kernel = kernel if kernel is not None else SimpleRandomWalkKernel()
         if self.kernel.stationary_weight is None:  # pragma: no cover - defensive
             raise ConfigurationError("kernel must expose stationary weights")
-        self.backend = validate_backend_and_kernel(backend, self.kernel)
-        self.exact_rng = exact_rng
         self._rng = ensure_rng(rng)
 
     # ------------------------------------------------------------------
@@ -118,30 +102,9 @@ class NeighborSampleSampler:
             Optional fixed starting node (useful in tests).
         """
         check_positive_int(k, "k")
-        if self.backend == "csr":
-            if not single_walk:
-                raise ConfigurationError(
-                    "the csr backend implements the single-walk path only; "
-                    "use backend='python' for the independent-walks ablation"
-                )
-            return self._sample_csr(k, start_node)
         if single_walk:
             return self._sample_single_walk(k, start_node)
         return self._sample_independent(k, start_node)
-
-    def _sample_csr(self, k: int, start_node: Optional[Node]) -> EdgeSampleSet:
-        return run_csr_sampler(
-            self.api,
-            sample_edges_csr,
-            self.t1,
-            self.t2,
-            k,
-            burn_in=self.burn_in,
-            kernel=self.kernel,
-            rng=self._rng,
-            start_node=start_node,
-            exact_rng=self.exact_rng,
-        )
 
     # ------------------------------------------------------------------
     def _classify_edge(self, u: Node, v: Node) -> bool:

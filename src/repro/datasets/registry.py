@@ -147,8 +147,8 @@ class Dataset:
 
         For a dict dataset this is :attr:`graph` itself; a CSR dataset
         is converted once (a Python ``O(|V| + |E|)`` loop) and the
-        result cached, so the ``backend="python"`` equivalence suites
-        can audit the same topology and labels the CSR arrays encode.
+        result cached, so the dict reference engine can audit the same
+        topology and labels the CSR arrays encode.
         """
         if isinstance(self.graph, LabeledGraph):
             return self.graph

@@ -55,8 +55,7 @@ class BaselineRunner:
     """Picklable runner wrapping one EX-* baseline instance.
 
     Called directly (the sequential path) it runs the reference
-    line-graph engine and accepts the backend selector only for
-    harness uniformity.  Under ``execution="fleet"`` /
+    line-graph engine.  Under ``execution="fleet"`` /
     ``reuse="prefix"`` the harness reads the wrapped baseline off this
     runner and vectorizes it as an implicit line-graph fleet
     (:mod:`repro.baselines.fleet`).  Carrying the baseline object
@@ -67,7 +66,7 @@ class BaselineRunner:
 
     baseline: object
 
-    def __call__(self, api, t1, t2, k, burn_in, rng, backend: str = "python") -> EstimateResult:
+    def __call__(self, api, t1, t2, k, burn_in, rng) -> EstimateResult:
         return self.baseline.estimate(api, t1, t2, k, burn_in=burn_in, rng=rng)
 
 

@@ -13,11 +13,7 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.samplers.csr_backend import (
-    validate_backend,
-    validate_execution,
-    validate_reuse,
-)
+from repro.core.samplers.csr_backend import validate_execution, validate_reuse
 from repro.exceptions import ConfigurationError
 from repro.graph.store import validate_graph_store
 from repro.utils.validation import check_fraction, check_positive_int
@@ -60,16 +56,9 @@ class ExperimentConfig:
     burn_in:
         Explicit walk burn-in; ``None`` derives it from the graph's
         mixing time.
-    backend:
-        Walk backend: ``"python"`` (the dict-based reference engine)
-        or ``"csr"`` (the vectorized numpy backend).  The EX-*
-        baselines ignore the selector sequentially — they run the
-        reference line-graph engine; under ``execution="fleet"`` /
-        ``reuse="prefix"`` every algorithm runs vectorized fleets
-        whatever the backend.
     execution:
         Trial execution: ``"sequential"`` (one repetition at a time
-        through a fresh API wrapper) or ``"fleet"`` (all repetitions of
+        through a fresh API wrapper, on the dict reference engine) or ``"fleet"`` (all repetitions of
         a table cell as one vectorized walker fleet — NS/NE fleets for
         the proposed algorithms, implicit line-graph fleets for the
         EX-* baselines, so all ten rows vectorize).
@@ -125,7 +114,6 @@ class ExperimentConfig:
     algorithms: Optional[Tuple[str, ...]] = None
     include_baselines: bool = True
     burn_in: Optional[int] = None
-    backend: str = "python"
     execution: str = "sequential"
     reuse: str = "none"
     representation: str = "dict"
@@ -138,7 +126,6 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         check_positive_int(self.repetitions, "repetitions")
         check_positive_int(self.n_jobs, "n_jobs")
-        validate_backend(self.backend)
         validate_execution(self.execution)
         validate_reuse(self.reuse)
         validate_graph_store(self.graph_store)

@@ -126,7 +126,6 @@ def run_paper_figure(
         repetitions=repetitions,
         burn_in=config.burn_in,
         seed=config.seed,
-        backend=config.backend,
         execution=config.execution,
         n_jobs=config.n_jobs,
         reuse=config.reuse,

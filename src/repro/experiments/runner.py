@@ -17,6 +17,11 @@ at one budget (:class:`GridColumn`).  Both run through one driver,
 :func:`run_grid`, which owns the input validation, the CSR freeze, the
 journal, the prefix fleets and the remaining cells.
 
+Two engines run the cells.  Sequential cells run the dict reference
+engine, one fresh :class:`RestrictedGraphAPI` per repetition; it is the
+accounting reference.  Everything vectorized runs the numpy walker
+fleets of :class:`~repro.experiments.planner.PrefixFleet`.
+
 The performance knobs, and how they interact:
 
 * ``reuse="prefix"`` exploits that a budget-``b₁`` crawl from a given
@@ -67,11 +72,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 from repro.durability import ExperimentJournal, suite_fingerprint
 
 from repro.core.pipeline import ProposedRunner
-from repro.core.samplers.csr_backend import (
-    validate_backend,
-    validate_execution,
-    validate_reuse,
-)
+from repro.core.samplers.csr_backend import validate_execution, validate_reuse
 from repro.exceptions import ConfigurationError, ExperimentError
 from repro.graph.api import RestrictedGraphAPI
 from repro.graph.csr import CSRGraph, csr_view, ensure_same_graph
@@ -175,24 +176,20 @@ def run_trials(
     burn_in: int,
     seed: RandomSource = None,
     true_count: Optional[int] = None,
-    backend: str = "python",
     csr: Optional[CSRGraph] = None,
     execution: str = "sequential",
 ) -> TrialOutcome:
     """Repeat one estimation *repetitions* times and summarise.
 
-    With ``execution="sequential"`` (default) every repetition gets a
-    fresh :class:`RestrictedGraphAPI` (so API calls and caches do not
-    leak across repetitions) and an independent random stream derived
-    from *seed*.  With ``backend="csr"`` the CSR arrays are frozen once
-    and shared by every repetition (the walks stay independent; only the
-    read-only adjacency is reused); callers looping over many cells
-    should freeze once and pass *csr* down, as
-    :func:`compare_algorithms` does.
+    With ``execution="sequential"`` (default) every repetition runs the
+    dict reference engine through a fresh :class:`RestrictedGraphAPI`
+    (so API calls and caches do not leak across repetitions) with an
+    independent random stream derived from *seed*.
 
     With ``execution="fleet"`` all *repetitions* run as **one**
-    vectorized walker fleet over the shared CSR arrays: the cell is a
-    single-budget :class:`~repro.experiments.planner.PrefixFleet` (one
+    vectorized walker fleet over the CSR arrays (frozen here unless the
+    caller passes *csr*, as :func:`compare_algorithms` does): the cell
+    is a single-budget :class:`~repro.experiments.planner.PrefixFleet` (one
     walker per repetition, each with its own distinct-page ledger
     matching the fresh wrapper it stands for), so it equals
     :func:`run_trials_prefix` at ``[sample_size]`` bit for bit.  Fleet
@@ -204,8 +201,7 @@ def run_trials(
     any :class:`~repro.experiments.algorithms.BaselineRunner` (the EX-*
     rows) through the implicit line-graph fleet with its own ``alpha``
     / ``delta`` / line-max-degree knobs.  Only hand-written runner
-    callables fall back to the sequential loop, exactly like
-    ``backend="csr"``.
+    callables fall back to the sequential loop.
 
     Support matrix of the harness (``reuse`` lives on
     :func:`compare_algorithms` / ``frequency_sweep``; ``execution`` only
@@ -229,15 +225,11 @@ def run_trials(
                                          ``none`` (dict only)
     ========== ========== ============== =================================
 
-    ``backend`` selects the per-walk engine of the *sequential* proposed
-    algorithms (``"csr"`` still requires the dict graph for the
-    wrapper); fleets always run the vectorized numpy engine.
     :class:`ExperimentConfig` enforces the same matrix eagerly for whole
     experiment runs.
     """
     check_positive_int(sample_size, "sample_size")
     check_positive_int(repetitions, "repetitions")
-    validate_backend(backend)
     validate_execution(execution)
     true_count = _true_count(graph, t1, t2, true_count)
     if execution == "fleet" and isinstance(runner, (ProposedRunner, BaselineRunner)):
@@ -264,17 +256,9 @@ def run_trials(
     outcome = TrialOutcome(
         algorithm=algorithm_name, sample_size=sample_size, true_count=true_count
     )
-    # Only pass backend through when non-default, so hand-written runners
-    # with the historical 6-argument signature keep working.
-    extra = {} if backend == "python" else {"backend": backend}
-    shared_csr = csr
-    if backend == "csr" and shared_csr is None:
-        shared_csr = csr_view(graph)
     for rng in spawn_rngs(seed, repetitions):
         api = RestrictedGraphAPI(graph)
-        if shared_csr is not None:
-            api.adopt_csr(shared_csr)
-        result = runner(api, t1, t2, sample_size, burn_in, rng, **extra)
+        result = runner(api, t1, t2, sample_size, burn_in, rng)
         outcome.estimates.append(result.estimate)
         outcome.api_calls.append(api.api_calls)
     return outcome
@@ -425,7 +409,6 @@ def run_grid(
     cell_seed: Callable[[str, int], int],
     fleet_seed: Callable[[str], int],
     fingerprint: Mapping[str, object],
-    backend: str,
     execution: str,
     n_jobs: int,
     reuse: str,
@@ -458,7 +441,6 @@ def run_grid(
     """
     check_positive_int(n_jobs, "n_jobs")
     check_positive_int(repetitions, "repetitions")
-    validate_backend(backend)
     validate_execution(execution)
     validate_reuse(reuse)
     validate_graph_store(graph_store)
@@ -467,7 +449,7 @@ def run_grid(
     if burn_in is None:
         burn_in = recommended_burn_in(graph, rng=seed)
     # Freeze the CSR arrays once for the whole grid, not once per cell.
-    needs_csr = backend == "csr" or execution == "fleet" or reuse == "prefix"
+    needs_csr = execution == "fleet" or reuse == "prefix"
     shared_csr = csr_view(graph) if needs_csr else None
     total_cells = len(algorithms) * len(columns)
     outcomes: Dict[Tuple[str, int], TrialOutcome] = {}
@@ -475,7 +457,9 @@ def run_grid(
     if journal is not None:
         # The fingerprint covers the graph content and every parameter
         # that shapes a cell, so a journal can never replay into a run
-        # it does not belong to.
+        # it does not belong to.  The ``backend`` entry is the default
+        # of a knob the harness no longer has; it stays so that journals
+        # written before the knob went keep their fingerprints.
         active_journal = ExperimentJournal(
             journal,
             suite_fingerprint(
@@ -484,7 +468,7 @@ def run_grid(
                 repetitions=repetitions,
                 seed=seed,
                 burn_in=burn_in,
-                backend=backend,
+                backend="python",
                 execution=execution,
                 reuse=reuse,
                 algorithms=list(algorithms),
@@ -541,7 +525,6 @@ def run_grid(
                 repetitions=repetitions,
                 burn_in=burn_in,
                 true_count=column.true_count,
-                backend=backend,
                 execution=execution,
             )
             for name in algorithms
@@ -583,7 +566,6 @@ def compare_algorithms(
     seed: RandomSource = 2018,
     dataset_name: str = "dataset",
     progress: Optional[Callable[[str, int, float], None]] = None,
-    backend: str = "python",
     execution: str = "sequential",
     n_jobs: int = 1,
     reuse: str = "none",
@@ -618,14 +600,9 @@ def compare_algorithms(
         ``derive_seed(seed, name, "prefix")`` per prefix fleet).
     progress:
         Optional callback ``(algorithm, sample_size, fraction_done)``.
-    backend:
-        Walk backend of the *sequential* proposed algorithms:
-        ``"python"`` (the dict reference engine) or ``"csr"``.  Fleets
-        run the vectorized numpy engine whatever the backend, and the
-        EX-* baselines sequentially run the reference line-graph engine
-        regardless.
     execution:
-        ``"sequential"`` (one repetition at a time) or ``"fleet"`` (all
+        ``"sequential"`` (one repetition at a time, on the dict
+        reference engine) or ``"fleet"`` (all
         repetitions of a cell as one single-budget prefix fleet; see
         :func:`run_trials`).  Only matters with ``reuse="none"``: under
         ``reuse="prefix"`` every registry cell comes off the prefix
@@ -697,7 +674,6 @@ def compare_algorithms(
             target_pair=[t1, t2],
             sample_sizes=sample_sizes,
         ),
-        backend=backend,
         execution=execution,
         n_jobs=n_jobs,
         reuse=reuse,
@@ -761,7 +737,6 @@ class CellTask:
     repetitions: int
     burn_in: int
     true_count: int
-    backend: str
     execution: str
 
 
@@ -787,7 +762,6 @@ def run_cell(
         cell.burn_in,
         seed=cell.seed,
         true_count=cell.true_count,
-        backend=cell.backend,
         csr=csr,
         execution=cell.execution,
     )
@@ -900,10 +874,7 @@ def run_cells_parallel(
             f"requires picklable runners ({error}); run custom closure-based "
             "suites with n_jobs=1"
         ) from error
-    needs_csr = any(
-        cell.backend == "csr" or cell.execution == "fleet"
-        for cell in cells
-    )
+    needs_csr = any(cell.execution == "fleet" for cell in cells)
     publication = None
     graph_ref: Union[LabeledGraph, CSRGraph, CSRHandle] = graph
     cache_payload: Optional[Dict] = None

@@ -44,7 +44,6 @@ def frequency_sweep(
     algorithms: Optional[Mapping[str, AlgorithmRunner]] = None,
     burn_in: Optional[int] = None,
     seed: RandomSource = 2018,
-    backend: str = "python",
     execution: str = "sequential",
     n_jobs: int = 1,
     reuse: str = "none",
@@ -137,7 +136,6 @@ def frequency_sweep(
             budget_fraction=budget_fraction,
             sample_size=sample_size,
         ),
-        backend=backend,
         execution=execution,
         n_jobs=n_jobs,
         reuse=reuse,

@@ -158,7 +158,6 @@ def run_paper_table(
         burn_in=config.burn_in,
         seed=config.seed,
         dataset_name=dataset.spec.paper_name,
-        backend=config.backend,
         execution=config.execution,
         n_jobs=config.n_jobs,
         reuse=config.reuse,

@@ -20,17 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional
 
-from itertools import islice
-from typing import TYPE_CHECKING
-
-import numpy as np
-
 from repro.exceptions import APIBudgetExceededError
 from repro.graph.labeled_graph import Label, LabeledGraph, Node
 from repro.utils.rng import RandomSource, ensure_rng
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.graph.csr import CSRGraph
 
 
 @dataclass
@@ -112,9 +104,6 @@ class RestrictedGraphAPI:
         self.counter = APICallCounter(budget=budget)
         self._known_num_nodes = known_num_nodes
         self._known_num_edges = known_num_edges
-        self._csr: Optional["CSRGraph"] = None
-        self._csr_pages: Optional[np.ndarray] = None
-        self._csr_pages_folded = 0  # cache entries already folded into the mask
 
     # ------------------------------------------------------------------
     # prior knowledge (paper assumption 2)
@@ -139,18 +128,14 @@ class RestrictedGraphAPI:
     def neighbors(self, node: Node) -> List[Node]:
         """Retrieve the friend list of *node* — one charged API call.
 
-        Cached retrievals are free when caching is enabled; pages the
-        CSR backend downloaded through this wrapper count as cached too.
+        Cached retrievals are free when caching is enabled.
         """
         if self._cache_enabled and node in self._neighbor_cache:
             self.counter.record_cache_hit()
             return list(self._neighbor_cache[node])
         neighbors = self._graph.neighbors(node)
         labels = self._graph.labels_of(node)
-        if self._csr_page_downloaded(node):
-            self.counter.record_cache_hit()
-        else:
-            self.counter.charge(node)
+        self.counter.charge(node)
         if self._cache_enabled:
             self._neighbor_cache[node] = neighbors
             self._label_cache[node] = labels
@@ -166,10 +151,7 @@ class RestrictedGraphAPI:
             self.counter.record_cache_hit()
             return self._label_cache[node]
         labels = self._graph.labels_of(node)
-        if self._csr_page_downloaded(node):
-            self.counter.record_cache_hit()
-        else:
-            self.counter.charge(node)
+        self.counter.charge(node)
         if self._cache_enabled:
             self._label_cache[node] = labels
             self._neighbor_cache[node] = self._graph.neighbors(node)
@@ -194,82 +176,6 @@ class RestrictedGraphAPI:
         return generator.choice(nodes)
 
     # ------------------------------------------------------------------
-    # vectorized-backend export
-    # ------------------------------------------------------------------
-    def to_csr(self) -> "CSRGraph":
-        """Frozen CSR view of the underlying graph (cached on this wrapper).
-
-        This is a *simulation accelerator*, not an API capability: the
-        CSR backend walks the full arrays but reproduces the same
-        charged-call accounting this wrapper would have recorded
-        (distinct page downloads; see
-        :mod:`repro.core.samplers.csr_backend`).  Construction itself is
-        never charged — it plays the role of the experiment harness, not
-        of the crawler.
-        """
-        if self._csr is None:
-            from repro.graph.csr import csr_view
-
-            # Shared (version-checked) view: many wrappers over one
-            # graph — e.g. one per experiment repetition — freeze once.
-            self._csr = csr_view(self._graph)
-        return self._csr
-
-    def adopt_csr(self, csr: "CSRGraph") -> None:
-        """Reuse a CSR view frozen from the same underlying graph.
-
-        The experiment harness wraps the same graph in a fresh API per
-        repetition; adopting a shared read-only CSR avoids re-freezing
-        the adjacency every time.  A cheap shape check guards against
-        adopting a view of a different graph, which would silently
-        sample the wrong arrays.
-        """
-        from repro.graph.csr import ensure_same_graph
-
-        self._csr = ensure_same_graph(csr, self._graph)
-
-    @property
-    def cache_enabled(self) -> bool:
-        """Whether repeated page retrievals are free (crawler keeps pages)."""
-        return self._cache_enabled
-
-    def downloaded_page_mask(self) -> np.ndarray:
-        """Per-CSR-index mask of pages this wrapper has already downloaded.
-
-        Used by the CSR samplers so revisits stay free across repeated
-        ``sample()`` calls on one wrapper, matching the dict path's
-        cache.  Pages fetched through the dict path are folded in;
-        pages the CSR path downloads are recorded in the mask only —
-        the dict caches are not eagerly back-filled, but the dict path
-        consults this mask so those pages stay free there too.
-        """
-        csr = self.to_csr()
-        if self._csr_pages is None:
-            self._csr_pages = np.zeros(csr.num_nodes, dtype=bool)
-        # The dict cache only grows (dropping it resets the mask too), so
-        # fold just the entries added since the last call — dict order is
-        # insertion order.
-        cache = self._neighbor_cache
-        if len(cache) > self._csr_pages_folded:
-            for node in islice(cache, self._csr_pages_folded, None):
-                self._csr_pages[csr.index_of(node)] = True
-            self._csr_pages_folded = len(cache)
-        return self._csr_pages
-
-    def _csr_page_downloaded(self, node: Node) -> bool:
-        """Whether the CSR backend already downloaded *node*'s page.
-
-        Pages fetched by the CSR samplers are tracked in the page mask
-        only (the dict caches are not eagerly back-filled); this check
-        keeps them free when the dict path touches them later, so the
-        two backends share one accounting regardless of interleaving.
-        """
-        if self._csr_pages is None or self._csr is None:
-            return False
-        index = self._csr._index_of.get(node)
-        return index is not None and bool(self._csr_pages[index])
-
-    # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------
     @property
@@ -282,8 +188,6 @@ class RestrictedGraphAPI:
         self.counter.reset()
         self._neighbor_cache.clear()
         self._label_cache.clear()
-        self._csr_pages = None
-        self._csr_pages_folded = 0
 
 
 __all__ = ["RestrictedGraphAPI", "APICallCounter"]

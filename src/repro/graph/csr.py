@@ -24,8 +24,8 @@ Representation notes:
   per node in a numpy ``label_array`` (the vectorized labelers), with
   the same mask/query API on top of either.
 
-Two properties are load-bearing for backend equivalence with a dict
-graph the view was frozen from:
+Two properties are load-bearing for replaying the dict reference
+engine over a view frozen from a dict graph:
 
 * node index ``i`` corresponds to the ``i``-th node of the graph's
   iteration order, which is also the order
@@ -34,9 +34,8 @@ graph the view was frozen from:
   :meth:`LabeledGraph.neighbors`, which is the order
   ``random.Random.choice`` indexes into on the reference path.
 
-Together they let the exact-RNG walk mode reproduce the dict engine
-step for step from the same seed (see
-:func:`repro.walks.batched.csr_walk`).
+Together they let :func:`repro.walks.batched.csr_walk` reproduce the
+dict engine step for step from the same seed.
 """
 
 from __future__ import annotations
@@ -184,7 +183,6 @@ class CSRGraph:
         self._indptr_list: Optional[List[int]] = None
         self._indices_list: Optional[List[int]] = None
         self._degrees_list: Optional[List[int]] = None
-        self._rows: Optional[List[List[int]]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -317,8 +315,8 @@ class CSRGraph:
         nodes identically to this graph (adjacency-row *order* may
         differ — the dict substrate stores neighbor sets).  This is a
         Python-level ``O(|V| + |E|)`` loop by design: it exists so the
-        ``backend="python"`` equivalence suites can audit a CSR-native
-        dataset, not as a hot path.
+        dict reference engine can audit a CSR-native dataset, not as a
+        hot path.
         """
         graph = LabeledGraph()
         ids = self.node_id_list()
@@ -448,20 +446,6 @@ class CSRGraph:
             self._indices_list = self.indices.tolist()
             self._degrees_list = self.degrees.tolist()
         return self._indptr_list, self._indices_list, self._degrees_list
-
-    def neighbor_rows(self) -> List[List[int]]:
-        """Per-node neighbor lists as plain Python lists (cached).
-
-        One list index replaces the ``indptr``/``indices`` pair in the
-        innermost walk loop — worth ~10% there at the cost of one extra
-        materialisation of the adjacency.
-        """
-        if self._rows is None:
-            indptr, indices, _ = self.adjacency_lists()
-            self._rows = [
-                indices[indptr[i] : indptr[i + 1]] for i in range(self.num_nodes)
-            ]
-        return self._rows
 
     def gather_neighbors(self, node_indices: np.ndarray) -> np.ndarray:
         """Concatenated neighbor indices of many nodes, in one gather.

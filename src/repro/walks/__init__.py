@@ -7,7 +7,6 @@ from repro.walks.batched import (
     KernelSpec,
     BASELINE_CSR_KERNELS,
     SUPPORTED_CSR_KERNELS,
-    charge_distinct_pages,
     csr_walk,
     draw_start_index,
     kernel_move_probabilities,
@@ -45,7 +44,6 @@ __all__ = [
     "KernelSpec",
     "BASELINE_CSR_KERNELS",
     "SUPPORTED_CSR_KERNELS",
-    "charge_distinct_pages",
     "csr_walk",
     "draw_start_index",
     "kernel_move_probabilities",

@@ -2,12 +2,11 @@
 
 Two execution styles live here, both sharing the CSR arrays:
 
-* :func:`csr_walk` — one walker, a tight scalar loop.  In its default
-  *fast* mode it consumes pre-drawn numpy uniforms; in *exact-RNG* mode
-  it reproduces the reference dict engine
-  (:class:`repro.walks.engine.RandomWalk`) **step for step from the same
-  seed**, by consuming ``random.Random`` bits exactly the way
-  ``rng.choice`` does.
+* :func:`csr_walk` — one walker, a tight scalar loop that reproduces
+  the reference dict engine (:class:`repro.walks.engine.RandomWalk`)
+  **step for step from the same seed**, by consuming ``random.Random``
+  bits exactly the way ``rng.choice`` does.  It is the replay oracle
+  the tests check the fleet classifiers against.
 * :class:`BatchedWalkEngine` — ``N`` independent walkers advanced one
   numpy-vectorized step at a time, for throughput workloads (fleet
   simulation, variance studies, benchmarks).
@@ -224,8 +223,8 @@ def kernel_move_probabilities(
 
     The canonical formula table, shared by every *vectorized*
     accept/reject path (fleet advance and line-graph fleets; the
-    scalar per-step loops in ``_walk_exact`` / ``_walk_fast`` inline
-    the same formulas for speed — keep them in sync):
+    scalar per-step loop in ``_walk_exact`` inlines the same formulas
+    for speed — keep them in sync):
 
     * ``mhrw`` — ``min(1, d(u)/d(v))``
     * ``rcmh`` — ``min(1, (d(u)/d(v))**alpha)`` (``alpha=0``: always)
@@ -310,17 +309,15 @@ def exact_randbelow(generator):
     return randbelow
 
 
-def draw_start_index(csr: CSRGraph, rng, exact_rng: bool = False) -> int:
-    """Uniform start index for a walk.
+def draw_start_index(csr: CSRGraph, rng) -> int:
+    """Uniform start index for a walk, drawn from a ``random.Random``.
 
-    In exact mode this consumes the generator exactly like
+    Consumes the generator exactly like
     :meth:`RestrictedGraphAPI.random_node` (one ``choice`` over the node
     list), so seeded replays of the reference pipeline stay aligned.
     """
     _check_not_empty(csr)
-    if exact_rng:
-        return exact_randbelow(ensure_rng(rng))(csr.num_nodes)
-    return int(ensure_numpy_rng(rng).integers(csr.num_nodes))
+    return exact_randbelow(ensure_rng(rng))(csr.num_nodes)
 
 
 # ----------------------------------------------------------------------
@@ -332,10 +329,18 @@ def csr_walk(
     start: Optional[int] = None,
     rng: RandomSource = None,
     kernel: KernelLike = "simple",
-    exact_rng: bool = False,
     return_probes: bool = False,
 ) -> np.ndarray:
     """Run one walker for *num_steps* steps; return the node index after each.
+
+    The replay oracle of the vectorized engines: it consumes
+    ``random.Random`` bits exactly like the reference engine, so the
+    same seed yields the same trajectory as
+    :class:`repro.walks.engine.RandomWalk` over a
+    :class:`RestrictedGraphAPI` of the same graph — for every kernel,
+    the baselines' accept/reject ones included.  Tests classify its
+    paths with the fleet classifiers and compare against the reference
+    samplers.
 
     Parameters
     ----------
@@ -347,18 +352,11 @@ def csr_walk(
         Starting node *index*; drawn uniformly from the rng when omitted
         (mirroring :meth:`RestrictedGraphAPI.random_node`).
     rng:
-        Seed / generator.  Fast mode draws from a numpy generator; exact
-        mode from a :class:`random.Random`.
+        Seed or :class:`random.Random`.
     kernel:
         Any supported kernel (name, :class:`KernelSpec`, or kernel
         instance); the MD/GMD kernels need their ``max_degree`` knob, so
         pass those as instances or specs rather than bare names.
-    exact_rng:
-        When true, consume ``random.Random`` bits exactly like the
-        reference engine, so the same seed yields the same trajectory as
-        :class:`repro.walks.engine.RandomWalk` over a
-        :class:`RestrictedGraphAPI` of the same graph — for every
-        kernel, the baselines' accept/reject ones included.
     return_probes:
         When true, return ``(path, probes)`` instead of just the path,
         where *probes* is the per-step proposal drawn by an MH-family
@@ -370,10 +368,7 @@ def csr_walk(
     check_non_negative_int(num_steps, "num_steps")
     _check_not_empty(csr)
     spec = resolve_kernel_spec(kernel)
-    if exact_rng:
-        path, probes = _walk_exact(csr, num_steps, start, ensure_rng(rng), spec)
-    else:
-        path, probes = _walk_fast(csr, num_steps, start, ensure_numpy_rng(rng), spec)
+    path, probes = _walk_exact(csr, num_steps, start, ensure_rng(rng), spec)
     return (path, probes) if return_probes else path
 
 
@@ -451,116 +446,9 @@ def _walk_exact(csr, num_steps, start, generator, spec):
     return np.asarray(out, dtype=np.int64), None
 
 
-def _walk_fast(csr, num_steps, start, nprng, spec):
-    indptr, indices, degrees = csr.adjacency_lists()
-    if start is None:
-        start = int(nprng.integers(csr.num_nodes))
-    # Only the start can be isolated (see _walk_exact).
-    if num_steps and degrees[start] == 0:
-        raise _isolated_error(start, csr)
-    uniforms = nprng.random(num_steps).tolist()
-    u = start
-    out: List[int] = []
-    append = out.append
-    kernel_name = spec.name
-    if kernel_name == "rcmh" and spec.alpha == 0.0:
-        kernel_name = "simple"  # every proposal accepted, no accept draw
-    if kernel_name == "simple":
-        rows = csr.neighbor_rows()
-        for r in uniforms:
-            row = rows[u]
-            offset = int(r * len(row))
-            # `offset < len(row)` guards float rounding at r -> 1
-            u = row[offset] if offset < len(row) else row[-1]
-            append(u)
-    elif kernel_name == "non_backtracking":
-        prev = -1
-        for r in uniforms:
-            lo = indptr[u]
-            deg = degrees[u]
-            if deg == 1:
-                nxt = indices[lo]
-            else:
-                offset = int(r * deg)
-                if offset == deg:
-                    offset -= 1
-                nxt = indices[lo + offset]
-                while nxt == prev:
-                    offset = int(nprng.random() * deg)
-                    if offset == deg:
-                        offset -= 1
-                    nxt = indices[lo + offset]
-            prev, u = u, nxt
-            append(u)
-    else:  # accept/reject baselines: candidate draw + accept draw per step
-        # Accept formulas inline kernel_move_probabilities — the
-        # canonical table — because this is a per-step hot loop.
-        accepts = nprng.random(num_steps).tolist()
-        alpha = spec.alpha
-        max_degree = spec.max_degree
-        delta = spec.delta
-        probes: List[int] = []
-        probing = spec.probes_proposals
-        for step, r in enumerate(uniforms):
-            deg = degrees[u]
-            offset = int(r * deg)
-            if offset == deg:
-                offset -= 1
-            proposal = indices[indptr[u] + offset]
-            if kernel_name == "mhrw":
-                accept = min(1.0, deg / degrees[proposal])
-            elif kernel_name == "rcmh":
-                accept = min(1.0, (deg / degrees[proposal]) ** alpha)
-            elif kernel_name == "mdrw":
-                if deg > max_degree:
-                    raise WalkError(
-                        f"walk reached a node of degree {deg} > "
-                        f"max_degree={max_degree}"
-                    )
-                accept = deg / max_degree
-            else:  # gmd
-                accept = deg / max(deg, delta * max_degree)
-            if probing:
-                probes.append(proposal)
-            if accepts[step] < accept:
-                u = proposal
-            append(u)
-        if probing:
-            return (
-                np.asarray(out, dtype=np.int64),
-                np.asarray(probes, dtype=np.int64),
-            )
-    return np.asarray(out, dtype=np.int64), None
-
-
 # ----------------------------------------------------------------------
 # budget accounting
 # ----------------------------------------------------------------------
-def charge_distinct_pages(
-    pages: np.ndarray,
-    visited: np.ndarray,
-    budget: Optional[int],
-) -> int:
-    """Charge the never-downloaded pages of *pages*; return the new charge.
-
-    The one implementation of the distinct-page crossing invariant
-    behind the CSR samplers' page filters: pages are considered in
-    first-download order, on exhaustion only the still-affordable ones
-    are marked in *visited* (mutated in place),
-    and the raised error reports the crossing attempt ``budget + 1`` —
-    exactly :meth:`APICallCounter.charge`'s behavior mid-crawl.
-    """
-    distinct, first_seen = np.unique(np.atleast_1d(pages), return_index=True)
-    ordered = distinct[np.argsort(first_seen)]
-    new = ordered[~visited[ordered]]
-    if budget is not None:
-        if new.size > budget:
-            visited[new[:budget]] = True
-            raise APIBudgetExceededError(budget, budget + 1)
-    visited[new] = True
-    return int(new.size)
-
-
 def per_walker_distinct_counts(trajectories: np.ndarray, *extra: np.ndarray) -> np.ndarray:
     """Distinct pages downloaded by each walker of an independent fleet.
 
@@ -883,7 +771,6 @@ __all__ = [
     "exact_randbelow",
     "draw_start_index",
     "csr_walk",
-    "charge_distinct_pages",
     "per_walker_distinct_counts",
     "pow_like_scalar",
     "FleetWalkResult",

@@ -1,15 +1,13 @@
-"""Statistical equivalence of the CSR backend and the reference backend.
+"""Statistical equivalence of the one-walker fleet and the reference engine.
 
-The tentpole guarantee: ``backend="csr"`` must reproduce the reference
-engine's estimates *distribution for distribution*.  Two layers:
-
-* exact layer (fast tier) — with ``exact_rng=True`` the CSR pipeline is
-  bit-for-bit identical to the reference pipeline, so estimates match
-  to the last ulp on a handful of seeds;
-* statistical layer (slow tier) — the default fast-RNG CSR path is
-  compared against the reference path over ≥ 50 independent seeds with
-  a two-sample Kolmogorov–Smirnov test plus a relative-mean tolerance,
-  per algorithm family.
+``estimate_target_edge_count`` picks its engine from the graph's type:
+a dict graph runs the reference engine through the restricted API, a
+:class:`CSRGraph` runs a one-walker numpy fleet.  The fleet consumes a
+numpy random stream, so the guarantee is distributional: over >= 50
+independent seeds, a two-sample Kolmogorov–Smirnov test plus a
+relative-mean tolerance, per algorithm family.  (The exact layer — a
+reference-stream walk classified by the fleet classifiers reproduces
+the reference samplers — lives in ``tests/unit/test_csr_backend.py``.)
 """
 
 import numpy as np
@@ -17,15 +15,7 @@ import pytest
 from scipy import stats
 
 from repro.core.pipeline import estimate_target_edge_count
-from repro.core.samplers import (
-    NeighborExplorationSampler,
-    NeighborSampleSampler,
-)
-from repro.core.estimators import (
-    EdgeHansenHurwitzEstimator,
-    NodeHansenHurwitzEstimator,
-)
-from repro.graph.api import RestrictedGraphAPI
+from repro.graph.csr import csr_view
 from repro.graph.statistics import count_target_edges
 
 #: Seeds for the statistical layer (the issue requires >= 50).
@@ -38,7 +28,7 @@ SAMPLE_SIZE = 80
 KS_ALPHA = 0.005
 
 
-def _estimates(graph, t1, t2, algorithm, backend):
+def _estimates(graph, t1, t2, algorithm):
     values = []
     for seed in range(NUM_SEEDS):
         result = estimate_target_edge_count(
@@ -49,49 +39,14 @@ def _estimates(graph, t1, t2, algorithm, backend):
             sample_size=SAMPLE_SIZE,
             burn_in=BURN_IN,
             seed=seed,
-            backend=backend,
         )
         values.append(result.estimate)
     return np.asarray(values)
 
 
-class TestExactLayer:
-    """exact_rng=True: the CSR pipeline is the reference pipeline."""
-
-    def test_neighbor_sample_estimates_identical(self, gender_osn):
-        for seed in (0, 1, 2):
-            api_ref = RestrictedGraphAPI(gender_osn)
-            ref_samples = NeighborSampleSampler(
-                api_ref, 1, 2, burn_in=BURN_IN, rng=seed
-            ).sample(SAMPLE_SIZE)
-            api_csr = RestrictedGraphAPI(gender_osn)
-            csr_samples = NeighborSampleSampler(
-                api_csr, 1, 2, burn_in=BURN_IN, rng=seed, backend="csr", exact_rng=True
-            ).sample(SAMPLE_SIZE)
-            ref = EdgeHansenHurwitzEstimator().estimate(ref_samples)
-            fast = EdgeHansenHurwitzEstimator().estimate(csr_samples)
-            assert fast.estimate == ref.estimate
-            assert fast.api_calls == ref.api_calls
-
-    def test_neighbor_exploration_estimates_identical(self, gender_osn):
-        for seed in (0, 1, 2):
-            api_ref = RestrictedGraphAPI(gender_osn)
-            ref_samples = NeighborExplorationSampler(
-                api_ref, 1, 2, burn_in=BURN_IN, rng=seed
-            ).sample(SAMPLE_SIZE)
-            api_csr = RestrictedGraphAPI(gender_osn)
-            csr_samples = NeighborExplorationSampler(
-                api_csr, 1, 2, burn_in=BURN_IN, rng=seed, backend="csr", exact_rng=True
-            ).sample(SAMPLE_SIZE)
-            ref = NodeHansenHurwitzEstimator().estimate(ref_samples)
-            fast = NodeHansenHurwitzEstimator().estimate(csr_samples)
-            assert fast.estimate == ref.estimate
-            assert fast.api_calls == ref.api_calls
-
-
 @pytest.mark.slow
 class TestStatisticalLayer:
-    """Default fast-RNG CSR path vs reference path over >= 50 seeds."""
+    """One-walker fleet on ``csr_view(graph)`` vs the dict engine, >= 50 seeds."""
 
     @pytest.mark.parametrize(
         "algorithm",
@@ -103,30 +58,28 @@ class TestStatisticalLayer:
         ],
     )
     def test_estimate_distributions_match(self, gender_osn, algorithm):
-        python_estimates = _estimates(gender_osn, 1, 2, algorithm, "python")
-        csr_estimates = _estimates(gender_osn, 1, 2, algorithm, "csr")
+        python_estimates = _estimates(gender_osn, 1, 2, algorithm)
+        csr_estimates = _estimates(csr_view(gender_osn), 1, 2, algorithm)
 
         statistic, p_value = stats.ks_2samp(python_estimates, csr_estimates)
         assert p_value > KS_ALPHA, (
             f"{algorithm}: KS statistic {statistic:.3f} (p={p_value:.4f}) — "
-            "CSR estimates are not distributed like reference estimates"
+            "fleet estimates are not distributed like reference estimates"
         )
 
         truth = count_target_edges(gender_osn, 1, 2)
         mean_gap = abs(python_estimates.mean() - csr_estimates.mean())
         assert mean_gap < 0.15 * truth, (
-            f"{algorithm}: backend means differ by {mean_gap:.1f} "
+            f"{algorithm}: engine means differ by {mean_gap:.1f} "
             f"({100 * mean_gap / truth:.1f}% of the true count {truth})"
         )
 
     def test_rare_label_exploration_distributions_match(self, rare_label_osn):
         labels = sorted(rare_label_osn.all_labels())
         t1, t2 = labels[0], labels[1]
-        python_estimates = _estimates(
-            rare_label_osn, t1, t2, "NeighborExploration-HH", "python"
-        )
+        python_estimates = _estimates(rare_label_osn, t1, t2, "NeighborExploration-HH")
         csr_estimates = _estimates(
-            rare_label_osn, t1, t2, "NeighborExploration-HH", "csr"
+            csr_view(rare_label_osn), t1, t2, "NeighborExploration-HH"
         )
         _, p_value = stats.ks_2samp(python_estimates, csr_estimates)
         assert p_value > KS_ALPHA

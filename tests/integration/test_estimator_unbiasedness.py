@@ -5,15 +5,17 @@ estimators are (asymptotically) unbiased for the target-edge count.
 These tests run many independent estimates on a synthetic graph whose
 ground truth is known exactly and check that the empirical mean lands
 inside a confidence interval around the truth.  They guard against
-regressions that would silently bias either walk backend (e.g. a wrong
-stationary weight, an off-by-one in the CSR offset draw, or broken
-thinning).
+regressions that would silently bias either walk engine — the dict
+reference engine or the one-walker fleet a :class:`CSRGraph` runs —
+(e.g. a wrong stationary weight, an off-by-one in the CSR offset draw,
+or broken thinning).
 """
 
 import numpy as np
 import pytest
 
 from repro.core.pipeline import estimate_target_edge_count
+from repro.graph.csr import csr_view
 from repro.graph.statistics import count_target_edges
 
 NUM_SEEDS = 80
@@ -26,7 +28,7 @@ SAMPLE_SIZE = 100
 SIGMAS = 4.0
 
 
-def _mean_with_ci(graph, t1, t2, algorithm, backend):
+def _mean_with_ci(graph, t1, t2, algorithm):
     estimates = np.array(
         [
             estimate_target_edge_count(
@@ -37,7 +39,6 @@ def _mean_with_ci(graph, t1, t2, algorithm, backend):
                 sample_size=SAMPLE_SIZE,
                 burn_in=BURN_IN,
                 seed=seed,
-                backend=backend,
             ).estimate
             for seed in range(NUM_SEEDS)
         ]
@@ -48,7 +49,7 @@ def _mean_with_ci(graph, t1, t2, algorithm, backend):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("backend", ["python", "csr"])
+@pytest.mark.parametrize("substrate", ["dict", "csr"])
 @pytest.mark.parametrize(
     "algorithm",
     [
@@ -57,12 +58,13 @@ def _mean_with_ci(graph, t1, t2, algorithm, backend):
         "NeighborExploration-HT",
     ],
 )
-def test_mean_estimate_within_ci_of_truth(gender_osn, algorithm, backend):
+def test_mean_estimate_within_ci_of_truth(gender_osn, algorithm, substrate):
     truth = count_target_edges(gender_osn, 1, 2)
-    mean, sem = _mean_with_ci(gender_osn, 1, 2, algorithm, backend)
+    graph = csr_view(gender_osn) if substrate == "csr" else gender_osn
+    mean, sem = _mean_with_ci(graph, 1, 2, algorithm)
     margin = SIGMAS * sem + 0.02 * truth  # CI plus a small burn-in-bias allowance
     assert abs(mean - truth) < margin, (
-        f"{algorithm} on backend={backend}: mean estimate {mean:.1f} is outside "
+        f"{algorithm} on the {substrate} substrate: mean estimate {mean:.1f} is outside "
         f"±{margin:.1f} of the true count {truth} (sem {sem:.1f})"
     )
 
@@ -72,5 +74,5 @@ def test_neighbor_sample_ht_tracks_truth(gender_osn):
     # HT thins the walk, so fewer effective samples: allow a wider margin
     # but still require the estimate to track the truth.
     truth = count_target_edges(gender_osn, 1, 2)
-    mean, sem = _mean_with_ci(gender_osn, 1, 2, "NeighborSample-HT", "csr")
+    mean, sem = _mean_with_ci(csr_view(gender_osn), 1, 2, "NeighborSample-HT")
     assert abs(mean - truth) < 5.0 * sem + 0.05 * truth

@@ -12,8 +12,9 @@ Two layers:
   fallback are deterministic properties checked on a handful of seeds
   (see also ``tests/unit/test_fleet.py`` for the replay parity);
 * statistical layer (slow tier) — a two-sample Kolmogorov–Smirnov test
-  over ≥ 60 independent trials per algorithm, fleet vs sequential CSR,
-  plus a relative-mean tolerance, for all five proposed algorithms.
+  over ≥ 60 independent trials per algorithm, fleet vs the sequential
+  dict reference engine, plus a relative-mean tolerance, for all five
+  proposed algorithms.
 """
 
 import numpy as np
@@ -45,14 +46,13 @@ def _outcome(graph, t1, t2, suite, algorithm, execution, seed):
         repetitions=NUM_TRIALS,
         burn_in=BURN_IN,
         seed=seed,
-        backend="csr",
         execution=execution,
     )
 
 
 @pytest.mark.slow
 class TestFleetStatisticalLayer:
-    """Fleet estimates vs sequential CSR estimates over >= 60 trials."""
+    """Fleet estimates vs sequential dict-engine estimates over >= 60 trials."""
 
     @pytest.fixture(scope="class")
     def suite(self, gender_osn):

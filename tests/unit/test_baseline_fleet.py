@@ -92,7 +92,7 @@ class TestKernelSpecs:
 
 
 class TestExactReplay:
-    """csr_walk(exact_rng=True) must replay the reference kernels bit for bit."""
+    """csr_walk must replay the reference kernels bit for bit."""
 
     @pytest.mark.parametrize(
         "make_kernel, make_spec",
@@ -134,7 +134,6 @@ class TestExactReplay:
             csr_osn.index_of(start),
             random.Random(99),
             kernel=make_spec(max_degree),
-            exact_rng=True,
         )
         ids = csr_osn.node_ids
         assert [ids[int(i)] for i in path] == reference.nodes
@@ -374,41 +373,24 @@ class TestBaselineFleetEstimation:
 
 
 class TestScalarSamplerParity:
-    """Scalar CSR samplers with MH-family kernels keep reference parity."""
+    """The dict engine and the fleets agree on MH-family kernels."""
 
-    def test_ne_exact_rng_charged_call_parity(self, gender_osn):
-        """exact_rng NeighborExploration with an MH kernel must replay the
-        python backend bit for bit — rejected-proposal page probes
-        included in the charged-call accounting."""
-        from repro.core.samplers import NeighborExplorationSampler
-
-        for make_kernel in (
-            MetropolisHastingsKernel,
-            lambda: RejectionControlledMHKernel(0.3),
-        ):
-            reference = NeighborExplorationSampler(
-                RestrictedGraphAPI(gender_osn), 1, 2, burn_in=10,
-                kernel=make_kernel(), rng=42, backend="python",
-            ).sample(50)
-            csr = NeighborExplorationSampler(
-                RestrictedGraphAPI(gender_osn), 1, 2, burn_in=10,
-                kernel=make_kernel(), rng=42, backend="csr", exact_rng=True,
-            ).sample(50)
-            assert [s.node for s in reference.samples] == [s.node for s in csr.samples]
-            assert reference.api_calls_used == csr.api_calls_used
-
-    def test_ns_self_loop_kernels_raise_on_both_backends(self, gender_osn):
+    def test_ns_self_loop_kernels_raise_on_both_engines(self, gender_osn, csr_osn):
         """NeighborSample needs a traversed edge per step; a staying MH
-        kernel must raise the same WalkError on either backend."""
+        kernel must raise the same WalkError on either engine."""
         from repro.core.samplers import NeighborSampleSampler
 
-        for backend, extra in (("python", {}), ("csr", {"exact_rng": True})):
-            sampler = NeighborSampleSampler(
-                RestrictedGraphAPI(gender_osn), 1, 2, burn_in=10,
-                kernel=MetropolisHastingsKernel(), rng=42, backend=backend, **extra,
+        sampler = NeighborSampleSampler(
+            RestrictedGraphAPI(gender_osn), 1, 2, burn_in=10,
+            kernel=MetropolisHastingsKernel(), rng=42,
+        )
+        with pytest.raises(WalkError, match="self-loop"):
+            sampler.sample(50)
+        with pytest.raises(WalkError, match="self-loop"):
+            sample_edges_fleet(
+                csr_osn, 1, 2, k=50, repetitions=1, burn_in=10,
+                rng=42, kernel="mhrw",
             )
-            with pytest.raises(WalkError, match="self-loop"):
-                sampler.sample(50)
 
     def test_csr_walk_returns_probes_for_mh_family(self, csr_osn):
         path, probes = csr_walk(

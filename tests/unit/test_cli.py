@@ -52,6 +52,20 @@ class TestCommands:
         assert "estimated F" in captured
         assert "relative error" in captured
 
+    def test_estimate_command_on_csr_dataset(self, capsys):
+        exit_code = main(
+            ["estimate", "--representation", "csr", "--scale", "0.1", "--seed", "3"]
+        )
+        captured = capsys.readouterr().out
+        assert exit_code == 0
+        assert "representation     : csr" in captured
+        assert "estimated F" in captured
+
+    def test_backend_flag_is_gone(self):
+        for command in (["estimate"], ["table", "4"], ["figure", "1"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(command + ["--backend", "csr"])
+
     def test_bounds_command(self, capsys):
         exit_code = main(["bounds", "--dataset", "facebook", "--scale", "0.1"])
         captured = capsys.readouterr().out

@@ -1,15 +1,17 @@
-"""Unit tests for the CSR graph view and the vectorized walk backend.
+"""Unit tests for the CSR graph view and the vectorized walk engines.
 
 Covers, on small graphs with exactly known structure:
 
 * CSR construction fidelity (order-preserving adjacency, label masks,
   vectorized ``T(u)`` counts),
-* same-seed **step-for-step** agreement between the exact-RNG CSR walk
-  and the dict-based reference engine, for both supported kernels,
-* same-seed sample-for-sample and charged-API-call agreement between
-  the CSR samplers (``exact_rng=True``) and the reference samplers,
-* the batched fleet engine's structural invariants (valid transitions,
-  non-backtracking property, start validation, per-walker budgets).
+* same-seed **step-for-step** agreement between :func:`csr_walk` and the
+  dict-based reference engine,
+* the exact-replay oracle of the fleet classifiers: a :func:`csr_walk`
+  path wrapped as a one-walker fleet and classified must reproduce the
+  reference samplers' samples and charged API calls at the same seed,
+* the fleet samplers over one walker, and the batched fleet engine's
+  structural invariants (valid transitions, non-backtracking property,
+  start validation, per-walker budgets).
 """
 
 import random
@@ -17,12 +19,17 @@ import random
 import numpy as np
 import pytest
 
+from repro.core.estimators import (
+    EdgeHansenHurwitzEstimator,
+    NodeHansenHurwitzEstimator,
+)
 from repro.core.samplers import (
     NeighborExplorationSampler,
     NeighborSampleSampler,
-    explore_nodes_csr,
-    sample_edges_csr,
+    explore_nodes_fleet,
+    sample_edges_fleet,
 )
+from repro.core.samplers.csr_backend import classify_edge_fleet, classify_node_fleet
 from repro.exceptions import (
     APIBudgetExceededError,
     ConfigurationError,
@@ -34,13 +41,17 @@ from repro.graph.csr import CSRGraph
 from repro.graph.labeled_graph import LabeledGraph
 from repro.walks.batched import (
     BatchedWalkEngine,
+    FleetWalkResult,
     csr_walk,
+    draw_start_index,
     resolve_csr_kernel,
+    resolve_kernel_spec,
 )
 from repro.walks.engine import RandomWalk
 from repro.walks.kernels import (
     MetropolisHastingsKernel,
     NonBacktrackingKernel,
+    RejectionControlledMHKernel,
     SimpleRandomWalkKernel,
 )
 
@@ -87,14 +98,6 @@ class TestCSRGraphConstruction:
         csr = CSRGraph.from_labeled_graph(triangle_graph)
         with pytest.raises(NodeNotFoundError):
             csr.index_of("nope")
-
-    def test_adopt_csr_rejects_foreign_graph(self, triangle_graph, star_graph):
-        api = RestrictedGraphAPI(triangle_graph)
-        with pytest.raises(ConfigurationError):
-            api.adopt_csr(CSRGraph.from_labeled_graph(star_graph))
-        own = CSRGraph.from_labeled_graph(triangle_graph)
-        api.adopt_csr(own)
-        assert api.to_csr() is own
 
     def test_target_incident_counts_match_reference(self, rare_label_osn):
         csr = CSRGraph.from_labeled_graph(rare_label_osn)
@@ -146,7 +149,7 @@ class TestKernelResolution:
 
 
 class TestStepForStepAgreement:
-    """Same seed, same trajectory as the dict engine (exact-RNG mode)."""
+    """Same seed, same trajectory as the dict engine."""
 
     @pytest.mark.parametrize(
         "kernel_factory,kernel_name",
@@ -166,77 +169,119 @@ class TestStepForStepAgreement:
                 api, kernel_factory(), burn_in=0, rng=random.Random(seed)
             ).run(120, start_node=start)
             path = csr_walk(
-                csr,
-                120,
-                csr.index_of(start),
-                random.Random(seed),
-                kernel_name,
-                exact_rng=True,
+                csr, 120, csr.index_of(start), random.Random(seed), kernel_name
             )
             assert [csr.node_ids[i] for i in path] == reference.nodes
 
-    def test_neighbor_sample_sampler_matches(self, gender_osn):
-        for seed in (3, 11):
-            api_ref = RestrictedGraphAPI(gender_osn)
-            reference = NeighborSampleSampler(
-                api_ref, 1, 2, burn_in=15, rng=seed
-            ).sample(80)
-            api_csr = RestrictedGraphAPI(gender_osn)
-            fast = NeighborSampleSampler(
-                api_csr, 1, 2, burn_in=15, rng=seed, backend="csr", exact_rng=True
-            ).sample(80)
-            assert [(s.u, s.v, s.is_target) for s in fast] == [
-                (s.u, s.v, s.is_target) for s in reference
-            ]
-            assert fast.api_calls_used == reference.api_calls_used
-            assert api_csr.api_calls == api_ref.api_calls
 
-    def test_neighbor_exploration_sampler_matches(self, gender_osn):
-        for seed in (5, 23):
-            api_ref = RestrictedGraphAPI(gender_osn)
-            reference = NeighborExplorationSampler(
-                api_ref, 1, 2, burn_in=15, rng=seed
-            ).sample(80)
-            api_csr = RestrictedGraphAPI(gender_osn)
-            fast = NeighborExplorationSampler(
-                api_csr, 1, 2, burn_in=15, rng=seed, backend="csr", exact_rng=True
-            ).sample(80)
-            assert [
-                (s.node, s.degree, s.has_target_label, s.incident_target_edges)
-                for s in fast
-            ] == [
-                (s.node, s.degree, s.has_target_label, s.incident_target_edges)
-                for s in reference
-            ]
-            assert api_csr.api_calls == api_ref.api_calls
+def _replay_classified(csr, sampler, t1, t2, k, burn_in, seed, kernel):
+    """Classify a reference-stream :func:`csr_walk` as a one-walker fleet."""
+    generator = random.Random(seed)
+    start = draw_start_index(csr, generator)
+    path, probes = csr_walk(
+        csr, burn_in + k, start, generator, kernel, return_probes=True
+    )
+    fleet = FleetWalkResult(
+        trajectories=np.concatenate(([start], path))[None, :],
+        burn_in=burn_in,
+        probed=None if probes is None else probes[None, :],
+        kernel=resolve_kernel_spec(kernel),
+    )
+    classify = classify_edge_fleet if sampler == "edge" else classify_node_fleet
+    return classify(csr, fleet, t1, t2).sample_set(0)
 
-    def test_exploration_with_rare_labels_matches(self, rare_label_osn):
-        labels = sorted(rare_label_osn.all_labels())
-        t1, t2 = labels[0], labels[1]
-        api_ref = RestrictedGraphAPI(rare_label_osn)
-        reference = NeighborExplorationSampler(
-            api_ref, t1, t2, burn_in=10, rng=2018
-        ).sample(60)
-        api_csr = RestrictedGraphAPI(rare_label_osn)
-        fast = NeighborExplorationSampler(
-            api_csr, t1, t2, burn_in=10, rng=2018, backend="csr", exact_rng=True
-        ).sample(60)
-        assert [s.incident_target_edges for s in fast] == [
-            s.incident_target_edges for s in reference
-        ]
-        assert api_csr.api_calls == api_ref.api_calls
+
+def _sample_rows(sampler, sample_set):
+    if sampler == "edge":
+        return [(s.u, s.v, s.is_target) for s in sample_set]
+    return [
+        (s.node, s.degree, s.has_target_label, s.incident_target_edges)
+        for s in sample_set
+    ]
+
+
+def _outcome(sampler, run):
+    """Samples, charged calls and HH estimate of *run* — or its WalkError."""
+    try:
+        sample_set = run()
+    except WalkError as error:
+        return ("WalkError", "self-loop" in str(error))
+    estimator = (
+        EdgeHansenHurwitzEstimator() if sampler == "edge" else NodeHansenHurwitzEstimator()
+    )
+    result = estimator.estimate(sample_set)
+    return (
+        _sample_rows(sampler, sample_set),
+        sample_set.api_calls_used,
+        result.estimate,
+        result.api_calls,
+    )
+
+
+class TestFleetClassifierReplay:
+    """The exact-replay oracle of the fleet classifiers.
+
+    :func:`csr_walk` consumes the reference engine's random stream, so
+    wrapping its path (and its MH proposal probes) as a one-walker
+    :class:`FleetWalkResult` and classifying it must give the reference
+    sampler's samples, charged API calls and estimate at the same seed.
+    NeighborSample over a self-looping MH kernel must raise on both.
+    """
+
+    @pytest.mark.parametrize("graph_name", ["gender", "rare_label"])
+    @pytest.mark.parametrize(
+        "kernel_factory",
+        [
+            SimpleRandomWalkKernel,
+            MetropolisHastingsKernel,
+            lambda: RejectionControlledMHKernel(0.3),
+        ],
+        ids=["simple", "mhrw", "rcmh"],
+    )
+    @pytest.mark.parametrize("sampler", ["edge", "node"])
+    def test_classified_replay_matches_reference_sampler(
+        self, request, graph_name, kernel_factory, sampler
+    ):
+        graph = request.getfixturevalue(f"{graph_name}_osn")
+        if graph_name == "gender":
+            t1, t2 = 1, 2
+        else:
+            labels = sorted(graph.all_labels())
+            t1, t2 = labels[0], labels[1]
+        csr = CSRGraph.from_labeled_graph(graph)
+        reference_cls = (
+            NeighborSampleSampler if sampler == "edge" else NeighborExplorationSampler
+        )
+        for seed in (3, 2018):
+            reference = _outcome(
+                sampler,
+                lambda: reference_cls(
+                    RestrictedGraphAPI(graph), t1, t2,
+                    burn_in=15, kernel=kernel_factory(), rng=seed,
+                ).sample(80),
+            )
+            replay = _outcome(
+                sampler,
+                lambda: _replay_classified(
+                    csr, sampler, t1, t2, 80, 15, seed, kernel_factory()
+                ),
+            )
+            assert replay == reference
 
 
 class TestCSRSamplerBehaviour:
-    def test_fast_mode_is_deterministic_per_seed(self, gender_osn):
+    """The fleet samplers over a single walker."""
+
+    def test_fleet_is_deterministic_per_seed(self, gender_osn):
         csr = CSRGraph.from_labeled_graph(gender_osn)
-        one = sample_edges_csr(csr, 1, 2, 50, burn_in=5, rng=9)
-        two = sample_edges_csr(csr, 1, 2, 50, burn_in=5, rng=9)
-        assert [(s.u, s.v) for s in one] == [(s.u, s.v) for s in two]
+        one = sample_edges_fleet(csr, 1, 2, 50, 1, burn_in=5, rng=9)
+        two = sample_edges_fleet(csr, 1, 2, 50, 1, burn_in=5, rng=9)
+        assert np.array_equal(one.sources, two.sources)
+        assert np.array_equal(one.dests, two.dests)
 
     def test_sampled_edges_exist(self, gender_osn):
         csr = CSRGraph.from_labeled_graph(gender_osn)
-        samples = sample_edges_csr(csr, 1, 2, 100, rng=4)
+        samples = sample_edges_fleet(csr, 1, 2, 100, 1, rng=4).sample_set(0)
         for sample in samples:
             assert gender_osn.has_edge(sample.u, sample.v)
             assert sample.is_target == gender_osn.is_target_edge(
@@ -245,7 +290,7 @@ class TestCSRSamplerBehaviour:
 
     def test_explored_nodes_report_true_incident_counts(self, gender_osn):
         csr = CSRGraph.from_labeled_graph(gender_osn)
-        samples = explore_nodes_csr(csr, 1, 2, 100, rng=8)
+        samples = explore_nodes_fleet(csr, 1, 2, 100, 1, rng=8).sample_set(0)
         for sample in samples:
             assert sample.degree == gender_osn.degree(sample.node)
             if sample.has_target_label:
@@ -258,102 +303,7 @@ class TestCSRSamplerBehaviour:
     def test_budget_exceeded_raises(self, gender_osn):
         csr = CSRGraph.from_labeled_graph(gender_osn)
         with pytest.raises(APIBudgetExceededError):
-            sample_edges_csr(csr, 1, 2, 200, rng=6, budget=10)
-
-    def test_budget_respected_through_api_wrapper(self, gender_osn):
-        api = RestrictedGraphAPI(gender_osn, budget=15)
-        sampler = NeighborSampleSampler(api, 1, 2, rng=6, backend="csr")
-        with pytest.raises(APIBudgetExceededError) as excinfo:
-            sampler.sample(200)
-        # reference parity: the error and the counter report the
-        # crossing attempt, exactly like APICallCounter.charge
-        assert excinfo.value.budget == 15
-        assert excinfo.value.used == 16
-        assert api.api_calls == 16
-
-    def test_repeat_samples_share_the_page_cache(self, gender_osn):
-        # revisited pages are free across sample() calls on one wrapper,
-        # matching the python backend's cache
-        api_ref = RestrictedGraphAPI(gender_osn)
-        api_csr = RestrictedGraphAPI(gender_osn)
-        for seed in (4, 5):
-            NeighborSampleSampler(api_ref, 1, 2, burn_in=10, rng=seed).sample(60)
-            NeighborSampleSampler(
-                api_csr, 1, 2, burn_in=10, rng=seed, backend="csr", exact_rng=True
-            ).sample(60)
-            assert api_csr.api_calls == api_ref.api_calls
-
-    def test_python_downloads_are_free_for_csr(self, gender_osn):
-        # pages fetched through the dict path are folded into the CSR
-        # page mask, so a later csr run does not re-charge them
-        api = RestrictedGraphAPI(gender_osn)
-        start = next(iter(gender_osn.nodes()))
-        NeighborSampleSampler(api, 1, 2, burn_in=5, rng=1).sample(
-            40, start_node=start
-        )
-        before = api.api_calls
-        NeighborSampleSampler(
-            api, 1, 2, burn_in=5, rng=1, backend="csr", exact_rng=True
-        ).sample(40, start_node=start)
-        # identical seed + start: the walk revisits exactly the same
-        # pages, all already downloaded
-        assert api.api_calls == before
-
-    def test_exhausted_budget_keeps_downloaded_pages(self, gender_osn):
-        # reference contract: pages fetched before the crossing stay
-        # readable from the wrapper's cache, free of charge
-        api = RestrictedGraphAPI(gender_osn, budget=8)
-        sampler = NeighborSampleSampler(api, 1, 2, rng=6, backend="csr")
-        with pytest.raises(APIBudgetExceededError):
-            sampler.sample(200)
-        mask = api.downloaded_page_mask()
-        assert int(mask.sum()) == 8
-        node = api.to_csr().node_ids[int(np.flatnonzero(mask)[0])]
-        assert api.neighbors(node) == gender_osn.neighbors(node)
-        assert api.api_calls == 9  # unchanged: served from cache
-
-    def test_csr_downloads_are_free_for_python_path(self, gender_osn):
-        # the other interleaving: a csr crawl, then the dict path reads
-        # one of its pages — a cache hit, not a new charge
-        api = RestrictedGraphAPI(gender_osn)
-        samples = NeighborSampleSampler(
-            api, 1, 2, burn_in=5, rng=3, backend="csr"
-        ).sample(40)
-        before = api.api_calls
-        visited = samples.samples[0].u
-        assert api.neighbors(visited) == gender_osn.neighbors(visited)
-        assert api.api_calls == before
-        assert api.counter.cache_hits >= 1
-
-    def test_cache_disabled_wrapper_rejected(self, gender_osn):
-        api = RestrictedGraphAPI(gender_osn, cache=False)
-        sampler = NeighborSampleSampler(api, 1, 2, rng=1, backend="csr")
-        with pytest.raises(ConfigurationError):
-            sampler.sample(10)
-
-    def test_unsupported_kernel_rejected_eagerly(self, gender_osn):
-        api = RestrictedGraphAPI(gender_osn)
-
-        class UnknownKernel(SimpleRandomWalkKernel):
-            name = "no_such_kernel"
-
-        with pytest.raises(ConfigurationError):
-            NeighborSampleSampler(api, 1, 2, kernel=UnknownKernel(), backend="csr")
-        # MH kernels are vectorizable now; construction must succeed.
-        NeighborSampleSampler(
-            api, 1, 2, kernel=MetropolisHastingsKernel(), backend="csr"
-        )
-
-    def test_independent_walks_not_supported(self, gender_osn):
-        api = RestrictedGraphAPI(gender_osn)
-        sampler = NeighborExplorationSampler(api, 1, 2, rng=1, backend="csr")
-        with pytest.raises(ConfigurationError):
-            sampler.sample(10, single_walk=False)
-
-    def test_unknown_backend_rejected(self, gender_osn):
-        api = RestrictedGraphAPI(gender_osn)
-        with pytest.raises(ConfigurationError):
-            NeighborSampleSampler(api, 1, 2, backend="gpu")
+            sample_edges_fleet(csr, 1, 2, 200, 1, rng=6, budget=10)
 
     def test_isolated_node_raises_walk_error(self):
         graph = LabeledGraph()

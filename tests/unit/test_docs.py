@@ -33,6 +33,13 @@ def test_doc_snippets_run():
     assert not failures, "\n".join(failures)
 
 
+def test_package_docstring_examples_run():
+    failures = []
+    for name in check_docs.DOCTEST_MODULES:
+        failures.extend(check_docs.check_module_doctests(name))
+    assert not failures, "\n".join(failures)
+
+
 def test_link_checker_catches_breakage(tmp_path, monkeypatch):
     """The checker itself must flag a broken link (guards against the
     regexes silently matching nothing)."""

@@ -249,8 +249,7 @@ class TestFleetExecution:
         assert "fleet" in EXECUTIONS
 
     def test_mismatched_csr_rejected_on_fleet_path(self, gender_osn, rare_label_osn, suite):
-        """A CSR view frozen from a different graph must be rejected,
-        matching the sequential path's adopt_csr guard."""
+        """A CSR view frozen from a different graph must be rejected."""
         wrong_csr = csr_view(rare_label_osn)
         with pytest.raises(ConfigurationError):
             run_trials(
@@ -264,34 +263,6 @@ class TestFleetExecution:
                 burn_in=5,
                 seed=1,
                 csr=wrong_csr,
-                execution="fleet",
-            )
-
-    def test_unknown_backend_rejected_eagerly_by_harness(self, gender_osn, suite):
-        with pytest.raises(ConfigurationError):
-            compare_algorithms(
-                gender_osn, 1, 2, sample_fractions=[0.02], repetitions=2,
-                algorithms=suite, burn_in=5, seed=1, backend="cuda",
-            )
-        with pytest.raises(ConfigurationError):
-            frequency_sweep(
-                gender_osn, [(1, 2)], repetitions=2, burn_in=5, seed=1,
-                backend="cuda",
-            )
-
-    def test_unknown_backend_rejected_on_fleet_path(self, gender_osn, suite):
-        with pytest.raises(ConfigurationError):
-            run_trials(
-                gender_osn,
-                1,
-                2,
-                suite["NeighborSample-HH"],
-                "NeighborSample-HH",
-                sample_size=10,
-                repetitions=2,
-                burn_in=5,
-                seed=1,
-                backend="bogus",
                 execution="fleet",
             )
 
@@ -373,7 +344,7 @@ class TestFleetExecution:
         sequential reference loop bit for bit."""
         suite = build_algorithm_suite(gender_osn, algorithms=["EX-RW"])
 
-        def handwritten(api, t1, t2, k, burn_in, rng, backend="python"):
+        def handwritten(api, t1, t2, k, burn_in, rng):
             return suite["EX-RW"](api, t1, t2, k, burn_in, rng)
 
         args = dict(sample_size=25, repetitions=3, burn_in=10, seed=4)
@@ -429,7 +400,7 @@ class TestParallelDeterminism:
             assert one.nrmse_by_algorithm == two.nrmse_by_algorithm
 
     def test_unpicklable_runner_rejected_for_parallel(self, gender_osn):
-        def custom(api, t1, t2, k, burn_in, rng, backend="python"):  # pragma: no cover
+        def custom(api, t1, t2, k, burn_in, rng):  # pragma: no cover
             raise AssertionError("never called")
 
         with pytest.raises(ConfigurationError):

@@ -84,6 +84,21 @@ class TestEscapeHatch:
         for pair in dataset.target_pairs:
             assert count_target_edges(graph, *pair) == dataset.target_counts[pair]
 
+    def test_one_shot_runs_on_the_csr_dataset(self):
+        dataset = load_dataset("facebook", seed=7, scale=0.1, representation="csr")
+        result = estimate_target_edge_count(
+            dataset.graph,
+            1,
+            2,
+            algorithm="NeighborExploration-HH",
+            sample_size=50,
+            burn_in=10,
+            seed=8,
+        )
+        assert result.sample_size == 50
+        assert 0 < result.api_calls <= dataset.graph.num_nodes
+        assert result.estimate >= 0
+
     def test_python_backend_runs_through_the_hatch(self):
         dataset = load_dataset("facebook", seed=7, scale=0.1, representation="csr")
         result = estimate_target_edge_count(

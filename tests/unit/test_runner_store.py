@@ -112,7 +112,6 @@ class TestStoreErrors:
                 repetitions=2,
                 burn_in=2,
                 true_count=10,
-                backend="python",
                 execution="fleet",
             )
         ]
@@ -137,7 +136,6 @@ class TestStoreErrors:
                 repetitions=2,
                 burn_in=2,
                 true_count=10,
-                backend="python",
                 execution="fleet",
             )
         ]
