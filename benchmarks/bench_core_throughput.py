@@ -47,7 +47,7 @@ from repro.datasets.synthetic import chung_lu_edges, powerlaw_degree_sequence
 from repro.experiments.algorithms import ALL_ALGORITHM_ORDER, build_algorithm_suite
 from repro.experiments.config import DEFAULT_SAMPLE_FRACTIONS
 from repro.experiments.planner import FleetSpec, PrefixFleet
-from repro.experiments.runner import run_trials
+from repro.experiments.runner import run_trials, run_trials_prefix
 from repro.graph.api import RestrictedGraphAPI
 from repro.graph.cleaning import largest_connected_component_csr
 from repro.graph.csr import CSRGraph, csr_view
@@ -155,20 +155,15 @@ def test_fleet_cell_speedup(facebook_graph, facebook_csr, settings):
     suite = build_algorithm_suite(facebook_graph, include_baselines=False)
 
     def run_cell(algorithm, execution):
+        args = (facebook_graph, 1, 2, suite[algorithm], algorithm)
         started = time.perf_counter()
-        outcome = run_trials(
-            facebook_graph,
-            1,
-            2,
-            suite[algorithm],
-            algorithm,
-            sample_size=sample_size,
-            repetitions=repetitions,
-            burn_in=burn_in,
-            seed=settings["seed"],
-            csr=facebook_csr,
-            execution=execution,
-        )
+        if execution == "fleet":
+            (outcome,) = run_trials_prefix(
+                *args, [sample_size], repetitions, burn_in,
+                seed=settings["seed"], csr=facebook_csr,
+            )
+        else:
+            outcome = run_trials(*args, sample_size, repetitions, burn_in, seed=settings["seed"])
         assert outcome.repetitions == repetitions
         return time.perf_counter() - started
 
@@ -178,10 +173,9 @@ def test_fleet_cell_speedup(facebook_graph, facebook_csr, settings):
     for algorithm in ("NeighborSample-HH", "NeighborExploration-HH"):
         # Warm the shared caches (label masks, incident counts, list
         # views) so both paths are measured steady-state.
-        run_trials(
+        run_trials_prefix(
             facebook_graph, 1, 2, suite[algorithm], algorithm,
-            sample_size=sample_size, repetitions=2, burn_in=10,
-            seed=0, csr=facebook_csr, execution="fleet",
+            [sample_size], repetitions=2, burn_in=10, seed=0, csr=facebook_csr,
         )
         sequential_seconds = min(run_cell(algorithm, "sequential") for _ in range(3))
         fleet_seconds = min(run_cell(algorithm, "fleet") for _ in range(3))

@@ -24,14 +24,19 @@ the fleet baselines is enforced by
 ``tests/integration/test_baseline_fleet_equivalence.py``).
 
 A fourth test (``graph_store``) benches the buffer-backend plane: the
-same multi-process fleet table run with ``graph_store="ram"`` (the
-graph pickled into every worker) versus ``"shm"`` (one shared-memory
-segment, workers reattach O(1) handles), recording worker-spawn
-overhead per store and asserting — at the ≥10⁶ rung — that shm beats
-the pickling path; plus a subprocess peak-RSS comparison of a
+same multi-process fleet jobs fed by-value graph pickles (``ram``)
+versus one shared-memory segment whose O(1) handles the workers
+reattach (``shm``), recording worker-spawn overhead per transport and
+asserting — at the ≥10⁶ rung — that handles beat the pickling path.
+That gap is why the harness pool publishes every CSR graph instead of
+pickling it.  It also runs a subprocess peak-RSS comparison of a
 memory-mapped graph against a fully-loaded twin, asserting the mmap
 run's RSS delta stays under the graph's in-RAM footprint (the
 out-of-core claim).
+
+A fifth test (``prefix_jobs``) times a ten-algorithm ``reuse="prefix"``
+table on the 10⁴ rung at ``n_jobs`` 1 and 2: the prefix fleets are pool
+jobs like any other, and the two tables must be bit-identical.
 
 Everything lands in ``benchmarks/results/BENCH_scale.json``.  CI runs
 the 10⁴ rung (see ``.github/workflows/ci.yml``) with
@@ -249,7 +254,7 @@ def _ladder_graph(num_nodes, seed):
 def test_baseline_fleet_speedup():
     """bench_baselines: vectorized EX-* line fleets vs the scalar kernels."""
     from repro.experiments.algorithms import build_algorithm_suite
-    from repro.experiments.runner import run_trials
+    from repro.experiments.runner import run_trials, run_trials_prefix
 
     graph = _ladder_graph(min(RUNGS), seed=10)
     dict_graph = graph.to_labeled_graph()  # scalar reference substrate
@@ -259,18 +264,15 @@ def test_baseline_fleet_speedup():
     baselines = {}
     floor = []
     for name in ("EX-MHRW", "EX-MDRW", "EX-RCMH", "EX-GMD", "EX-RW"):
-        args = dict(sample_size=k, repetitions=repetitions, burn_in=burn_in)
         scalar, scalar_seconds = _timed(
             lambda: run_trials(
-                dict_graph, 1, 2, suite[name], name, **args, seed=20,
-                execution="sequential",
+                dict_graph, 1, 2, suite[name], name, k, repetitions, burn_in, seed=20
             )
         )
         fleet, fleet_seconds = _timed(
-            lambda: run_trials(
-                graph, 1, 2, suite[name], name, **args, seed=21,
-                execution="fleet",
-            )
+            lambda: run_trials_prefix(
+                graph, 1, 2, suite[name], name, [k], repetitions, burn_in, seed=21
+            )[0]
         )
         assert len(fleet.estimates) == len(scalar.estimates) == repetitions
         speedup = scalar_seconds / fleet_seconds
@@ -405,7 +407,7 @@ def test_graph_store_fleets():
 
     from repro.experiments import runner as runner_module
     from repro.experiments.algorithms import build_algorithm_suite
-    from repro.experiments.runner import CellTask
+    from repro.experiments.runner import GridColumn, GridJob
     from repro.graph.store import publish_csr, save_csr_npz
     from repro.utils.rng import derive_seed
 
@@ -425,22 +427,19 @@ def test_graph_store_fleets():
     suite_blob = pickle.dumps(suite)
     graph_blob_mb = round(len(pickle.dumps(graph)) / 2**20, 1)
 
-    def make_cells(fractions, repetitions):
-        return [
-            CellTask(
-                algorithm=name,
-                column=column,
-                sample_size=max(1, int(fraction * graph.num_nodes)),
-                seed=derive_seed(42, name, column),
-                t1=1, t2=2,
-                repetitions=repetitions,
-                burn_in=50,
-                true_count=true_count,
-                execution="fleet",
-            )
-            for name in suite
-            for column, fraction in enumerate(fractions)
-        ]
+    def make_jobs(fractions, repetitions):
+        jobs = []
+        for name in suite:
+            for column, fraction in enumerate(fractions):
+                size = max(1, int(fraction * graph.num_nodes))
+                jobs.append(
+                    GridJob(
+                        name, derive_seed(42, name, column), (column,),
+                        (GridColumn(1, 2, size, true_count),),
+                        size, repetitions, 50, fleet=True,
+                    )
+                )
+        return jobs
 
     # The comparison runs under the *spawn* start method — the default
     # everywhere but today's Linux, and the only one where worker state
@@ -452,7 +451,7 @@ def test_graph_store_fleets():
     # skip spawning workers it is too slow to feed.
     ctx = multiprocessing.get_context("spawn")
 
-    def run_pool(store, cells):
+    def run_pool(store, jobs):
         publication = None
         graph_ref = graph
         started = time.perf_counter()
@@ -462,29 +461,29 @@ def test_graph_store_fleets():
         try:
             with ctx.Pool(
                 4,
-                initializer=runner_module._init_cell_worker,
-                initargs=(graph_ref, suite_blob, True),
+                initializer=runner_module._init_job_worker,
+                initargs=(graph_ref, suite_blob),
             ) as pool:
-                outcomes = pool.map(runner_module._run_cell_in_worker, cells)
+                outcomes = pool.map(runner_module._run_job_in_worker, jobs)
         finally:
             if publication is not None:
                 publication.close()
                 publication.unlink()
         return outcomes, time.perf_counter() - started
 
-    # Worker-spawn overhead: near-empty cells, so four worker start-ups
+    # Worker-spawn overhead: near-empty jobs, so four worker start-ups
     # plus the per-store graph transfer is essentially all that is
     # measured (ram: 4 × the adjacency through a pipe; shm: one publish
     # plus 4 O(1) handles).
     spawn = {}
     for store in ("ram", "shm"):
-        _, spawn_seconds = run_pool(store, make_cells((0.0002,), 2)[:1] * 4)
+        _, spawn_seconds = run_pool(store, make_jobs((0.0002,), 2)[:1] * 4)
         spawn[store] = round(spawn_seconds, 4)
 
-    cells = make_cells((0.002, 0.005), 8)
-    ram_outcomes, ram_seconds = run_pool("ram", cells)
-    shm_outcomes, shm_seconds = run_pool("shm", cells)
-    for ours, theirs in zip(shm_outcomes, ram_outcomes):
+    jobs = make_jobs((0.002, 0.005), 8)
+    ram_outcomes, ram_seconds = run_pool("ram", jobs)
+    shm_outcomes, shm_seconds = run_pool("shm", jobs)
+    for (ours,), (theirs,) in zip(shm_outcomes, ram_outcomes):
         # The store moves bytes, never random draws.
         assert ours.estimates == theirs.estimates
 
@@ -531,6 +530,51 @@ def test_graph_store_fleets():
         assert mmap_rss - baseline_rss < inram_bytes, _RESULTS["graph_store"]
 
 
+def test_prefix_jobs():
+    """prefix_jobs: a ten-algorithm reuse="prefix" table at n_jobs 1 and 2."""
+    from repro.experiments.algorithms import build_algorithm_suite
+    from repro.experiments.config import DEFAULT_SAMPLE_FRACTIONS
+    from repro.experiments.runner import compare_algorithms
+
+    graph = _ladder_graph(10_000, seed=50)
+    suite = build_algorithm_suite(graph)
+    widths = {}
+    for repetitions in (20, 200):
+        seconds = {}
+        tables = {}
+        for n_jobs in (1, 2):
+            tables[n_jobs], seconds[n_jobs] = _timed(
+                lambda: compare_algorithms(
+                    graph, 1, 2,
+                    sample_fractions=DEFAULT_SAMPLE_FRACTIONS,
+                    repetitions=repetitions,
+                    algorithms=suite,
+                    burn_in=100,
+                    seed=51,
+                    execution="fleet",
+                    reuse="prefix",
+                    n_jobs=n_jobs,
+                )
+            )
+        for name in suite:
+            for ours, theirs in zip(tables[2].cells[name], tables[1].cells[name]):
+                assert (ours.estimates, ours.api_calls) == (theirs.estimates, theirs.api_calls)
+        widths[str(repetitions)] = {
+            "n_jobs_1_seconds": round(seconds[1], 4),
+            "n_jobs_2_seconds": round(seconds[2], 4),
+        }
+    _RESULTS["prefix_jobs"] = {
+        "num_nodes": graph.num_nodes,
+        "num_edges": graph.num_edges,
+        "algorithms": len(suite),
+        "budgets": len(DEFAULT_SAMPLE_FRACTIONS),
+        "burn_in": 100,
+        "n_jobs_2_includes": "shm publish and start of 2 workers",
+        "by_repetitions": widths,
+        "bit_identical_tables": True,
+    }
+
+
 def test_write_scale_json():
     """Persist the ladder (runs last: pytest executes in file order).
 
@@ -553,6 +597,7 @@ def test_write_scale_json():
         "bench_baselines",
         "ten_algorithm_table",
         "graph_store",
+        "prefix_jobs",
     ):
         if key in _RESULTS:
             payload[key] = _RESULTS[key]

@@ -19,16 +19,18 @@ The script
    the same charged-call accounting — the type of the graph picks the
    engine, and
 5. runs a whole NRMSE table cell (many repetitions of one estimation)
-   with ``execution="fleet"``: every repetition becomes one walker of a
-   vectorized fleet sharing the frozen CSR arrays, with per-walker
-   API-call ledgers — the fastest way to reproduce the paper's tables.
+   on both engines: ``run_trials`` repeats it on the reference engine,
+   and ``run_trials_prefix`` at one budget turns every repetition into
+   one walker of a vectorized fleet sharing the frozen CSR arrays, with
+   per-walker API-call ledgers — what ``execution="fleet"`` runs per
+   cell, and the fastest way to reproduce the paper's tables.
 """
 
 import time
 
 from repro import count_target_edges, estimate_target_edge_count, load_dataset
 from repro.experiments.algorithms import build_algorithm_suite
-from repro.experiments.runner import run_trials
+from repro.experiments.runner import run_trials, run_trials_prefix
 from repro.graph.csr import csr_view
 
 
@@ -95,20 +97,14 @@ def main() -> None:
     print()
     suite = build_algorithm_suite(graph, include_baselines=False)
     algorithm = "NeighborExploration-HH"
+    args = (graph, female, male, suite[algorithm], algorithm)
+    sample_size = max(1, graph.num_nodes // 20)  # 5% of |V|
     for execution in ("sequential", "fleet"):
         started = time.perf_counter()
-        outcome = run_trials(
-            graph,
-            female,
-            male,
-            suite[algorithm],
-            algorithm,
-            sample_size=max(1, graph.num_nodes // 20),  # 5% of |V|
-            repetitions=200,
-            burn_in=200,
-            seed=42,
-            execution=execution,
-        )
+        if execution == "fleet":
+            (outcome,) = run_trials_prefix(*args, [sample_size], 200, 200, seed=42)
+        else:
+            outcome = run_trials(*args, sample_size, 200, 200, seed=42)
         elapsed = (time.perf_counter() - started) * 1000
         print(f"execution={execution:<10}: cell of {outcome.repetitions} repetitions, "
               f"NRMSE = {outcome.nrmse:.3f}, mean estimate = {outcome.mean_estimate:8.1f} "

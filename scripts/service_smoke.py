@@ -41,8 +41,10 @@ deterministic fault plan installed at the production ``fire`` sites
    bit-identical to the pre-restart answer;
 2. ``repro-osn fsck`` flags a deliberately bit-flipped sidecar and the
    open path refuses it with a typed ``ArtifactCorruptError``;
-3. a ``--jobs 2`` journaled sweep is SIGKILLed mid-run and
-   ``--resume`` completes it bit-identically to an uninterrupted run.
+3. a ``--jobs 2`` journaled sweep is SIGKILLed mid-run, the
+   shared-memory segment it leaves behind is reclaimed by the orphan
+   sweep, and ``--resume`` completes the table bit-identically to an
+   uninterrupted run.
 
 Exit code 0 on success.  CI wires the default mode as the
 ``service-smoke`` job, the chaos mode as ``chaos-smoke`` and the
@@ -364,7 +366,7 @@ def _chaos_worker_kill() -> None:
         return compare_algorithms(
             csr, 1, 2,
             sample_fractions=(0.02, 0.05), repetitions=3, algorithms=suite,
-            burn_in=5, seed=42, execution="fleet", n_jobs=2, graph_store="shm",
+            burn_in=5, seed=42, execution="fleet", n_jobs=2,
         )
 
     print("worker-kill recovery: clean reference table ...", flush=True)
@@ -529,7 +531,7 @@ compare_algorithms(
     graph, 1, 2,
     sample_fractions=(0.02, 0.04, 0.06),
     repetitions=3, algorithms=suite, burn_in=5, seed=42,
-    execution="fleet", n_jobs=2, graph_store="ram",
+    execution="fleet", n_jobs=2,
     journal=sys.argv[1],
 )
 """ % {"algo": ALGORITHM}
@@ -546,6 +548,7 @@ def _journal_resume_phase(journal: Path) -> None:
     from repro.experiments.algorithms import build_algorithm_suite
     from repro.experiments.runner import compare_algorithms
     from repro.graph.csr import CSRGraph
+    from repro.graph.store import sweep_orphan_segments
 
     rng = np.random.default_rng(3)
     hub = np.column_stack([np.zeros(299, dtype=np.int64), np.arange(1, 300)])
@@ -560,7 +563,7 @@ def _journal_resume_phase(journal: Path) -> None:
         settings = dict(
             sample_fractions=(0.02, 0.04, 0.06), repetitions=3,
             algorithms=suite, burn_in=5, seed=42,
-            execution="fleet", n_jobs=2, graph_store="ram",
+            execution="fleet", n_jobs=2,
         )
         settings.update(overrides)
         return compare_algorithms(csr, 1, 2, **settings)
@@ -591,6 +594,14 @@ def _journal_resume_phase(journal: Path) -> None:
     assert not journal_is_committed(journal)
     done = sum(1 for r in read_records(journal) if r["type"] == "cell")
     print(f"journal phase: crashed with {done}/3 cells journaled; resuming ...", flush=True)
+    shm = Path("/dev/shm")
+    if shm.is_dir():
+        # The killed publisher left its graph's segment behind.
+        leaked = set(shm.glob(f"repro-{child.pid}-*"))
+        assert leaked, "the SIGKILLed sweep left no segment to reclaim"
+        assert leaked <= set(sweep_orphan_segments())
+        assert not list(shm.glob(f"repro-{child.pid}-*"))
+        print(f"journal phase: swept {len(leaked)} orphaned segment(s)", flush=True)
 
     resumed = table(journal=journal, resume=True)
     for name in reference.algorithms():

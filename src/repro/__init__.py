@@ -53,16 +53,17 @@ numpy-vectorized step over a shared :class:`repro.graph.CSRGraph`.
 Fleet execution
 ---------------
 The experiment harness builds on that engine: with
-``execution="fleet"`` (``run_trials`` / ``compare_algorithms`` /
-``frequency_sweep``, ``ExperimentConfig`` and the CLI's
-``--execution``), all repetitions of an NRMSE table cell run as *one*
-walker fleet — one walker per repetition, each with its own
+``execution="fleet"`` (``compare_algorithms`` / ``frequency_sweep``,
+``ExperimentConfig`` and the CLI's ``--execution``; one cell on its own
+is ``run_trials_prefix(..., [k], ...)[0]``), all repetitions of an
+NRMSE table cell run as *one* walker fleet — one walker per repetition, each with its own
 distinct-page budget ledger — and the estimators consume the whole
 fleet's samples through their array-native ``estimate_batch`` entry
 points.  A fleet cell is a single-budget prefix fleet, so the mode only
 matters under ``reuse="none"``: ``reuse="prefix"`` reads every registry
-cell off one max-budget fleet per algorithm.  ``n_jobs`` additionally spreads cells across worker processes
-with pre-derived per-cell seeds, so results are identical for any
+cell off one max-budget fleet per algorithm.  ``n_jobs`` additionally
+spreads the grid's jobs (prefix fleets and cells alike) across worker
+processes with pre-derived seeds, so results are identical for any
 worker count.
 
 Sub-packages

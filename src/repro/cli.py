@@ -23,8 +23,9 @@ Sub-commands
     the shm/mmap store and answer micro-batched estimate queries over
     HTTP (``/healthz``, ``/stats``, ``POST /estimate``).
 ``sweep-spills``
-    Reclaim orphaned ``$REPRO_MMAP_DIR`` spill files left behind by
-    killed runs, plus committed journals and dead-pid scratch temps.
+    Reclaim orphaned ``$REPRO_MMAP_DIR`` spill files and shared-memory
+    segments left behind by killed runs, plus committed journals and
+    dead-pid scratch temps.
 ``fsck``
     Verify durable ``.npz`` artifacts: blake2b manifest check plus the
     deep :meth:`CSRGraph.validate_invariants` structural check.
@@ -42,7 +43,7 @@ from repro.core.samplers.csr_backend import EXECUTIONS, REUSES
 from repro.core.pipeline import available_algorithms, estimate_target_edge_count
 from repro.datasets.registry import dataset_names, load_dataset
 from repro.experiments.config import ExperimentConfig
-from repro.graph.store import GRAPH_STORES
+from repro.graph.store import DATASET_STORES, GRAPH_STORES
 from repro.experiments.figures import run_paper_figure
 from repro.experiments.reporting import (
     format_frequency_series,
@@ -110,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes for cell-level parallelism (same table for any "
-        "worker count; default: 1)",
+        help="worker processes for the table's jobs, prefix fleets included "
+        "(same table for any worker count; default: 1)",
     )
     table.add_argument(
         "--reuse",
@@ -130,13 +131,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     table.add_argument(
         "--graph-store",
-        choices=GRAPH_STORES,
+        choices=DATASET_STORES,
         default="ram",
         dest="graph_store",
-        help="CSR buffer store: 'shm' publishes one shared-memory segment "
-        "that --jobs workers reattach via O(1) handles; 'mmap' memory-maps "
-        "the dataset from an .npz sidecar (out-of-core); needs "
-        "--representation csr (identical tables either way)",
+        help="dataset backing: 'mmap' memory-maps the dataset from an .npz "
+        "sidecar (out-of-core); needs --representation csr (identical "
+        "tables either way; --jobs workers reattach the CSR buffers by "
+        "handle regardless)",
     )
     table.add_argument(
         "--journal",
@@ -168,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes for point-level parallelism (same series for "
-        "any worker count; default: 1)",
+        help="worker processes for the sweep's jobs, prefix fleets included "
+        "(same series for any worker count; default: 1)",
     )
     figure.add_argument(
         "--reuse",
@@ -187,12 +188,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     figure.add_argument(
         "--graph-store",
-        choices=GRAPH_STORES,
+        choices=DATASET_STORES,
         default="ram",
         dest="graph_store",
-        help="CSR buffer store: 'shm' shares one segment across --jobs "
-        "workers; 'mmap' memory-maps the dataset (out-of-core); needs "
-        "--representation csr",
+        help="dataset backing: 'mmap' memory-maps the dataset (out-of-core); "
+        "needs --representation csr",
     )
     figure.add_argument(
         "--journal",
@@ -339,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = subparsers.add_parser(
         "sweep-spills",
-        help="reclaim orphaned $REPRO_MMAP_DIR spill files from dead runs",
+        help="reclaim orphaned $REPRO_MMAP_DIR spill files and shared-memory "
+        "segments from dead runs",
     )
     sweep.add_argument(
         "--directory",
@@ -645,17 +646,17 @@ def _command_serve(args) -> int:
 
 
 def _command_sweep_spills(args) -> int:
-    from repro.graph.store import sweep_orphan_spills
+    from repro.graph.store import sweep_orphan_segments, sweep_orphan_spills
 
     victims = sweep_orphan_spills(
         directory=args.directory,
         max_age_seconds=args.max_age_seconds,
         dry_run=args.dry_run,
-    )
+    ) + sweep_orphan_segments(dry_run=args.dry_run)
     verb = "would remove" if args.dry_run else "removed"
     for victim in victims:
         print(f"{verb}: {victim}")
-    print(f"{verb} {len(victims)} orphaned spill file(s)")
+    print(f"{verb} {len(victims)} orphaned spill file(s) and segment(s)")
     return 0
 
 

@@ -14,7 +14,8 @@ Both containers also carry the prior knowledge (``|E|``, ``|V|``) read
 from the restricted API at sampling time, so an estimator needs nothing
 but the sample set.
 
-The fleet execution path (``run_trials(..., execution="fleet")``) runs
+The fleet execution path (``execution="fleet"`` / ``reuse="prefix"``
+on the grid entry points, or ``run_trials_prefix``) runs
 *all repetitions of a table cell at once* and therefore works with the
 array-native twins :class:`EdgeSampleBatch` / :class:`NodeSampleBatch`:
 one numpy row per trial, consumed wholesale by the estimators'

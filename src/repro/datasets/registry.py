@@ -24,7 +24,7 @@ from repro.exceptions import DatasetError
 from repro.graph.csr import CSRGraph
 from repro.graph.labeled_graph import Label, LabeledGraph
 from repro.graph.store import (
-    GRAPH_STORES,
+    DATASET_STORES,
     SpillOwnership,
     default_mmap_dir,
     spill_csr_to_mmap,
@@ -387,11 +387,11 @@ def load_dataset(
         so their graphs are statistically, not bitwise, alike.
     graph_store:
         Which buffer store backs a CSR dataset.  ``"ram"`` (default)
-        and ``"shm"`` keep the arrays in process RAM (``"shm"``
-        publication happens later, at the ``n_jobs`` plane);
-        ``"mmap"`` spills the synthesised arrays to an ``.npz`` sidecar
-        under :func:`repro.graph.store.default_mmap_dir` and reopens
-        them memory-mapped — the graph's adjacency pages in on demand
+        keeps the arrays in process RAM (an ``n_jobs`` worker pool
+        publishes them to shared memory by itself); ``"mmap"`` spills
+        the synthesised arrays to an ``.npz`` sidecar under
+        :func:`repro.graph.store.default_mmap_dir` and reopens them
+        memory-mapped — the graph's adjacency pages in on demand
         and the dataset pickles as an O(1) handle.  The spilled arrays
         are bit-identical to the in-RAM ones (same synthesis streams),
         so experiments agree exactly across stores.  The in-process
@@ -407,7 +407,7 @@ def load_dataset(
             f"unknown representation {representation!r}; "
             f"available: {', '.join(REPRESENTATIONS)}"
         )
-    validate_graph_store(graph_store)
+    validate_graph_store(graph_store, DATASET_STORES)
     if graph_store != "ram" and representation != "csr":
         raise DatasetError(
             f"graph_store={graph_store!r} needs the array-native substrate; "

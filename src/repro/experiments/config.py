@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.samplers.csr_backend import validate_execution, validate_reuse
 from repro.exceptions import ConfigurationError
-from repro.graph.store import validate_graph_store
+from repro.graph.store import DATASET_STORES, validate_graph_store
 from repro.utils.validation import check_fraction, check_positive_int
 
 #: 0.5% .. 5.0% of |V|, the x-axis of every NRMSE table in the paper.
@@ -77,18 +77,17 @@ class ExperimentConfig:
         loop simulates the restricted API over the dict substrate —
         and then reproduces the full ten-algorithm tables.
     graph_store:
-        Which buffer store backs the CSR graph and carries it to
-        ``n_jobs`` workers: ``"ram"`` (default, process-private arrays;
-        workers get a pickle each), ``"shm"`` (one shared-memory
-        segment, workers reattach an O(1) handle — cheap multi-process
-        tables at ≥10⁶ nodes), or ``"mmap"`` (the dataset itself is
+        Which buffer store backs the CSR dataset: ``"ram"`` (default,
+        process-private arrays) or ``"mmap"`` (the dataset is
         memory-mapped from an ``.npz`` sidecar — out-of-core, peak RSS
-        well under the in-RAM footprint, and workers map the same
-        file).  Non-``"ram"`` stores require ``representation="csr"``;
-        results are bit-identical across all three stores.
+        well under the in-RAM footprint).  ``"mmap"`` requires
+        ``representation="csr"``; results are bit-identical across
+        both.  How ``n_jobs`` workers receive the graph follows from
+        it (see :func:`repro.experiments.runner.run_jobs_parallel`).
     n_jobs:
-        Worker processes for cell-level parallelism; per-cell seeds are
-        pre-derived so any worker count reproduces the same tables.
+        Worker processes for the grid's jobs (prefix fleets and cells
+        alike); job seeds are pre-derived so any worker count
+        reproduces the same tables.
     journal:
         Optional path to an append-only experiment journal (WAL): every
         completed cell is made durable as it finishes, so a crashed run
@@ -128,7 +127,7 @@ class ExperimentConfig:
         check_positive_int(self.n_jobs, "n_jobs")
         validate_execution(self.execution)
         validate_reuse(self.reuse)
-        validate_graph_store(self.graph_store)
+        validate_graph_store(self.graph_store, DATASET_STORES)
         if self.graph_store != "ram" and self.representation != "csr":
             raise ConfigurationError(
                 f"graph_store={self.graph_store!r} stores CSR buffers "

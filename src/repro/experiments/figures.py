@@ -129,7 +129,6 @@ def run_paper_figure(
         execution=config.execution,
         n_jobs=config.n_jobs,
         reuse=config.reuse,
-        graph_store=config.graph_store,
         journal=config.journal,
         resume=config.resume,
     )

@@ -8,8 +8,8 @@ fleets alike.  Classification is the only label-dependent step, so one
 fleet also answers *every* target pair.  :class:`PrefixFleet` is the
 one fleet dispatcher: the harness's grid driver
 (:func:`repro.experiments.runner.run_grid`, behind tables and frequency
-sweeps), its single-budget fleet cells
-(``run_trials(execution="fleet")``) and the :mod:`repro.service`
+sweeps, for prefix fleets and single-budget fleet cells alike),
+:func:`repro.experiments.runner.run_trials_prefix` and the :mod:`repro.service`
 micro-batcher, which coalesces concurrent (pair, budget) queries from
 many clients, all walk through it.
 

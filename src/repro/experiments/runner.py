@@ -2,10 +2,12 @@
 
 Entry points:
 
-* :func:`run_trials` — one (algorithm, budget) cell: repeat the
-  estimation over fresh API wrappers / random streams and summarise.
+* :func:`run_trials` — one (algorithm, budget) cell on the dict
+  reference engine: repeat the estimation over fresh API wrappers and
+  random streams, and summarise.
 * :func:`run_trials_prefix` — every budget of one algorithm and one
-  target pair off a single max-budget fleet.
+  target pair off a single max-budget walker fleet; at one budget it is
+  the vectorized twin of :func:`run_trials`.
 * :func:`compare_algorithms` — a whole table: every algorithm × every
   budget, returning an :class:`NRMSETable` whose rows mirror Tables 4–17
   of the paper.
@@ -14,49 +16,47 @@ Tables and the frequency sweeps of Figures 1–2
 (:func:`repro.experiments.sweeps.frequency_sweep`) are the same object,
 an NRMSE grid of algorithms × columns, where a column is a target pair
 at one budget (:class:`GridColumn`).  Both run through one driver,
-:func:`run_grid`, which owns the input validation, the CSR freeze, the
-journal, the prefix fleets and the remaining cells.
+:func:`run_grid`, which owns the input validation, the journal and one
+list of :class:`GridJob` s, each run by :func:`run_job`.
 
-Two engines run the cells.  Sequential cells run the dict reference
-engine, one fresh :class:`RestrictedGraphAPI` per repetition; it is the
-accounting reference.  Everything vectorized runs the numpy walker
-fleets of :class:`~repro.experiments.planner.PrefixFleet`.
+A job is one algorithm's walk over some columns, of one of two kinds.
+A *reference* job runs one column on the dict reference engine
+(:func:`run_trials`, one fresh :class:`RestrictedGraphAPI` per
+repetition); it is the accounting reference.  A *fleet* job walks one
+numpy walker fleet (:class:`~repro.experiments.planner.PrefixFleet`)
+and reads its columns off trajectory prefixes.  The knobs pick the kind:
 
-The performance knobs, and how they interact:
+* ``reuse="prefix"`` gives each registry algorithm **one** fleet job
+  at the grid's max budget covering every column.  A budget-``b₁``
+  crawl from a given seed is a literal prefix of a budget-``b₂ > b₁``
+  crawl from the same seed, and the walk is label-agnostic, so walking
+  cost drops from O(Σ columns) to O(max budget).  This covers the
+  proposed algorithms *and* the EX-* baselines (whose prefixes keep the
+  rejected-proposal probes in the ledgers).
+* ``execution="fleet"`` with ``reuse="none"`` gives each registry
+  algorithm one single-budget fleet job per column: all repetitions of
+  a cell walk at once as one vectorized fleet.
+* Everything else — ``execution="sequential", reuse="none"``, and
+  hand-written runner callables under any knobs — runs reference jobs.
 
-* ``reuse="prefix"`` exploits that a budget-``b₁`` crawl from a given
-  seed is a literal prefix of a budget-``b₂ > b₁`` crawl from the same
-  seed, and that the walk is label-agnostic: one max-budget
-  :class:`~repro.experiments.planner.PrefixFleet` per registry
-  algorithm serves every column of the grid, each classified and
-  estimated off trajectory/ledger prefixes — walking cost drops from
-  O(Σ columns) to O(max budget).  Applies to the proposed algorithms
-  *and* the EX-* baselines (whose prefixes keep the rejected-proposal
-  probes in the ledgers).
-* ``execution="fleet"`` runs *all repetitions of a cell at once* as one
-  vectorized walker fleet: a fleet cell is a single-budget prefix fleet.
-  It only matters for the cells ``reuse="prefix"`` leaves over — all
-  cells under ``reuse="none"``, none of the registry cells under
-  ``reuse="prefix"``.  Hand-written runner callables cannot vectorize
-  and run the sequential loop either way.
-* ``n_jobs > 1`` distributes the remaining cells across worker
-  processes.  Per-cell seeds are derived with :func:`derive_seed`
-  before submission, so the result is identical for any worker count
-  and scheduling order.  ``graph_store`` controls how the graph reaches
-  the workers: ``"ram"`` pickles it once per worker (the only option
-  for dict graphs), while ``"shm"`` / ``"mmap"`` publish the CSR
-  buffers once (shared-memory segment / memory-mapped sidecar) and ship
-  an O(1) :class:`~repro.graph.store.CSRHandle` that workers reattach
-  zero-copy — at the 10⁶-node rung the serialization this avoids dwarfs
-  the cell work itself.  The store never touches any random stream, so
-  results are bit-identical across all three stores.
+``n_jobs == 1`` runs the jobs in the parent; ``n_jobs > 1`` runs them in
+a process pool (:func:`run_jobs_parallel`).  Every job's seed is derived
+with :func:`derive_seed` before submission, so the result is identical
+for any worker count and scheduling order.  The graph decides how it
+reaches the workers: a dict graph is pickled once per worker (its
+frozen CSR view instead when every job is a fleet job), and a
+:class:`CSRGraph` travels as an O(1) :class:`~repro.graph.store.CSRHandle`
+that workers reattach zero-copy — its own handle when it is already
+shm- or mmap-backed, a fresh shared-memory publication when it lives in
+RAM — unless no flat buffer can hold it, in which case it is pickled
+too.  The transport never touches a random stream.
 
 One durability knob: ``journal=`` names an append-only JSONL WAL
 (:class:`repro.durability.ExperimentJournal`) that records every
-completed cell the moment it finishes, keyed by a suite fingerprint.
-``resume=True`` replays the finished cells out of it and re-runs only
-the missing ones — bit-identical to an uninterrupted run, because each
-cell's and each fleet's seed is pre-derived.
+completed cell the moment its job finishes, keyed by a suite
+fingerprint.  ``resume=True`` replays the finished cells out of it and
+builds jobs for the missing ones only — bit-identical to an
+uninterrupted run, because each job's seed is pre-derived.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.durability import ExperimentJournal, suite_fingerprint
 
@@ -76,7 +76,7 @@ from repro.core.samplers.csr_backend import validate_execution, validate_reuse
 from repro.exceptions import ConfigurationError, ExperimentError
 from repro.graph.api import RestrictedGraphAPI
 from repro.graph.csr import CSRGraph, csr_view, ensure_same_graph
-from repro.graph.store import CSRHandle, attach_csr, publish_csr, validate_graph_store
+from repro.graph.store import CSRHandle, attach_csr, is_publishable, publish_csr
 from repro.graph.labeled_graph import Label, LabeledGraph
 from repro.graph.statistics import count_target_edges
 from repro.resilience.faults import fire
@@ -176,83 +176,27 @@ def run_trials(
     burn_in: int,
     seed: RandomSource = None,
     true_count: Optional[int] = None,
-    csr: Optional[CSRGraph] = None,
-    execution: str = "sequential",
 ) -> TrialOutcome:
-    """Repeat one estimation *repetitions* times and summarise.
+    """Repeat one estimation *repetitions* times on the dict reference engine.
 
-    With ``execution="sequential"`` (default) every repetition runs the
-    dict reference engine through a fresh :class:`RestrictedGraphAPI`
+    Every repetition runs through a fresh :class:`RestrictedGraphAPI`
     (so API calls and caches do not leak across repetitions) with an
-    independent random stream derived from *seed*.
+    independent random stream derived from *seed*.  Any runner works,
+    hand-written callables included.
 
-    With ``execution="fleet"`` all *repetitions* run as **one**
-    vectorized walker fleet over the CSR arrays (frozen here unless the
-    caller passes *csr*, as :func:`compare_algorithms` does): the cell
-    is a single-budget :class:`~repro.experiments.planner.PrefixFleet` (one
-    walker per repetition, each with its own distinct-page ledger
-    matching the fresh wrapper it stands for), so it equals
-    :func:`run_trials_prefix` at ``[sample_size]`` bit for bit.  Fleet
-    estimates are distributionally equivalent to sequential ones
-    (enforced by the KS equivalence suite) but not bit-identical — the
-    random streams are consumed walker-by-step instead of
-    trial-by-trial.  Any :class:`ProposedRunner` vectorizes through the
-    NS/NE fleet samplers with its own sampler kind and estimator, and
-    any :class:`~repro.experiments.algorithms.BaselineRunner` (the EX-*
-    rows) through the implicit line-graph fleet with its own ``alpha``
-    / ``delta`` / line-max-degree knobs.  Only hand-written runner
-    callables fall back to the sequential loop.
-
-    Support matrix of the harness (``reuse`` lives on
-    :func:`compare_algorithms` / ``frequency_sweep``; ``execution`` only
-    matters for the cells that ``reuse`` leaves over):
-
-    ========== ========== ============== =================================
-    execution  reuse      representation behavior
-    ========== ========== ============== =================================
-    sequential none       dict           reference path, all runners
-    sequential none       csr            **raises** ``ConfigurationError``
-                                         (no dict graph to simulate the
-                                         restricted API over)
-    fleet      none       dict / csr     registry runners run
-                                         single-budget prefix fleets;
-                                         hand-written runners fall back
-                                         to sequential (csr raises)
-    either     prefix     dict / csr     one max-budget prefix fleet per
-                                         registry runner for the whole
-                                         grid; hand-written runners keep
-                                         per-cell walks as under
-                                         ``none`` (dict only)
-    ========== ========== ============== =================================
-
-    :class:`ExperimentConfig` enforces the same matrix eagerly for whole
-    experiment runs.
+    This is the accounting reference.  The vectorized engine is
+    :func:`run_trials_prefix`: ``run_trials_prefix(..., [sample_size],
+    ...)[0]`` runs the same cell as one walker fleet.  Its estimates are
+    distributionally equivalent (enforced by the KS equivalence suite)
+    but not bit-identical — the random streams are consumed
+    walker-by-step instead of trial-by-trial.  A :class:`CSRGraph` has
+    no dict graph to simulate the restricted API over and raises
+    :class:`ConfigurationError`.
     """
     check_positive_int(sample_size, "sample_size")
     check_positive_int(repetitions, "repetitions")
-    validate_execution(execution)
+    _require_dict_graph(graph)
     true_count = _true_count(graph, t1, t2, true_count)
-    if execution == "fleet" and isinstance(runner, (ProposedRunner, BaselineRunner)):
-        return run_trials_prefix(
-            graph,
-            t1,
-            t2,
-            runner,
-            algorithm_name,
-            [sample_size],
-            repetitions,
-            burn_in,
-            seed=seed,
-            true_count=true_count,
-            csr=csr,
-        )[0]
-    if isinstance(graph, CSRGraph):
-        raise ConfigurationError(
-            "the sequential execution path simulates the restricted API over "
-            "the dict graph; pass graph.to_labeled_graph() (or a dict-"
-            "representation dataset), or run a registry algorithm with "
-            "execution='fleet'"
-        )
     outcome = TrialOutcome(
         algorithm=algorithm_name, sample_size=sample_size, true_count=true_count
     )
@@ -262,6 +206,17 @@ def run_trials(
         outcome.estimates.append(result.estimate)
         outcome.api_calls.append(api.api_calls)
     return outcome
+
+
+def _require_dict_graph(graph: LabeledGraph) -> None:
+    """Raise unless *graph* can run the dict reference engine."""
+    if isinstance(graph, CSRGraph):
+        raise ConfigurationError(
+            "the reference engine simulates the restricted API over the dict "
+            "graph; pass graph.to_labeled_graph() (or a dict-representation "
+            "dataset), or run registry algorithms with execution='fleet' or "
+            "reuse='prefix'"
+        )
 
 
 def _true_count(graph: LabeledGraph, t1: Label, t2: Label, true_count: Optional[int]) -> int:
@@ -398,6 +353,55 @@ def _prefix_outcomes(
     ]
 
 
+@dataclass(frozen=True)
+class GridJob:
+    """One unit of grid work: one algorithm's walk over some columns.
+
+    A *fleet* job walks one :class:`PrefixFleet` to *max_budget* and
+    reads every column off it; a *reference* job has one column and
+    runs :func:`run_trials`.  Only scalars and labels — the graph and
+    the suite live in per-worker globals (:func:`_init_job_worker`), so
+    submitting a job ships a few bytes, not the adjacency.  *keys* name
+    the columns in the grid (:func:`run_grid`'s column keys).
+    """
+
+    algorithm: str
+    seed: int
+    keys: Tuple[int, ...]
+    columns: Tuple[GridColumn, ...]
+    max_budget: int
+    repetitions: int
+    burn_in: int
+    fleet: bool
+
+
+def run_job(graph: LabeledGraph, runner: AlgorithmRunner, job: GridJob) -> List[TrialOutcome]:
+    """Run one :class:`GridJob`; one :class:`TrialOutcome` per column, in order.
+
+    The one executor of grid work, shared by the parent (``n_jobs=1``)
+    and the pool workers.  A fleet job freezes (or reuses) the graph's
+    CSR view, which :func:`csr_view` caches, so a grid freezes once.
+    """
+    if job.fleet:
+        spec = FleetSpec(job.algorithm, job.seed, job.repetitions, job.burn_in)
+        return _prefix_outcomes(csr_view(graph), runner, spec, job.max_budget, job.columns)
+    (column,) = job.columns
+    return [
+        run_trials(
+            graph,
+            column.t1,
+            column.t2,
+            runner,
+            job.algorithm,
+            column.sample_size,
+            job.repetitions,
+            job.burn_in,
+            seed=job.seed,
+            true_count=column.true_count,
+        )
+    ]
+
+
 def run_grid(
     graph: LabeledGraph,
     algorithms: Mapping[str, AlgorithmRunner],
@@ -412,7 +416,6 @@ def run_grid(
     execution: str,
     n_jobs: int,
     reuse: str,
-    graph_store: str,
     journal: Optional[Union[str, Path]],
     resume: bool,
     progress: Optional[Callable[[str, int, float], None]] = None,
@@ -423,19 +426,24 @@ def run_grid(
     budget index) and :func:`repro.experiments.sweeps.frequency_sweep`
     (columns keyed by pair index).  In order it:
 
-    1. validates the knobs (and ``resume`` without a journal) before
-       any expensive work, then derives the burn-in if none was given;
-    2. freezes the CSR arrays once for the whole grid;
-    3. opens the journal, fingerprinted by *fingerprint* (the caller's
+    1. validates the knobs (and ``resume`` without a journal), and
+       refuses a :class:`CSRGraph` when any algorithm would run
+       reference jobs — all before any expensive work; then derives the
+       burn-in if none was given;
+    2. opens the journal, fingerprinted by *fingerprint* (the caller's
        ``kind`` and its own fields) plus the shared run parameters, and
        replays its finished cells under ``resume``;
-    4. under ``reuse="prefix"`` walks one :class:`PrefixFleet` per
-       registry algorithm at the grid's max budget, seeded
-       ``fleet_seed(name)``, and reads every missing column off it;
-    5. runs the remaining cells, seeded ``cell_seed(name, key)``,
-       serially or through :func:`run_cells_parallel`.
+    3. builds one :class:`GridJob` list for the missing cells — under
+       ``reuse="prefix"`` one fleet job per registry algorithm at the
+       grid's max budget, seeded ``fleet_seed(name)``; otherwise one job
+       per cell, seeded ``cell_seed(name, key)``, a fleet job for a
+       registry algorithm under ``execution="fleet"`` and a reference
+       job for everything else;
+    4. runs the jobs with :func:`run_job`, in the parent when
+       ``n_jobs == 1`` and through :func:`run_jobs_parallel` otherwise
+       (handing it a dict graph's CSR view when no job needs the dict).
 
-    Every fresh cell is journaled and reported to *progress* as it
+    Every fresh cell is journaled and reported to *progress* as its job
     finishes.  Seeds are pre-derived, so the result does not depend on
     worker count, scheduling, crashes or resumes.
     """
@@ -443,14 +451,18 @@ def run_grid(
     check_positive_int(repetitions, "repetitions")
     validate_execution(execution)
     validate_reuse(reuse)
-    validate_graph_store(graph_store)
     if resume and journal is None:
         raise ConfigurationError("resume=True needs a journal path to replay")
+    vectorized = execution == "fleet" or reuse == "prefix"
+    fleet_names = {
+        name
+        for name, runner in algorithms.items()
+        if vectorized and isinstance(runner, (ProposedRunner, BaselineRunner))
+    }
+    if len(fleet_names) < len(algorithms):
+        _require_dict_graph(graph)
     if burn_in is None:
         burn_in = recommended_burn_in(graph, rng=seed)
-    # Freeze the CSR arrays once for the whole grid, not once per cell.
-    needs_csr = execution == "fleet" or reuse == "prefix"
-    shared_csr = csr_view(graph) if needs_csr else None
     total_cells = len(algorithms) * len(columns)
     outcomes: Dict[Tuple[str, int], TrialOutcome] = {}
     active_journal: Optional[ExperimentJournal] = None
@@ -479,72 +491,53 @@ def run_grid(
             if name in algorithms and isinstance(key, int) and key in columns:
                 outcomes[(name, key)] = _outcome_from_record(record)
 
-    def finish(name: str, key: int, outcome: TrialOutcome) -> None:
-        outcomes[(name, key)] = outcome
-        if active_journal is not None:
-            active_journal.append_cell(
-                name,
-                key,
-                outcome.sample_size,
-                outcome.true_count,
-                outcome.estimates,
-                outcome.api_calls,
-            )
-        if progress is not None:
-            progress(name, outcome.sample_size, len(outcomes) / total_cells)
-
-    prefix_names = [
-        name
-        for name in algorithms
-        if reuse == "prefix"
-        and isinstance(algorithms[name], (ProposedRunner, BaselineRunner))
-    ]
-    try:
-        for name in prefix_names:
-            missing = [key for key in columns if (name, key) not in outcomes]
-            if not missing:
-                continue  # every column of this fleet was replayed
-            row = _prefix_outcomes(
-                shared_csr,
-                algorithms[name],
-                FleetSpec(name, fleet_seed(name), repetitions, burn_in),
-                max(column.sample_size for column in columns.values()),
-                [columns[key] for key in missing],
-            )
-            for key, outcome in zip(missing, row):
-                finish(name, key, outcome)
-
-        cells = [
-            CellTask(
-                algorithm=name,
-                column=key,
-                sample_size=column.sample_size,
-                seed=cell_seed(name, key),
-                t1=column.t1,
-                t2=column.t2,
-                repetitions=repetitions,
-                burn_in=burn_in,
-                true_count=column.true_count,
-                execution=execution,
-            )
-            for name in algorithms
-            if name not in prefix_names
-            for key, column in columns.items()
-            if (name, key) not in outcomes
-        ]
-        if cells and n_jobs > 1:
-            run_cells_parallel(
-                graph, algorithms, cells, n_jobs, None,
-                graph_store=graph_store,
-                on_cell=lambda cell, outcome: finish(cell.algorithm, cell.column, outcome),
-            )
-        else:
-            for cell in cells:
-                finish(
-                    cell.algorithm,
-                    cell.column,
-                    run_cell(graph, algorithms[cell.algorithm], cell, shared_csr),
+    max_budget = max((column.sample_size for column in columns.values()), default=0)
+    jobs: List[GridJob] = []
+    for name in algorithms:
+        missing = [key for key in columns if (name, key) not in outcomes]
+        if not missing:
+            continue  # every cell of this algorithm was replayed
+        if name in fleet_names and reuse == "prefix":
+            jobs.append(
+                GridJob(
+                    name, fleet_seed(name), tuple(missing),
+                    tuple(columns[key] for key in missing),
+                    max_budget, repetitions, burn_in, fleet=True,
                 )
+            )
+            continue
+        for key in missing:
+            column = columns[key]
+            jobs.append(
+                GridJob(
+                    name, cell_seed(name, key), (key,), (column,),
+                    column.sample_size, repetitions, burn_in, fleet=name in fleet_names,
+                )
+            )
+
+    def finish(job: GridJob, row: Sequence[TrialOutcome]) -> None:
+        for key, outcome in zip(job.keys, row):
+            outcomes[(job.algorithm, key)] = outcome
+            if active_journal is not None:
+                active_journal.append_cell(
+                    job.algorithm,
+                    key,
+                    outcome.sample_size,
+                    outcome.true_count,
+                    outcome.estimates,
+                    outcome.api_calls,
+                )
+            if progress is not None:
+                progress(job.algorithm, outcome.sample_size, len(outcomes) / total_cells)
+
+    try:
+        if n_jobs > 1 and jobs:
+            # Fleet jobs read only the CSR view: freeze a dict graph once, here.
+            shipped = csr_view(graph) if all(job.fleet for job in jobs) else graph
+            run_jobs_parallel(shipped, algorithms, jobs, n_jobs, finish)
+        else:
+            for job in jobs:
+                finish(job, run_job(graph, algorithms[job.algorithm], job))
         if active_journal is not None:
             active_journal.commit(total_cells)
     finally:
@@ -569,7 +562,6 @@ def compare_algorithms(
     execution: str = "sequential",
     n_jobs: int = 1,
     reuse: str = "none",
-    graph_store: str = "ram",
     journal: Optional[Union[str, Path]] = None,
     resume: bool = False,
 ) -> NRMSETable:
@@ -583,6 +575,10 @@ def compare_algorithms(
     graph:
         The labeled graph (full access is needed for the ground truth
         and, if *burn_in* is omitted, the mixing-time-based burn-in).
+        A :class:`CSRGraph` needs every algorithm to run fleet jobs
+        (registry runners with ``execution="fleet"`` or
+        ``reuse="prefix"``); otherwise :class:`ConfigurationError` is
+        raised before the burn-in and before the journal opens.
     t1, t2:
         The target-label pair of the table.
     sample_fractions:
@@ -602,36 +598,30 @@ def compare_algorithms(
         Optional callback ``(algorithm, sample_size, fraction_done)``.
     execution:
         ``"sequential"`` (one repetition at a time, on the dict
-        reference engine) or ``"fleet"`` (all
-        repetitions of a cell as one single-budget prefix fleet; see
-        :func:`run_trials`).  Only matters with ``reuse="none"``: under
-        ``reuse="prefix"`` every registry cell comes off the prefix
-        fleets and hand-written runners run sequentially either way.
+        reference engine) or ``"fleet"`` (all repetitions of a cell as
+        one single-budget walker fleet, as
+        ``run_trials_prefix(..., [k], ...)[0]``).  Only matters with
+        ``reuse="none"``: under ``reuse="prefix"`` every registry cell
+        comes off the prefix fleets and hand-written runners run
+        sequentially either way.
     n_jobs:
-        Number of worker processes for cell-level parallelism.  Every
-        cell's seed is derived with :func:`derive_seed` *before*
-        submission, so the table is identical for any worker count and
-        scheduling order.  ``n_jobs > 1`` ships the actual runner
-        objects to the workers, so it requires picklable runners —
-        registry suites (tuned or not) qualify; hand-written closures
-        do not and must run with ``n_jobs=1`` (a clear
-        :class:`ConfigurationError` is raised otherwise).
+        Number of worker processes for the grid's jobs — prefix fleets,
+        fleet cells and reference cells alike.  Every job's seed is
+        derived with :func:`derive_seed` *before* submission, so the
+        table is identical for any worker count and scheduling order.
+        ``n_jobs > 1`` ships the actual runner objects to the workers,
+        so it requires picklable runners — registry suites (tuned or
+        not) qualify; hand-written closures do not and must run with
+        ``n_jobs=1`` (a clear :class:`ConfigurationError` is raised
+        otherwise).  A :class:`CSRGraph` in RAM is published to shared
+        memory for the workers, which seals its buffers read-only.
     reuse:
         ``"none"`` (default) walks every cell fresh; ``"prefix"`` runs
         one max-budget fleet per registry algorithm — proposed and
         EX-* alike — and reads all smaller budget columns off
         trajectory prefixes (:func:`run_trials_prefix`) — O(max
         budget) walking for the whole row.  Hand-written runners keep
-        fresh per-cell walks (and the ``n_jobs`` pool) either way.
-    graph_store:
-        How ``n_jobs > 1`` workers receive the graph: ``"ram"``
-        (default) pickles it once per worker; ``"shm"`` / ``"mmap"``
-        publish the CSR buffers once (shared-memory segment /
-        memory-mapped sidecar) and ship an O(1) reattach handle — the
-        cheap-parallelism path at million-node scale.  Requires a
-        :class:`CSRGraph`; irrelevant (and ignored) at ``n_jobs=1``.
-        Tables are bit-identical across stores: the store moves bytes,
-        never random draws.
+        fresh per-cell walks either way.
     journal:
         Optional path to an append-only experiment journal (WAL).  Every
         completed cell is made durable the moment it finishes (fsync'd
@@ -650,12 +640,7 @@ def compare_algorithms(
     sample_sizes = grid_budgets(graph, sample_fractions)
     true_count = _true_count(graph, t1, t2, None)
     if algorithms is None:
-        if isinstance(graph, CSRGraph) and execution != "fleet" and reuse != "prefix":
-            # Without a vectorized execution mode a CSR-native run has
-            # no engine for the baselines' line-graph walks.
-            algorithms = build_algorithm_suite(include_baselines=False)
-        else:
-            algorithms = build_algorithm_suite(graph)
+        algorithms = build_algorithm_suite(graph)
     outcomes = run_grid(
         graph,
         algorithms,
@@ -677,7 +662,6 @@ def compare_algorithms(
         execution=execution,
         n_jobs=n_jobs,
         reuse=reuse,
-        graph_store=graph_store,
         journal=journal,
         resume=resume,
         progress=progress,
@@ -715,79 +699,28 @@ def _derive_group_seed(seed: RandomSource, algorithm: str) -> int:
 
 
 # ----------------------------------------------------------------------
-# cell-level process parallelism
+# job-level process parallelism
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CellTask:
-    """Everything one worker needs to run one (algorithm, budget) cell.
-
-    Only scalars and labels — the graph and the suite live in per-worker
-    globals (:func:`_init_cell_worker`), so submitting a task ships a
-    few bytes, not the adjacency.  Harness plumbing: :func:`run_grid`
-    builds its cells with it (deliberately not in ``__all__`` — it is
-    not part of the user-facing API).
-    """
-
-    algorithm: str
-    column: int
-    sample_size: int
-    seed: int
-    t1: Label
-    t2: Label
-    repetitions: int
-    burn_in: int
-    true_count: int
-    execution: str
-
-
-def run_cell(
-    graph: LabeledGraph,
-    runner: AlgorithmRunner,
-    cell: CellTask,
-    csr: Optional[CSRGraph],
-) -> TrialOutcome:
-    """Run one :class:`CellTask` through :func:`run_trials`.
-
-    The single unpacking of a cell into a trial run, shared by the
-    grid driver's serial loop and the process-pool workers.
-    """
-    return run_trials(
-        graph,
-        cell.t1,
-        cell.t2,
-        runner,
-        cell.algorithm,
-        cell.sample_size,
-        cell.repetitions,
-        cell.burn_in,
-        seed=cell.seed,
-        true_count=cell.true_count,
-        csr=csr,
-        execution=cell.execution,
-    )
-
-
-#: Per-worker state: the shared graph, its frozen CSR view and the suite.
+#: Per-worker state: the shared graph and the suite.
 _WORKER_STATE: Dict[str, object] = {}
 
 
-def _init_cell_worker(
-    graph_ref: Union[LabeledGraph, CSRGraph, CSRHandle],
+def _init_job_worker(
+    graph_ref: Union[LabeledGraph, CSRHandle],
     suite_blob: bytes,
-    needs_csr: bool,
     cache_payload: Optional[Dict] = None,
 ) -> None:
     """Materialise the per-worker state from what the parent shipped.
 
-    *graph_ref* is either the graph itself (``graph_store="ram"``, one
-    pickle per worker) or an O(1) :class:`CSRHandle` that reattaches
-    the published buffers zero-copy.  *suite_blob* is the suite pickled
-    **once** in the parent — the same bytes serve both the eager
-    picklability check and the transfer, so the suite is never
-    serialized twice.  *cache_payload* carries the parent's derived
-    label caches when the handle could not (a re-published graph keeps
-    its pre-existing handle), so workers never repeat the parent's
-    O(|E|) classification passes.
+    *graph_ref* is either a dict graph (one pickle per worker) or an
+    O(1) :class:`CSRHandle` that reattaches the published buffers
+    zero-copy.  *suite_blob* is the suite pickled **once** in the
+    parent — the same bytes serve both the eager picklability check and
+    the transfer, so the suite is never serialized twice.
+    *cache_payload* carries the parent's derived label caches when the
+    handle could not (a re-published graph keeps its pre-existing
+    handle), so workers never repeat the parent's O(|E|) classification
+    passes.
     """
     if isinstance(graph_ref, CSRHandle):
         # Attach with backoff: the publisher may be racing a re-publish
@@ -800,91 +733,77 @@ def _init_cell_worker(
             graph_ref.adopt_label_caches(cache_payload)
     _WORKER_STATE["graph"] = graph_ref
     _WORKER_STATE["suite"] = pickle.loads(suite_blob)
-    _WORKER_STATE["csr"] = csr_view(graph_ref) if needs_csr else None
 
 
-def _run_cell_in_worker(cell: CellTask) -> TrialOutcome:
-    fire("worker.cell", algorithm=cell.algorithm, column=cell.column)
+def _run_job_in_worker(job: GridJob) -> List[TrialOutcome]:
+    fire("worker.cell", algorithm=job.algorithm, columns=job.keys)
     suite: Mapping[str, AlgorithmRunner] = _WORKER_STATE["suite"]  # type: ignore[assignment]
-    return run_cell(
-        _WORKER_STATE["graph"],  # type: ignore[arg-type]
-        suite[cell.algorithm],
-        cell,
-        _WORKER_STATE["csr"],  # type: ignore[arg-type]
-    )
+    return run_job(_WORKER_STATE["graph"], suite[job.algorithm], job)  # type: ignore[arg-type]
 
 
-def run_cells_parallel(
+def run_jobs_parallel(
     graph: LabeledGraph,
     algorithms: Mapping[str, AlgorithmRunner],
-    cells: Sequence[CellTask],
+    jobs: Sequence[GridJob],
     n_jobs: int,
-    progress: Optional[Callable[[str, int, float], None]],
-    graph_store: str = "ram",
+    on_job: Callable[[GridJob, List[TrialOutcome]], None],
     max_pool_respawns: int = 2,
-    on_cell: Optional[Callable[[CellTask, TrialOutcome], None]] = None,
-) -> Dict[Tuple[str, int], TrialOutcome]:
-    """Run cells across a process pool; results keyed (algorithm, column).
+) -> None:
+    """Run grid jobs across a process pool, handing each result to *on_job*.
 
     The workers receive the graph and the *actual* suite — runner
     objects, tuning knobs included — through the pool initializer (one
-    transfer per worker, not per cell), so a tuned suite behaves
-    identically at any worker count.  Because every cell carries its own
+    transfer per worker, not per job), so a tuned suite behaves
+    identically at any worker count.  Because every job carries its own
     pre-derived seed, scheduling order cannot change any result, only
-    the completion order of the progress callback.  The suite is pickled
-    exactly once: the resulting bytes double as the eager picklability
-    check (hand-written closure runners fail with a clear error on every
-    platform — under ``fork`` they would silently work, under ``spawn``
-    they would crash mid-pool) and as the per-worker transfer payload.
+    the completion order.  The suite is pickled exactly once: the
+    resulting bytes double as the eager picklability check (hand-written
+    closure runners fail with a clear error on every platform — under
+    ``fork`` they would silently work, under ``spawn`` they would crash
+    mid-pool) and as the per-worker transfer payload.
 
-    *graph_store* selects the graph transport.  ``"ram"`` pickles the
-    graph into each worker (dict graphs have no other option).  For a
-    :class:`CSRGraph`, ``"shm"`` publishes the buffers once into a
-    shared-memory segment and ``"mmap"`` into a memory-mapped sidecar
-    (a graph already mmap-backed re-uses its existing handle for free);
-    workers then reattach zero-copy from an O(1) handle.  The published
-    resource is released in a ``finally`` block, so a worker crash or a
-    raising cell cannot leak a segment.
+    The graph picks its own transport.  A dict graph is pickled into
+    each worker.  A :class:`CSRGraph` ships an O(1) handle that workers
+    reattach zero-copy: an shm- or mmap-backed graph re-uses its own
+    handle (plus the label caches computed since, by value), and a
+    graph in RAM is published once into a shared-memory segment, which
+    seals the caller's buffers read-only; one holding label sets (any
+    :func:`csr_view` of a dict graph) cannot be, and is pickled too.
+    Handles win at scale: at the 10⁶-node rung, a 4-worker spawn pool
+    fed by-value pickles ran a fleet table about 3× slower than one fed
+    handles (the store bench in ``benchmarks/results/BENCH_scale.json``).
+    The published segment is released in a ``finally`` block, so a
+    worker crash or a raising job cannot leak it.
 
     A **killed worker** (OOM reaper, SIGKILL, a segfaulting kernel)
-    breaks the whole :class:`ProcessPoolExecutor`, which historically
-    aborted the table.  Now the break is contained: results that
-    completed before the crash are kept, the pool is respawned, and
-    only the still-missing cells are resubmitted — at most
-    *max_pool_respawns* times before giving up with
-    :class:`ExperimentError`.  Because every cell carries its own
-    pre-derived seed, a cell re-run after a crash produces bit-identical
-    results to an uninterrupted run — recovery cannot change the table
-    (pinned by the recovery integration tests).  Exceptions *raised by*
-    a cell (as opposed to a dead worker) still propagate immediately;
-    they are deterministic and a retry would just repeat them.
+    breaks the whole :class:`ProcessPoolExecutor`.  The break is
+    contained: results that completed before the crash are kept, the
+    pool is respawned, and only the still-missing jobs are resubmitted
+    — at most *max_pool_respawns* times before giving up with
+    :class:`ExperimentError`.  A job re-run after a crash produces
+    bit-identical results (its seed is pre-derived), so recovery cannot
+    change the table.  Exceptions *raised by* a job (as opposed to a
+    dead worker) still propagate immediately; they are deterministic and
+    a retry would just repeat them.
 
-    *on_cell* is invoked **in the parent** as each cell's result is
-    retained (the experiment-journal hook): it sees every completed
-    cell exactly once, including cells that finished before a pool
-    break, and never sees a cell that died with its worker.
+    *on_job* is invoked **in the parent** as each job's result is
+    retained (the experiment-journal hook): it sees every completed job
+    exactly once, including jobs that finished before a pool break, and
+    never sees a job that died with its worker.
     """
-    validate_graph_store(graph_store)
-    suite = dict(algorithms)
     try:
-        suite_blob = pickle.dumps(suite)
+        suite_blob = pickle.dumps(dict(algorithms))
     except Exception as error:
         raise ConfigurationError(
             "n_jobs > 1 ships the algorithm suite to worker processes, which "
             f"requires picklable runners ({error}); run custom closure-based "
             "suites with n_jobs=1"
         ) from error
-    needs_csr = any(cell.execution == "fleet" for cell in cells)
     publication = None
-    graph_ref: Union[LabeledGraph, CSRGraph, CSRHandle] = graph
+    graph_ref: Union[LabeledGraph, CSRHandle] = graph
     cache_payload: Optional[Dict] = None
-    if graph_store != "ram":
-        if not isinstance(graph, CSRGraph):
-            raise ConfigurationError(
-                f"graph_store={graph_store!r} publishes CSR buffers; the dict "
-                "graph has none — use representation='csr' (or graph_store='ram')"
-            )
-        publication = publish_csr(graph, graph_store)
+    if isinstance(graph, CSRGraph) and is_publishable(graph):
+        publication = publish_csr(graph, "shm" if graph.store == "ram" else graph.store)
         graph_ref = publication.handle
         if not publication.owns_resource:
             # The graph was already externally backed, so its pre-existing
@@ -894,61 +813,46 @@ def run_cells_parallel(
             exported = graph.export_label_caches()
             if any(exported.values()):
                 cache_payload = exported
-    outcomes: Dict[Tuple[str, int], TrialOutcome] = {}
+    done: Set[int] = set()
     respawns = 0
     try:
-        while True:
-            pending = [
-                cell
-                for cell in cells
-                if (cell.algorithm, cell.column) not in outcomes
-            ]
-            if not pending:
-                break
+        while len(done) < len(jobs):
             pool_broken = False
             with ProcessPoolExecutor(
                 max_workers=n_jobs,
-                initializer=_init_cell_worker,
-                initargs=(graph_ref, suite_blob, needs_csr, cache_payload),
+                initializer=_init_job_worker,
+                initargs=(graph_ref, suite_blob, cache_payload),
             ) as pool:
                 futures = {
-                    pool.submit(_run_cell_in_worker, cell): cell
-                    for cell in pending
+                    pool.submit(_run_job_in_worker, job): index
+                    for index, job in enumerate(jobs)
+                    if index not in done
                 }
                 for future in as_completed(futures):
-                    cell = futures[future]
                     try:
-                        outcome = future.result()
+                        row = future.result()
                     except BrokenProcessPool:
                         # A worker died (kill/OOM/segfault); every pending
-                        # future fails this way.  Keep draining so cells
+                        # future fails this way.  Keep draining so jobs
                         # that finished *before* the break are retained.
                         pool_broken = True
                         continue
-                    outcomes[(cell.algorithm, cell.column)] = outcome
-                    if on_cell is not None:
-                        on_cell(cell, outcome)
-                    if progress is not None:
-                        progress(
-                            cell.algorithm,
-                            cell.sample_size,
-                            len(outcomes) / len(cells),
-                        )
+                    index = futures[future]
+                    done.add(index)
+                    on_job(jobs[index], row)
             if pool_broken:
                 respawns += 1
                 if respawns > max_pool_respawns:
-                    missing = len(cells) - len(outcomes)
                     raise ExperimentError(
                         f"worker pool broke {respawns} times running the "
-                        f"table ({missing} of {len(cells)} cells still "
-                        f"missing); giving up after {max_pool_respawns} "
+                        f"grid ({len(jobs) - len(done)} of {len(jobs)} jobs "
+                        f"still missing); giving up after {max_pool_respawns} "
                         f"respawns"
                     )
     finally:
         if publication is not None:
             publication.close()
             publication.unlink()
-    return outcomes
 
 
 __all__ = [

@@ -47,7 +47,6 @@ def frequency_sweep(
     execution: str = "sequential",
     n_jobs: int = 1,
     reuse: str = "none",
-    graph_store: str = "ram",
     journal: Optional[Union[str, Path]] = None,
     resume: bool = False,
 ) -> List[FrequencyPoint]:
@@ -75,14 +74,16 @@ def frequency_sweep(
         behind in the tables.
     execution:
         ``"sequential"`` or ``"fleet"`` (all repetitions of a sweep
-        point as one single-budget prefix fleet; see
-        :func:`repro.experiments.runner.run_trials`).  Only matters
-        with ``reuse="none"``.
+        point as one single-budget walker fleet, as
+        :func:`repro.experiments.runner.run_trials_prefix` at one
+        budget).  Only matters with ``reuse="none"``.
     n_jobs:
-        Worker processes for (pair, algorithm) cell parallelism.  Seeds
-        are pre-derived per cell (``derive_seed(seed, name,
-        "frequency", pair_index)``), so any worker count produces the
-        same series.
+        Worker processes for the sweep's jobs (prefix fleets and
+        per-point cells alike).  Seeds are pre-derived per point
+        (``derive_seed(seed, name, "frequency", pair_index)``) and per
+        fleet, so any worker count produces the same series; the
+        transport follows the graph (see
+        :func:`repro.experiments.runner.run_jobs_parallel`).
     reuse:
         ``"none"`` (default) walks every (pair, algorithm) point fresh.
         ``"prefix"`` exploits that the walk is label-agnostic: one
@@ -96,12 +97,6 @@ def frequency_sweep(
         masks.  Per-point estimate distributions are unchanged
         (KS-checked); points of one algorithm become correlated across
         pairs, which NRMSE — a per-point statistic — never reads.
-    graph_store:
-        Graph transport for the ``n_jobs`` pool: ``"ram"`` pickles the
-        graph per worker; ``"shm"`` / ``"mmap"`` publish the CSR
-        buffers once and ship O(1) reattach handles (see
-        :func:`repro.experiments.runner.run_cells_parallel`).  The
-        series is bit-identical across stores.
     journal / resume:
         The experiment WAL, keyed ``(algorithm, pair_index)`` here: with
         *journal* every completed point is made durable as it finishes;
@@ -139,7 +134,6 @@ def frequency_sweep(
         execution=execution,
         n_jobs=n_jobs,
         reuse=reuse,
-        graph_store=graph_store,
         journal=journal,
         resume=resume,
     )

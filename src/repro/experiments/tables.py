@@ -161,7 +161,6 @@ def run_paper_table(
         execution=config.execution,
         n_jobs=config.n_jobs,
         reuse=config.reuse,
-        graph_store=config.graph_store,
         journal=config.journal,
         resume=config.resume,
     )

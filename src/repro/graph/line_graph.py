@@ -112,11 +112,6 @@ class LineGraphAPI:
         self._t2 = t2
 
     @property
-    def original_api(self) -> RestrictedGraphAPI:
-        """The wrapped restricted API of the original graph ``G``."""
-        return self._api
-
-    @property
     def num_nodes(self) -> int:
         """``|H| = |E|`` — prior knowledge carried over from ``G``."""
         return self._api.num_edges

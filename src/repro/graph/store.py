@@ -80,20 +80,25 @@ from repro.exceptions import ConfigurationError, StoreAttachError
 from repro.graph.csr import CSRGraph
 from repro.resilience.faults import fire
 
-#: Buffer backends a CSR graph can live in, and the value set of every
-#: ``graph_store`` knob (config, CLI, registry, runner).
+#: Buffer backends a CSR graph can live in, and the value set of the
+#: service's ``graph_store`` knob.
 GRAPH_STORES: Tuple[str, ...] = ("ram", "shm", "mmap")
+
+#: The backings a dataset can be loaded into (registry, experiment
+#: config, ``table``/``figure`` CLI).  Shared memory is not among them:
+#: the experiment worker pool publishes a RAM graph there by itself.
+DATASET_STORES: Tuple[str, ...] = ("ram", "mmap")
 
 #: Buffer alignment inside a shared-memory segment (numpy is happiest
 #: on cache-line-or-better boundaries; 64 covers every dtype here).
 _SHM_ALIGN = 64
 
 
-def validate_graph_store(store: str) -> str:
+def validate_graph_store(store: str, allowed: Tuple[str, ...] = GRAPH_STORES) -> str:
     """Return *store* or raise the shared unknown-graph-store error."""
-    if store not in GRAPH_STORES:
+    if store not in allowed:
         raise ConfigurationError(
-            f"unknown graph store {store!r}; available: {', '.join(GRAPH_STORES)}"
+            f"unknown graph store {store!r}; available: {', '.join(allowed)}"
         )
     return store
 
@@ -111,13 +116,6 @@ class ArraySpec:
     dtype: str
     shape: Tuple[int, ...]
     offset: int
-
-    def size_bytes(self) -> int:
-        """Byte length of the described buffer."""
-        count = 1
-        for dim in self.shape:
-            count *= int(dim)
-        return count * np.dtype(self.dtype).itemsize
 
 
 @dataclass(frozen=True)
@@ -164,6 +162,12 @@ class CSRHandle:
             if spec.key == key:
                 return spec
         return None
+
+
+def is_publishable(csr: CSRGraph) -> bool:
+    """Whether :func:`publish_csr` takes *csr*: no label sets, no object node ids."""
+    node_ids = csr._node_ids
+    return csr._label_sets is None and (node_ids is None or isinstance(node_ids, np.ndarray))
 
 
 def _publishable_arrays(csr: CSRGraph) -> List[Tuple[str, np.ndarray]]:
@@ -320,7 +324,9 @@ def _publish_shm(
         offset = _align(offset)
         specs.append(ArraySpec(key, array.dtype.str, tuple(array.shape), offset))
         offset += array.nbytes
-    segment = shared_memory.SharedMemory(create=True, size=max(1, offset))
+    segment = shared_memory.SharedMemory(
+        name=f"repro-{os.getpid()}-{uuid.uuid4().hex[:12]}", create=True, size=max(1, offset)
+    )
     for spec, (_, array) in zip(specs, payload):
         view = np.ndarray(
             spec.shape, dtype=spec.dtype, buffer=segment.buf, offset=spec.offset
@@ -689,14 +695,15 @@ def _spill_owner_pid(name: str) -> Optional[int]:
     return None
 
 
-def _pid_alive(pid: int) -> bool:
+def _owner_dead(pid: int) -> bool:
+    """Whether no process *pid* exists any more."""
     try:
         os.kill(pid, 0)
     except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - other-user process
         return True
-    return True
+    except PermissionError:  # pragma: no cover - other-user process
+        pass
+    return False
 
 
 def sweep_orphan_spills(
@@ -742,13 +749,13 @@ def sweep_orphan_spills(
         scratch = SCRATCH_PATTERN.match(name)
         if scratch is not None:
             pid = int(scratch.group("pid"))
-            orphaned = pid != os.getpid() and not _pid_alive(pid)
+            orphaned = _owner_dead(pid)
         elif name.endswith(JOURNAL_SUFFIX):
             orphaned = journal_is_committed(path)
         elif name.endswith(".npz"):
             pid = _spill_owner_pid(name)
             if pid is not None:
-                orphaned = pid != os.getpid() and not _pid_alive(pid)
+                orphaned = _owner_dead(pid)
             elif max_age_seconds is not None:
                 try:
                     orphaned = (now - path.stat().st_mtime) > max_age_seconds
@@ -762,6 +769,39 @@ def sweep_orphan_spills(
             victims.append(path)
             if not dry_run:
                 path.unlink(missing_ok=True)
+    return victims
+
+
+#: ``_publish_shm``'s segment names, ``repro-<publisher pid>-<hex>``.
+_SEGMENT_PATTERN = re.compile(r"^repro-(?P<pid>\d+)-[0-9a-f]+$")
+
+
+def sweep_orphan_segments(
+    directory: Union[None, str, Path] = None,
+    dry_run: bool = False,
+) -> List[Path]:
+    """Unlink shared-memory segments whose publisher is gone; return them.
+
+    The shm twin of :func:`sweep_orphan_spills`: a SIGKILL of a whole
+    process group, ``multiprocessing`` resource tracker included,
+    leaves the publisher's segments behind.  Under *directory* (default
+    ``/dev/shm``, where Linux lists segments as files) a
+    ``repro-<pid>-<hex>`` segment whose pid is dead is unlinked (only
+    reported under ``dry_run``); other names are never touched.
+    """
+    target = Path(directory) if directory is not None else Path("/dev/shm")
+    if not target.is_dir():
+        return []
+    victims: List[Path] = []
+    for path in sorted(target.iterdir()):
+        match = _SEGMENT_PATTERN.match(path.name)
+        if match is None:
+            continue
+        if not _owner_dead(int(match.group("pid"))):
+            continue
+        victims.append(path)
+        if not dry_run:
+            path.unlink(missing_ok=True)
     return victims
 
 
@@ -852,7 +892,9 @@ def spill_csr_to_mmap(csr: CSRGraph, path: Union[str, Path]) -> CSRGraph:
 
 __all__ = [
     "GRAPH_STORES",
+    "DATASET_STORES",
     "validate_graph_store",
+    "is_publishable",
     "ArraySpec",
     "CSRHandle",
     "CSRPublication",
@@ -866,4 +908,5 @@ __all__ = [
     "SpillOwnership",
     "track_spill",
     "sweep_orphan_spills",
+    "sweep_orphan_segments",
 ]

@@ -63,7 +63,6 @@ class ServiceConfig:
     cache_size: int = 1024
     repetitions: int = 20
     burn_in: Optional[int] = None
-    include_baselines: bool = True
     deadline_ms: Optional[float] = None
     max_in_flight: Optional[int] = None
     breaker_threshold: int = 3

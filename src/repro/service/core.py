@@ -49,7 +49,7 @@ from repro.experiments.metrics import nrmse
 from repro.experiments.planner import PrefixFleet
 from repro.graph.csr import CSRGraph, csr_view
 from repro.graph.labeled_graph import LabeledGraph
-from repro.graph.store import CSRPublication, publish_csr, validate_graph_store
+from repro.graph.store import CSRPublication, is_publishable, publish_csr, validate_graph_store
 from repro.resilience.breaker import BreakerBoard
 from repro.resilience.deadline import Deadline
 from repro.resilience.faults import active_injector, fire
@@ -76,6 +76,8 @@ def publishable_csr_view(csr: CSRGraph) -> CSRGraph:
     """
     import numpy as np
 
+    if is_publishable(csr):
+        return csr
     node_ids = csr._node_ids
     if node_ids is not None and not isinstance(node_ids, np.ndarray):
         node_ids = np.asarray(node_ids)
@@ -102,8 +104,6 @@ def publishable_csr_view(csr: CSRGraph) -> CSRGraph:
                 "graphs with non-numeric labels cannot be published to an "
                 "external store; serve with graph_store='ram'"
             )
-    if node_ids is csr._node_ids and label_array is csr.label_array():
-        return csr
     replacement = CSRGraph(
         node_ids,
         csr.indptr,

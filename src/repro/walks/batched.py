@@ -484,10 +484,11 @@ def per_walker_distinct_counts(trajectories: np.ndarray, *extra: np.ndarray) -> 
 class FleetWalkResult:
     """Full trajectories of ``N`` independent walkers (burn-in included).
 
-    Produced by :meth:`BatchedWalkEngine.run_fleet`, the execution mode
-    behind ``run_trials(..., execution="fleet")``: one walker stands for
-    one experiment repetition, so every walker keeps its *own*
-    distinct-page ledger, mirroring the fresh
+    Produced by :meth:`BatchedWalkEngine.run_fleet`, the engine behind
+    the harness's fleet jobs (``execution="fleet"`` or
+    ``reuse="prefix"``): one walker stands for one experiment
+    repetition, so every walker keeps its *own* distinct-page ledger,
+    mirroring the fresh
     :class:`~repro.graph.api.RestrictedGraphAPI` each repetition gets.
 
     Attributes
@@ -642,9 +643,10 @@ class BatchedWalkEngine:
     ) -> FleetWalkResult:
         """Run ``N`` *independent* walkers and record their full trajectories.
 
-        The execution mode behind ``run_trials(..., execution="fleet")``:
-        each walker stands for one experiment repetition, so each keeps
-        its own distinct-page ledger (no fleet-shared cache — see
+        The engine behind the harness's fleet jobs (``execution="fleet"``
+        or ``reuse="prefix"``): each walker stands for one experiment
+        repetition, so each keeps its own distinct-page ledger (no
+        fleet-shared cache — see
         :meth:`FleetWalkResult.charged_calls`).  When the engine has a
         *budget*, it is enforced **per walker**: the run raises
         :class:`APIBudgetExceededError` when any single walker's crawl

@@ -19,7 +19,7 @@ from scipy import stats
 
 from repro.baselines import BASELINE_NAMES
 from repro.experiments.algorithms import build_algorithm_suite
-from repro.experiments.runner import run_trials
+from repro.experiments.runner import run_trials, run_trials_prefix
 from repro.graph.statistics import count_target_edges
 
 #: Trials per side (matching the proposed-algorithm KS suite).
@@ -32,18 +32,10 @@ KS_ALPHA = 0.005
 
 
 def _outcome(graph, suite, baseline, execution, seed):
-    return run_trials(
-        graph,
-        1,
-        2,
-        suite[baseline],
-        baseline,
-        sample_size=SAMPLE_SIZE,
-        repetitions=NUM_TRIALS,
-        burn_in=BURN_IN,
-        seed=seed,
-        execution=execution,
-    )
+    args = (graph, 1, 2, suite[baseline], baseline)
+    if execution == "fleet":
+        return run_trials_prefix(*args, [SAMPLE_SIZE], NUM_TRIALS, BURN_IN, seed=seed)[0]
+    return run_trials(*args, SAMPLE_SIZE, NUM_TRIALS, BURN_IN, seed=seed)
 
 
 @pytest.mark.slow
@@ -99,16 +91,13 @@ class TestBaselineFleetStatisticalLayer:
         """A prefix-reuse budget column must be distributed like an
         independently walked cell at that budget (the paper's table
         harness reads EX-* columns off one max-budget line fleet)."""
-        from repro.experiments.runner import run_trials_prefix
-
         row = run_trials_prefix(
             gender_osn, 1, 2, suite["EX-MHRW"], "EX-MHRW",
             [SAMPLE_SIZE // 2, SAMPLE_SIZE], NUM_TRIALS, BURN_IN, seed=505,
         )
-        fresh = run_trials(
+        (fresh,) = run_trials_prefix(
             gender_osn, 1, 2, suite["EX-MHRW"], "EX-MHRW",
-            sample_size=SAMPLE_SIZE // 2, repetitions=NUM_TRIALS,
-            burn_in=BURN_IN, seed=606, execution="fleet",
+            [SAMPLE_SIZE // 2], NUM_TRIALS, BURN_IN, seed=606,
         )
         _, p_value = stats.ks_2samp(row[0].estimates, fresh.estimates)
         assert p_value > KS_ALPHA

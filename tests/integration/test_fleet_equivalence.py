@@ -1,6 +1,7 @@
 """Statistical equivalence of fleet execution and sequential execution.
 
-``run_trials(..., execution="fleet")`` consumes random bits
+A fleet cell (``run_trials_prefix(..., [k], ...)[0]``, what
+``execution="fleet"`` runs per cell) consumes random bits
 walker-by-step instead of trial-by-trial, so its estimates cannot be
 bit-identical to the sequential path — the guarantee is distributional:
 for every proposed algorithm, the fleet's per-trial estimates must be
@@ -22,7 +23,7 @@ import pytest
 from scipy import stats
 
 from repro.experiments.algorithms import PAPER_ALGORITHM_ORDER, build_algorithm_suite
-from repro.experiments.runner import run_trials
+from repro.experiments.runner import run_trials, run_trials_prefix
 from repro.graph.statistics import count_target_edges
 
 #: Trials per side (the issue requires >= 60 seeds per algorithm).
@@ -36,18 +37,10 @@ KS_ALPHA = 0.005
 
 
 def _outcome(graph, t1, t2, suite, algorithm, execution, seed):
-    return run_trials(
-        graph,
-        t1,
-        t2,
-        suite[algorithm],
-        algorithm,
-        sample_size=SAMPLE_SIZE,
-        repetitions=NUM_TRIALS,
-        burn_in=BURN_IN,
-        seed=seed,
-        execution=execution,
-    )
+    args = (graph, t1, t2, suite[algorithm], algorithm)
+    if execution == "fleet":
+        return run_trials_prefix(*args, [SAMPLE_SIZE], NUM_TRIALS, BURN_IN, seed=seed)[0]
+    return run_trials(*args, SAMPLE_SIZE, NUM_TRIALS, BURN_IN, seed=seed)
 
 
 @pytest.mark.slow

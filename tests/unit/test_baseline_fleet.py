@@ -23,7 +23,7 @@ from repro.baselines.fleet import (
 from repro.core.samplers.csr_backend import sample_edges_fleet
 from repro.exceptions import ConfigurationError, WalkError
 from repro.experiments.algorithms import build_algorithm_suite
-from repro.experiments.runner import run_trials, run_trials_prefix
+from repro.experiments.runner import run_trials_prefix
 from repro.graph.api import RestrictedGraphAPI
 from repro.graph.csr import CSRGraph, csr_view
 from repro.graph.labeled_graph import LabeledGraph
@@ -326,10 +326,8 @@ class TestBaselineFleetEstimation:
             row = run_trials_prefix(
                 gender_osn, 1, 2, suite[name], name, [10, 30], 5, 8, seed=21
             )
-            cell = run_trials(
-                gender_osn, 1, 2, suite[name], name,
-                sample_size=30, repetitions=5, burn_in=8, seed=21,
-                execution="fleet",
+            (cell,) = run_trials_prefix(
+                gender_osn, 1, 2, suite[name], name, [30], 5, 8, seed=21
             )
             assert row[-1].estimates == cell.estimates
             assert row[-1].api_calls == cell.api_calls
@@ -338,10 +336,8 @@ class TestBaselineFleetEstimation:
 
     def test_csr_native_run_trials_dispatches_baselines(self, csr_osn):
         suite = build_algorithm_suite(csr_osn, algorithms=["EX-RCMH"])
-        outcome = run_trials(
-            csr_osn, 1, 2, suite["EX-RCMH"], "EX-RCMH",
-            sample_size=20, repetitions=4, burn_in=5, seed=3,
-            execution="fleet",
+        (outcome,) = run_trials_prefix(
+            csr_osn, 1, 2, suite["EX-RCMH"], "EX-RCMH", [20], 4, 5, seed=3
         )
         assert len(outcome.estimates) == 4
 

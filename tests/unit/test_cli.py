@@ -139,22 +139,28 @@ class TestGraphStoreFlag:
         parser = build_parser()
         args = parser.parse_args(
             ["table", "4", "--representation", "csr", "--execution", "fleet",
-             "--graph-store", "shm"]
+             "--graph-store", "mmap"]
         )
-        assert args.graph_store == "shm"
+        assert args.graph_store == "mmap"
         assert parser.parse_args(["figure", "1"]).graph_store == "ram"
+        assert parser.parse_args(["serve", "--graph-store", "shm"]).graph_store == "shm"
 
     def test_unknown_graph_store_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table", "4", "--graph-store", "tape"])
 
-    def test_table_runs_with_shm_jobs(self, capsys):
+    @pytest.mark.parametrize("command", [["table", "4"], ["figure", "1"]])
+    def test_shm_is_not_a_dataset_store(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command + ["--graph-store", "shm"])
+
+    @pytest.mark.parametrize("flags", [["--execution", "fleet"], ["--reuse", "prefix"]])
+    def test_table_runs_with_jobs(self, capsys, flags):
         exit_code = main(
             [
                 "table", "4",
                 "--representation", "csr",
-                "--execution", "fleet",
-                "--graph-store", "shm",
+                *flags,
                 "--jobs", "2",
                 "--repetitions", "2",
                 "--scale", "0.1",
@@ -164,6 +170,33 @@ class TestGraphStoreFlag:
         captured = capsys.readouterr().out
         assert exit_code == 0
         assert "Reproduction of paper Table 4" in captured
+
+
+class TestServeConfig:
+    """``serve`` validates its flags before it synthesises the dataset."""
+
+    @pytest.fixture
+    def no_dataset(self, monkeypatch):
+        import repro.cli
+
+        def forbidden(*args, **kwargs):  # pragma: no cover - reached only on a bug
+            raise AssertionError("load_dataset ran before flag validation")
+
+        monkeypatch.setattr(repro.cli, "load_dataset", forbidden)
+
+    @pytest.mark.parametrize(
+        "flags, match",
+        [
+            (["--port", "70000"], "port"),
+            (["--batch-window-ms", "-1"], "batch_window_ms"),
+            (["--faults", "worker.cell=explode"], "fault action"),
+        ],
+    )
+    def test_bad_flag_fails_before_the_dataset_loads(self, no_dataset, flags, match):
+        from repro.exceptions import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match=match):
+            main(["serve", *flags])
 
 
 class TestFsckCommand:
@@ -220,3 +253,30 @@ class TestFsckCommand:
         assert "CORRUPT" in capsys.readouterr().out
         # --no-structure trusts the checksums alone and passes it.
         assert main(["fsck", "--no-structure", str(target)]) == 0
+
+
+class TestSweepSpillsCommand:
+    def test_dead_publishers_segments_are_swept_too(self, tmp_path, monkeypatch, capsys):
+        import subprocess
+        import sys
+
+        from repro.graph import store
+
+        child = subprocess.run(
+            [sys.executable, "-c", "import os; print(os.getpid())"],
+            capture_output=True,
+            text=True,
+        )
+        shm = tmp_path / "shm"
+        shm.mkdir()
+        orphan = shm / f"repro-{int(child.stdout)}-0123456789ab"
+        orphan.write_bytes(b"segment")
+        real_sweep = store.sweep_orphan_segments
+        monkeypatch.setattr(
+            store, "sweep_orphan_segments", lambda dry_run: real_sweep(shm, dry_run=dry_run)
+        )
+        assert main(["sweep-spills", "--directory", str(tmp_path / "spills")]) == 0
+        out = capsys.readouterr().out
+        assert f"removed: {orphan}" in out
+        assert "removed 1 orphaned spill file(s) and segment(s)" in out
+        assert not orphan.exists()

@@ -112,16 +112,17 @@ class TestGraphStoreConfig:
 
     def test_external_store_requires_csr_representation(self):
         with pytest.raises(ConfigurationError, match="representation='csr'"):
-            ExperimentConfig(dataset="facebook", graph_store="shm")
+            ExperimentConfig(dataset="facebook", graph_store="mmap")
 
-    def test_shm_with_csr_accepted(self):
-        config = ExperimentConfig(
-            dataset="facebook",
-            representation="csr",
-            execution="fleet",
-            graph_store="shm",
-        )
-        assert config.graph_store == "shm"
+    def test_shm_is_rejected(self):
+        """Shared memory is how the worker pool ships a graph, not a dataset backing."""
+        with pytest.raises(ConfigurationError, match="unknown graph store 'shm'"):
+            ExperimentConfig(
+                dataset="facebook",
+                representation="csr",
+                execution="fleet",
+                graph_store="shm",
+            )
 
     def test_mmap_with_csr_accepted(self):
         config = ExperimentConfig(

@@ -9,8 +9,9 @@ Covers the three new layers end to end on small graphs:
   ledger" guarantee of ``execution="fleet"``),
 * the array-native ``estimate_batch`` estimators against the scalar
   estimators, trial by trial,
-* ``run_trials(execution="fleet")`` dispatch, reproducibility and the
-  EX-* sequential fallback,
+* fleet cells (``run_trials_prefix`` at one budget): reproducibility,
+  custom runner configurations, EX-* line fleets, and the grid's
+  sequential fallback for hand-written runners,
 * ``n_jobs > 1`` determinism: the same table for any worker count.
 """
 
@@ -32,7 +33,7 @@ from repro.core.samplers.csr_backend import (
 )
 from repro.exceptions import APIBudgetExceededError, ConfigurationError
 from repro.experiments.algorithms import build_algorithm_suite
-from repro.experiments.runner import compare_algorithms, run_trials
+from repro.experiments.runner import compare_algorithms, run_trials_prefix
 from repro.experiments.sweeps import frequency_sweep
 from repro.graph.api import RestrictedGraphAPI
 from repro.graph.csr import csr_view
@@ -236,7 +237,7 @@ class TestBatchEstimators:
 
 
 # ----------------------------------------------------------------------
-# run_trials / compare_algorithms dispatch
+# fleet cells and compare_algorithms dispatch
 # ----------------------------------------------------------------------
 class TestFleetExecution:
     @pytest.fixture(scope="class")
@@ -252,43 +253,41 @@ class TestFleetExecution:
         """A CSR view frozen from a different graph must be rejected."""
         wrong_csr = csr_view(rare_label_osn)
         with pytest.raises(ConfigurationError):
-            run_trials(
+            run_trials_prefix(
                 gender_osn,
                 1,
                 2,
                 suite["NeighborSample-HH"],
                 "NeighborSample-HH",
-                sample_size=10,
+                [10],
                 repetitions=2,
                 burn_in=5,
                 seed=1,
                 csr=wrong_csr,
-                execution="fleet",
             )
 
     def test_fleet_reproducible_with_seed(self, gender_osn, suite):
-        args = dict(sample_size=40, repetitions=5, burn_in=15, seed=42, execution="fleet")
-        first = run_trials(
+        args = dict(sample_sizes=[40], repetitions=5, burn_in=15, seed=42)
+        (first,) = run_trials_prefix(
             gender_osn, 1, 2, suite["NeighborSample-HT"], "NeighborSample-HT", **args
         )
-        second = run_trials(
+        (second,) = run_trials_prefix(
             gender_osn, 1, 2, suite["NeighborSample-HT"], "NeighborSample-HT", **args
         )
         assert first.estimates == second.estimates
         assert first.api_calls == second.api_calls
 
     def test_fleet_outcome_shape(self, gender_osn, suite):
-        outcome = run_trials(
+        (outcome,) = run_trials_prefix(
             gender_osn,
             1,
             2,
             suite["NeighborExploration-RW"],
             "NeighborExploration-RW",
-            sample_size=40,
+            [40],
             repetitions=5,
             burn_in=15,
             seed=1,
-            execution="fleet",
         )
         assert outcome.repetitions == 5
         assert outcome.nrmse >= 0
@@ -304,10 +303,8 @@ class TestFleetExecution:
             return EdgeHorvitzThompsonEstimator(thinning_fraction=None)
 
         custom = ProposedRunner(sampler="edge", estimator_factory=no_thinning_ht)
-        args = dict(sample_size=60, repetitions=4, burn_in=10, seed=6)
-        fleet = run_trials(
-            gender_osn, 1, 2, custom, "NeighborSample-HT", **args, execution="fleet"
-        )
+        args = dict(sample_sizes=[60], repetitions=4, burn_in=10, seed=6)
+        (fleet,) = run_trials_prefix(gender_osn, 1, 2, custom, "NeighborSample-HT", **args)
         # The fleet walk is deterministic in the seed, so the outcome
         # must equal the custom estimator applied to the same batch.
         import numpy as np
@@ -328,11 +325,9 @@ class TestFleetExecution:
         distributional equivalence with the sequential line walk is
         KS-enforced in tests/integration/test_baseline_fleet_equivalence.py)."""
         suite = build_algorithm_suite(gender_osn, algorithms=["EX-RW", "EX-MHRW"])
-        args = dict(sample_size=25, repetitions=3, burn_in=10, seed=4)
+        args = dict(sample_sizes=[25], repetitions=3, burn_in=10, seed=4)
         for name in suite:
-            fleet = run_trials(
-                gender_osn, 1, 2, suite[name], name, **args, execution="fleet"
-            )
+            (fleet,) = run_trials_prefix(gender_osn, 1, 2, suite[name], name, **args)
             assert len(fleet.estimates) == 3
             assert all(np.isfinite(fleet.estimates))
             # Line crawls fetch both endpoints per visited edge, so each
@@ -341,21 +336,23 @@ class TestFleetExecution:
 
     def test_handwritten_runners_fall_back_to_sequential(self, gender_osn):
         """Only registry runners vectorize; a bare callable keeps the
-        sequential reference loop bit for bit."""
+        sequential reference loop bit for bit, under any knobs."""
         suite = build_algorithm_suite(gender_osn, algorithms=["EX-RW"])
 
         def handwritten(api, t1, t2, k, burn_in, rng):
             return suite["EX-RW"](api, t1, t2, k, burn_in, rng)
 
-        args = dict(sample_size=25, repetitions=3, burn_in=10, seed=4)
-        sequential = run_trials(
-            gender_osn, 1, 2, handwritten, "custom", **args, execution="sequential"
-        )
-        fleet = run_trials(
-            gender_osn, 1, 2, handwritten, "custom", **args, execution="fleet"
-        )
-        assert fleet.estimates == sequential.estimates
-        assert fleet.api_calls == sequential.api_calls
+        tables = [
+            compare_algorithms(
+                gender_osn, 1, 2, [0.02, 0.04], 3, algorithms={"custom": handwritten},
+                burn_in=10, seed=4, execution=execution, reuse=reuse,
+            )
+            for execution, reuse in [("sequential", "none"), ("fleet", "none"), ("fleet", "prefix")]
+        ]
+        for table in tables[1:]:
+            for ours, theirs in zip(table.cells["custom"], tables[0].cells["custom"]):
+                assert ours.estimates == theirs.estimates
+                assert ours.api_calls == theirs.api_calls
 
 
 class TestParallelDeterminism:

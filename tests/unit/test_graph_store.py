@@ -1,6 +1,9 @@
 """Buffer backends: shm/mmap publish/attach, handles, cleanup semantics."""
 
+import os
 import pickle
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -12,11 +15,13 @@ from repro.graph.csr import CSRGraph
 from repro.graph.store import (
     CSRHandle,
     attach_csr,
+    is_publishable,
     load_csr_npz,
     npz_array_specs,
     publish_csr,
     save_csr_npz,
     spill_csr_to_mmap,
+    sweep_orphan_segments,
     validate_graph_store,
 )
 from repro.walks.batched import BatchedWalkEngine
@@ -40,6 +45,15 @@ def _assert_same_graph(attached: CSRGraph, original: CSRGraph) -> None:
 
 
 class TestValidation:
+    def test_publishability_follows_the_label_storage(self, labeled_csr):
+        assert is_publishable(labeled_csr)
+        set_labeled = labeled_csr.with_labels(
+            label_sets=[{int(label)} for label in labeled_csr.label_array()]
+        )
+        assert not is_publishable(set_labeled)
+        with pytest.raises(ConfigurationError, match="set-labeled"):
+            publish_csr(set_labeled, "shm")
+
     def test_known_stores_pass(self):
         for store in ("ram", "shm", "mmap"):
             assert validate_graph_store(store) == store
@@ -137,6 +151,29 @@ class TestSharedMemory:
             still_alive = publication.attach()
             _assert_same_graph(still_alive, labeled_csr)
             del attached, still_alive
+
+    def test_segment_name_carries_the_publisher_pid(self, labeled_csr):
+        with publish_csr(labeled_csr, "shm") as publication:
+            assert publication.handle.location.startswith(f"repro-{os.getpid()}-")
+
+    def test_orphan_sweep_takes_only_dead_publishers_segments(self, tmp_path):
+        child = subprocess.run(
+            [sys.executable, "-c", "import os; print(os.getpid())"],
+            capture_output=True,
+            text=True,
+        )
+        dead = tmp_path / f"repro-{int(child.stdout)}-0123456789ab"
+        live = tmp_path / f"repro-{os.getpid()}-0123456789ab"
+        foreign = tmp_path / "psm_0123abcd"
+        for path in (dead, live, foreign):
+            path.write_bytes(b"segment")
+        assert sweep_orphan_segments(tmp_path, dry_run=True) == [dead]
+        assert dead.exists()
+        assert sweep_orphan_segments(tmp_path) == [dead]
+        assert not dead.exists() and live.exists() and foreign.exists()
+
+    def test_sweep_of_a_missing_directory_finds_nothing(self, tmp_path):
+        assert sweep_orphan_segments(tmp_path / "absent") == []
 
     def test_fleet_walk_bit_identical_to_ram(self, labeled_csr):
         reference = BatchedWalkEngine(labeled_csr, rng=11).run_fleet(8, 60, burn_in=5)

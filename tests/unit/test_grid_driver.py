@@ -5,10 +5,12 @@
 ``repro.experiments.runner.run_grid``.  Pinned here:
 
 * grid inputs are validated once, before any expensive work, through
-  both entry points;
+  both entry points — a CSR graph that would need reference jobs
+  included;
 * a fleet cell *is* a single-budget prefix fleet, for every registry
   algorithm, bit for bit;
-* under ``reuse="prefix"`` the ``execution`` knob changes nothing;
+* under ``reuse="prefix"`` the ``execution`` knob changes nothing, and
+  neither does sending the prefix fleets through the worker pool;
 * the per-cell and per-fleet seed derivations of both entry points.
 """
 
@@ -21,9 +23,10 @@ from repro.datasets.registry import select_target_pairs
 from repro.exceptions import ConfigurationError
 from repro.experiments.algorithms import ALL_ALGORITHM_ORDER, build_algorithm_suite
 from repro.experiments.runner import (
+    GridColumn,
     _derive_group_seed,
     compare_algorithms,
-    run_trials,
+    run_grid,
     run_trials_prefix,
 )
 from repro.experiments.metrics import nrmse
@@ -87,6 +90,24 @@ class TestGridValidation:
         with pytest.raises(ConfigurationError, match="journal"):
             frequency_sweep(rare_label_osn, pairs, repetitions=3, resume=True)
 
+    def test_table_on_csr_needing_reference_jobs_fails_before_burn_in_and_journal(
+        self, gender_osn, tmp_path, no_burn_in_estimate
+    ):
+        with pytest.raises(ConfigurationError, match="reference engine"):
+            compare_algorithms(
+                csr_view(gender_osn), 1, 2, [0.01], 2, journal=tmp_path / "table"
+            )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_on_csr_needing_reference_jobs_fails_before_burn_in_and_journal(
+        self, rare_label_osn, pairs, tmp_path, no_burn_in_estimate
+    ):
+        with pytest.raises(ConfigurationError, match="reference engine"):
+            frequency_sweep(
+                csr_view(rare_label_osn), pairs, repetitions=2, journal=tmp_path / "sweep"
+            )
+        assert list(tmp_path.iterdir()) == []
+
     def test_full_budget_is_accepted(self, gender_osn, full_suite):
         table = compare_algorithms(
             gender_osn, 1, 2, [1.0], 2,
@@ -99,14 +120,18 @@ class TestGridValidation:
 class TestFleetCellIsAPrefixFleet:
     @pytest.mark.parametrize("name", ALL_ALGORITHM_ORDER)
     @pytest.mark.parametrize("budget", [20, 60])
-    def test_run_trials_fleet_equals_one_budget_prefix(self, gender_osn, full_suite, name, budget):
+    def test_fleet_cell_equals_one_budget_prefix(self, gender_osn, full_suite, name, budget):
         runner = full_suite[name]
-        fleet = run_trials(
-            gender_osn, 1, 2, runner, name, budget, 5, BURN_IN, seed=99, execution="fleet"
-        )
         (prefix,) = run_trials_prefix(
             gender_osn, 1, 2, runner, name, [budget], 5, BURN_IN, seed=99
         )
+        outcomes = run_grid(
+            gender_osn, {name: runner}, {0: GridColumn(1, 2, budget, prefix.true_count)},
+            5, BURN_IN, 0,
+            cell_seed=lambda *_: 99, fleet_seed=lambda *_: 0, fingerprint={},
+            execution="fleet", n_jobs=1, reuse="none", journal=None, resume=False,
+        )
+        fleet = outcomes[(name, 0)]
         assert fleet.estimates == prefix.estimates
         assert fleet.api_calls == prefix.api_calls
         assert (fleet.sample_size, fleet.true_count) == (prefix.sample_size, prefix.true_count)
@@ -133,6 +158,17 @@ class TestExecutionIsIrrelevantUnderPrefixReuse:
                 execution=execution, reuse="prefix",
             )
             for execution in ("sequential", "fleet")
+        ]
+        assert sweeps[0] == sweeps[1]
+
+    def test_sweep_prefix_fleets_through_the_pool(self, rare_label_osn, pairs):
+        suite = build_algorithm_suite(rare_label_osn)
+        sweeps = [
+            frequency_sweep(
+                rare_label_osn, pairs, budget_fraction=0.03, repetitions=4,
+                algorithms=suite, burn_in=BURN_IN, seed=7, reuse="prefix", n_jobs=n_jobs,
+            )
+            for n_jobs in (1, 2)
         ]
         assert sweeps[0] == sweeps[1]
 

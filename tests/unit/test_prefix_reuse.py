@@ -78,9 +78,9 @@ class TestRunTrialsPrefix:
             gender_osn, 1, 2, runner, "NeighborSample-HH",
             [10, 25, 60], 12, BURN_IN, seed=99,
         )
-        fresh = run_trials(
+        (fresh,) = run_trials_prefix(
             gender_osn, 1, 2, runner, "NeighborSample-HH",
-            60, 12, BURN_IN, seed=99, execution="fleet",
+            [60], 12, BURN_IN, seed=99,
         )
         assert row[2].estimates == fresh.estimates
         assert row[2].api_calls == fresh.api_calls
@@ -204,5 +204,5 @@ class TestConfigWiring:
         with pytest.raises(ConfigurationError):
             run_trials(
                 csr, 1, 2, suite["NeighborSample-HH"], "NeighborSample-HH",
-                10, 3, 5, seed=1, execution="sequential",
+                10, 3, 5, seed=1,
             )

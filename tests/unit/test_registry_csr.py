@@ -152,12 +152,14 @@ class TestGraphStore:
         assert ram.target_pairs == mapped.target_pairs
         assert ram.target_counts == mapped.target_counts
 
-    def test_shm_mode_keeps_arrays_in_ram(self):
-        dataset = load_dataset(
-            "facebook", seed=11, scale=0.1, representation="csr", graph_store="shm"
-        )
-        # Publication happens at the n_jobs plane; the dataset itself is RAM.
-        assert dataset.graph.store == "ram"
+    def test_shm_is_rejected(self):
+        from repro.exceptions import ConfigurationError
+
+        # Publication happens in the n_jobs pool; a dataset is RAM or mmap.
+        with pytest.raises(ConfigurationError, match="unknown graph store 'shm'"):
+            load_dataset(
+                "facebook", seed=11, scale=0.1, representation="csr", graph_store="shm"
+            )
 
     def test_external_store_requires_csr_representation(self):
         with pytest.raises(DatasetError, match="representation='csr'"):

@@ -1,12 +1,14 @@
 """Worker-crash recovery: a killed pool worker cannot change the table.
 
-The recovery loop in :func:`run_cells_parallel` respawns a broken pool
-and re-runs only the cells that had not finished.  Because every cell
+The recovery loop in :func:`run_jobs_parallel` respawns a broken pool
+and re-runs only the jobs that had not finished.  Because every job
 carries its own pre-derived seed, the recovered table must be
 **bit-identical** to an uninterrupted run — that equality is the whole
 acceptance criterion, asserted here with a real SIGKILL injected into a
 real pool worker via ``REPRO_FAULTS``.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ import pytest
 from repro.exceptions import ExperimentError
 from repro.experiments.algorithms import build_algorithm_suite
 from repro.experiments.runner import compare_algorithms
+from repro.graph.store import sweep_orphan_segments
 from repro.resilience.faults import FAULTS_ENV, FAULTS_STATE_ENV
 
 
@@ -44,7 +47,6 @@ def _table(graph, suite, **overrides):
         seed=42,
         execution="fleet",
         n_jobs=2,
-        graph_store="shm",
     )
     settings.update(overrides)
     return compare_algorithms(graph, 1, 2, **settings)
@@ -62,6 +64,24 @@ class TestKillRecovery:
         monkeypatch.setenv(FAULTS_ENV, "worker.cell=kill,count=1")
         monkeypatch.setenv(FAULTS_STATE_ENV, str(tmp_path))
         recovered = _table(csr_graph, suite)
+        claimed = sorted(path.name for path in tmp_path.glob("fault-*.token"))
+        assert claimed == ["fault-0-0.token"]  # the kill really happened
+        assert recovered.algorithms() == reference.algorithms()
+        for name in reference.algorithms():
+            for ours, theirs in zip(recovered.cells[name], reference.cells[name]):
+                assert ours.estimates == theirs.estimates
+                assert ours.api_calls == theirs.api_calls
+
+    def test_killed_prefix_job_is_respawned_and_the_table_is_bit_identical(
+        self, csr_graph, tmp_path, monkeypatch
+    ):
+        """Prefix fleets run as pool jobs too: one kill, one respawn."""
+        full = build_algorithm_suite(csr_graph)
+        suite = {name: full[name] for name in ("NeighborSample-HH", "NeighborExploration-HT", "EX-RW")}
+        reference = _table(csr_graph, suite, reuse="prefix", n_jobs=1)
+        monkeypatch.setenv(FAULTS_ENV, "worker.cell=kill,count=1")
+        monkeypatch.setenv(FAULTS_STATE_ENV, str(tmp_path))
+        recovered = _table(csr_graph, suite, reuse="prefix")
         claimed = sorted(path.name for path in tmp_path.glob("fault-*.token"))
         assert claimed == ["fault-0-0.token"]  # the kill really happened
         assert recovered.algorithms() == reference.algorithms()
@@ -114,7 +134,7 @@ compare_algorithms(
     graph, 1, 2,
     sample_fractions=(0.02, 0.04, 0.06),
     repetitions=3, algorithms=suite, burn_in=5, seed=42,
-    execution="fleet", n_jobs=2, graph_store="ram",
+    execution="fleet", n_jobs=2,
     journal=sys.argv[1],
 )
 """
@@ -169,6 +189,17 @@ compare_algorithms(
         ]
         assert 1 <= len(crashed_cells) < 3
         crashed_pids = {r["pid"] for r in crashed_cells}
+
+        # The SIGKILL took the publisher and its resource tracker down
+        # mid-pool, leaving the RAM graph's shared-memory segment behind
+        # (segments are listed as files on Linux only); the orphan sweep
+        # reclaims it.
+        shm = Path("/dev/shm")
+        if shm.is_dir():
+            leaked = sorted(shm.glob(f"repro-{child.pid}-*"))
+            assert leaked
+            assert set(leaked) <= set(sweep_orphan_segments())
+            assert not list(shm.glob(f"repro-{child.pid}-*"))
 
         resumed = _table(
             csr_graph,

@@ -1,4 +1,4 @@
-"""The n_jobs graph-store plane: handle shipping, parity, cleanup."""
+"""The n_jobs worker pool: the graph picks its transport; parity, cleanup."""
 
 import glob
 import pickle
@@ -6,11 +6,22 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.datasets.registry import load_dataset
 from repro.exceptions import ConfigurationError
 from repro.experiments.algorithms import build_algorithm_suite
-from repro.experiments.runner import CellTask, compare_algorithms, run_cells_parallel
-from repro.graph.csr import CSRGraph
-from repro.graph.store import save_csr_npz, load_csr_npz
+import repro.experiments.runner as runner_module
+from repro.experiments.runner import (
+    GridColumn,
+    GridJob,
+    compare_algorithms,
+    run_jobs_parallel,
+)
+from repro.graph.csr import CSRGraph, csr_view
+from repro.graph.labeled_graph import LabeledGraph
+from repro.graph.store import is_publishable, load_csr_npz, save_csr_npz
+
+#: Every (execution, reuse) pair; CSR graphs cannot run the first one.
+KNOBS = [("sequential", "none"), ("fleet", "none"), ("sequential", "prefix"), ("fleet", "prefix")]
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +41,7 @@ def proposed_suite(csr_graph):
     return {name: suite[name] for name in ("NeighborSample-HH", "NeighborExploration-HH")}
 
 
-def _table(graph, suite, n_jobs, graph_store):
+def _table(graph, suite, n_jobs, execution="fleet", reuse="none"):
     return compare_algorithms(
         graph,
         1,
@@ -40,84 +51,112 @@ def _table(graph, suite, n_jobs, graph_store):
         algorithms=suite,
         burn_in=10,
         seed=42,
-        execution="fleet",
+        execution=execution,
         n_jobs=n_jobs,
-        graph_store=graph_store,
+        reuse=reuse,
     )
 
 
+def _cells(table):
+    return {
+        name: [(cell.sample_size, cell.estimates, cell.api_calls) for cell in table.cells[name]]
+        for name in table.algorithms()
+    }
+
+
+def _job(algorithm):
+    column = GridColumn(1, 2, 5, 10)
+    return GridJob(algorithm, 1, (0,), (column,), 5, 2, 2, fleet=True)
+
+
 def _shm_segments():
-    return set(glob.glob("/dev/shm/psm_*"))
+    return set(glob.glob("/dev/shm/repro-*")) | set(glob.glob("/dev/shm/psm_*"))
 
 
 class TestStoreParity:
-    def test_tables_bit_identical_across_stores_and_jobs(
+    def test_tables_bit_identical_across_backings_and_jobs(
         self, csr_graph, proposed_suite, tmp_path
     ):
-        """Any (store, n_jobs) combination yields the exact same table."""
-        reference = _table(csr_graph, proposed_suite, 1, "ram")
+        """Any (backing, n_jobs) combination yields the exact same table."""
+        reference = _cells(_table(csr_graph, proposed_suite, 1))
         mmap_graph = load_csr_npz(save_csr_npz(csr_graph, tmp_path / "g.npz"))
-        variants = [
-            _table(csr_graph, proposed_suite, 2, "ram"),
-            _table(csr_graph, proposed_suite, 2, "shm"),
-            _table(csr_graph, proposed_suite, 3, "shm"),
-            _table(mmap_graph, proposed_suite, 2, "mmap"),
-            _table(mmap_graph, proposed_suite, 1, "ram"),
-        ]
-        for table in variants:
-            assert table.algorithms() == reference.algorithms()
-            for name in reference.algorithms():
-                for ours, theirs in zip(table.cells[name], reference.cells[name]):
-                    assert ours.estimates == theirs.estimates
-                    assert ours.api_calls == theirs.api_calls
+        for graph, n_jobs in [(csr_graph, 2), (csr_graph, 3), (mmap_graph, 2), (mmap_graph, 1)]:
+            assert _cells(_table(graph, proposed_suite, n_jobs)) == reference
 
     def test_no_segments_leaked_by_successful_runs(self, csr_graph, proposed_suite):
         before = _shm_segments()
-        _table(csr_graph, proposed_suite, 2, "shm")
+        for reuse in ("none", "prefix"):  # prefix fleets cross the pool too
+            _table(csr_graph, proposed_suite, 2, reuse=reuse)
         assert _shm_segments() == before
 
 
+class TestJobEquivalence:
+    """Every valid (execution, reuse, n_jobs, graph) run equals its n_jobs=1 run."""
+
+    @pytest.fixture(scope="class")
+    def mixed_suite(self, gender_osn):
+        suite = build_algorithm_suite(gender_osn)
+        return {name: suite[name] for name in ("NeighborSample-HT", "NeighborExploration-HH", "EX-RW")}
+
+    @pytest.mark.parametrize("execution, reuse", KNOBS)
+    def test_dict_graph(self, gender_osn, mixed_suite, execution, reuse):
+        serial = _table(gender_osn, mixed_suite, 1, execution, reuse)
+        assert _cells(_table(gender_osn, mixed_suite, 2, execution, reuse)) == _cells(serial)
+
+    @pytest.mark.parametrize("execution, reuse", [("fleet", "none"), ("fleet", "prefix")])
+    def test_csr_view_of_a_dict_graph(self, gender_osn, mixed_suite, execution, reuse):
+        """A set-labeled CSR view cannot be published; it is pickled instead."""
+        view = csr_view(gender_osn)
+        assert not is_publishable(view)
+        serial = _table(view, mixed_suite, 1, execution, reuse)
+        assert _cells(_table(view, mixed_suite, 2, execution, reuse)) == _cells(serial)
+        assert _cells(_table(gender_osn, mixed_suite, 1, execution, reuse)) == _cells(serial)
+
+    @pytest.mark.parametrize(
+        "execution, reuse, shipped",
+        [("fleet", "prefix", CSRGraph), ("fleet", "none", CSRGraph), ("sequential", "none", LabeledGraph)],
+    )
+    def test_dict_graph_ships_its_csr_view_when_every_job_is_a_fleet_job(
+        self, gender_osn, mixed_suite, execution, reuse, shipped, monkeypatch
+    ):
+        """Workers get the parent's frozen view unless a reference job needs the dict."""
+        seen = []
+
+        def spy(graph, *args):
+            seen.append(graph)
+            return run_jobs_parallel(graph, *args)
+
+        monkeypatch.setattr(runner_module, "run_jobs_parallel", spy)
+        _table(gender_osn, mixed_suite, 2, execution, reuse)
+        assert len(seen) == 1 and type(seen[0]) is shipped
+        if shipped is CSRGraph:
+            assert seen[0] is csr_view(gender_osn)
+
+    @pytest.mark.parametrize("execution, reuse", KNOBS[1:])
+    def test_ram_and_mmap_csr_datasets(self, execution, reuse, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_MMAP_DIR", str(tmp_path))
+        ram = load_dataset("facebook", seed=9, scale=0.1, representation="csr", use_cache=False)
+        mapped = load_dataset(
+            "facebook", seed=9, scale=0.1, representation="csr", graph_store="mmap",
+            use_cache=False,
+        )
+        try:
+            assert mapped.graph.store == "mmap"
+            suite = build_algorithm_suite(ram.graph, algorithms=["NeighborSample-HH", "EX-MHRW"])
+            reference = _cells(_table(ram.graph, suite, 1, execution, reuse))
+            for graph, n_jobs in [(ram.graph, 2), (mapped.graph, 1), (mapped.graph, 2)]:
+                assert _cells(_table(graph, suite, n_jobs, execution, reuse)) == reference
+        finally:
+            mapped.release()
+
+
 class TestStoreErrors:
-    def test_dict_graph_rejects_external_store(self, gender_osn):
-        suite = build_algorithm_suite(include_baselines=False)
-        with pytest.raises(ConfigurationError, match="graph_store"):
-            compare_algorithms(
-                gender_osn,
-                1,
-                2,
-                sample_fractions=(0.02,),
-                repetitions=2,
-                algorithms=suite,
-                burn_in=5,
-                seed=1,
-                n_jobs=2,
-                graph_store="shm",
-            )
-
-    def test_unknown_store_rejected(self, csr_graph, proposed_suite):
-        with pytest.raises(ConfigurationError, match="unknown graph store"):
-            _table(csr_graph, proposed_suite, 2, "tape")
-
     def test_worker_error_does_not_leak_segments(self, csr_graph, proposed_suite):
-        """A cell that dies in the worker still releases the published segment."""
+        """A job that dies in the worker still releases the published segment."""
         before = _shm_segments()
-        cells = [
-            CellTask(
-                algorithm="not-in-the-suite",
-                column=0,
-                sample_size=5,
-                seed=1,
-                t1=1,
-                t2=2,
-                repetitions=2,
-                burn_in=2,
-                true_count=10,
-                execution="fleet",
-            )
-        ]
         with pytest.raises(KeyError):
-            run_cells_parallel(
-                csr_graph, proposed_suite, cells, 2, None, graph_store="shm"
+            run_jobs_parallel(
+                csr_graph, proposed_suite, [_job("not-in-the-suite")], 2, lambda job, row: None
             )
         assert _shm_segments() == before
 
@@ -125,24 +164,8 @@ class TestStoreErrors:
         """Closure suites fail fast, without leaking a published segment."""
         before = _shm_segments()
         closure_suite = {"closure": lambda *args, **kwargs: None}
-        cells = [
-            CellTask(
-                algorithm="closure",
-                column=0,
-                sample_size=5,
-                seed=1,
-                t1=1,
-                t2=2,
-                repetitions=2,
-                burn_in=2,
-                true_count=10,
-                execution="fleet",
-            )
-        ]
         with pytest.raises(ConfigurationError, match="picklable"):
-            run_cells_parallel(
-                csr_graph, closure_suite, cells, 2, None, graph_store="shm"
-            )
+            run_jobs_parallel(csr_graph, closure_suite, [_job("closure")], 2, lambda job, row: None)
         assert _shm_segments() == before
 
 
@@ -160,7 +183,7 @@ class TestWarmCacheShipping:
         """An already-mmap-backed graph keeps its cache-less handle on
         republication; the runner must hand the parent's derived caches
         to workers instead of letting each re-stream the adjacency."""
-        from repro.experiments.runner import _WORKER_STATE, _init_cell_worker
+        from repro.experiments.runner import _WORKER_STATE, _init_job_worker
         from repro.graph.store import publish_csr
 
         mmap_graph = load_csr_npz(save_csr_npz(csr_graph, tmp_path / "g.npz"))
@@ -171,9 +194,7 @@ class TestWarmCacheShipping:
         exported = mmap_graph.export_label_caches()
         saved_state = dict(_WORKER_STATE)
         try:
-            _init_cell_worker(
-                publication.handle, pickle.dumps({}), True, exported
-            )
+            _init_job_worker(publication.handle, pickle.dumps({}), exported)
             worker_graph = _WORKER_STATE["graph"]
             assert worker_graph._target_count_cache[(1, 2)] == truth
             assert 1 in worker_graph._mask_cache
@@ -187,8 +208,8 @@ class TestWarmCacheShipping:
     def test_mmap_store_tables_still_bit_identical(self, csr_graph, proposed_suite, tmp_path):
         mmap_graph = load_csr_npz(save_csr_npz(csr_graph, tmp_path / "g2.npz"))
         mmap_graph.count_target_edges(1, 2)  # warm before the pool runs
-        reference = _table(csr_graph, proposed_suite, 1, "ram")
-        table = _table(mmap_graph, proposed_suite, 2, "mmap")
+        reference = _table(csr_graph, proposed_suite, 1)
+        table = _table(mmap_graph, proposed_suite, 2)
         for name in reference.algorithms():
             for ours, theirs in zip(table.cells[name], reference.cells[name]):
                 assert ours.estimates == theirs.estimates
