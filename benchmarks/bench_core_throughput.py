@@ -35,12 +35,8 @@ from repro.core.estimators import (
     NodeReweightedEstimator,
 )
 from repro.core.pipeline import estimate_target_edge_count
-from repro.core.samplers import (
-    NeighborExplorationSampler,
-    NeighborSampleSampler,
-    explore_nodes_fleet,
-    sample_edges_fleet,
-)
+from repro.core.samplers import NeighborExplorationSampler, NeighborSampleSampler
+from repro.core.samplers.csr_backend import classify_edge_fleet, classify_node_fleet
 from repro.datasets.labeling import zipf_label_array
 from repro.datasets.registry import load_dataset
 from repro.datasets.synthetic import chung_lu_edges, powerlaw_degree_sequence
@@ -112,7 +108,8 @@ def test_throughput_neighbor_sample(benchmark, facebook_graph):
 
 def test_throughput_neighbor_sample_csr(benchmark, facebook_csr):
     def run():
-        return sample_edges_fleet(facebook_csr, 1, 2, 200, 1, burn_in=10, rng=2).sample_set(0)
+        fleet = BatchedWalkEngine(facebook_csr, 2).run_fleet(1, 200, burn_in=10)
+        return classify_edge_fleet(facebook_csr, fleet, 1, 2).sample_set(0)
 
     samples = benchmark(run)
     assert samples.k == 200
@@ -131,7 +128,8 @@ def test_throughput_neighbor_exploration(benchmark, facebook_graph):
 
 def test_throughput_neighbor_exploration_csr(benchmark, facebook_csr):
     def run():
-        return explore_nodes_fleet(facebook_csr, 1, 2, 200, 1, burn_in=10, rng=3).sample_set(0)
+        fleet = BatchedWalkEngine(facebook_csr, 3).run_fleet(1, 200, burn_in=10)
+        return classify_node_fleet(facebook_csr, fleet, 1, 2).sample_set(0)
 
     samples = benchmark(run)
     assert samples.k == 200

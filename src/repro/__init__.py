@@ -34,7 +34,9 @@ The numpy walker fleets
     the Kolmogorov–Smirnov equivalence suites.  The random stream
     differs, so the two engines agree in distribution, not seed for
     seed.  A one-shot estimate on a ``CSRGraph`` runs a one-walker
-    fleet.
+    fleet.  Node fleets walk the simple random walk, the walk of
+    NeighborSample and NeighborExploration; the EX-* baselines run
+    line-graph fleets with their own accept/reject kernels.
 
 >>> from repro.graph.csr import csr_view
 >>> fast = estimate_target_edge_count(
@@ -47,8 +49,12 @@ True
 True
 
 For fleet-style workloads (many independent walkers over one graph),
-:class:`repro.walks.BatchedWalkEngine` advances ``N`` walkers per
-numpy-vectorized step over a shared :class:`repro.graph.CSRGraph`.
+``BatchedWalkEngine(csr, rng).run_fleet(num_walkers, num_steps,
+burn_in)`` advances ``N`` simple-random-walk walkers per
+numpy-vectorized step over a shared :class:`repro.graph.CSRGraph`;
+``repro.core.samplers.csr_backend.classify_edge_fleet`` /
+``classify_node_fleet`` turn the walk into NeighborSample /
+NeighborExploration sample batches.
 
 Fleet execution
 ---------------

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.samplers.base import EdgeSampleBatch
-from repro.core.samplers.csr_backend import PrefixLedger, enforce_fleet_budget
+from repro.core.samplers.csr_backend import PrefixLedger
 from repro.exceptions import EstimationError
 from repro.graph.csr import CSRGraph
 from repro.graph.labeled_graph import Label
@@ -67,9 +67,6 @@ def classify_line_fleet(
     fleet: LineFleetResult,
     t1: Label,
     t2: Label,
-    budget: Optional[int] = None,
-    known_num_nodes: Optional[int] = None,
-    known_num_edges: Optional[int] = None,
     ledger: Optional[PrefixLedger] = None,
 ) -> EdgeSampleBatch:
     """Classify an already-walked line fleet against a target pair.
@@ -102,14 +99,13 @@ def classify_line_fleet(
     weights = kernel_stationary_weights(spec, line_degrees)
 
     charges = fleet.charged_calls() if ledger is None else ledger.charges(fleet, t1, t2)
-    enforce_fleet_budget(charges, budget)
 
     return EdgeSampleBatch(
         sources=sources,
         dests=dests,
         is_target=is_target,
-        num_edges=csr.num_edges if known_num_edges is None else known_num_edges,
-        num_nodes=csr.num_nodes if known_num_nodes is None else known_num_nodes,
+        num_edges=csr.num_edges,
+        num_nodes=csr.num_nodes,
         target_labels=(t1, t2),
         api_calls=charges,
         node_ids=csr.node_ids,

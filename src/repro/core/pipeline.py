@@ -34,6 +34,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.labeled_graph import Label, LabeledGraph, validate_target_labels
 from repro.utils.rng import RandomSource
 from repro.utils.validation import check_fraction, check_non_negative_int, check_positive_int
+from repro.walks.batched import BatchedWalkEngine
 from repro.walks.mixing import recommended_burn_in
 
 from repro.core.estimators import (
@@ -47,8 +48,8 @@ from repro.core.estimators import (
 from repro.core.samplers import NeighborExplorationSampler, NeighborSampleSampler
 from repro.core.samplers.csr_backend import (
     EXECUTIONS,
-    explore_nodes_fleet,
-    sample_edges_fleet,
+    classify_edge_fleet,
+    classify_node_fleet,
 )
 
 
@@ -174,9 +175,10 @@ def estimate_target_edge_count(
     The type of *graph* picks the engine.  A dict graph or a restricted
     API runs the reference engine, which fetches every page through
     :class:`RestrictedGraphAPI`.  A :class:`CSRGraph` runs a one-walker
-    fleet over the numpy arrays
-    (:func:`~repro.core.samplers.csr_backend.sample_edges_fleet` /
-    :func:`~repro.core.samplers.csr_backend.explore_nodes_fleet`).  It
+    :class:`~repro.walks.batched.BatchedWalkEngine` fleet over the numpy
+    arrays and classifies it
+    (:func:`~repro.core.samplers.csr_backend.classify_edge_fleet` /
+    :func:`~repro.core.samplers.csr_backend.classify_node_fleet`).  It
     charges the same distinct pages and draws from the same sampling
     law, but from a numpy random stream, so the two engines agree in
     distribution, not seed for seed.  The equivalence suites enforce
@@ -238,8 +240,9 @@ def estimate_target_edge_count(
 
     runner = spec.run
     if isinstance(graph, CSRGraph):
-        sample = sample_edges_fleet if runner.sampler == "edge" else explore_nodes_fleet
-        batch = sample(graph, t1, t2, k, 1, burn_in=burn_in, rng=seed)
+        fleet = BatchedWalkEngine(graph, seed).run_fleet(1, k, burn_in)
+        classify = classify_edge_fleet if runner.sampler == "edge" else classify_node_fleet
+        batch = classify(graph, fleet, t1, t2)
         return runner.estimator_factory().estimate(batch.sample_set(0))
     if isinstance(graph, LabeledGraph):
         graph = RestrictedGraphAPI(graph)

@@ -10,7 +10,6 @@ from repro.core.samplers.base import (
 )
 from repro.core.samplers.neighbor_sample import NeighborSampleSampler
 from repro.core.samplers.neighbor_exploration import NeighborExplorationSampler
-from repro.core.samplers.csr_backend import explore_nodes_fleet, sample_edges_fleet
 
 __all__ = [
     "EdgeSample",
@@ -21,6 +20,4 @@ __all__ = [
     "NodeSampleBatch",
     "NeighborSampleSampler",
     "NeighborExplorationSampler",
-    "sample_edges_fleet",
-    "explore_nodes_fleet",
 ]

@@ -25,7 +25,7 @@ one numpy row per trial, consumed wholesale by the estimators'
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -204,15 +204,13 @@ class EdgeSampleBatch:
     identifiers).  ``api_calls`` has one charged-call count per trial —
     each trial is an independent crawler with its own page cache.
 
-    ``weights`` carries the per-sample (unnormalised) stationary
-    weights when the fleet walked a *non*-degree-stationary kernel —
-    the importance weights a re-weighted estimator must divide by.  It
-    is ``None`` for the simple/non-backtracking walks (whose weights
-    are the degrees, already carried).  The EX-* baseline path reuses
-    this container for its line-graph samples: each "edge sample" is a
-    line node of ``G'`` (an edge of ``G``), ``weights`` holds the
-    kernel's stationary weights on ``G'``, and
-    :func:`repro.baselines.fleet.reweighted_estimates` consumes them.
+    The EX-* baseline path reuses this container for its line-graph
+    samples: each "edge sample" is a line node of ``G'`` (an edge of
+    ``G``), and ``weights`` holds the per-sample (unnormalised)
+    stationary weights of the line walk's kernel on ``G'``, which
+    :func:`repro.baselines.fleet.reweighted_estimates` divides by.  It
+    is ``None`` for NeighborSample's simple walk, whose weights are the
+    degrees.
     """
 
     sources: np.ndarray
@@ -308,9 +306,7 @@ class EdgeSampleBatch:
 class NodeSampleBatch:
     """NeighborExploration output for a whole fleet: one numpy row per trial.
 
-    Same conventions as :class:`EdgeSampleBatch` (``weights`` included:
-    per-sample stationary weights when the fleet walked a
-    non-degree-stationary kernel, ``None`` otherwise);
+    Same conventions as :class:`EdgeSampleBatch`;
     ``incident_target_edges`` is already zeroed for unlabeled samples
     (mirroring the reference sampler, which only explores labeled
     nodes).
@@ -326,7 +322,6 @@ class NodeSampleBatch:
     api_calls: Optional[np.ndarray] = None
     node_ids: Optional[Sequence[Node]] = None
     trajectories: Optional[np.ndarray] = None
-    weights: Optional[np.ndarray] = None
 
     @property
     def num_trials(self) -> int:
@@ -356,7 +351,6 @@ class NodeSampleBatch:
             api_calls=self.api_calls,
             node_ids=self.node_ids,
             trajectories=self.trajectories,
-            weights=None if self.weights is None else self.weights[:, keep],
         )
 
     def prefix(self, k: int, api_calls: np.ndarray) -> "NodeSampleBatch":
@@ -369,7 +363,6 @@ class NodeSampleBatch:
             incident_target_edges=self.incident_target_edges[:, :k],
             api_calls=api_calls,
             trajectories=_trajectory_prefix(self.trajectories, self.k, k),
-            weights=None if self.weights is None else self.weights[:, :k],
         )
 
     def sample_set(self, trial: int) -> NodeSampleSet:

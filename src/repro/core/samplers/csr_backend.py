@@ -1,14 +1,15 @@
-"""Fleet implementations of the paper's two sampling processes.
+"""Fleet classification for the paper's two sampling processes.
 
-Every repetition of a table cell runs as one walker of a vectorized
-fleet over a frozen :class:`~repro.graph.csr.CSRGraph`
+Every repetition of a table cell runs as one walker of a simple-random-
+walk fleet over a frozen :class:`~repro.graph.csr.CSRGraph`
 (:class:`~repro.walks.batched.BatchedWalkEngine`), and the walk is
-classified into the array-native :class:`EdgeSampleBatch` /
-:class:`NodeSampleBatch` the estimators' ``estimate_batch`` consume.
-A one-walker fleet is also what
-:func:`~repro.core.pipeline.estimate_target_edge_count` runs on a
-:class:`CSRGraph`; :meth:`EdgeSampleBatch.sample_set` turns its row
-into the reference sample containers.
+classified here into the array-native :class:`EdgeSampleBatch` /
+:class:`NodeSampleBatch` the estimators' ``estimate_batch`` consume:
+:func:`classify_edge_fleet` for NeighborSample,
+:func:`classify_node_fleet` for NeighborExploration.  A one-walker
+fleet is also what :func:`~repro.core.pipeline.estimate_target_edge_count`
+runs on a :class:`CSRGraph`; :meth:`EdgeSampleBatch.sample_set` turns
+its row into the reference sample containers.
 
 Fidelity guarantees:
 
@@ -18,27 +19,19 @@ Fidelity guarantees:
   Kolmogorov–Smirnov equivalence suites.
 * Charged API calls are counted with the reference distinct-page
   semantics, per walker: one charge per distinct node whose
-  neighbor-list page the walker downloads (walk positions, MH-family
-  proposal probes and — for NeighborExploration — the explored
-  neighbors of labeled sampled nodes), exactly what a fresh caching
-  :class:`RestrictedGraphAPI` per repetition records.  A *budget*
-  raises :class:`APIBudgetExceededError` when any walker crosses it.
+  neighbor-list page the walker downloads (walk positions and — for
+  NeighborExploration — the explored neighbors of labeled sampled
+  nodes), exactly what a fresh caching :class:`RestrictedGraphAPI` per
+  repetition records.
 * Classifying a path that :func:`~repro.walks.batched.csr_walk` walked
   with the reference engine's random stream reproduces the reference
   samplers' samples and charged calls exactly; the tests check the
   edge and node classifiers against the dict samplers that way.
 
-Kernel support: every kernel of :mod:`repro.walks.kernels` is accepted
-— the degree-stationary walks the proposed algorithms use *and* the
-EX-* accept/reject kernels (``mhrw`` / ``mdrw`` / ``rcmh`` / ``gmd``),
-which :class:`~repro.walks.batched.BatchedWalkEngine` applies as one
-vectorized accept mask per step.  When a fleet walks a
-non-degree-stationary kernel, the returned batches carry per-sample
-stationary ``weights`` so re-weighted estimators can
-importance-correct; the MH-family proposal probes are folded into the
-per-trial ledgers.  (The EX-* baselines themselves walk the *line
-graph* — their fleet path lives in :mod:`repro.baselines.fleet` on top
-of :class:`~repro.walks.line_batched.BatchedLineWalkEngine`.)
+The EX-* baselines walk the *line graph* with accept/reject kernels;
+their fleet path lives in :mod:`repro.baselines.fleet` on top of
+:class:`~repro.walks.line_batched.BatchedLineWalkEngine`, and shares
+the one-pass budget ledger (:class:`PrefixLedger`) defined here.
 
 The fleet classification paths touch the graph only through gathers
 (label masks indexed by trajectories, ``gather_neighbors`` for the
@@ -55,17 +48,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import APIBudgetExceededError, ConfigurationError, WalkError
+from repro.exceptions import ConfigurationError
 from repro.graph.csr import CSRGraph
 from repro.graph.labeled_graph import Label
-from repro.utils.rng import RandomSource, ensure_numpy_rng
-from repro.utils.validation import check_non_negative_int, check_positive_int
-from repro.walks.batched import (
-    BatchedWalkEngine,
-    DEGREE_STATIONARY_KERNELS,
-    KernelLike,
-    kernel_stationary_weights,
-)
 
 from repro.core.samplers.base import EdgeSampleBatch, NodeSampleBatch
 
@@ -99,38 +84,6 @@ def validate_reuse(reuse: str) -> str:
     return reuse
 
 
-# ----------------------------------------------------------------------
-# fleet execution: every repetition of a table cell as one walker fleet
-# ----------------------------------------------------------------------
-def run_fleet_walk(
-    csr: CSRGraph,
-    k: int,
-    repetitions: int,
-    burn_in: int,
-    rng: RandomSource,
-    kernel: KernelLike,
-):
-    check_positive_int(k, "k")
-    check_positive_int(repetitions, "repetitions")
-    check_non_negative_int(burn_in, "burn_in")
-    engine = BatchedWalkEngine(csr, kernel=kernel, rng=ensure_numpy_rng(rng))
-    return engine.run_fleet(repetitions, k, burn_in=burn_in)
-
-
-def enforce_fleet_budget(charges: np.ndarray, budget: Optional[int]) -> None:
-    """Per-walker budget check, mirroring :meth:`APICallCounter.charge`.
-
-    Each walker stands for one repetition crawling through its own
-    budgeted wrapper, so the first walker whose distinct-page ledger
-    crosses *budget* is the crawl that would have died mid-walk.
-    """
-    if budget is None:
-        return
-    check_non_negative_int(budget, "budget")
-    if charges.size and int(charges.max()) > budget:
-        raise APIBudgetExceededError(budget, budget + 1)
-
-
 #: Walker-block cap of the dense ledger, in ``walker · |V|`` cells of
 #: one byte each.  2^20 cells (1 MB) keeps a block's stamps in cache;
 #: it charged 10^5- and 10^6-node fleets faster than 2^22-2^27 cell
@@ -142,7 +95,7 @@ def _ledger_segments(csr: CSRGraph, pages, burn_in: int, steps: np.ndarray, expl
     """The pages each walker downloads between consecutive budgets.
 
     *pages* is a fleet's ``(positions, probes)`` page arrays (see
-    :attr:`~repro.walks.batched.FleetWalkResult.pages`).  Yields
+    :attr:`~repro.walks.line_batched.LineFleetResult.pages`).  Yields
     ``(i, codes)`` for every ascending budget ``steps[i]``, **last
     segment first**: *codes* are the ``walker · |V| + page`` codes of
     the segment ``[steps[i - 1], steps[i])`` — the new position
@@ -200,7 +153,7 @@ def _prefix_charges(
     (:class:`~repro.walks.batched.FleetWalkResult`) or a line fleet
     (:class:`~repro.walks.line_batched.LineFleetResult`) — charged had
     it stopped after ``budgets[i]`` collected steps: its positions and
-    MH probes (:attr:`pages`) and, given *has_label* over a node fleet's
+    a line fleet's MH probes (:attr:`pages`) and, given *has_label* over a node fleet's
     collected steps (NeighborExploration), the neighbors it explored
     around the labeled nodes among those steps.  Rows follow the
     caller's budget order; duplicates are allowed.
@@ -296,31 +249,11 @@ class PrefixLedger:
         return self._charges[prefix.num_steps]
 
 
-def _fleet_weights(csr: CSRGraph, fleet, nodes: np.ndarray) -> Optional[np.ndarray]:
-    """Per-sample stationary weights for non-degree-stationary fleets.
-
-    The spec comes off the fleet itself
-    (:attr:`~repro.walks.batched.FleetWalkResult.kernel`), so
-    classification can never be handed a kernel that disagrees with the
-    walk.  ``None`` for the simple / non-backtracking walks (their
-    weights are the degrees, which the batches already carry); for the
-    accept/reject kernels the importance weights a re-weighted
-    estimator divides by.
-    """
-    spec = getattr(fleet, "kernel", None)
-    if spec is None or spec.name in DEGREE_STATIONARY_KERNELS:
-        return None
-    return kernel_stationary_weights(spec, csr.degrees[nodes])
-
-
 def classify_edge_fleet(
     csr: CSRGraph,
     fleet,
     t1: Label,
     t2: Label,
-    budget: Optional[int] = None,
-    known_num_nodes: Optional[int] = None,
-    known_num_edges: Optional[int] = None,
     ledger: Optional[PrefixLedger] = None,
 ) -> EdgeSampleBatch:
     """NeighborSample classification of an already-walked fleet.
@@ -329,48 +262,29 @@ def classify_edge_fleet(
     from its classification is what the prefix-reuse sweep engine is
     built on: one fleet can be classified against many target pairs and
     truncated (:meth:`FleetWalkResult.prefix`) to many budgets — the
-    walk is label-agnostic, only this step reads the masks.
-
-    When the fleet was walked with a non-degree-stationary
-    (EX-*-style) kernel — read off :attr:`FleetWalkResult.kernel`, so
-    no mismatched spec can be injected — the batch carries the
-    per-sample stationary ``weights`` of the *source* nodes, the
-    importance weights a re-weighted estimator needs.  A caller
+    walk is label-agnostic, only this step reads the masks.  A caller
     classifying several prefixes of one fleet passes a
     :class:`PrefixLedger`, which charges every prefix in one pass.
     """
     sources = fleet.sources
     dests = fleet.collected
-    loops = np.flatnonzero((sources == dests).any(axis=1))
-    if loops.size:
-        # Accept/reject kernels can stay in place; NeighborSample needs
-        # a traversed edge per collected step — same error the reference
-        # sampler raises (walker index reported instead of step index).
-        raise WalkError(
-            "NeighborSample requires a kernel that traverses an edge at "
-            f"every step, but walker {int(loops[0])} self-looped"
-        )
     m1 = csr.label_mask(t1)
     m2 = csr.label_mask(t2)
     is_target = (m1[sources] & m2[dests]) | (m2[sources] & m1[dests])
 
-    # Every page a NeighborSample crawler downloads belongs to a walk
-    # position — plus, for MH-family kernels, the probed proposals,
-    # which the fleet's ledger includes.
+    # Every page a NeighborSample crawler downloads is a walk position.
     charges = fleet.charged_calls() if ledger is None else ledger.charges(fleet, t1, t2)
-    enforce_fleet_budget(charges, budget)
 
     return EdgeSampleBatch(
         sources=sources,
         dests=dests,
         is_target=is_target,
-        num_edges=csr.num_edges if known_num_edges is None else known_num_edges,
-        num_nodes=csr.num_nodes if known_num_nodes is None else known_num_nodes,
+        num_edges=csr.num_edges,
+        num_nodes=csr.num_nodes,
         target_labels=(t1, t2),
         api_calls=charges,
         node_ids=csr.node_ids,
         trajectories=fleet.trajectories,
-        weights=_fleet_weights(csr, fleet, sources),
     )
 
 
@@ -379,9 +293,6 @@ def classify_node_fleet(
     fleet,
     t1: Label,
     t2: Label,
-    budget: Optional[int] = None,
-    known_num_nodes: Optional[int] = None,
-    known_num_edges: Optional[int] = None,
     ledger: Optional[PrefixLedger] = None,
 ) -> NodeSampleBatch:
     """NeighborExploration classification of an already-walked fleet.
@@ -392,10 +303,7 @@ def classify_node_fleet(
     target pair, because which nodes get explored depends on it.  A
     caller classifying several prefixes of one fleet against one pair
     passes the pair's :class:`PrefixLedger`, which charges every
-    prefix in a single pass on the first call.  When the fleet walked a
-    non-degree-stationary kernel (:attr:`FleetWalkResult.kernel`) the
-    batch also carries the collected nodes' stationary ``weights`` (see
-    :func:`classify_edge_fleet`).
+    prefix in a single pass on the first call.
     """
     collected = fleet.collected
     m1 = csr.label_mask(t1)
@@ -405,86 +313,22 @@ def classify_node_fleet(
         has_label, csr.target_incident_counts(t1, t2)[collected], 0
     ).astype(np.int64)
 
-    # MH-family kernels probed their proposals' pages too; the ledger
-    # charges the fleet's probe columns alongside the trajectory.
     if ledger is None:
         charges = _prefix_charges(csr, fleet, [fleet.num_steps], has_label)[0]
     else:
         charges = ledger.charges(fleet, t1, t2, has_label)
-    enforce_fleet_budget(charges, budget)
 
     return NodeSampleBatch(
         nodes=collected,
         degrees=csr.degrees[collected],
         has_target_label=has_label,
         incident_target_edges=incident,
-        num_edges=csr.num_edges if known_num_edges is None else known_num_edges,
-        num_nodes=csr.num_nodes if known_num_nodes is None else known_num_nodes,
+        num_edges=csr.num_edges,
+        num_nodes=csr.num_nodes,
         target_labels=(t1, t2),
         api_calls=charges,
         node_ids=csr.node_ids,
         trajectories=fleet.trajectories,
-        weights=_fleet_weights(csr, fleet, collected),
-    )
-
-
-def sample_edges_fleet(
-    csr: CSRGraph,
-    t1: Label,
-    t2: Label,
-    k: int,
-    repetitions: int,
-    burn_in: int = 0,
-    rng: RandomSource = None,
-    kernel: KernelLike = "simple",
-    budget: Optional[int] = None,
-    known_num_nodes: Optional[int] = None,
-    known_num_edges: Optional[int] = None,
-) -> EdgeSampleBatch:
-    """NeighborSample for *repetitions* independent trials in one fleet.
-
-    One walker per trial, advanced with vectorized numpy steps (burn-in
-    included); the result is the array-native
-    :class:`~repro.core.samplers.base.EdgeSampleBatch` — per-trial
-    source/destination/target-flag rows — plus a per-trial charged-call
-    ledger with the same distinct-page semantics as running each trial
-    through its own caching :class:`RestrictedGraphAPI`.
-    """
-    fleet = run_fleet_walk(csr, k, repetitions, burn_in, rng, kernel)
-    return classify_edge_fleet(
-        csr, fleet, t1, t2,
-        budget=budget,
-        known_num_nodes=known_num_nodes,
-        known_num_edges=known_num_edges,
-    )
-
-
-def explore_nodes_fleet(
-    csr: CSRGraph,
-    t1: Label,
-    t2: Label,
-    k: int,
-    repetitions: int,
-    burn_in: int = 0,
-    rng: RandomSource = None,
-    kernel: KernelLike = "simple",
-    budget: Optional[int] = None,
-    known_num_nodes: Optional[int] = None,
-    known_num_edges: Optional[int] = None,
-) -> NodeSampleBatch:
-    """NeighborExploration for *repetitions* independent trials in one fleet.
-
-    ``T(u)`` comes from the precomputed vectorized incident counts; the
-    per-trial charged-call ledger adds the pages of the neighbors each
-    trial explores around its labeled sampled nodes, exactly like the
-    reference sampler running through a fresh caching wrapper.
-    """
-    fleet = run_fleet_walk(csr, k, repetitions, burn_in, rng, kernel)
-    return classify_node_fleet(
-        csr, fleet, t1, t2,
-        budget=budget,
-        known_num_nodes=known_num_nodes,
-        known_num_edges=known_num_edges,
     )
 
 
@@ -493,10 +337,7 @@ __all__ = [
     "REUSES",
     "validate_execution",
     "validate_reuse",
-    "run_fleet_walk",
     "classify_edge_fleet",
     "classify_node_fleet",
     "PrefixLedger",
-    "sample_edges_fleet",
-    "explore_nodes_fleet",
 ]

@@ -43,8 +43,9 @@ class NeighborExplorationSampler:
         Seed or generator.
 
     This is the reference engine: every page goes through the
-    restricted API.  Its vectorized twin is
-    :func:`~repro.core.samplers.csr_backend.explore_nodes_fleet`.
+    restricted API.  Its vectorized twin is a
+    :class:`~repro.walks.batched.BatchedWalkEngine` fleet classified by
+    :func:`~repro.core.samplers.csr_backend.classify_node_fleet`.
     """
 
     def __init__(

@@ -23,7 +23,7 @@ Two implementations are provided, matching the paper:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.exceptions import ConfigurationError, WalkError
 from repro.graph.api import RestrictedGraphAPI
@@ -59,8 +59,9 @@ class NeighborSampleSampler:
         Seed or generator.
 
     This is the reference engine: every page goes through the
-    restricted API.  Its vectorized twin is
-    :func:`~repro.core.samplers.csr_backend.sample_edges_fleet`.
+    restricted API.  Its vectorized twin is a
+    :class:`~repro.walks.batched.BatchedWalkEngine` fleet classified by
+    :func:`~repro.core.samplers.csr_backend.classify_edge_fleet`.
     """
 
     def __init__(

@@ -10,8 +10,8 @@ of walking, so the benchmark harness and the CLI expose lighter presets;
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence, Tuple
 
 from repro.core.samplers.csr_backend import validate_execution, validate_reuse
 from repro.exceptions import ConfigurationError
@@ -51,8 +51,7 @@ class ExperimentConfig:
         Dataset scale multiplier (1.0 = the registry default).
     algorithms:
         Optional subset of algorithm names; ``None`` means all ten.
-    include_baselines:
-        Whether the EX-* baselines are part of the run.
+        The EX-* baselines are built exactly when they are among them.
     burn_in:
         Explicit walk burn-in; ``None`` derives it from the graph's
         mixing time.
@@ -111,7 +110,6 @@ class ExperimentConfig:
     seed: int = 2018
     scale: float = 1.0
     algorithms: Optional[Tuple[str, ...]] = None
-    include_baselines: bool = True
     burn_in: Optional[int] = None
     execution: str = "sequential"
     reuse: str = "none"

@@ -50,12 +50,12 @@ from repro.core.samplers.csr_backend import (
     PrefixLedger,
     classify_edge_fleet,
     classify_node_fleet,
-    run_fleet_walk,
 )
 from repro.exceptions import ConfigurationError
 from repro.graph.csr import CSRGraph
 from repro.utils.rng import RandomSource, ensure_numpy_rng
 from repro.utils.validation import check_positive_int
+from repro.walks.batched import BatchedWalkEngine
 
 from repro.experiments.algorithms import AlgorithmRunner, BaselineRunner
 
@@ -83,10 +83,11 @@ class PrefixFleet:
 
     Wraps the two vectorized fleet families behind one query surface:
 
-    * :class:`~repro.core.pipeline.ProposedRunner` → one NS/NE fleet
-      (:func:`run_fleet_walk`); the runner's own sampler kind selects
-      edge- vs node-classification and its estimator factory the
-      batch estimator.
+    * :class:`~repro.core.pipeline.ProposedRunner` → one NS/NE
+      simple-random-walk fleet
+      (:class:`~repro.walks.batched.BatchedWalkEngine`); the runner's
+      own sampler kind selects edge- vs node-classification and its
+      estimator factory the batch estimator.
     * :class:`~repro.experiments.algorithms.BaselineRunner` (EX-*) →
       one implicit line-graph fleet (:func:`run_baseline_fleet`) with
       the wrapped baseline's ``alpha`` / ``delta`` / line-max-degree
@@ -132,13 +133,8 @@ class PrefixFleet:
                 rng=rng,
             )
         else:
-            self._fleet = run_fleet_walk(
-                csr,
-                self.max_budget,
-                spec.repetitions,
-                spec.burn_in,
-                rng,
-                "simple",
+            self._fleet = BatchedWalkEngine(csr, rng).run_fleet(
+                spec.repetitions, self.max_budget, spec.burn_in
             )
 
     @property

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.baselines import BASELINE_NAMES
 from repro.datasets.registry import load_dataset
 from repro.exceptions import ExperimentError
 from repro.experiments.algorithms import build_algorithm_suite
@@ -142,7 +143,11 @@ def run_paper_table(
     # parameter (line-graph maximum degree) is computed vectorized on
     # CSR graphs, and their walks run as line-graph fleets there
     # (representation="csr" implies execution="fleet" or reuse="prefix").
-    include_baselines = config.include_baselines
+    # The baselines (and their line-graph maximum degree) are built only
+    # when the run includes one.
+    include_baselines = config.algorithms is None or any(
+        name in BASELINE_NAMES for name in config.algorithms
+    )
     suite = build_algorithm_suite(
         dataset.graph if include_baselines else None,
         include_baselines=include_baselines,

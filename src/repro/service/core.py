@@ -474,6 +474,16 @@ class EstimationService:
                 f"{', '.join(self._suite)}"
             )
         check_positive_int(query.budget, "budget")
+        num_nodes = self._csr.num_nodes
+        if int(query.budget) > num_nodes:
+            # The harness's budget fractions stop at 1 (grid_budgets);
+            # a larger budget only buys memory for pages that cannot
+            # exist, and must not reach a fleet, whose failure would
+            # count against the algorithm's breaker.
+            raise ConfigurationError(
+                f"budget {query.budget} exceeds the graph's {num_nodes} nodes; "
+                "a crawl downloads at most one page per node"
+            )
         check_positive_int(query.repetitions, "repetitions")
         if int(query.burn_in) < 0:
             raise ConfigurationError("burn_in must be >= 0")

@@ -5,13 +5,11 @@ from repro.walks.batched import (
     BatchedWalkEngine,
     FleetWalkResult,
     KernelSpec,
-    BASELINE_CSR_KERNELS,
     SUPPORTED_CSR_KERNELS,
     csr_walk,
     draw_start_index,
     kernel_move_probabilities,
     kernel_stationary_weights,
-    resolve_csr_kernel,
     resolve_kernel_spec,
 )
 from repro.walks.line_batched import BatchedLineWalkEngine, LineFleetResult
@@ -42,13 +40,11 @@ __all__ = [
     "BatchedLineWalkEngine",
     "LineFleetResult",
     "KernelSpec",
-    "BASELINE_CSR_KERNELS",
     "SUPPORTED_CSR_KERNELS",
     "csr_walk",
     "draw_start_index",
     "kernel_move_probabilities",
     "kernel_stationary_weights",
-    "resolve_csr_kernel",
     "resolve_kernel_spec",
     "TransitionKernel",
     "SimpleRandomWalkKernel",

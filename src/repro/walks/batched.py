@@ -1,39 +1,34 @@
 """Vectorized random walks over a :class:`~repro.graph.csr.CSRGraph`.
 
-Two execution styles live here, both sharing the CSR arrays:
+Two node-walk styles live here, both sharing the CSR arrays and both
+walking the simple random walk — the walk NeighborSample and
+NeighborExploration run (paper §4):
 
 * :func:`csr_walk` — one walker, a tight scalar loop that reproduces
   the reference dict engine (:class:`repro.walks.engine.RandomWalk`)
   **step for step from the same seed**, by consuming ``random.Random``
   bits exactly the way ``rng.choice`` does.  It is the replay oracle
-  the tests check the fleet classifiers against.
+  the tests check the node fleet classifiers against.
 * :class:`BatchedWalkEngine` — ``N`` independent walkers advanced one
-  numpy-vectorized step at a time, for throughput workloads (fleet
-  simulation, variance studies, benchmarks).
+  numpy-vectorized step at a time: the fleets behind the harness's
+  prefix and fleet jobs and the one-walker CSR one-shot.
 
-Both support every kernel of :mod:`repro.walks.kernels`: the two
-degree-stationary kernels the paper's proposed algorithms use
-(``simple``, ``non_backtracking``) *and* the four accept/reject
-baseline kernels of the EX-* adaptations (``mhrw``, ``mdrw``,
-``rcmh``, ``gmd``), whose acceptance tests are applied as one
-vectorized accept/reject mask with stay-in-place (self-loop)
-semantics on rejection.  Charged API calls follow the same
-distinct-page-download semantics as
+The EX-* baselines walk the *line graph* with accept/reject kernels;
+their fleet is :class:`~repro.walks.line_batched.BatchedLineWalkEngine`,
+which reads its kernels through the array helpers defined here
+(:class:`KernelSpec`, :func:`kernel_move_probabilities`,
+:func:`kernel_stationary_weights`, :func:`pow_like_scalar`).  Charged
+API calls follow the same distinct-page-download semantics as
 :class:`repro.graph.api.RestrictedGraphAPI` with caching on: fetching
-a page (neighbor list) of a node is charged once per distinct node,
-revisits are free, and exceeding a budget raises
-:class:`~repro.exceptions.APIBudgetExceededError`.  The MH-family
-kernels (``mhrw``, and ``rcmh`` with ``alpha > 0``) additionally
-*probe* their proposal's page to evaluate the acceptance ratio, so
-rejected proposals are charged too — exactly like the reference
-kernel's ``degree(proposal)`` call.
+a page (neighbor list) of a node is charged once per distinct node and
+revisits are free.
 
 Buffer stores: the batched engine reads the graph only through numpy
 *gathers* (``indices[indptr[current] + offsets]``, ``degrees[nodes]``),
 so it runs unchanged over shared-memory or memory-mapped CSR buffers
 (:mod:`repro.graph.store`) — a memmapped adjacency faults in just the
 pages the fleet touches and is never densified.  Only the scalar
-single-walker paths (:func:`csr_walk`) materialise Python adjacency
+single-walker path (:func:`csr_walk`) materialises Python adjacency
 lists via :meth:`CSRGraph.adjacency_lists`; whole-array label passes
 use the chunked-gather fallback documented on
 :meth:`CSRGraph.neighbor_mask_counts`.
@@ -43,16 +38,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.exceptions import (
-    APIBudgetExceededError,
-    ConfigurationError,
-    EmptyGraphError,
-    WalkError,
-)
+from repro.exceptions import ConfigurationError, EmptyGraphError, WalkError
 from repro.graph.csr import CSRGraph
 from repro.utils.rng import RandomSource, ensure_numpy_rng, ensure_rng
 from repro.utils.validation import (
@@ -62,18 +52,9 @@ from repro.utils.validation import (
     check_positive_int,
 )
 
-#: The kernels whose stationary law is proportional to degree — the
-#: walks the paper's proposed algorithms run.
-DEGREE_STATIONARY_KERNELS: Tuple[str, ...] = ("simple", "non_backtracking")
-
-#: The accept/reject kernels of the EX-* baselines (Li et al.), applied
-#: as a single vectorized accept mask per fleet step.
-BASELINE_CSR_KERNELS: Tuple[str, ...] = ("mhrw", "mdrw", "rcmh", "gmd")
-
-#: Kernel names the CSR backend can vectorize.
-SUPPORTED_CSR_KERNELS: Tuple[str, ...] = (
-    DEGREE_STATIONARY_KERNELS + BASELINE_CSR_KERNELS
-)
+#: Kernel names the line-graph fleets vectorize: the simple walk (EX-RW)
+#: and the accept/reject kernels of the other EX-* baselines (Li et al.).
+SUPPORTED_CSR_KERNELS: Tuple[str, ...] = ("simple", "mhrw", "mdrw", "rcmh", "gmd")
 
 KernelLike = Union[None, str, object]
 
@@ -82,7 +63,7 @@ KernelLike = Union[None, str, object]
 class KernelSpec:
     """Array-backend description of one transition kernel.
 
-    The vectorized engines cannot call the object kernels of
+    The line-graph fleets cannot call the object kernels of
     :mod:`repro.walks.kernels` per step, so a kernel is reduced to its
     name plus the scalar knobs the accept test and the stationary
     weights need:
@@ -130,29 +111,15 @@ class KernelSpec:
         return self.name == "mhrw" or (self.name == "rcmh" and self.alpha > 0.0)
 
 
-def resolve_csr_kernel(kernel: KernelLike) -> str:
-    """Normalise *kernel* (name, spec or kernel instance) to a supported name.
-
-    Every kernel of :mod:`repro.walks.kernels` is vectorizable; unknown
-    names/objects raise :class:`ConfigurationError`.  Use
-    :func:`resolve_kernel_spec` when the kernel's knobs (``max_degree``,
-    ``alpha``, ``delta``) are needed too.
-    """
-    return resolve_kernel_spec(kernel, require_parameters=False).name
-
-
-def resolve_kernel_spec(
-    kernel: KernelLike, require_parameters: bool = True
-) -> KernelSpec:
+def resolve_kernel_spec(kernel: KernelLike) -> KernelSpec:
     """Normalise *kernel* to a :class:`KernelSpec`.
 
     Accepts a name string, a :class:`KernelSpec`, or a kernel instance
     from :mod:`repro.walks.kernels` (whose ``max_degree`` / ``alpha`` /
     ``delta`` attributes are read off the object).  The bare names
     ``"mdrw"`` / ``"gmd"`` carry no maximum degree, which the walk
-    itself needs; with *require_parameters* they raise a
-    :class:`ConfigurationError` pointing at the spec/instance forms
-    (name-level validation passes ``require_parameters=False``).
+    itself needs, so they raise a :class:`ConfigurationError` pointing
+    at the spec/instance forms.
     """
     if kernel is None:
         return KernelSpec("simple")
@@ -164,12 +131,12 @@ def resolve_kernel_spec(
                 f"unsupported CSR kernel {kernel!r}; "
                 f"supported: {', '.join(SUPPORTED_CSR_KERNELS)}"
             )
-        if kernel in ("mdrw", "gmd") and require_parameters:
+        if kernel in ("mdrw", "gmd"):
             raise ConfigurationError(
                 f"kernel {kernel!r} needs a maximum degree; pass a "
                 "KernelSpec or a kernel instance instead of the bare name"
             )
-        return KernelSpec(kernel, max_degree=1.0 if kernel in ("mdrw", "gmd") else 0.0)
+        return KernelSpec(kernel)
     name = getattr(kernel, "name", None)
     if name in SUPPORTED_CSR_KERNELS:
         return KernelSpec(
@@ -179,7 +146,7 @@ def resolve_kernel_spec(
             delta=float(getattr(kernel, "delta", 0.5)),
         )
     raise ConfigurationError(
-        f"the CSR backend cannot vectorize kernel {kernel!r}; "
+        f"the line-graph fleet cannot vectorize kernel {kernel!r}; "
         f"supported: {', '.join(SUPPORTED_CSR_KERNELS)}"
     )
 
@@ -190,8 +157,7 @@ def pow_like_scalar(values, exponent: float) -> np.ndarray:
     numpy's vectorized float64 power loop may come from a SIMD
     implementation that disagrees with libm ``pow`` by 1 ULP on some
     inputs (machine-dependent), while every scalar path — Python
-    ``**``, the reference kernels and the per-step CSR loops — calls
-    libm.  The vectorized engines route their generic powers through
+    ``**`` and the reference kernels — calls libm.  The vectorized engines route their generic powers through
     this helper so all paths compute the same accept probabilities and
     stationary weights bit for bit, on every machine: the
     correctly-rounded exponents (1, 2, 0.5) vectorize directly,
@@ -221,18 +187,17 @@ def kernel_move_probabilities(
 ) -> Optional[np.ndarray]:
     """Per-walker probability of accepting the drawn candidate.
 
-    The canonical formula table, shared by every *vectorized*
-    accept/reject path (fleet advance and line-graph fleets; the
-    scalar per-step loop in ``_walk_exact`` inlines the same formulas
-    for speed — keep them in sync):
+    The canonical formula table of the line-graph fleets' vectorized
+    accept test, the array twin of the reference kernels'
+    ``accept_probability``:
 
     * ``mhrw`` — ``min(1, d(u)/d(v))``
     * ``rcmh`` — ``min(1, (d(u)/d(v))**alpha)`` (``alpha=0``: always)
     * ``mdrw`` — ``d(u)/d_max``
     * ``gmd``  — ``d(u)/max(d(u), delta·d_max)``
 
-    Returns ``None`` when the kernel always moves (degree-stationary
-    kernels, and ``rcmh`` at ``alpha=0``), so callers can skip the
+    Returns ``None`` when the kernel always moves (the simple walk, and
+    ``rcmh`` at ``alpha=0``), so callers can skip the
     accept draw entirely.  ``mdrw`` degrees above ``max_degree`` raise
     :class:`WalkError`, matching the reference kernel.
     """
@@ -260,7 +225,7 @@ def kernel_move_probabilities(
         return current_degrees / np.maximum(
             current_degrees, spec.delta * spec.max_degree
         )
-    return None  # degree-stationary kernels always move
+    return None  # the simple walk always moves
 
 
 def kernel_stationary_weights(spec: KernelSpec, degrees: np.ndarray) -> np.ndarray:
@@ -276,7 +241,7 @@ def kernel_stationary_weights(spec: KernelSpec, degrees: np.ndarray) -> np.ndarr
         return pow_like_scalar(degrees, 1.0 - spec.alpha)
     if name == "gmd":
         return np.maximum(degrees, spec.delta * spec.max_degree).astype(np.float64)
-    return degrees.astype(np.float64)  # simple / non_backtracking
+    return degrees.astype(np.float64)  # simple
 
 
 def _check_not_empty(csr: CSRGraph) -> None:
@@ -321,26 +286,22 @@ def draw_start_index(csr: CSRGraph, rng) -> int:
 
 
 # ----------------------------------------------------------------------
-# single-walker scalar paths
+# single-walker scalar path
 # ----------------------------------------------------------------------
 def csr_walk(
     csr: CSRGraph,
     num_steps: int,
     start: Optional[int] = None,
     rng: RandomSource = None,
-    kernel: KernelLike = "simple",
-    return_probes: bool = False,
 ) -> np.ndarray:
-    """Run one walker for *num_steps* steps; return the node index after each.
+    """Run one simple-random-walk walker; return the node index after each step.
 
-    The replay oracle of the vectorized engines: it consumes
-    ``random.Random`` bits exactly like the reference engine, so the
-    same seed yields the same trajectory as
-    :class:`repro.walks.engine.RandomWalk` over a
-    :class:`RestrictedGraphAPI` of the same graph — for every kernel,
-    the baselines' accept/reject ones included.  Tests classify its
-    paths with the fleet classifiers and compare against the reference
-    samplers.
+    The replay oracle of the node fleets: it consumes ``random.Random``
+    bits exactly like the reference engine, so the same seed yields the
+    same trajectory as :class:`repro.walks.engine.RandomWalk` with the
+    simple kernel over a :class:`RestrictedGraphAPI` of the same graph.
+    Tests classify its paths with the fleet classifiers and compare
+    against the reference samplers.
 
     Parameters
     ----------
@@ -353,97 +314,24 @@ def csr_walk(
         (mirroring :meth:`RestrictedGraphAPI.random_node`).
     rng:
         Seed or :class:`random.Random`.
-    kernel:
-        Any supported kernel (name, :class:`KernelSpec`, or kernel
-        instance); the MD/GMD kernels need their ``max_degree`` knob, so
-        pass those as instances or specs rather than bare names.
-    return_probes:
-        When true, return ``(path, probes)`` instead of just the path,
-        where *probes* is the per-step proposal drawn by an MH-family
-        kernel (whose accept test fetched the proposal's page — see
-        :attr:`KernelSpec.probes_proposals`) or ``None`` for every
-        other kernel.  Callers reproducing charged-call accounting need
-        the probes: a rejected proposal still cost a page download.
     """
     check_non_negative_int(num_steps, "num_steps")
     _check_not_empty(csr)
-    spec = resolve_kernel_spec(kernel)
-    path, probes = _walk_exact(csr, num_steps, start, ensure_rng(rng), spec)
-    return (path, probes) if return_probes else path
-
-
-def _walk_exact(csr, num_steps, start, generator, spec):
-    randbelow = exact_randbelow(generator)
-    random = generator.random
+    randbelow = exact_randbelow(ensure_rng(rng))
     indptr, indices, degrees = csr.adjacency_lists()
     if start is None:
         start = randbelow(csr.num_nodes)
     # Only the start can be isolated: every later position is someone's
-    # neighbor, so its degree is >= 1 and the hot loops skip the check.
+    # neighbor, so its degree is >= 1 and the hot loop skips the check.
     if num_steps and degrees[start] == 0:
         raise _isolated_error(start, csr)
     u = start
     out: List[int] = []
     append = out.append
-    kernel_name = spec.name
-    if kernel_name == "rcmh" and spec.alpha == 0.0:
-        # The reference kernel short-circuits to an unconditional move
-        # without consuming the accept draw — exactly the simple walk.
-        kernel_name = "simple"
-    if kernel_name == "simple":
-        for _ in range(num_steps):
-            u = indices[indptr[u] + randbelow(degrees[u])]
-            append(u)
-    elif kernel_name == "non_backtracking":
-        prev = None
-        for _ in range(num_steps):
-            lo = indptr[u]
-            deg = degrees[u]
-            if deg == 1:
-                nxt = indices[lo]  # dead end: backtracking, no rng consumed
-            else:
-                # When prev is not a neighbor the first draw already
-                # differs from it, so the rejection loop alone replicates
-                # both kernel branches with identical rng consumption.
-                nxt = indices[lo + randbelow(deg)]
-                while nxt == prev:
-                    nxt = indices[lo + randbelow(deg)]
-            prev, u = u, nxt
-            append(u)
-    elif kernel_name in ("mhrw", "rcmh"):
-        # Reference consumption: choice(neighbors) then random() for the
-        # accept test (degree(proposal) consumes no rng).  Accept
-        # formulas inline kernel_move_probabilities — the canonical
-        # table — because this is a per-step hot loop.
-        alpha = spec.alpha if kernel_name == "rcmh" else 1.0
-        probes: List[int] = []
-        for _ in range(num_steps):
-            deg = degrees[u]
-            proposal = indices[indptr[u] + randbelow(deg)]
-            probes.append(proposal)
-            ratio = deg / degrees[proposal]
-            accept = min(1.0, ratio if alpha == 1.0 else ratio**alpha)
-            if random() < accept:
-                u = proposal
-            append(u)
-        return (
-            np.asarray(out, dtype=np.int64),
-            np.asarray(probes, dtype=np.int64),
-        )
-    else:  # mdrw / gmd: random() for the move test, then choice on moves
-        max_degree = spec.max_degree
-        delta = spec.delta if kernel_name == "gmd" else 1.0
-        for _ in range(num_steps):
-            deg = degrees[u]
-            if kernel_name == "mdrw" and deg > max_degree:
-                raise WalkError(
-                    f"walk reached a node of degree {deg} > "
-                    f"max_degree={max_degree}"
-                )
-            if random() < deg / max(deg, delta * max_degree):
-                u = indices[indptr[u] + randbelow(deg)]
-            append(u)
-    return np.asarray(out, dtype=np.int64), None
+    for _ in range(num_steps):
+        u = indices[indptr[u] + randbelow(degrees[u])]
+        append(u)
+    return np.asarray(out, dtype=np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -458,10 +346,10 @@ def per_walker_distinct_counts(trajectories: np.ndarray, *extra: np.ndarray) -> 
     with caching on would each record, which is how the experiment
     harness runs repetitions.  (Extra pages beyond the trajectory, such
     as NeighborExploration's explored neighbors, are accounted by the
-    fleet samplers themselves.)
+    fleet classifiers themselves.)
 
-    Additional per-walker page arrays — e.g. the proposal probes of the
-    MH-family kernels, or the two endpoint arrays of a line-graph fleet
+    Additional per-walker page arrays — the second endpoint array of a
+    line-graph fleet, and the proposal probes of its MH-family kernels
     — are passed as *extra* positional arrays (same number of rows) and
     folded into each walker's distinct count.
 
@@ -500,23 +388,10 @@ class FleetWalkResult:
         real crawler downloads pages during burn-in too).
     burn_in:
         Transitions discarded before collection starts.
-    probed:
-        ``(num_walkers, burn_in + num_steps)`` proposal node indices for
-        kernels whose accept test reads the proposal's page (``mhrw``,
-        ``rcmh`` with ``alpha > 0`` — see
-        :attr:`KernelSpec.probes_proposals`), or ``None``.  Rejected
-        proposals cost a page download in the reference engine, so the
-        per-walker ledgers fold these in.
-    kernel:
-        The :class:`KernelSpec` that walked this fleet.  Carried on the
-        result so classification cannot be handed a mismatched spec
-        (the stationary weights would be silently wrong).
     """
 
     trajectories: np.ndarray
     burn_in: int
-    probed: Optional[np.ndarray] = None
-    kernel: Optional[KernelSpec] = None
 
     @property
     def num_walkers(self) -> int:
@@ -526,10 +401,6 @@ class FleetWalkResult:
     def num_steps(self) -> int:
         """Collected (post-burn-in) transitions per walker."""
         return int(self.trajectories.shape[1]) - 1 - self.burn_in
-
-    @property
-    def start_nodes(self) -> np.ndarray:
-        return self.trajectories[:, 0]
 
     @property
     def collected(self) -> np.ndarray:
@@ -545,23 +416,15 @@ class FleetWalkResult:
     def pages(self) -> Tuple[Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]:
         """Every page array a walker downloads: ``(positions, probes)``.
 
-        The positions are the trajectories; the probes are the MH-family
-        proposal columns (none for kernels that do not probe).  Column
-        ``t`` of a probe array belongs to the step into position column
-        ``t + 1``.
+        The positions are the trajectories; the simple walk probes no
+        proposals, so the probe arrays are empty (the layout of
+        :attr:`~repro.walks.line_batched.LineFleetResult.pages`).
         """
-        return (self.trajectories,), (() if self.probed is None else (self.probed,))
+        return (self.trajectories,), ()
 
     def charged_calls(self) -> np.ndarray:
-        """Per-walker distinct pages downloaded (independent crawlers).
-
-        Includes the proposal probes of the MH-family kernels: a
-        rejected proposal's page was still fetched to evaluate the
-        acceptance ratio, exactly like the reference kernel's
-        ``degree(proposal)`` call.
-        """
-        positions, probes = self.pages
-        return per_walker_distinct_counts(*positions, *probes)
+        """Per-walker distinct pages downloaded (independent crawlers)."""
+        return per_walker_distinct_counts(self.trajectories)
 
     def prefix(self, num_steps: int) -> "FleetWalkResult":
         """The fleet truncated to its first *num_steps* collected steps.
@@ -572,9 +435,8 @@ class FleetWalkResult:
         of a sweep can be read off one max-budget fleet.  The returned
         result shares the trajectory buffer (a view, not a copy); its
         ledgers (:meth:`charged_calls`) are recomputed over the
-        truncated trajectories — proposal probes of rejection steps
-        included — and therefore match what a fleet run to exactly
-        ``num_steps`` would have charged.
+        truncated trajectories and therefore match what a fleet run to
+        exactly ``num_steps`` would have charged.
         """
         check_positive_int(num_steps, "num_steps")
         if num_steps > self.num_steps:
@@ -587,186 +449,64 @@ class FleetWalkResult:
         return FleetWalkResult(
             trajectories=self.trajectories[:, : self.burn_in + num_steps + 1],
             burn_in=self.burn_in,
-            probed=(
-                None
-                if self.probed is None
-                else self.probed[:, : self.burn_in + num_steps]
-            ),
-            kernel=self.kernel,
         )
 
 
 class BatchedWalkEngine:
-    """Advance ``N`` independent walkers with one numpy step at a time.
+    """Advance ``N`` independent simple-random-walk walkers, one numpy step at a time.
+
+    Each step draws one uniform per walker and gathers a uniform
+    neighbor of every walker's current node from ``indptr`` /
+    ``indices``.
 
     Parameters
     ----------
     csr:
         The frozen graph.
-    kernel:
-        Any supported kernel — ``"simple"`` (default),
-        ``"non_backtracking"``, or one of the EX-* accept/reject
-        kernels (``mhrw`` / ``mdrw`` / ``rcmh`` / ``gmd``), given as a
-        name, :class:`KernelSpec` or kernel instance.  The accept/reject
-        kernels advance with a single vectorized accept mask per step:
-        candidate neighbors for all walkers come from one ``indptr``
-        gather, the per-walker accept probabilities from
-        :func:`kernel_move_probabilities`, and rejected walkers stay in
-        place (self-loop semantics).
-    budget:
-        Optional per-walker charged-API-call cap, with the same
-        distinct-page semantics as a caching :class:`RestrictedGraphAPI`
-        (see :meth:`run_fleet`).
     rng:
         Seed / generator (normalised to a numpy generator).
     """
 
-    def __init__(
-        self,
-        csr: CSRGraph,
-        kernel: KernelLike = "simple",
-        budget: Optional[int] = None,
-        rng: RandomSource = None,
-    ) -> None:
+    def __init__(self, csr: CSRGraph, rng: RandomSource = None) -> None:
         self.csr = csr
-        self.kernel = resolve_kernel_spec(kernel)
-        self.kernel_name = self.kernel.name
-        self.budget = budget if budget is None else check_non_negative_int(budget, "budget")
         self._nprng = ensure_numpy_rng(rng)
 
     def run_fleet(
-        self,
-        num_walkers: int,
-        num_steps: int,
-        burn_in: int = 0,
-        start_nodes: Optional[Sequence[int]] = None,
+        self, num_walkers: int, num_steps: int, burn_in: int = 0
     ) -> FleetWalkResult:
         """Run ``N`` *independent* walkers and record their full trajectories.
 
-        The engine behind the harness's fleet jobs (``execution="fleet"``
-        or ``reuse="prefix"``): each walker stands for one experiment
+        Starts are uniform nodes.  Each walker stands for one experiment
         repetition, so each keeps its own distinct-page ledger (no
-        fleet-shared cache — see
-        :meth:`FleetWalkResult.charged_calls`).  When the engine has a
-        *budget*, it is enforced **per walker**: the run raises
-        :class:`APIBudgetExceededError` when any single walker's crawl
-        downloaded more than *budget* distinct pages — the same outcome
-        as the budgeted :class:`RestrictedGraphAPI` wrapper each
-        sequential repetition runs through, except that the check
-        happens after the walk completes (the fleet walks to the end
-        before settling the ledgers), not mid-step; size the walk
-        accordingly when probing tight budgets.
+        fleet-shared cache — see :meth:`FleetWalkResult.charged_calls`).
         """
         check_positive_int(num_walkers, "num_walkers")
         check_positive_int(num_steps, "num_steps")
         check_non_negative_int(burn_in, "burn_in")
-        _check_not_empty(self.csr)
-        current = self._draw_starts(num_walkers, start_nodes)
+        csr = self.csr
+        _check_not_empty(csr)
+        rng = self._nprng
+        current = rng.integers(0, csr.num_nodes, size=num_walkers, dtype=np.int64)
+        # Only starts can be isolated; every later position is a neighbor.
+        start_degrees = csr.degrees[current]
+        if not start_degrees.all():
+            raise _isolated_error(int(current[int(np.argmin(start_degrees))]), csr)
 
         total = burn_in + num_steps
         trajectories = np.empty((num_walkers, total + 1), dtype=np.int64)
         trajectories[:, 0] = current
-        probes: Optional[np.ndarray] = None
-        if self.kernel.probes_proposals:
-            probes = np.empty((num_walkers, total), dtype=np.int64)
-        previous = np.full(num_walkers, -1, dtype=np.int64)
         for step in range(total):
-            nxt, probed = self._advance(current, previous)
-            if probes is not None:
-                probes[:, step] = probed
-            previous = current
-            current = nxt
+            degrees = csr.degrees[current]
+            offsets = (rng.random(num_walkers) * degrees).astype(np.int64)
+            np.minimum(offsets, degrees - 1, out=offsets)
+            current = csr.indices[csr.indptr[current] + offsets].astype(np.int64)
             trajectories[:, step + 1] = current
-
-        result = FleetWalkResult(
-            trajectories=trajectories,
-            burn_in=burn_in,
-            probed=probes,
-            kernel=self.kernel,
-        )
-        if self.budget is not None:
-            charges = result.charged_calls()
-            if int(charges.max(initial=0)) > self.budget:
-                raise APIBudgetExceededError(self.budget, self.budget + 1)
-        return result
-
-    # ------------------------------------------------------------------
-    def _draw_starts(
-        self, num_walkers: int, start_nodes: Optional[Sequence[int]]
-    ) -> np.ndarray:
-        csr = self.csr
-        if start_nodes is None:
-            current = self._nprng.integers(
-                0, csr.num_nodes, size=num_walkers, dtype=np.int64
-            )
-        else:
-            current = np.asarray(start_nodes, dtype=np.int64)
-            if current.shape != (num_walkers,):
-                raise ConfigurationError(
-                    f"start_nodes must have shape ({num_walkers},), got {current.shape}"
-                )
-            if current.size and (current.min() < 0 or current.max() >= csr.num_nodes):
-                raise ConfigurationError("start_nodes contains out-of-range indices")
-        # Only starts can be isolated; every later position is a neighbor.
-        start_degrees = csr.degrees[current]
-        if not start_degrees.all():
-            index = int(current[int(np.argmin(start_degrees))])
-            raise _isolated_error(index, csr)
-        return current.copy()
-
-    def _advance(
-        self, current: np.ndarray, previous: np.ndarray
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """One vectorized step; returns ``(next_positions, probed_pages)``.
-
-        *probed_pages* is the proposal array when the kernel's accept
-        test fetched the proposals' pages (MH family), else ``None``.
-        """
-        csr = self.csr
-        degrees = csr.degrees[current]
-        draws = self._nprng.random(current.size)
-        if self.kernel_name == "non_backtracking":
-            # Exclude the previous node by a swap-with-last draw: sample
-            # an offset over the d−1 allowed slots and, when it lands on
-            # the excluded neighbor, take the last slot instead — a
-            # bijection onto row∖{previous} that needs no redraw loop
-            # (fixed one-draw-per-step consumption).  Dead ends (degree 1) and the first step
-            # (previous = −1) fall back to the plain uniform draw, so
-            # backtracking stays the only option at a dead end.
-            eligible = (previous >= 0) & (degrees > 1)
-            span = np.where(eligible, degrees - 1, degrees)
-            offsets = (draws * span).astype(np.int64)
-            np.minimum(offsets, span - 1, out=offsets)
-            rows = csr.indptr[current]
-            nxt = csr.indices[rows + offsets].astype(np.int64)
-            bump = eligible & (nxt == previous)
-            if bump.any():
-                nxt[bump] = csr.indices[rows[bump] + degrees[bump] - 1]
-            return nxt, None
-        offsets = (draws * degrees).astype(np.int64)
-        np.minimum(offsets, degrees - 1, out=offsets)
-        nxt = csr.indices[csr.indptr[current] + offsets].astype(np.int64)
-        if self.kernel_name == "simple":
-            return nxt, None
-        # Accept/reject baselines: one vectorized accept mask; rejected
-        # walkers stay in place (the kernels' self-loop semantics).
-        spec = self.kernel
-        accept_probabilities = kernel_move_probabilities(
-            spec, degrees, csr.degrees[nxt]
-        )
-        probed = nxt if spec.probes_proposals else None
-        if accept_probabilities is None:  # rcmh at alpha=0: always move
-            return nxt, probed
-        accept = self._nprng.random(current.size) < accept_probabilities
-        return np.where(accept, nxt, current), probed
+        return FleetWalkResult(trajectories=trajectories, burn_in=burn_in)
 
 
 __all__ = [
     "SUPPORTED_CSR_KERNELS",
-    "DEGREE_STATIONARY_KERNELS",
-    "BASELINE_CSR_KERNELS",
     "KernelSpec",
-    "resolve_csr_kernel",
     "resolve_kernel_spec",
     "kernel_move_probabilities",
     "kernel_stationary_weights",

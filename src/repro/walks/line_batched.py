@@ -19,11 +19,15 @@ of ``G``:
   pivot endpoint with probability proportional to its ``d − 1`` other
   incident edges, then draw a uniform neighbor of the pivot excluding
   the opposite endpoint (a swap-with-last draw over the ``d − 1``
-  allowed slots, the same device the non-backtracking kernel uses —
-  fixed draw consumption per step);
+  allowed slots — fixed draw consumption per step);
 * the kernel's accept test is one vectorized mask over the current and
   proposal line degrees (:func:`~repro.walks.batched.kernel_move_probabilities`),
   with stay-in-place semantics on rejection.
+
+The kernels are the five of the EX-* baselines
+(:data:`~repro.walks.batched.SUPPORTED_CSR_KERNELS`): the simple walk
+of EX-RW and the accept/reject kernels ``mhrw`` / ``mdrw`` / ``rcmh`` /
+``gmd``; :class:`~repro.walks.batched.KernelSpec` rejects any other.
 
 Charged-call accounting matches the reference path: walking to, or
 probing, a line node fetches the friend lists of *both its endpoints*
@@ -178,8 +182,8 @@ class BatchedLineWalkEngine:
         The frozen *original* graph ``G`` — the line graph is never
         materialised.
     kernel:
-        Any supported kernel (name, :class:`KernelSpec`, or kernel
-        instance).  For ``mdrw`` / ``gmd`` the spec's ``max_degree`` is
+        One of the five EX-* kernels (name, :class:`KernelSpec`, or
+        kernel instance).  For ``mdrw`` / ``gmd`` the spec's ``max_degree`` is
         the maximum degree *of the line graph*
         (:func:`repro.baselines.adaptations.line_graph_max_degree`).
     rng:
@@ -194,11 +198,6 @@ class BatchedLineWalkEngine:
     ) -> None:
         self.csr = csr
         self.kernel = resolve_kernel_spec(kernel)
-        if self.kernel.name == "non_backtracking":
-            raise ConfigurationError(
-                "the line-graph fleet supports the simple and EX-* "
-                "accept/reject kernels; non_backtracking has no baseline"
-            )
         self._nprng = ensure_numpy_rng(rng)
 
     def run_fleet(

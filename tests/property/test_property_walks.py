@@ -245,7 +245,6 @@ class TestKernelFormulaTwins:
         degrees = np.array([degree])
         pairs = [
             (KernelSpec("simple"), float(degree)),
-            (KernelSpec("non_backtracking"), float(degree)),
             (KernelSpec("mhrw"), MetropolisHastingsKernel().stationary_weight(provider, "u")),
             (
                 KernelSpec("mdrw", max_degree=float(d_max)),

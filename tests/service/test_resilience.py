@@ -325,6 +325,26 @@ class TestResilienceOverHTTP:
         assert status == 400
         assert "deadline_ms" in body["error"]
 
+    def test_budget_above_the_node_count_is_400_and_moves_no_breaker(
+        self, breaker_service
+    ):
+        """A crawl downloads at most one page per node, so a larger
+        budget is a client error: typed 400, no walk, no breaker entry."""
+        num_nodes = breaker_service.csr.num_nodes
+        before = breaker_service.breakers.snapshot()
+
+        async def scenario(port):
+            return [
+                await _raw_request(port, "POST", "/estimate", _query(budget=budget))
+                for budget in (num_nodes + 1, 15_000)
+            ]
+
+        responses = _run_server(breaker_service, scenario)
+        assert [status for status, _, _ in responses] == [400, 400]
+        assert all("budget" in body["error"] for _, _, body in responses)
+        assert breaker_service.breakers.snapshot() == before
+        assert breaker_service.fleets_built == 0
+
     def test_open_breaker_is_503_with_retry_after(self, breaker_service):
         _inject("fleet.run=error,count=2")
 

@@ -175,6 +175,12 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ram_service.estimate(_query(budget=0))
 
+    def test_budget_is_capped_at_the_node_count(self, ram_service):
+        num_nodes = ram_service.csr.num_nodes
+        assert ram_service.normalize_query(_query(budget=num_nodes)).budget == num_nodes
+        with pytest.raises(ConfigurationError, match="budget"):
+            ram_service.normalize_query(_query(budget=num_nodes + 1))
+
     def test_negative_burn_in_rejected(self, ram_service):
         with pytest.raises(ConfigurationError, match="burn_in"):
             ram_service.estimate(_query(burn_in=-1))

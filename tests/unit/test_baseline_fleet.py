@@ -1,15 +1,12 @@
 """Unit tests for the vectorized EX-* baseline kernels and line fleets.
 
-Deterministic (fast-tier) properties of the accept/reject vectorization:
-kernel degenerations (``alpha`` ∈ {0, 1}, ``delta`` = 1), max-degree
-validation, isolated-walker errors, exact-RNG replay of every baseline
-kernel against the reference engine, rejection-aware ledger accounting,
-and the prefix/fleet bit-equality that the prefix-reuse sweep engine
-relies on.  The statistical fleet-vs-sequential equivalence lives in
+Deterministic (fast-tier) properties of the line fleets' accept/reject
+vectorization: kernel degenerations (``alpha`` ∈ {0, 1}, ``delta`` =
+1), max-degree validation, isolated-walker errors, rejection-aware
+ledger accounting, and the prefix/fleet bit-equality that the
+prefix-reuse sweep engine relies on.  The statistical fleet-vs-sequential equivalence lives in
 ``tests/integration/test_baseline_fleet_equivalence.py``.
 """
-
-import random
 
 import numpy as np
 import pytest
@@ -20,22 +17,18 @@ from repro.baselines.fleet import (
     reweighted_estimates,
     run_baseline_fleet,
 )
-from repro.core.samplers.csr_backend import sample_edges_fleet
 from repro.exceptions import ConfigurationError, WalkError
 from repro.experiments.algorithms import build_algorithm_suite
 from repro.experiments.runner import run_trials_prefix
 from repro.graph.api import RestrictedGraphAPI
 from repro.graph.csr import CSRGraph, csr_view
 from repro.graph.labeled_graph import LabeledGraph
-from repro.utils.rng import ensure_numpy_rng
 from repro.walks.batched import (
     BatchedWalkEngine,
     KernelSpec,
-    csr_walk,
     kernel_stationary_weights,
     resolve_kernel_spec,
 )
-from repro.walks.engine import RandomWalk
 from repro.walks.kernels import (
     GeneralMaximumDegreeKernel,
     MaximumDegreeKernel,
@@ -91,120 +84,56 @@ class TestKernelSpecs:
         assert np.array_equal(gmd, [5.0, 5.0, 10.0])
 
 
-class TestExactReplay:
-    """csr_walk must replay the reference kernels bit for bit."""
-
-    @pytest.mark.parametrize(
-        "make_kernel, make_spec",
-        [
-            (
-                lambda d: MetropolisHastingsKernel(),
-                lambda d: KernelSpec("mhrw"),
-            ),
-            (
-                lambda d: MaximumDegreeKernel(d),
-                lambda d: KernelSpec("mdrw", max_degree=d),
-            ),
-            (
-                lambda d: RejectionControlledMHKernel(0.25),
-                lambda d: KernelSpec("rcmh", alpha=0.25),
-            ),
-            (
-                lambda d: RejectionControlledMHKernel(0.0),
-                lambda d: KernelSpec("rcmh", alpha=0.0),
-            ),
-            (
-                lambda d: GeneralMaximumDegreeKernel(d, 0.4),
-                lambda d: KernelSpec("gmd", max_degree=d, delta=0.4),
-            ),
-        ],
-        ids=["mhrw", "mdrw", "rcmh", "rcmh-alpha0", "gmd"],
-    )
-    def test_kernel_replays_reference_engine(
-        self, gender_osn, csr_osn, make_kernel, make_spec
-    ):
-        max_degree = max(gender_osn.degree(node) for node in gender_osn.nodes())
-        start = next(iter(gender_osn.nodes()))
-        reference = RandomWalk(
-            RestrictedGraphAPI(gender_osn), make_kernel(max_degree), rng=99
-        ).run(120, start_node=start)
-        path = csr_walk(
-            csr_osn,
-            120,
-            csr_osn.index_of(start),
-            random.Random(99),
-            kernel=make_spec(max_degree),
-        )
-        ids = csr_osn.node_ids
-        assert [ids[int(i)] for i in path] == reference.nodes
-
-
 class TestVectorizedAcceptMask:
+    """The line fleet's accept mask, through its kernel degenerations."""
+
     def test_rcmh_alpha_zero_degenerates_to_simple(self, csr_osn):
-        srw = BatchedWalkEngine(csr_osn, kernel="simple", rng=5)
-        rcmh = BatchedWalkEngine(csr_osn, kernel=KernelSpec("rcmh", alpha=0.0), rng=5)
+        srw = BatchedLineWalkEngine(csr_osn, kernel="simple", rng=5)
+        rcmh = BatchedLineWalkEngine(csr_osn, kernel=KernelSpec("rcmh", alpha=0.0), rng=5)
         a = srw.run_fleet(8, 40)
         b = rcmh.run_fleet(8, 40)
-        assert np.array_equal(a.trajectories, b.trajectories)
-        assert b.probed is None  # no proposal pages were probed
+        assert np.array_equal(a.src, b.src) and np.array_equal(a.dst, b.dst)
+        assert b.probed_src is None  # no proposal pages were probed
 
     def test_rcmh_alpha_one_degenerates_to_mhrw(self, csr_osn):
-        mh = BatchedWalkEngine(csr_osn, kernel="mhrw", rng=6)
-        rcmh = BatchedWalkEngine(csr_osn, kernel=KernelSpec("rcmh", alpha=1.0), rng=6)
+        mh = BatchedLineWalkEngine(csr_osn, kernel="mhrw", rng=6)
+        rcmh = BatchedLineWalkEngine(csr_osn, kernel=KernelSpec("rcmh", alpha=1.0), rng=6)
         a = mh.run_fleet(8, 40)
         b = rcmh.run_fleet(8, 40)
-        assert np.array_equal(a.trajectories, b.trajectories)
-        assert np.array_equal(a.probed, b.probed)
+        assert np.array_equal(a.src, b.src) and np.array_equal(a.dst, b.dst)
+        assert np.array_equal(a.probed_src, b.probed_src)
 
     def test_gmd_delta_one_degenerates_to_mdrw(self, csr_osn):
-        max_degree = float(csr_osn.degrees.max())
-        md = BatchedWalkEngine(
+        max_degree = float(line_graph_max_degree(csr_osn))
+        md = BatchedLineWalkEngine(
             csr_osn, kernel=KernelSpec("mdrw", max_degree=max_degree), rng=7
         )
-        gmd = BatchedWalkEngine(
+        gmd = BatchedLineWalkEngine(
             csr_osn, kernel=KernelSpec("gmd", max_degree=max_degree, delta=1.0), rng=7
         )
-        assert np.array_equal(
-            md.run_fleet(8, 40).trajectories, gmd.run_fleet(8, 40).trajectories
-        )
-
-    def test_mdrw_rejects_degree_above_max(self, csr_osn):
-        engine = BatchedWalkEngine(
-            csr_osn, kernel=KernelSpec("mdrw", max_degree=2.0), rng=8
-        )
-        with pytest.raises(WalkError):
-            engine.run_fleet(16, 30)
+        assert np.array_equal(md.run_fleet(8, 40).src, gmd.run_fleet(8, 40).src)
 
     def test_rejected_walkers_stay_in_place(self, csr_osn):
         """With a huge max degree the MD walk must self-loop essentially
         always — the vectorized mask's 'stay' branch."""
-        engine = BatchedWalkEngine(
+        engine = BatchedLineWalkEngine(
             csr_osn, kernel=KernelSpec("mdrw", max_degree=1e12), rng=9
         )
         fleet = engine.run_fleet(6, 25)
-        assert np.array_equal(
-            fleet.trajectories, np.repeat(fleet.trajectories[:, :1], 26, axis=1)
-        )
-        # A permanently-stalled crawler downloads exactly one page.
-        assert np.array_equal(fleet.charged_calls(), np.ones(6, dtype=np.int64))
-
-    def test_probed_pages_enter_the_ledgers(self, csr_osn):
-        fleet = BatchedWalkEngine(csr_osn, kernel="mhrw", rng=10).run_fleet(5, 30)
-        assert fleet.probed is not None
-        expected = [
-            len(set(fleet.trajectories[w].tolist()) | set(fleet.probed[w].tolist()))
-            for w in range(5)
-        ]
-        assert fleet.charged_calls().tolist() == expected
+        assert np.array_equal(fleet.src, np.repeat(fleet.src[:, :1], 26, axis=1))
+        assert np.array_equal(fleet.dst, np.repeat(fleet.dst[:, :1], 26, axis=1))
+        # A permanently-stalled crawler downloads its start edge's two pages.
+        assert np.array_equal(fleet.charged_calls(), np.full(6, 2, dtype=np.int64))
 
     def test_isolated_start_raises(self):
         graph = LabeledGraph()
         graph.add_edge(0, 1)
         graph.add_node(2)  # isolated
         csr = csr_view(graph)
-        engine = BatchedWalkEngine(csr, kernel="mhrw", rng=1)
         with pytest.raises(WalkError):
-            engine.run_fleet(4, 5, start_nodes=[2, 0, 1, 0])
+            BatchedWalkEngine(csr, 1).run_fleet(64, 5)
+        with pytest.raises(WalkError):
+            BatchedLineWalkEngine(csr, kernel="mhrw", rng=1).run_fleet(64, 5)
 
 
 class TestLineFleet:
@@ -341,39 +270,16 @@ class TestBaselineFleetEstimation:
         )
         assert len(outcome.estimates) == 4
 
-    def test_sample_edges_fleet_rejects_self_looping_kernels(self, csr_osn):
-        """NeighborSample needs a traversed edge per step; an MH fleet
-        that stayed in place must raise like the scalar paths do."""
-        with pytest.raises(WalkError, match="self-loop"):
-            sample_edges_fleet(
-                csr_osn, 1, 2, k=40, repetitions=8,
-                rng=ensure_numpy_rng(4), kernel="mhrw",
-            )
-
-    def test_explore_nodes_fleet_carries_weights_for_mh_kernel(self, csr_osn):
-        from repro.core.samplers.csr_backend import explore_nodes_fleet
-
-        batch = explore_nodes_fleet(
-            csr_osn, 1, 2, k=12, repetitions=3, rng=ensure_numpy_rng(4), kernel="mhrw"
-        )
-        assert np.array_equal(batch.weights, np.ones((3, 12)))
-        thinned = batch.thinned(0.5)
-        assert thinned.weights.shape == thinned.nodes.shape
-        simple = explore_nodes_fleet(
-            csr_osn, 1, 2, k=12, repetitions=3, rng=ensure_numpy_rng(4)
-        )
-        assert simple.weights is None
-
     def test_csr_line_max_degree_matches_dict(self, gender_osn, csr_osn):
         assert line_graph_max_degree(csr_osn) == line_graph_max_degree(gender_osn)
 
 
 class TestScalarSamplerParity:
-    """The dict engine and the fleets agree on MH-family kernels."""
+    """The dict engine's NeighborSample refuses the MH-family kernels."""
 
-    def test_ns_self_loop_kernels_raise_on_both_engines(self, gender_osn, csr_osn):
+    def test_ns_self_loop_kernels_raise_on_the_reference_engine(self, gender_osn):
         """NeighborSample needs a traversed edge per step; a staying MH
-        kernel must raise the same WalkError on either engine."""
+        kernel must raise a WalkError."""
         from repro.core.samplers import NeighborSampleSampler
 
         sampler = NeighborSampleSampler(
@@ -382,24 +288,3 @@ class TestScalarSamplerParity:
         )
         with pytest.raises(WalkError, match="self-loop"):
             sampler.sample(50)
-        with pytest.raises(WalkError, match="self-loop"):
-            sample_edges_fleet(
-                csr_osn, 1, 2, k=50, repetitions=1, burn_in=10,
-                rng=42, kernel="mhrw",
-            )
-
-    def test_csr_walk_returns_probes_for_mh_family(self, csr_osn):
-        path, probes = csr_walk(
-            csr_osn, 20, 3, 5, kernel="mhrw", return_probes=True
-        )
-        assert probes.shape == (20,)
-        # Accepted steps moved to their proposal; every position is
-        # either the probe of its step or the previous position (stay).
-        previous = 3
-        for step in range(20):
-            assert path[step] in (probes[step], previous)
-            previous = path[step]
-        simple_path, simple_probes = csr_walk(
-            csr_osn, 20, 3, 5, kernel="simple", return_probes=True
-        )
-        assert simple_probes is None and simple_path.shape == (20,)

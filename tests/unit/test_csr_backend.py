@@ -9,9 +9,9 @@ Covers, on small graphs with exactly known structure:
 * the exact-replay oracle of the fleet classifiers: a :func:`csr_walk`
   path wrapped as a one-walker fleet and classified must reproduce the
   reference samplers' samples and charged API calls at the same seed,
-* the fleet samplers over one walker, and the batched fleet engine's
-  structural invariants (valid transitions, non-backtracking property,
-  start validation, per-walker budgets).
+* one-walker fleets classified, and the batched fleet engine's
+  structural invariants (valid transitions, determinism, distinct-page
+  ledgers, prefixes).
 """
 
 import random
@@ -23,16 +23,11 @@ from repro.core.estimators import (
     EdgeHansenHurwitzEstimator,
     NodeHansenHurwitzEstimator,
 )
-from repro.core.samplers import (
-    NeighborExplorationSampler,
-    NeighborSampleSampler,
-    explore_nodes_fleet,
-    sample_edges_fleet,
-)
+from repro.core.samplers import NeighborExplorationSampler, NeighborSampleSampler
 from repro.core.samplers.csr_backend import classify_edge_fleet, classify_node_fleet
 from repro.exceptions import (
-    APIBudgetExceededError,
     ConfigurationError,
+    EmptyGraphError,
     NodeNotFoundError,
     WalkError,
 )
@@ -44,14 +39,12 @@ from repro.walks.batched import (
     FleetWalkResult,
     csr_walk,
     draw_start_index,
-    resolve_csr_kernel,
     resolve_kernel_spec,
 )
 from repro.walks.engine import RandomWalk
 from repro.walks.kernels import (
     MetropolisHastingsKernel,
     NonBacktrackingKernel,
-    RejectionControlledMHKernel,
     SimpleRandomWalkKernel,
 )
 
@@ -131,64 +124,74 @@ class TestCSRGraphConstruction:
 
 
 class TestKernelResolution:
+    """The line fleets' five kernels: EX-RW's simple walk and four accept/reject ones."""
+
     def test_names_and_instances(self):
-        assert resolve_csr_kernel(None) == "simple"
-        assert resolve_csr_kernel("simple") == "simple"
-        assert resolve_csr_kernel("non_backtracking") == "non_backtracking"
-        assert resolve_csr_kernel(SimpleRandomWalkKernel()) == "simple"
-        assert resolve_csr_kernel(NonBacktrackingKernel()) == "non_backtracking"
-        # The EX-* accept/reject kernels are vectorized now.
-        assert resolve_csr_kernel("mhrw") == "mhrw"
-        assert resolve_csr_kernel(MetropolisHastingsKernel()) == "mhrw"
+        assert resolve_kernel_spec(None).name == "simple"
+        assert resolve_kernel_spec("simple").name == "simple"
+        assert resolve_kernel_spec(SimpleRandomWalkKernel()).name == "simple"
+        assert resolve_kernel_spec("mhrw").name == "mhrw"
+        assert resolve_kernel_spec(MetropolisHastingsKernel()).name == "mhrw"
 
     def test_unsupported_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_csr_kernel("metropolis")
-        with pytest.raises(ConfigurationError):
-            resolve_csr_kernel(object())
+        for kernel in ("metropolis", object(), "non_backtracking", NonBacktrackingKernel()):
+            with pytest.raises(ConfigurationError):
+                resolve_kernel_spec(kernel)
 
 
 class TestStepForStepAgreement:
     """Same seed, same trajectory as the dict engine."""
 
-    @pytest.mark.parametrize(
-        "kernel_factory,kernel_name",
-        [
-            (SimpleRandomWalkKernel, "simple"),
-            (NonBacktrackingKernel, "non_backtracking"),
-        ],
-    )
-    def test_walk_matches_reference_engine(
-        self, rare_label_osn, kernel_factory, kernel_name
-    ):
+    def test_walk_matches_reference_engine(self, rare_label_osn):
         csr = CSRGraph.from_labeled_graph(rare_label_osn)
         start = next(iter(rare_label_osn.nodes()))
         for seed in (1, 7, 42):
             api = RestrictedGraphAPI(rare_label_osn)
             reference = RandomWalk(
-                api, kernel_factory(), burn_in=0, rng=random.Random(seed)
+                api, SimpleRandomWalkKernel(), burn_in=0, rng=random.Random(seed)
             ).run(120, start_node=start)
-            path = csr_walk(
-                csr, 120, csr.index_of(start), random.Random(seed), kernel_name
-            )
+            path = csr_walk(csr, 120, csr.index_of(start), random.Random(seed))
+            assert [csr.node_ids[i] for i in path] == reference.nodes
+
+    @pytest.mark.parametrize("shape", ["triangle", "path", "star"])
+    def test_drawn_start_and_walk_match_reference_engine(self, request, shape):
+        """Without an explicit start, :func:`draw_start_index` consumes the
+        stream like ``random_node``, so the whole walk still agrees."""
+        graph = request.getfixturevalue(f"{shape}_graph")
+        csr = CSRGraph.from_labeled_graph(graph)
+        for seed in (1, 7, 42):
+            reference = RandomWalk(
+                RestrictedGraphAPI(graph),
+                SimpleRandomWalkKernel(),
+                rng=random.Random(seed),
+            ).run(30)
+            generator = random.Random(seed)
+            start = draw_start_index(csr, generator)
+            path = csr_walk(csr, 30, start, generator)
+            assert csr.node_ids[start] == reference.start_node
             assert [csr.node_ids[i] for i in path] == reference.nodes
 
 
-def _replay_classified(csr, sampler, t1, t2, k, burn_in, seed, kernel):
+def _classify(csr, sampler, fleet, t1, t2):
+    classify = classify_edge_fleet if sampler == "edge" else classify_node_fleet
+    return classify(csr, fleet, t1, t2)
+
+
+def _replay_classified(csr, sampler, t1, t2, k, burn_in, seed):
     """Classify a reference-stream :func:`csr_walk` as a one-walker fleet."""
     generator = random.Random(seed)
     start = draw_start_index(csr, generator)
-    path, probes = csr_walk(
-        csr, burn_in + k, start, generator, kernel, return_probes=True
-    )
+    path = csr_walk(csr, burn_in + k, start, generator)
     fleet = FleetWalkResult(
-        trajectories=np.concatenate(([start], path))[None, :],
-        burn_in=burn_in,
-        probed=None if probes is None else probes[None, :],
-        kernel=resolve_kernel_spec(kernel),
+        trajectories=np.concatenate(([start], path))[None, :], burn_in=burn_in
     )
-    classify = classify_edge_fleet if sampler == "edge" else classify_node_fleet
-    return classify(csr, fleet, t1, t2).sample_set(0)
+    return _classify(csr, sampler, fleet, t1, t2).sample_set(0)
+
+
+def _one_walker(csr, sampler, k, burn_in=0, rng=None):
+    """The CSR one-shot's walk: a one-walker fleet, classified."""
+    fleet = BatchedWalkEngine(csr, rng).run_fleet(1, k, burn_in)
+    return _classify(csr, sampler, fleet, 1, 2)
 
 
 def _sample_rows(sampler, sample_set):
@@ -200,12 +203,8 @@ def _sample_rows(sampler, sample_set):
     ]
 
 
-def _outcome(sampler, run):
-    """Samples, charged calls and HH estimate of *run* — or its WalkError."""
-    try:
-        sample_set = run()
-    except WalkError as error:
-        return ("WalkError", "self-loop" in str(error))
+def _outcome(sampler, sample_set):
+    """Samples, charged calls and HH estimate of *sample_set*."""
     estimator = (
         EdgeHansenHurwitzEstimator() if sampler == "edge" else NodeHansenHurwitzEstimator()
     )
@@ -222,25 +221,15 @@ class TestFleetClassifierReplay:
     """The exact-replay oracle of the fleet classifiers.
 
     :func:`csr_walk` consumes the reference engine's random stream, so
-    wrapping its path (and its MH proposal probes) as a one-walker
-    :class:`FleetWalkResult` and classifying it must give the reference
-    sampler's samples, charged API calls and estimate at the same seed.
-    NeighborSample over a self-looping MH kernel must raise on both.
+    wrapping its path as a one-walker :class:`FleetWalkResult` and
+    classifying it must give the reference sampler's samples, charged
+    API calls and estimate at the same seed.
     """
 
     @pytest.mark.parametrize("graph_name", ["gender", "rare_label"])
-    @pytest.mark.parametrize(
-        "kernel_factory",
-        [
-            SimpleRandomWalkKernel,
-            MetropolisHastingsKernel,
-            lambda: RejectionControlledMHKernel(0.3),
-        ],
-        ids=["simple", "mhrw", "rcmh"],
-    )
     @pytest.mark.parametrize("sampler", ["edge", "node"])
     def test_classified_replay_matches_reference_sampler(
-        self, request, graph_name, kernel_factory, sampler
+        self, request, graph_name, sampler
     ):
         graph = request.getfixturevalue(f"{graph_name}_osn")
         if graph_name == "gender":
@@ -253,35 +242,46 @@ class TestFleetClassifierReplay:
             NeighborSampleSampler if sampler == "edge" else NeighborExplorationSampler
         )
         for seed in (3, 2018):
-            reference = _outcome(
-                sampler,
-                lambda: reference_cls(
-                    RestrictedGraphAPI(graph), t1, t2,
-                    burn_in=15, kernel=kernel_factory(), rng=seed,
-                ).sample(80),
-            )
-            replay = _outcome(
-                sampler,
-                lambda: _replay_classified(
-                    csr, sampler, t1, t2, 80, 15, seed, kernel_factory()
-                ),
-            )
-            assert replay == reference
+            reference = reference_cls(
+                RestrictedGraphAPI(graph), t1, t2, burn_in=15, rng=seed
+            ).sample(80)
+            replay = _replay_classified(csr, sampler, t1, t2, 80, 15, seed)
+            assert _outcome(sampler, replay) == _outcome(sampler, reference)
+
+
+    @pytest.mark.parametrize(
+        "k, burn_in",
+        [(1, 0), (1, 15), (200, 0)],
+        ids=["k1", "k1-burn-in", "no-burn-in"],
+    )
+    @pytest.mark.parametrize("sampler", ["edge", "node"])
+    def test_replay_at_the_slicing_edges(self, gender_osn, sampler, k, burn_in):
+        """A single collected step, and a walk collected from its start."""
+        csr = CSRGraph.from_labeled_graph(gender_osn)
+        reference_cls = (
+            NeighborSampleSampler if sampler == "edge" else NeighborExplorationSampler
+        )
+        for seed in (3, 2018):
+            reference = reference_cls(
+                RestrictedGraphAPI(gender_osn), 1, 2, burn_in=burn_in, rng=seed
+            ).sample(k)
+            replay = _replay_classified(csr, sampler, 1, 2, k, burn_in, seed)
+            assert _outcome(sampler, replay) == _outcome(sampler, reference)
 
 
 class TestCSRSamplerBehaviour:
-    """The fleet samplers over a single walker."""
+    """A one-walker fleet, classified: the CSR one-shot's path."""
 
     def test_fleet_is_deterministic_per_seed(self, gender_osn):
         csr = CSRGraph.from_labeled_graph(gender_osn)
-        one = sample_edges_fleet(csr, 1, 2, 50, 1, burn_in=5, rng=9)
-        two = sample_edges_fleet(csr, 1, 2, 50, 1, burn_in=5, rng=9)
+        one = _one_walker(csr, "edge", 50, burn_in=5, rng=9)
+        two = _one_walker(csr, "edge", 50, burn_in=5, rng=9)
         assert np.array_equal(one.sources, two.sources)
         assert np.array_equal(one.dests, two.dests)
 
     def test_sampled_edges_exist(self, gender_osn):
         csr = CSRGraph.from_labeled_graph(gender_osn)
-        samples = sample_edges_fleet(csr, 1, 2, 100, 1, rng=4).sample_set(0)
+        samples = _one_walker(csr, "edge", 100, rng=4).sample_set(0)
         for sample in samples:
             assert gender_osn.has_edge(sample.u, sample.v)
             assert sample.is_target == gender_osn.is_target_edge(
@@ -290,7 +290,7 @@ class TestCSRSamplerBehaviour:
 
     def test_explored_nodes_report_true_incident_counts(self, gender_osn):
         csr = CSRGraph.from_labeled_graph(gender_osn)
-        samples = explore_nodes_fleet(csr, 1, 2, 100, 1, rng=8).sample_set(0)
+        samples = _one_walker(csr, "node", 100, rng=8).sample_set(0)
         for sample in samples:
             assert sample.degree == gender_osn.degree(sample.node)
             if sample.has_target_label:
@@ -299,11 +299,6 @@ class TestCSRSamplerBehaviour:
                 )
             else:
                 assert sample.incident_target_edges == 0
-
-    def test_budget_exceeded_raises(self, gender_osn):
-        csr = CSRGraph.from_labeled_graph(gender_osn)
-        with pytest.raises(APIBudgetExceededError):
-            sample_edges_fleet(csr, 1, 2, 200, 1, rng=6, budget=10)
 
     def test_isolated_node_raises_walk_error(self):
         graph = LabeledGraph()
@@ -327,32 +322,11 @@ class TestBatchedWalkEngine:
             for u, v in zip(row[:-1].tolist(), row[1:].tolist()):
                 assert v in csr.neighbors(u)
 
-    def test_non_backtracking_property(self, gender_osn):
-        csr = CSRGraph.from_labeled_graph(gender_osn)
-        engine = BatchedWalkEngine(csr, kernel="non_backtracking", rng=13)
-        fleet = engine.run_fleet(8, 60)
-        for row in fleet.trajectories.tolist():
-            for a, b, c in zip(row, row[1:], row[2:]):
-                if csr.degree(b) > 1:
-                    assert c != a, "walk backtracked at a non-dead-end"
-
     def test_deterministic_with_seed(self, gender_osn):
         csr = CSRGraph.from_labeled_graph(gender_osn)
-        for kernel in ("simple", "non_backtracking", "mhrw"):
-            one = BatchedWalkEngine(csr, kernel=kernel, rng=99).run_fleet(6, 30)
-            two = BatchedWalkEngine(csr, kernel=kernel, rng=99).run_fleet(6, 30)
-            assert np.array_equal(one.trajectories, two.trajectories), kernel
-
-    def test_explicit_start_nodes(self, triangle_graph):
-        csr = CSRGraph.from_labeled_graph(triangle_graph)
-        fleet = BatchedWalkEngine(csr, rng=1).run_fleet(3, 10, start_nodes=[0, 1, 2])
-        assert fleet.start_nodes.tolist() == [0, 1, 2]
-        with pytest.raises(ConfigurationError, match="shape"):
-            BatchedWalkEngine(csr, rng=1).run_fleet(2, 5, start_nodes=[0])
-        with pytest.raises(ConfigurationError, match="out-of-range"):
-            BatchedWalkEngine(csr, rng=1).run_fleet(2, 5, start_nodes=[0, 99])
-        with pytest.raises(ConfigurationError, match="out-of-range"):
-            BatchedWalkEngine(csr, rng=1).run_fleet(2, 5, start_nodes=[-1, 0])
+        one = BatchedWalkEngine(csr, rng=99).run_fleet(6, 30)
+        two = BatchedWalkEngine(csr, rng=99).run_fleet(6, 30)
+        assert np.array_equal(one.trajectories, two.trajectories)
 
     def test_charged_calls_are_distinct_pages(self, triangle_graph):
         csr = CSRGraph.from_labeled_graph(triangle_graph)
@@ -360,44 +334,44 @@ class TestBatchedWalkEngine:
         # a long walk on a triangle touches every page exactly once
         assert fleet.charged_calls().tolist() == [3, 3]
 
-    def test_budget_crossing_is_per_walker(self, gender_osn):
-        """The tightest budget any walker crosses raises; one more passes.
-
-        mhrw so the rejected-proposal probes count towards the crossing.
-        """
-        csr = CSRGraph.from_labeled_graph(gender_osn)
-        probe = BatchedWalkEngine(csr, kernel="mhrw", rng=3).run_fleet(16, 60)
-        heaviest = int(probe.charged_calls().max())
-        with pytest.raises(APIBudgetExceededError) as excinfo:
-            BatchedWalkEngine(
-                csr, kernel="mhrw", rng=3, budget=heaviest - 1
-            ).run_fleet(16, 60)
-        # reference semantics: the counter stops at the crossing attempt
-        assert excinfo.value.budget == heaviest - 1
-        assert excinfo.value.used == heaviest
-        fleet = BatchedWalkEngine(
-            csr, kernel="mhrw", rng=3, budget=heaviest
-        ).run_fleet(16, 60)
-        assert np.array_equal(fleet.trajectories, probe.trajectories)
-
-    def test_zero_budget_raises_immediately(self, triangle_graph):
-        csr = CSRGraph.from_labeled_graph(triangle_graph)
-        engine = BatchedWalkEngine(csr, budget=0, rng=1)
-        with pytest.raises(APIBudgetExceededError):
-            engine.run_fleet(1, 1)
-
     def test_prefix_is_bitwise_a_shorter_fleet(self, gender_osn):
-        """Trajectories, proposal probes and ledgers of a prefix equal a
-        fresh fleet walked to exactly that length from the same seed."""
+        """Trajectories and ledgers of a prefix equal a fresh fleet walked
+        to exactly that length from the same seed."""
         csr = CSRGraph.from_labeled_graph(gender_osn)
-        fleet = BatchedWalkEngine(csr, kernel="mhrw", rng=11).run_fleet(
-            9, 40, burn_in=9
-        )
+        fleet = BatchedWalkEngine(csr, rng=11).run_fleet(9, 40, burn_in=9)
         for num_steps in (1, 20):
             short = fleet.prefix(num_steps)
-            fresh = BatchedWalkEngine(csr, kernel="mhrw", rng=11).run_fleet(
-                9, num_steps, burn_in=9
-            )
+            fresh = BatchedWalkEngine(csr, rng=11).run_fleet(9, num_steps, burn_in=9)
             assert np.array_equal(short.trajectories, fresh.trajectories)
-            assert np.array_equal(short.probed, fresh.probed)
             assert np.array_equal(short.charged_calls(), fresh.charged_calls())
+
+    @pytest.mark.parametrize(
+        "walkers, steps, burn_in",
+        [(0, 5, 0), (-2, 5, 0), (2.0, 5, 0), (3, 0, 0), (3, -1, 0), (3, 5, -1)],
+        ids=["no-walkers", "negative-walkers", "float-walkers", "no-steps",
+             "negative-steps", "negative-burn-in"],
+    )
+    def test_invalid_fleet_sizes_are_refused(
+        self, triangle_graph, walkers, steps, burn_in
+    ):
+        engine = BatchedWalkEngine(CSRGraph.from_labeled_graph(triangle_graph), rng=1)
+        with pytest.raises(ConfigurationError):
+            engine.run_fleet(walkers, steps, burn_in=burn_in)
+
+    def test_empty_graph_raises(self):
+        csr = CSRGraph.from_edge_array(np.empty((0, 2), dtype=np.int64))
+        with pytest.raises(EmptyGraphError):
+            BatchedWalkEngine(csr, rng=1).run_fleet(2, 3)
+
+    def test_zero_step_prefix_is_refused(self, triangle_graph):
+        csr = CSRGraph.from_labeled_graph(triangle_graph)
+        fleet = BatchedWalkEngine(csr, rng=2).run_fleet(2, 5)
+        with pytest.raises(ConfigurationError):
+            fleet.prefix(0)
+
+    def test_without_burn_in_every_transition_is_collected(self, gender_osn):
+        csr = CSRGraph.from_labeled_graph(gender_osn)
+        fleet = BatchedWalkEngine(csr, rng=3).run_fleet(4, 25)
+        assert np.array_equal(fleet.collected, fleet.trajectories[:, 1:])
+        assert np.array_equal(fleet.sources, fleet.trajectories[:, :-1])
+        assert fleet.num_steps == 25

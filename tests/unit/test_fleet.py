@@ -2,9 +2,8 @@
 
 Covers the three new layers end to end on small graphs:
 
-* the fleet walk engine (full trajectories, per-walker ledgers,
-  per-walker budget enforcement),
-* the fleet samplers and their charged-call parity with a replay
+* the fleet walk engine (full trajectories, per-walker ledgers),
+* classified fleets and their charged-call parity with a replay
   through the reference :class:`RestrictedGraphAPI` (the "budget
   ledger" guarantee of ``execution="fleet"``),
 * the array-native ``estimate_batch`` estimators against the scalar
@@ -27,11 +26,11 @@ from repro.core.estimators import (
 )
 from repro.core.samplers.csr_backend import (
     EXECUTIONS,
-    explore_nodes_fleet,
-    sample_edges_fleet,
+    classify_edge_fleet,
+    classify_node_fleet,
     validate_execution,
 )
-from repro.exceptions import APIBudgetExceededError, ConfigurationError
+from repro.exceptions import ConfigurationError
 from repro.experiments.algorithms import build_algorithm_suite
 from repro.experiments.runner import compare_algorithms, run_trials_prefix
 from repro.experiments.sweeps import frequency_sweep
@@ -49,6 +48,18 @@ def gender_csr(gender_osn):
     return csr_view(gender_osn)
 
 
+def edge_fleet(csr, k, repetitions, burn_in, rng):
+    """NeighborSample over *repetitions* walkers: a walked, classified fleet."""
+    fleet = BatchedWalkEngine(csr, rng).run_fleet(repetitions, k, burn_in)
+    return classify_edge_fleet(csr, fleet, 1, 2)
+
+
+def node_fleet(csr, k, repetitions, burn_in, rng):
+    """NeighborExploration over *repetitions* walkers."""
+    fleet = BatchedWalkEngine(csr, rng).run_fleet(repetitions, k, burn_in)
+    return classify_node_fleet(csr, fleet, 1, 2)
+
+
 # ----------------------------------------------------------------------
 # fleet walk engine
 # ----------------------------------------------------------------------
@@ -61,7 +72,6 @@ class TestFleetWalk:
         assert fleet.collected.shape == (REPS, K)
         # sources are the positions one step before each collected node
         assert np.array_equal(fleet.sources[:, 1:], fleet.collected[:, :-1])
-        assert np.array_equal(fleet.trajectories[:, 0], fleet.start_nodes)
 
     def test_every_transition_follows_an_edge(self, gender_csr):
         fleet = BatchedWalkEngine(gender_csr, rng=1).run_fleet(4, 30, burn_in=5)
@@ -74,10 +84,6 @@ class TestFleetWalk:
         charges = fleet.charged_calls()
         expected = [len(set(row.tolist())) for row in fleet.trajectories]
         assert charges.tolist() == expected
-
-    def test_per_walker_budget_enforced(self, gender_csr):
-        with pytest.raises(APIBudgetExceededError):
-            BatchedWalkEngine(gender_csr, rng=3, budget=3).run_fleet(4, 50)
 
     def test_distinct_counts_direct(self):
         trajectories = np.array([[0, 1, 2, 1], [0, 0, 0, 0]])
@@ -92,9 +98,7 @@ class TestChargedCallParity:
     same number of API calls the fleet ledger recorded for it."""
 
     def test_edge_fleet_ledger(self, gender_osn, gender_csr):
-        batch = sample_edges_fleet(
-            gender_csr, 1, 2, k=K, repetitions=REPS, burn_in=BURN_IN, rng=5
-        )
+        batch = edge_fleet(gender_csr, K, REPS, BURN_IN, 5)
         ids = gender_csr.node_ids
         for trial in range(batch.num_trials):
             api = RestrictedGraphAPI(gender_osn)
@@ -105,9 +109,7 @@ class TestChargedCallParity:
             assert api.api_calls == int(batch.api_calls[trial])
 
     def test_node_fleet_ledger(self, gender_osn, gender_csr):
-        batch = explore_nodes_fleet(
-            gender_csr, 1, 2, k=K, repetitions=REPS, burn_in=BURN_IN, rng=6
-        )
+        batch = node_fleet(gender_csr, K, REPS, BURN_IN, 6)
         ids = gender_csr.node_ids
         for trial in range(batch.num_trials):
             api = RestrictedGraphAPI(gender_osn)
@@ -128,38 +130,11 @@ class TestChargedCallParity:
         blocks (wide fleets on big graphs) must produce identical charges."""
         import repro.core.samplers.csr_backend as csr_backend
 
-        kwargs = dict(k=K, repetitions=REPS, burn_in=BURN_IN, rng=6)
-        dense = explore_nodes_fleet(gender_csr, 1, 2, **kwargs)
+        dense = node_fleet(gender_csr, K, REPS, BURN_IN, 6)
         monkeypatch.setattr(csr_backend, "_MASK_LEDGER_MAX_CELLS", 0)
-        sparse = explore_nodes_fleet(gender_csr, 1, 2, **kwargs)
+        sparse = node_fleet(gender_csr, K, REPS, BURN_IN, 6)
         assert np.array_equal(dense.trajectories, sparse.trajectories)
         assert np.array_equal(dense.api_calls, sparse.api_calls)
-
-    def test_fleet_budget_crossing_raises(self, gender_csr):
-        probe = sample_edges_fleet(
-            gender_csr, 1, 2, k=K, repetitions=REPS, burn_in=0, rng=7
-        )
-        tight = int(probe.api_calls.max()) - 1
-        with pytest.raises(APIBudgetExceededError):
-            sample_edges_fleet(
-                gender_csr, 1, 2, k=K, repetitions=REPS, burn_in=0, rng=7, budget=tight
-            )
-
-    def test_fleet_budget_loose_enough_passes(self, gender_csr):
-        probe = explore_nodes_fleet(
-            gender_csr, 1, 2, k=K, repetitions=REPS, burn_in=0, rng=8
-        )
-        batch = explore_nodes_fleet(
-            gender_csr,
-            1,
-            2,
-            k=K,
-            repetitions=REPS,
-            burn_in=0,
-            rng=8,
-            budget=int(probe.api_calls.max()),
-        )
-        assert np.array_equal(batch.api_calls, probe.api_calls)
 
 
 # ----------------------------------------------------------------------
@@ -168,15 +143,11 @@ class TestChargedCallParity:
 class TestBatchEstimators:
     @pytest.fixture(scope="class")
     def edge_batch(self, gender_csr):
-        return sample_edges_fleet(
-            gender_csr, 1, 2, k=K, repetitions=REPS, burn_in=BURN_IN, rng=9
-        )
+        return edge_fleet(gender_csr, K, REPS, BURN_IN, 9)
 
     @pytest.fixture(scope="class")
     def node_batch(self, gender_csr):
-        return explore_nodes_fleet(
-            gender_csr, 1, 2, k=K, repetitions=REPS, burn_in=BURN_IN, rng=10
-        )
+        return node_fleet(gender_csr, K, REPS, BURN_IN, 10)
 
     def test_edge_hh_exact(self, edge_batch):
         estimator = EdgeHansenHurwitzEstimator()
@@ -216,12 +187,11 @@ class TestBatchEstimators:
         """An |E| prior below max_degree/2 makes degree/2|E| exceed 1;
         the batch path must raise like the scalar path, not return a
         silently wrong estimate."""
+        from dataclasses import replace
+
         from repro.exceptions import EstimationError
 
-        batch = explore_nodes_fleet(
-            gender_csr, 1, 2, k=K, repetitions=3, burn_in=BURN_IN, rng=11,
-            known_num_edges=1,
-        )
+        batch = replace(node_fleet(gender_csr, K, 3, BURN_IN, 11), num_edges=1)
         estimator = NodeHorvitzThompsonEstimator()
         with pytest.raises(EstimationError):
             estimator.estimate_batch(batch)
@@ -307,12 +277,7 @@ class TestFleetExecution:
         (fleet,) = run_trials_prefix(gender_osn, 1, 2, custom, "NeighborSample-HT", **args)
         # The fleet walk is deterministic in the seed, so the outcome
         # must equal the custom estimator applied to the same batch.
-        import numpy as np
-        from repro.utils.rng import ensure_numpy_rng
-
-        batch = sample_edges_fleet(
-            gender_csr, 1, 2, k=60, repetitions=4, burn_in=10, rng=ensure_numpy_rng(6)
-        )
+        batch = edge_fleet(gender_csr, 60, 4, 10, 6)
         expected = no_thinning_ht().estimate_batch(batch)
         assert fleet.estimates == [float(v) for v in expected]
         # ...and differ from the registry (thinned) configuration.

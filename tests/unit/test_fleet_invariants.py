@@ -1,7 +1,8 @@
-"""Structural invariants of every fleet kernel, node and line graph.
+"""Structural invariants of the node fleet and every line-fleet kernel.
 
 The numpy fleets are the one engine behind ``execution="fleet"`` and
-the prefix-reuse sweeps, so each kernel is checked on its own against
+the prefix-reuse sweeps: the node fleet walks the simple random walk,
+the line fleets every EX-* kernel.  Each is checked on its own against
 brute-force Python over the recorded arrays:
 
 * every transition is an edge of the walked graph, and a walker stays
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import line_graph_max_degree
-from repro.graph.csr import csr_view
+from repro.graph.csr import CSRGraph, csr_view
 from repro.walks.batched import BatchedWalkEngine, KernelSpec
 from repro.walks.line_batched import BatchedLineWalkEngine
 
@@ -32,8 +33,8 @@ WIDTHS = (1, 7, 32)
 def walk_csr():
     """A power-law graph plus a pendant chain.
 
-    The pendant (degree-1) node exercises the non-backtracking dead-end
-    branch and a line node of line degree 1.
+    The pendant (degree-1) node is a forced step of the node walk and a
+    line node of line degree 1.
     """
     from repro.datasets.synthetic import powerlaw_cluster_osn
 
@@ -41,20 +42,6 @@ def walk_csr():
     graph.add_edge(0, 220)
     graph.add_edge(220, 221)
     return csr_view(graph)
-
-
-def _node_spec(name, csr):
-    d_max = float(csr.degrees.max())
-    return {
-        "simple": KernelSpec("simple"),
-        "non_backtracking": KernelSpec("non_backtracking"),
-        "mhrw": KernelSpec("mhrw"),
-        "rcmh-0.0": KernelSpec("rcmh", alpha=0.0),
-        "rcmh-0.2": KernelSpec("rcmh", alpha=0.2),
-        "rcmh-0.5": KernelSpec("rcmh", alpha=0.5),
-        "mdrw": KernelSpec("mdrw", max_degree=d_max),
-        "gmd": KernelSpec("gmd", max_degree=d_max, delta=0.5),
-    }[name]
 
 
 def _line_spec(name, csr):
@@ -70,11 +57,7 @@ def _line_spec(name, csr):
     }[name]
 
 
-NODE_KERNELS = [
-    "simple", "non_backtracking", "mhrw", "rcmh-0.0", "rcmh-0.2",
-    "rcmh-0.5", "mdrw", "gmd",
-]
-LINE_KERNELS = [name for name in NODE_KERNELS if name != "non_backtracking"]
+LINE_KERNELS = ["simple", "mhrw", "rcmh-0.0", "rcmh-0.2", "rcmh-0.5", "mdrw", "gmd"]
 
 
 def _may_stay(spec):
@@ -84,11 +67,9 @@ def _may_stay(spec):
     )
 
 
-def _node_fleets(csr, spec, seed):
+def _node_fleets(csr, seed):
     for width in WIDTHS:
-        yield width, BatchedWalkEngine(csr, kernel=spec, rng=seed).run_fleet(
-            width, STEPS, burn_in=BURN_IN
-        )
+        yield width, BatchedWalkEngine(csr, seed).run_fleet(width, STEPS, burn_in=BURN_IN)
 
 
 def _line_fleets(csr, spec, seed):
@@ -106,43 +87,70 @@ def _adjacent(csr, u, v):
 # node fleets
 # ----------------------------------------------------------------------
 class TestNodeFleetInvariants:
-    @pytest.mark.parametrize("name", NODE_KERNELS)
-    def test_transitions_and_probes_are_edges(self, walk_csr, name):
-        spec = _node_spec(name, walk_csr)
-        for width, fleet in _node_fleets(walk_csr, spec, seed=3):
+    def test_transitions_are_edges(self, walk_csr):
+        for width, fleet in _node_fleets(walk_csr, seed=3):
             assert fleet.trajectories.shape == (width, BURN_IN + STEPS + 1)
-            assert fleet.kernel == spec
-            if spec.probes_proposals:
-                assert fleet.probed.shape == (width, BURN_IN + STEPS)
-            else:
-                assert fleet.probed is None
             for w, row in enumerate(fleet.trajectories.tolist()):
                 for t, (u, v) in enumerate(zip(row[:-1], row[1:])):
-                    if u == v:
-                        assert _may_stay(spec), (name, width, w, t)
-                    else:
-                        assert _adjacent(walk_csr, u, v), (name, width, w, t)
-                    if fleet.probed is not None:
-                        proposal = int(fleet.probed[w, t])
-                        assert _adjacent(walk_csr, u, proposal)
-                        if v != u:
-                            assert proposal == v
+                    assert _adjacent(walk_csr, u, v), (width, w, t)
 
-    @pytest.mark.parametrize("name", NODE_KERNELS)
-    def test_ledgers_count_trajectory_and_probe_pages(self, walk_csr, name):
-        spec = _node_spec(name, walk_csr)
-        for width, fleet in _node_fleets(walk_csr, spec, seed=5):
+    def test_ledgers_count_trajectory_pages(self, walk_csr):
+        for width, fleet in _node_fleets(walk_csr, seed=5):
             for num_steps in (1, STEPS // 2, STEPS):
                 prefix = fleet.prefix(num_steps)
-                expected = []
-                for w in range(width):
-                    pages = set(prefix.trajectories[w].tolist())
-                    if prefix.probed is not None:
-                        pages |= set(prefix.probed[w].tolist())
-                    expected.append(len(pages))
-                assert prefix.charged_calls().tolist() == expected, (
-                    name, width, num_steps,
-                )
+                expected = [len(set(row.tolist())) for row in prefix.trajectories]
+                assert prefix.charged_calls().tolist() == expected, (width, num_steps)
+
+
+def _shape(name):
+    """A small graph of known structure, its edges and its check of a step."""
+    if name == "path":  # 0 - 1 - ... - 9: every step moves by one
+        edges = [(node, node + 1) for node in range(9)]
+        step_ok = lambda u, v: abs(u - v) == 1
+    elif name == "odd-cycle":  # 0 - 1 - ... - 8 - 0
+        edges = [(node, (node + 1) % 9) for node in range(9)]
+        step_ok = lambda u, v: (u - v) % 9 in (1, 8)
+    elif name == "star":  # hub 0, eight leaves: every other position is the hub
+        edges = [(0, leaf) for leaf in range(1, 9)]
+        step_ok = lambda u, v: (u == 0) != (v == 0)
+    elif name == "complete":  # K6: any other node
+        edges = [(u, v) for u in range(6) for v in range(u + 1, 6)]
+        step_ok = lambda u, v: u != v
+    else:  # two-components: a triangle and a square never meet
+        edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]
+        step_ok = lambda u, v: (u < 3) == (v < 3)
+    csr = CSRGraph.from_edge_array(np.array(edges, dtype=np.int64))
+    return csr, edges, step_ok
+
+
+SHAPES = ["path", "odd-cycle", "star", "complete", "two-components"]
+
+
+class TestNodeFleetOnShapes:
+    """The gather step on graphs whose every legal move is known."""
+
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_every_step_is_a_legal_move(self, name):
+        csr, edges, step_ok = _shape(name)
+        fleet = BatchedWalkEngine(csr, 31).run_fleet(64, STEPS, burn_in=BURN_IN)
+        legal = set(edges) | {(v, u) for u, v in edges}
+        for w, row in enumerate(fleet.trajectories.tolist()):
+            for t, (u, v) in enumerate(zip(row[:-1], row[1:])):
+                assert (u, v) in legal and step_ok(u, v), (name, w, t)
+
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_every_neighbor_is_drawn(self, name):
+        """Each node's moves reach all of its neighbors, the last
+        neighbor of its row included, and nothing else."""
+        csr, edges, _ = _shape(name)
+        fleet = BatchedWalkEngine(csr, 37).run_fleet(64, STEPS, burn_in=BURN_IN)
+        moves = {}
+        for row in fleet.trajectories.tolist():
+            for u, v in zip(row[:-1], row[1:]):
+                moves.setdefault(u, set()).add(v)
+        assert set(moves) == set(range(csr.num_nodes))
+        for u, seen in moves.items():
+            assert seen == set(csr.neighbors(u).tolist()), (name, u)
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,6 @@ import pytest
 from repro.core.samplers.csr_backend import (
     classify_edge_fleet,
     classify_node_fleet,
-    run_fleet_walk,
     validate_reuse,
 )
 from repro.exceptions import ConfigurationError
@@ -27,6 +26,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.sweeps import frequency_sweep
 from repro.graph.csr import csr_view
+from repro.walks.batched import BatchedWalkEngine
 
 BURN_IN = 15
 
@@ -39,7 +39,7 @@ def suite(gender_osn):
 class TestFleetPrefix:
     def test_prefix_is_a_view_of_the_same_walk(self, gender_osn):
         csr = csr_view(gender_osn)
-        fleet = run_fleet_walk(csr, 60, 8, BURN_IN, np.random.default_rng(1), "simple")
+        fleet = BatchedWalkEngine(csr, np.random.default_rng(1)).run_fleet(8, 60, BURN_IN)
         short = fleet.prefix(25)
         assert short.burn_in == fleet.burn_in
         assert short.num_steps == 25
@@ -50,13 +50,13 @@ class TestFleetPrefix:
 
     def test_full_length_prefix_is_self(self, gender_osn):
         csr = csr_view(gender_osn)
-        fleet = run_fleet_walk(csr, 30, 4, 0, np.random.default_rng(2), "simple")
+        fleet = BatchedWalkEngine(csr, np.random.default_rng(2)).run_fleet(4, 30, 0)
         assert fleet.prefix(30) is fleet
 
     def test_prefix_ledger_matches_truncated_run(self, gender_osn):
         csr = csr_view(gender_osn)
         rng_state = np.random.default_rng(3)
-        fleet = run_fleet_walk(csr, 50, 6, BURN_IN, rng_state, "simple")
+        fleet = BatchedWalkEngine(csr, rng_state).run_fleet(6, 50, BURN_IN)
         short = fleet.prefix(20)
         # same per-walker distinct counts as recomputing from scratch
         expected = [
@@ -66,7 +66,7 @@ class TestFleetPrefix:
 
     def test_overlong_prefix_rejected(self, gender_osn):
         csr = csr_view(gender_osn)
-        fleet = run_fleet_walk(csr, 10, 2, 0, np.random.default_rng(4), "simple")
+        fleet = BatchedWalkEngine(csr, np.random.default_rng(4)).run_fleet(2, 10, 0)
         with pytest.raises(ConfigurationError):
             fleet.prefix(11)
 
@@ -99,7 +99,7 @@ class TestRunTrialsPrefix:
 
     def test_classification_agrees_with_prefix_classification(self, gender_osn):
         csr = csr_view(gender_osn)
-        fleet = run_fleet_walk(csr, 40, 5, BURN_IN, np.random.default_rng(6), "simple")
+        fleet = BatchedWalkEngine(csr, np.random.default_rng(6)).run_fleet(5, 40, BURN_IN)
         full = classify_edge_fleet(csr, fleet, 1, 2)
         short = classify_edge_fleet(csr, fleet.prefix(15), 1, 2)
         assert np.array_equal(short.sources, full.sources[:, :15])

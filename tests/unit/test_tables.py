@@ -76,3 +76,31 @@ class TestRunPaperTable:
         # dataset and pair index to the definition's values.
         assert result.config.dataset == "facebook"
         assert result.config.target_pair_index == 0
+
+    @pytest.mark.parametrize(
+        "algorithms, baselines_built",
+        [
+            (None, True),
+            (("NeighborSample-HH", "NeighborExploration-HH"), False),
+            (("NeighborSample-HH", "EX-RW"), True),
+        ],
+        ids=["all-ten", "proposed-only", "one-baseline"],
+    )
+    def test_baselines_are_built_exactly_when_requested(
+        self, monkeypatch, algorithms, baselines_built
+    ):
+        import repro.experiments.tables as tables
+
+        calls = []
+
+        def recording_suite(graph=None, include_baselines=True, algorithms=None):
+            calls.append((graph is not None, include_baselines))
+            raise ExperimentError("suite recorded")
+
+        monkeypatch.setattr(tables, "build_algorithm_suite", recording_suite)
+        config = ExperimentConfig(
+            dataset="facebook", repetitions=2, scale=0.1, algorithms=algorithms
+        )
+        with pytest.raises(ExperimentError, match="suite recorded"):
+            run_paper_table(4, config)
+        assert calls == [(baselines_built, baselines_built)]
