@@ -29,10 +29,7 @@ versus one shared-memory segment whose O(1) handles the workers
 reattach (``shm``), recording worker-spawn overhead per transport and
 asserting — at the ≥10⁶ rung — that handles beat the pickling path.
 That gap is why the harness pool publishes every CSR graph instead of
-pickling it.  It also runs a subprocess peak-RSS comparison of a
-memory-mapped graph against a fully-loaded twin, asserting the mmap
-run's RSS delta stays under the graph's in-RAM footprint (the
-out-of-core claim).
+pickling it.
 
 A fifth test (``prefix_jobs``) times a ten-algorithm ``reuse="prefix"``
 table on the 10⁴ rung at ``n_jobs`` 1 and 2: the prefix fleets are pool
@@ -48,11 +45,7 @@ file is a full-ladder run including the ≥10⁶-node rung.
 import json
 import os
 import resource
-import subprocess
-import sys
-import tempfile
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -344,71 +337,15 @@ def test_ten_algorithm_table_at_scale():
     assert not best_name.startswith("EX-"), _RESULTS["ten_algorithm_table"]
 
 
-#: Subprocess probe for the out-of-core RSS comparison: open the spilled
-#: sidecar either memory-mapped or fully loaded, run a modest fleet, and
-#: report this process's peak RSS.  A fresh interpreter per mode keeps
-#: the measurement honest (the parent's RSS peak is already polluted by
-#: graph synthesis).  VmHWM is read from /proc/self/status because
-#: getrusage's ru_maxrss survives execve on Linux — a forked-and-exec'd
-#: child would report the *parent's* gigabyte peak.
-_RSS_PROBE = """
-import json, sys
-from repro.graph.store import load_csr_npz
-from repro.walks.batched import BatchedWalkEngine
-payload = {"mode": sys.argv[2]}
-if sys.argv[2] != "baseline":  # baseline: imports only, so the deltas
-    graph = load_csr_npz(sys.argv[1], mmap=(sys.argv[2] == "mmap"))
-    fleet = BatchedWalkEngine(graph, rng=1).run_fleet(32, 150)
-    assert fleet.num_walkers == 32
-    payload["store"] = graph.store
-with open("/proc/self/status") as status:
-    for line in status:
-        if line.startswith("VmHWM:"):
-            payload["maxrss_bytes"] = int(line.split()[1]) * 1024
-print(json.dumps(payload))
-"""
-
-
-def _drop_page_cache(path: Path) -> None:
-    """Evict *path* from the page cache (models the true out-of-core regime).
-
-    Freshly written sidecars are fully cached, and the kernel's
-    fault-around maps every cached page it finds near a fault — a
-    hot-cache mmap probe would report the whole file resident no matter
-    how little the walk touches.  A graph genuinely past RAM is never
-    fully cached, so the probe measures that regime: sync (dirty pages
-    survive DONTNEED) and advise the cache away.
-    """
-    os.sync()
-    descriptor = os.open(str(path), os.O_RDONLY)
-    try:
-        os.posix_fadvise(descriptor, 0, 0, os.POSIX_FADV_DONTNEED)
-    finally:
-        os.close(descriptor)
-
-
-def _probe_rss(sidecar: Path, mode: str) -> int:
-    if mode != "baseline":
-        _drop_page_cache(sidecar)
-    env = dict(os.environ)
-    src = Path(__file__).resolve().parent.parent / "src"
-    env["PYTHONPATH"] = f"{src}{os.pathsep}{env.get('PYTHONPATH', '')}"
-    completed = subprocess.run(
-        [sys.executable, "-c", _RSS_PROBE, str(sidecar), mode],
-        capture_output=True, text=True, check=True, env=env,
-    )
-    return int(json.loads(completed.stdout)["maxrss_bytes"])
-
-
 def test_graph_store_fleets():
-    """Buffer backends at the top rung: shm vs pickled workers, mmap RSS."""
+    """Buffer stores at the top rung: shm handles vs pickled workers."""
     import multiprocessing
     import pickle
 
     from repro.experiments import runner as runner_module
     from repro.experiments.algorithms import build_algorithm_suite
     from repro.experiments.runner import GridColumn, GridJob
-    from repro.graph.store import publish_csr, save_csr_npz
+    from repro.graph.store import publish_csr
     from repro.utils.rng import derive_seed
 
     num_nodes = max(RUNGS)
@@ -456,7 +393,7 @@ def test_graph_store_fleets():
         graph_ref = graph
         started = time.perf_counter()
         if store == "shm":
-            publication = publish_csr(graph, "shm")
+            publication = publish_csr(graph)
             graph_ref = publication.handle
         try:
             with ctx.Pool(
@@ -487,14 +424,6 @@ def test_graph_store_fleets():
         # The store moves bytes, never random draws.
         assert ours.estimates == theirs.estimates
 
-    # Out-of-core: peak RSS of a memory-mapped run vs a fully-loaded twin,
-    # each in its own interpreter.
-    with tempfile.TemporaryDirectory(prefix="repro-mmap-bench-") as scratch:
-        sidecar = save_csr_npz(graph, Path(scratch) / "rung.npz")
-        baseline_rss = _probe_rss(sidecar, "baseline")
-        mmap_rss = _probe_rss(sidecar, "mmap")
-        inram_rss = _probe_rss(sidecar, "ram")
-
     _RESULTS["graph_store"] = {
         "num_nodes": graph.num_nodes,
         "num_edges": graph.num_edges,
@@ -511,23 +440,11 @@ def test_graph_store_fleets():
             "shm_speedup": round(ram_seconds / shm_seconds, 2),
             "bit_identical_tables": True,
         },
-        "mmap_peak_rss": {
-            "walkers": 32,
-            "steps_per_walker": 150,
-            "interpreter_baseline_mb": round(baseline_rss / 2**20, 1),
-            "mmap_mb": round(mmap_rss / 2**20, 1),
-            "fully_loaded_mb": round(inram_rss / 2**20, 1),
-            "mmap_delta_mb": round((mmap_rss - baseline_rss) / 2**20, 1),
-            "fully_loaded_delta_mb": round((inram_rss - baseline_rss) / 2**20, 1),
-        },
     }
     if num_nodes >= 1_000_000:
-        # Acceptance floors (10⁶ rung): shm multi-process beats the
-        # pickling path, and the mmap run's working set stays under the
-        # graph's in-RAM footprint.
+        # Acceptance floor (10⁶ rung): shm multi-process beats the
+        # pickling path.
         assert shm_seconds < ram_seconds, _RESULTS["graph_store"]
-        assert mmap_rss < inram_rss, _RESULTS["graph_store"]
-        assert mmap_rss - baseline_rss < inram_bytes, _RESULTS["graph_store"]
 
 
 def test_prefix_jobs():

@@ -20,12 +20,12 @@ Sub-commands
     Profile the charged API calls of every algorithm at a fixed budget.
 ``serve``
     Boot the long-lived estimation service: publish one dataset into
-    the shm/mmap store and answer micro-batched estimate queries over
+    shared memory and answer micro-batched estimate queries over
     HTTP (``/healthz``, ``/stats``, ``POST /estimate``).
 ``sweep-spills``
-    Reclaim orphaned ``$REPRO_MMAP_DIR`` spill files and shared-memory
-    segments left behind by killed runs, plus committed journals and
-    dead-pid scratch temps.
+    Reclaim shared-memory segments left behind by killed runs; with
+    ``--directory``, also committed journals and dead-pid scratch temps
+    there.
 ``fsck``
     Verify durable ``.npz`` artifacts: blake2b manifest check plus the
     deep :meth:`CSRGraph.validate_invariants` structural check.
@@ -43,7 +43,7 @@ from repro.core.samplers.csr_backend import EXECUTIONS, REUSES
 from repro.core.pipeline import available_algorithms, estimate_target_edge_count
 from repro.datasets.registry import dataset_names, load_dataset
 from repro.experiments.config import ExperimentConfig
-from repro.graph.store import DATASET_STORES, GRAPH_STORES
+from repro.graph.store import GRAPH_STORES
 from repro.experiments.figures import run_paper_figure
 from repro.experiments.reporting import (
     format_frequency_series,
@@ -130,16 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--execution fleet or --reuse prefix",
     )
     table.add_argument(
-        "--graph-store",
-        choices=DATASET_STORES,
-        default="ram",
-        dest="graph_store",
-        help="dataset backing: 'mmap' memory-maps the dataset from an .npz "
-        "sidecar (out-of-core); needs --representation csr (identical "
-        "tables either way; --jobs workers reattach the CSR buffers by "
-        "handle regardless)",
-    )
-    table.add_argument(
         "--journal",
         default=None,
         help="path to an append-only experiment journal; every completed "
@@ -185,14 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="dict",
         help="dataset substrate; 'csr' synthesises array-natively (paper "
         "scale) and needs --execution fleet or --reuse prefix",
-    )
-    figure.add_argument(
-        "--graph-store",
-        choices=DATASET_STORES,
-        default="ram",
-        dest="graph_store",
-        help="dataset backing: 'mmap' memory-maps the dataset (out-of-core); "
-        "needs --representation csr",
     )
     figure.add_argument(
         "--journal",
@@ -250,8 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="shm",
         dest="graph_store",
         help="buffer store the graph is published into at startup: 'shm' "
-        "(fits-in-RAM, fastest), 'mmap' (out-of-core sidecar), 'ram' "
-        "(no publication; dev only)",
+        "(shared-memory segment) or 'ram' (no publication; dev only)",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8000)
@@ -339,22 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = subparsers.add_parser(
         "sweep-spills",
-        help="reclaim orphaned $REPRO_MMAP_DIR spill files and shared-memory "
-        "segments from dead runs",
+        help="reclaim shared-memory segments of dead publishers (and, with "
+        "--directory, dead writers' scratch files and committed journals)",
     )
     sweep.add_argument(
         "--directory",
         default=None,
-        help="spill directory to sweep (default: $REPRO_MMAP_DIR or the "
-        "tempdir spill location)",
-    )
-    sweep.add_argument(
-        "--max-age-seconds",
-        type=float,
-        default=None,
-        dest="max_age_seconds",
-        help="also delete pid-less spill files older than this (without it "
-        "only files whose recorded owner pid is dead are touched)",
+        help="also sweep this directory: delete atomic-write scratch files "
+        "whose writer pid is dead and journals that recorded a commit "
+        "(default: sweep shared-memory segments only)",
     )
     sweep.add_argument(
         "--dry-run",
@@ -472,7 +446,6 @@ def _command_table(args) -> int:
         execution=args.execution,
         reuse=args.reuse,
         representation=args.representation,
-        graph_store=args.graph_store,
         n_jobs=n_jobs,
         journal=args.journal,
         resume=args.resume,
@@ -503,7 +476,6 @@ def _command_figure(args) -> int:
         execution=args.execution,
         reuse=args.reuse,
         representation=args.representation,
-        graph_store=args.graph_store,
         n_jobs=n_jobs,
         journal=args.journal,
         resume=args.resume,
@@ -648,11 +620,9 @@ def _command_serve(args) -> int:
 def _command_sweep_spills(args) -> int:
     from repro.graph.store import sweep_orphan_segments, sweep_orphan_spills
 
-    victims = sweep_orphan_spills(
-        directory=args.directory,
-        max_age_seconds=args.max_age_seconds,
-        dry_run=args.dry_run,
-    ) + sweep_orphan_segments(dry_run=args.dry_run)
+    victims = sweep_orphan_segments(dry_run=args.dry_run)
+    if args.directory is not None:
+        victims += sweep_orphan_spills(args.directory, dry_run=args.dry_run)
     verb = "would remove" if args.dry_run else "removed"
     for victim in victims:
         print(f"{verb}: {victim}")

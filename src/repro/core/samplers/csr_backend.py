@@ -35,11 +35,9 @@ the one-pass budget ledger (:class:`PrefixLedger`) defined here.
 
 The fleet classification paths touch the graph only through gathers
 (label masks indexed by trajectories, ``gather_neighbors`` for the
-exploration ledgers) and the incident-count table — whose underlying
-whole-adjacency pass dispatches to the chunked-gather fallback on
-memory-mapped graphs (:meth:`CSRGraph.neighbor_mask_counts`) — so they
-run unchanged over shm/mmap-backed CSR buffers
-(:mod:`repro.graph.store`).
+exploration ledgers) and the incident-count table
+(:meth:`CSRGraph.neighbor_mask_counts`), so they run unchanged over
+shm-backed CSR buffers (:mod:`repro.graph.store`).
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ instead, load it with :mod:`repro.graph.io` and bypass this registry.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -23,14 +22,6 @@ import numpy as np
 from repro.exceptions import DatasetError
 from repro.graph.csr import CSRGraph
 from repro.graph.labeled_graph import Label, LabeledGraph
-from repro.graph.store import (
-    DATASET_STORES,
-    SpillOwnership,
-    default_mmap_dir,
-    spill_csr_to_mmap,
-    track_spill,
-    validate_graph_store,
-)
 from repro.graph.statistics import (
     count_target_edges,
     edge_label_histogram,
@@ -117,25 +108,11 @@ class Dataset:
     seed: int
     scale: float
     _labeled: Optional[LabeledGraph] = field(default=None, repr=False, compare=False)
-    _spill: Optional[SpillOwnership] = field(default=None, repr=False, compare=False)
 
     @property
     def name(self) -> str:
         """Registry name of the underlying spec."""
         return self.spec.name
-
-    def release(self) -> None:
-        """Reclaim any spilled sidecar this dataset owns (idempotent).
-
-        Only meaningful for ``graph_store="mmap"`` datasets; the
-        in-process cache calls this from
-        :func:`clear_dataset_cache`, and ``use_cache=False`` callers
-        own the release themselves (a dropped, unreleased spill warns
-        :class:`ResourceWarning`, mirroring the shm publication
-        discipline).
-        """
-        if self._spill is not None:
-            self._spill.release()
 
     @property
     def representation(self) -> str:
@@ -311,10 +288,8 @@ def select_target_pairs(
     return pairs
 
 
-#: Keyed by (name, seed, scale, representation, graph_store) — the store
-#: mode is part of the key so a memory-mapped open never aliases (or is
-#: aliased by) an in-RAM cache entry for the same dataset.
-_CACHE: Dict[Tuple[str, int, float, str, str], Dataset] = {}
+#: Keyed by (name, seed, scale, representation).
+_CACHE: Dict[Tuple[str, int, float, str], Dataset] = {}
 
 
 def _synthesize_csr(spec: DatasetSpec, seed: int, num_nodes: int, edges_per_node: int) -> CSRGraph:
@@ -360,7 +335,6 @@ def load_dataset(
     scale: float = 1.0,
     use_cache: bool = True,
     representation: str = "dict",
-    graph_store: str = "ram",
 ) -> Dataset:
     """Generate (or fetch from cache) one dataset stand-in.
 
@@ -384,19 +358,9 @@ def load_dataset(
         (``scale`` large enough for ≥10⁶ nodes).  The two substrates
         sample the same dataset *shape* (degree law, label model,
         target-pair selection) but draw from different random streams,
-        so their graphs are statistically, not bitwise, alike.
-    graph_store:
-        Which buffer store backs a CSR dataset.  ``"ram"`` (default)
-        keeps the arrays in process RAM (an ``n_jobs`` worker pool
-        publishes them to shared memory by itself); ``"mmap"`` spills
-        the synthesised arrays to an ``.npz`` sidecar under
-        :func:`repro.graph.store.default_mmap_dir` and reopens them
-        memory-mapped — the graph's adjacency pages in on demand
-        and the dataset pickles as an O(1) handle.  The spilled arrays
-        are bit-identical to the in-RAM ones (same synthesis streams),
-        so experiments agree exactly across stores.  The in-process
-        cache is keyed by the store mode, so a memory-mapped open never
-        aliases an in-RAM entry.
+        so their graphs are statistically, not bitwise, alike.  A CSR
+        dataset lives in process RAM; an ``n_jobs`` worker pool
+        publishes it to shared memory by itself.
     """
     if name not in DATASET_SPECS:
         raise DatasetError(
@@ -407,14 +371,8 @@ def load_dataset(
             f"unknown representation {representation!r}; "
             f"available: {', '.join(REPRESENTATIONS)}"
         )
-    validate_graph_store(graph_store, DATASET_STORES)
-    if graph_store != "ram" and representation != "csr":
-        raise DatasetError(
-            f"graph_store={graph_store!r} needs the array-native substrate; "
-            "pass representation='csr'"
-        )
     check_positive(scale, "scale")
-    key = (name, int(seed), float(scale), representation, graph_store)
+    key = (name, int(seed), float(scale), representation)
     if use_cache and key in _CACHE:
         return _CACHE[key]
 
@@ -422,23 +380,8 @@ def load_dataset(
     num_nodes = max(64, int(round(spec.num_nodes * scale)))
     edges_per_node = min(spec.edges_per_node, max(2, num_nodes // 4))
     graph: Union[LabeledGraph, CSRGraph]
-    spill: Optional[SpillOwnership] = None
     if representation == "csr":
         graph = _synthesize_csr(spec, int(seed), num_nodes, edges_per_node)
-        if graph_store == "mmap":
-            # Spill-and-reattach: synthesis is deterministic in (name,
-            # seed, scale), but specs are test-tweakable, so the sidecar
-            # is rewritten (atomically, with a blake2b manifest footer
-            # that attach verifies per REPRO_VERIFY_ARTIFACTS) rather
-            # than trusted when present.  The pid in the name keeps
-            # concurrent processes off each other's files and lets
-            # sweep_orphan_spills identify files whose spilling process
-            # died without releasing them.
-            sidecar = default_mmap_dir() / (
-                f"{name}-seed{int(seed)}-scale{float(scale)}-pid{os.getpid()}.npz"
-            )
-            graph = spill_csr_to_mmap(graph, sidecar)
-            spill = track_spill(sidecar)
     else:
         rng = ensure_rng(seed)
         graph = powerlaw_cluster_osn(
@@ -459,7 +402,6 @@ def load_dataset(
         target_counts=counts,
         seed=int(seed),
         scale=float(scale),
-        _spill=spill,
     )
     if use_cache:
         _CACHE[key] = dataset
@@ -467,14 +409,7 @@ def load_dataset(
 
 
 def clear_dataset_cache() -> None:
-    """Drop all cached datasets and reclaim their spilled sidecars.
-
-    Used by tests that tweak specs, and by anyone cycling through many
-    mmap datasets in one process: releasing each cached dataset deletes
-    its ``$REPRO_MMAP_DIR`` spill file (live memmap views stay valid
-    until unmapped, POSIX unlink semantics)."""
-    for dataset in _CACHE.values():
-        dataset.release()
+    """Drop all cached datasets (used by tests that tweak specs)."""
     _CACHE.clear()
 
 

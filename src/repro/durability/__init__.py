@@ -5,8 +5,8 @@ legs, each a module here:
 
 * :mod:`~repro.durability.atomic` + :mod:`~repro.durability.manifest` —
   every durable write is scratch-file + fsync + ``os.replace``, and
-  every ``.npz`` carries a blake2b manifest footer the attach paths
-  verify before memory-mapping a byte (full / sampled / off, via
+  every ``.npz`` carries a blake2b manifest footer the load paths
+  verify before reading a byte (full / sampled / off, via
   ``REPRO_VERIFY_ARTIFACTS``);
 * :mod:`~repro.durability.journal` — long sweeps WAL each completed
   cell, fingerprint-keyed, so ``--resume`` replays the finished work

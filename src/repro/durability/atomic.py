@@ -1,7 +1,7 @@
 """Crash-consistent file writes: same-directory scratch + fsync + replace.
 
-Every durable artifact this repo writes — ``.npz`` sidecars, mmap
-spills, experiment journals, answer-cache snapshots — goes through one
+Every durable artifact this repo writes — ``.npz`` sidecars and CSR
+archives, experiment journals, answer-cache snapshots — goes through one
 of these helpers, so a writer killed at *any* instruction leaves either
 the old file (intact) or the new file (complete), never a torn hybrid:
 

@@ -84,7 +84,7 @@ def graph_fingerprint(graph: object) -> str:
 
     For CSR graphs this probes the head and tail of ``indptr`` /
     ``indices`` (and ``label_array`` when present) on top of the node
-    and edge counts — O(1) I/O even on a memory-mapped graph, yet any
+    and edge counts — O(1) reads even on a million-node graph, yet any
     regeneration with different parameters changes it.  Dict graphs
     hash only their counts and type (they are never the resume target
     at the scale where resume matters).

@@ -4,9 +4,8 @@ A checksummed ``.npz`` is a plain zip whose **end-of-central-directory
 comment** carries a JSON manifest: per-member sizes, a whole-member
 blake2b digest, and per-page digests (:data:`PAGE_BYTES` pages).  The
 comment is the one zip field that lives *after* all member data, so it
-is a literal manifest footer: attaching it never moves the raw byte
-offsets that :func:`repro.graph.store.npz_array_specs` memory-maps, and
-``np.load`` keeps working unchanged (readers locate the central
+is a literal manifest footer: attaching it never moves the members'
+raw bytes, and ``np.load`` keeps working unchanged (readers locate the central
 directory by scanning backwards past the comment).
 
 Writes go through :func:`write_npz` — scratch file, ``np.savez``,
@@ -23,9 +22,9 @@ walked:
     the fsck / CI mode;
 ``sampled``
     member sizes plus up to :data:`SAMPLE_PAGES` evenly spaced page
-    digests per member — O(pages) I/O, the big-mmap-graph mode (it
-    catches truncation and localized damage without paging in a
-    multi-GB spill that ``MADV_RANDOM`` was trying to keep cold);
+    digests per member — O(pages) I/O, the quick mode for multi-GB
+    artifacts (it catches truncation and localized damage without
+    reading every byte);
 ``off``
     presence only (escape hatch).
 
@@ -263,7 +262,8 @@ def write_npz(path: PathLike, payload: Mapping[str, np.ndarray]) -> Path:
     """Atomically write a checksummed, uncompressed ``.npz`` at *path*.
 
     The single write path for every durable ``.npz`` this repo produces
-    (io sidecars, mmap spills, published-store spills): scratch file in
+    (edge-list sidecars, :func:`repro.graph.store.save_csr_npz`
+    archives): scratch file in
     the same directory, ``np.savez``, manifest footer, fsync, rename.
     A crash at any point leaves the previous *path* (if any) intact.
     """

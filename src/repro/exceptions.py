@@ -93,10 +93,9 @@ class StoreAttachError(GraphError):
     """A published CSR buffer store could not be (re)attached.
 
     Raised instead of a leaked :class:`FileNotFoundError` when a
-    shared-memory segment has been unlinked or an ``.npz`` sidecar
-    deleted out from under an attach — the message always names the
-    segment or path.  Marked :attr:`retryable` because the usual causes
-    (a publisher racing its own unlink, a sidecar mid-rewrite) are
+    shared-memory segment has been unlinked out from under an attach —
+    the message always names the segment.  Marked :attr:`retryable`
+    because the usual cause (a publisher racing its own unlink) is
     transient: :class:`repro.resilience.Retry` re-attaches with
     decorrelated-jitter backoff wherever the service or the worker
     plane attaches.
@@ -114,12 +113,12 @@ class ArtifactCorruptError(GraphError):
     """A durable artifact failed its integrity check.
 
     Raised by the durability layer (:mod:`repro.durability`) when a
-    checksummed ``.npz`` sidecar, spill, snapshot, or checkpoint does
-    not match its blake2b manifest — a torn write, a bit flip, a
+    checksummed ``.npz`` sidecar, CSR archive, snapshot, or checkpoint
+    does not match its blake2b manifest — a torn write, a bit flip, a
     truncation — and by :meth:`repro.graph.csr.CSRGraph.validate_invariants`
-    when the CSR structure itself is inconsistent.  The attach paths
-    raise this *instead of* memory-mapping garbage, so a corrupt file
-    can never silently walk.
+    when the CSR structure itself is inconsistent.  The load paths
+    raise this *instead of* reading garbage, so a corrupt file can
+    never silently walk.
 
     Marked :attr:`retryable` because the most common cause in practice
     is not media corruption but a reader racing a writer's atomic

@@ -15,7 +15,6 @@ from typing import Optional, Sequence, Tuple
 
 from repro.core.samplers.csr_backend import validate_execution, validate_reuse
 from repro.exceptions import ConfigurationError
-from repro.graph.store import DATASET_STORES, validate_graph_store
 from repro.utils.validation import check_fraction, check_positive_int
 
 #: 0.5% .. 5.0% of |V|, the x-axis of every NRMSE table in the paper.
@@ -75,14 +74,6 @@ class ExperimentConfig:
         ``execution="fleet"`` or ``reuse="prefix"`` — the sequential
         loop simulates the restricted API over the dict substrate —
         and then reproduces the full ten-algorithm tables.
-    graph_store:
-        Which buffer store backs the CSR dataset: ``"ram"`` (default,
-        process-private arrays) or ``"mmap"`` (the dataset is
-        memory-mapped from an ``.npz`` sidecar — out-of-core, peak RSS
-        well under the in-RAM footprint).  ``"mmap"`` requires
-        ``representation="csr"``; results are bit-identical across
-        both.  How ``n_jobs`` workers receive the graph follows from
-        it (see :func:`repro.experiments.runner.run_jobs_parallel`).
     n_jobs:
         Worker processes for the grid's jobs (prefix fleets and cells
         alike); job seeds are pre-derived so any worker count
@@ -114,7 +105,6 @@ class ExperimentConfig:
     execution: str = "sequential"
     reuse: str = "none"
     representation: str = "dict"
-    graph_store: str = "ram"
     n_jobs: int = 1
     journal: Optional[str] = None
     resume: bool = False
@@ -125,13 +115,6 @@ class ExperimentConfig:
         check_positive_int(self.n_jobs, "n_jobs")
         validate_execution(self.execution)
         validate_reuse(self.reuse)
-        validate_graph_store(self.graph_store, DATASET_STORES)
-        if self.graph_store != "ram" and self.representation != "csr":
-            raise ConfigurationError(
-                f"graph_store={self.graph_store!r} stores CSR buffers "
-                "externally; the dict representation has none — combine it "
-                "with representation='csr'"
-            )
         if self.representation not in ("dict", "csr"):
             raise ConfigurationError(
                 f"unknown representation {self.representation!r}; "

@@ -116,7 +116,6 @@ def run_paper_figure(
         seed=config.seed,
         scale=config.scale,
         representation=config.representation,
-        graph_store=config.graph_store,
     )
     pairs = select_target_pairs(dataset.graph, count=definition.num_pairs)
     points = frequency_sweep(

@@ -47,8 +47,8 @@ reaches the workers: a dict graph is pickled once per worker (its
 frozen CSR view instead when every job is a fleet job), and a
 :class:`CSRGraph` travels as an O(1) :class:`~repro.graph.store.CSRHandle`
 that workers reattach zero-copy — its own handle when it is already
-shm- or mmap-backed, a fresh shared-memory publication when it lives in
-RAM — unless no flat buffer can hold it, in which case it is pickled
+shm-backed, a fresh shared-memory publication when it lives in RAM —
+unless no flat buffer can hold it, in which case it is pickled
 too.  The transport never touches a random stream.
 
 One durability knob: ``journal=`` names an append-only JSONL WAL
@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import math
 import pickle
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -723,8 +723,8 @@ def _init_job_worker(
     passes.
     """
     if isinstance(graph_ref, CSRHandle):
-        # Attach with backoff: the publisher may be racing a re-publish
-        # (sidecar mid-rewrite) and StoreAttachError is retryable.
+        # Attach with backoff: StoreAttachError is retryable, and an
+        # injected store.attach fault clears within a retry or two.
         handle = graph_ref
         graph_ref = Retry(attempts=3, base_seconds=0.05).call(
             lambda: attach_csr(handle), describe="worker store attach"
@@ -764,10 +764,10 @@ def run_jobs_parallel(
 
     The graph picks its own transport.  A dict graph is pickled into
     each worker.  A :class:`CSRGraph` ships an O(1) handle that workers
-    reattach zero-copy: an shm- or mmap-backed graph re-uses its own
-    handle (plus the label caches computed since, by value), and a
-    graph in RAM is published once into a shared-memory segment, which
-    seals the caller's buffers read-only; one holding label sets (any
+    reattach zero-copy: an shm-backed graph re-uses its own handle
+    (plus the label caches computed since, by value), and a graph in
+    RAM is published once into a shared-memory segment, which seals the
+    caller's buffers read-only; one holding label sets (any
     :func:`csr_view` of a dict graph) cannot be, and is pickled too.
     Handles win at scale: at the 10⁶-node rung, a 4-worker spawn pool
     fed by-value pickles ran a fleet table about 3× slower than one fed
@@ -803,10 +803,10 @@ def run_jobs_parallel(
     graph_ref: Union[LabeledGraph, CSRHandle] = graph
     cache_payload: Optional[Dict] = None
     if isinstance(graph, CSRGraph) and is_publishable(graph):
-        publication = publish_csr(graph, "shm" if graph.store == "ram" else graph.store)
+        publication = publish_csr(graph)
         graph_ref = publication.handle
         if not publication.owns_resource:
-            # The graph was already externally backed, so its pre-existing
+            # The graph was already shm-backed, so its pre-existing
             # handle was reused — any caches computed *since* it was
             # written are not in it; ship them by value (O(|V|), vs the
             # O(|E|) recompute every worker would otherwise pay).
@@ -823,11 +823,16 @@ def run_jobs_parallel(
                 initializer=_init_job_worker,
                 initargs=(graph_ref, suite_blob, cache_payload),
             ) as pool:
-                futures = {
-                    pool.submit(_run_job_in_worker, job): index
-                    for index, job in enumerate(jobs)
-                    if index not in done
-                }
+                futures: Dict[Future, int] = {}
+                try:
+                    for index, job in enumerate(jobs):
+                        if index not in done:
+                            futures[pool.submit(_run_job_in_worker, job)] = index
+                except BrokenProcessPool:
+                    # A worker died before the last job was submitted:
+                    # the pool is broken, so drain what it took and
+                    # respawn for the rest.
+                    pool_broken = True
                 for future in as_completed(futures):
                     try:
                         row = future.result()

@@ -130,7 +130,6 @@ def run_paper_table(
         seed=config.seed,
         scale=config.scale,
         representation=config.representation,
-        graph_store=config.graph_store,
     )
     if config.target_pair_index >= len(dataset.target_pairs):
         raise ExperimentError(

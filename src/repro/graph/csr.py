@@ -55,9 +55,10 @@ _INT32_LIMIT = 2**31
 #: ``floor(sqrt(2**63)) - 1``.
 _PAIR_CODE_NODE_LIMIT = 3_037_000_498
 
-#: Window (in ``indices`` entries) of the chunked whole-array passes
-#: used on memory-mapped graphs: 4M int32 entries is a 16 MB read.
-_MMAP_CHUNK = 1 << 22
+#: Window (in ``indices`` entries) of the streamed range and row-order
+#: checks in :meth:`CSRGraph.validate_invariants`: 4M entries is a 32 MB
+#: int64 copy.
+_FSCK_CHUNK = 1 << 22
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -111,13 +112,13 @@ class CSRGraph:
     validate:
         When false, skip the O(|E|) range scan of ``indices``.  The
         attach paths of :mod:`repro.graph.store` pass this: re-opening
-        a trusted shared-memory segment or sidecar must not page the
-        whole (possibly larger-than-RAM) adjacency through memory just
-        to re-check bounds the publisher already checked.
+        a trusted shared-memory segment must not stream the whole
+        adjacency just to re-check bounds the publisher already
+        checked.
 
     The arrays need not be process-private RAM: :attr:`store` names the
-    backing buffer store (``"ram"`` by default; ``"shm"`` / ``"mmap"``
-    when :mod:`repro.graph.store` attached them), and an
+    backing buffer store (``"ram"`` by default; ``"shm"`` when
+    :mod:`repro.graph.store` attached them), and an
     externally-backed graph pickles as its O(1) :class:`CSRHandle`
     instead of by value (see :meth:`__reduce_ex__`).
     """
@@ -168,11 +169,11 @@ class CSRGraph:
         ):
             raise GraphError("indices contains out-of-range node indices")
         self.degrees = np.diff(self.indptr)
-        #: Which buffer store backs the arrays ("ram" | "shm" | "mmap");
-        #: repro.graph.store sets the non-default values on attach.
+        #: Which buffer store backs the arrays ("ram" | "shm");
+        #: repro.graph.store sets "shm" on attach.
         self.store: str = "ram"
         # Keeps an attached shared-memory segment mapped while any view
-        # into it is alive; None for ram/mmap-backed graphs.
+        # into it is alive; None for ram-backed graphs.
         self._buffer_owner: Optional[object] = None
         # O(1)-picklable reattach descriptor for externally-backed graphs.
         self._handle: Optional[object] = None
@@ -259,9 +260,8 @@ class CSRGraph:
         CSR graphs are immutable, so labeling is re-wrapping: the
         ``indptr`` / ``indices`` buffers are shared (no copy), only the
         label storage and the derived caches are fresh.  The buffer
-        store carries over (labels over a memory-mapped adjacency keep
-        the chunked whole-array fallbacks), but the reattach handle
-        does not — the new labels live in this process only, so the
+        store carries over (so an attached segment stays mapped), but
+        the reattach handle does not — the new labels live in this process only, so the
         re-wrapped graph pickles by value.
         """
         relabeled = CSRGraph(
@@ -279,9 +279,9 @@ class CSRGraph:
     def __reduce_ex__(self, protocol):
         """Pickle externally-backed graphs as their O(1) reattach handle.
 
-        A shm/mmap-backed graph serialises to its
+        A shm-backed graph serialises to its
         :class:`~repro.graph.store.CSRHandle` — a few hundred bytes —
-        and unpickles by reattaching the same segment/file zero-copy in
+        and unpickles by reattaching the same segment zero-copy in
         the receiving process.  This is what makes ``n_jobs`` fleets
         cheap at million-node scale: submitting work never re-ships the
         adjacency.  RAM-backed graphs keep the default by-value pickle.
@@ -438,7 +438,7 @@ class CSRGraph:
         second; list indexing beats numpy scalar indexing there.  Note
         this **densifies** the adjacency into Python lists — it belongs
         to the scalar reference paths only; the fleet engines gather
-        straight from the (possibly shm/mmap-backed) numpy arrays and
+        straight from the (possibly shm-backed) numpy arrays and
         never call it.
         """
         if self._indptr_list is None:
@@ -476,47 +476,12 @@ class CSRGraph:
 
         Implemented with a cumulative sum over the flat neighbor array so
         empty adjacency rows are handled correctly (``np.add.reduceat``
-        is not safe there).  This is one of the few whole-adjacency
-        passes in the data plane (the walk engines only *gather*), so on
-        a memory-mapped graph it dispatches to the chunked variant
-        instead of materialising an |E|-sized accumulator next to a
-        larger-than-RAM adjacency.
+        is not safe there).
         """
-        if self.store == "mmap":
-            return self._neighbor_mask_counts_chunked(mask)
         acc = np.concatenate(
             ([0], np.cumsum(mask[self.indices], dtype=np.int64))
         )
         return acc[self.indptr[1:]] - acc[self.indptr[:-1]]
-
-    def _neighbor_mask_counts_chunked(
-        self, mask: np.ndarray, chunk_size: int = _MMAP_CHUNK
-    ) -> np.ndarray:
-        """Chunked-gather fallback of :meth:`neighbor_mask_counts`.
-
-        Streams ``indices`` through fixed-size windows and records the
-        running mask-hit total at every ``indptr`` boundary falling in
-        the window, so peak extra memory is O(|V| + chunk) instead of
-        O(|E|) — the documented pattern for whole-array operations over
-        an out-of-core CSR graph.  Bit-identical to the dense pass.
-        """
-        boundary = np.zeros(self.indptr.size, dtype=np.int64)
-        indptr = self.indptr
-        total = int(self.indices.size)
-        running = 0
-        for lo in range(0, total, chunk_size):
-            hi = min(lo + chunk_size, total)
-            part = np.cumsum(mask[self.indices[lo:hi]], dtype=np.int64)
-            # Boundaries p with lo < p <= hi close inside this window
-            # (p == 0 rows keep the zero initialisation).
-            first = int(np.searchsorted(indptr, lo, side="right"))
-            last = int(np.searchsorted(indptr, hi, side="right"))
-            if first < last:
-                boundary[first:last] = running + part[
-                    np.asarray(indptr[first:last], dtype=np.int64) - lo - 1
-                ]
-            running += int(part[-1])
-        return boundary[1:] - boundary[:-1]
 
     def target_incident_counts(self, t1: Label, t2: Label) -> np.ndarray:
         """``T(u)`` for every node: incident target edges for ``(t1, t2)``.
@@ -553,7 +518,7 @@ class CSRGraph:
         stray in-place write raises ``ValueError: assignment destination
         is read-only`` at the write site instead of silently corrupting
         every attached view.  Attached graphs are already read-only
-        (shm views and ``mmap(mode="r")`` maps are sealed on attach);
+        (shm views are sealed on attach);
         :func:`repro.graph.store.publish_csr` seals the publisher's
         copy too, closing the mutate-after-publish gap.  *reason* is
         recorded for diagnostics (:attr:`sealed`).
@@ -633,7 +598,7 @@ class CSRGraph:
         check_sorted_rows: bool = True,
         symmetry_samples: int = 1024,
         seed: int = 0,
-        chunk_size: int = _MMAP_CHUNK,
+        chunk_size: int = _FSCK_CHUNK,
     ) -> Dict[str, object]:
         """Structural fsck of the CSR arrays; raise on any inconsistency.
 
@@ -645,8 +610,8 @@ class CSRGraph:
         * ``indptr`` starts at 0, ends at ``len(indices)``, and is
           monotone non-decreasing;
         * every entry of ``indices`` lies in ``[0, num_nodes)``
-          (streamed in :data:`_MMAP_CHUNK` windows so a memory-mapped
-          graph is never materialised);
+          (streamed in :data:`_FSCK_CHUNK` windows, so the check never
+          holds an |E|-sized int64 copy);
         * rows are strictly increasing (*check_sorted_rows*; the
           invariant of every artifact writer —
           :meth:`from_edge_array` sorts and dedupes — but not of dict

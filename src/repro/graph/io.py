@@ -200,30 +200,11 @@ def _sidecar_matches_source(payload, path: Path) -> bool:
     )
 
 
-def _attach_sidecar_mmap(cache_path: Path) -> CSRGraph:
-    """Open an edge-list sidecar memmap-native (zero-copy, read-only).
-
-    The sidecar is the uncompressed ``np.savez`` archive this module
-    writes, so each member's raw bytes can be handed straight to
-    :class:`numpy.memmap` (see :func:`repro.graph.store.npz_array_specs`)
-    — the graph's adjacency never has to fit in RAM.
-    """
-    from repro.graph.store import ArraySpec, CSRHandle, attach_csr, npz_array_specs
-
-    specs = tuple(
-        spec
-        for spec in npz_array_specs(cache_path)
-        if spec.key in ("node_ids", "indptr", "indices", "label_array")
-    )
-    return attach_csr(CSRHandle("mmap", str(cache_path), specs))
-
-
 def load_edge_list_csr(
     path: PathLike,
     keep_largest_component: bool = True,
     cache: Union[bool, PathLike] = False,
     comment: str = "#",
-    mmap: bool = False,
 ) -> CSRGraph:
     """Load an edge list straight into a cleaned :class:`CSRGraph`.
 
@@ -236,28 +217,18 @@ def load_edge_list_csr(
     (or at an explicit path) and reuses it while the source's recorded
     fingerprint (``st_mtime_ns`` **and** file size) still matches — so
     rewriting the edge list always invalidates the sidecar, even twice
-    within one second.  With ``mmap=True`` (requires a sidecar cache)
-    the graph is returned **memory-mapped**: its arrays are read-only
-    :class:`numpy.memmap` views over the sidecar, pages fault in on
-    demand, and the graph pickles as an O(1) handle — the out-of-core
-    path for crawls larger than RAM.  A stale sidecar (fingerprint
-    mismatch, or written under the other cleaning setting) is rebuilt
-    either way.  Node labels are not handled here; attach them
+    within one second.  A stale sidecar (fingerprint mismatch, or
+    written under the other cleaning setting) is rebuilt.  Node labels are not handled here; attach them
     afterwards with :meth:`CSRGraph.with_labels` (e.g. from
     :func:`load_node_labels` or a vectorized labeler).
     """
     path = Path(path)
     cache_path = _npz_cache_path(path, cache)
-    if mmap and cache_path is None:
-        raise DatasetError(
-            "mmap=True opens the .npz sidecar memory-mapped; pass cache=True "
-            "(or an explicit cache path) so there is a sidecar to map"
-        )
     if cache_path is not None and cache_path.exists():
         # Integrity before freshness: a torn or bit-flipped sidecar
         # raises a typed ArtifactCorruptError here (see the corrupt-
         # artifact runbook in docs/operations.md) instead of being
-        # np.load-ed — or worse, memory-mapped — as garbage.
+        # np.load-ed as garbage.
         verify_artifact(cache_path)
         with np.load(cache_path) as payload:
             # The sidecar records whether the component cleaner ran and
@@ -267,14 +238,12 @@ def load_edge_list_csr(
             fresh = bool(
                 payload.get("cleaned", True)
             ) == keep_largest_component and _sidecar_matches_source(payload, path)
-            if fresh and not mmap:
+            if fresh:
                 return CSRGraph(
                     payload["node_ids"],
                     payload["indptr"],
                     payload["indices"],
                 )
-        if fresh:
-            return _attach_sidecar_mmap(cache_path)
     edges = load_edge_array(path, comment=comment)
     # Dense indices from arbitrary node identifiers; unique_ids is the
     # sorted identifier vocabulary, inverse the per-endpoint index.
@@ -289,7 +258,7 @@ def load_edge_list_csr(
         mtime_ns, size = _source_fingerprint(path)
         # Atomic, checksummed sidecar write (scratch + fsync + rename):
         # a writer killed mid-write leaves any existing sidecar intact
-        # instead of a torn archive the mmap path would try to attach.
+        # instead of a torn archive the next load would try to read.
         write_npz(
             cache_path,
             dict(
@@ -301,8 +270,6 @@ def load_edge_list_csr(
                 source_size=np.int64(size),
             ),
         )
-    if mmap:
-        return _attach_sidecar_mmap(cache_path)
     return csr
 
 

@@ -1,25 +1,26 @@
-"""Pluggable buffer backends for :class:`~repro.graph.csr.CSRGraph`.
+"""Shared-memory publication of :class:`~repro.graph.csr.CSRGraph` buffers.
 
-A CSR graph is, at bottom, a handful of flat numpy arrays.  Historically
-those arrays always lived in process-private RAM; this module makes the
-backing store pluggable, which is what both scale ceilings named in the
-roadmap need:
+A CSR graph is, at bottom, a handful of flat numpy arrays.  They live
+in one of two buffer stores:
 
-* ``"ram"`` — plain numpy arrays (the default, unchanged behavior);
+* ``"ram"`` — plain process-private numpy arrays (the default);
 * ``"shm"`` — one POSIX shared-memory segment
   (:mod:`multiprocessing.shared_memory`) holding every buffer, so a
   fleet of worker processes can attach the *same physical pages*
-  instead of each receiving a multi-hundred-megabyte pickle;
-* ``"mmap"`` — :class:`numpy.memmap` views over an **uncompressed**
-  ``.npz`` sidecar file, so a graph larger than physical memory is
-  paged in on demand (out-of-core) and any number of processes share
-  the page cache.
+  instead of each receiving a multi-hundred-megabyte pickle.
+
+There is no out-of-core store.  A paper-budget walk fleet reads a
+uniformly random adjacency slot per step at stationarity, so the share
+of 4 KB pages of ``indices`` it leaves untouched is about
+``exp(-R·f·1024/d̄)`` (R walkers, budget fraction f, mean degree d̄):
+``exp(-7.3)`` for the smallest paper cell, independent of |V|.  Every
+walk pages in the whole adjacency, so a graph must fit in memory.
 
 The unit of exchange is a :class:`CSRHandle`: a tiny, picklable
-descriptor (segment name / file path plus per-array dtype, shape and
-byte offset) that reattaches **zero-copy** in another process via
-:func:`attach_csr`.  A shm/mmap-backed :class:`CSRGraph` pickles *as*
-its handle (see :meth:`CSRGraph.__reduce_ex__`), so shipping one to a
+descriptor (segment name plus per-array dtype, shape and byte offset)
+that reattaches **zero-copy** in another process via
+:func:`attach_csr`.  A shm-backed :class:`CSRGraph` pickles *as* its
+handle (see :meth:`CSRGraph.__reduce_ex__`), so shipping one to a
 ``ProcessPoolExecutor`` worker costs O(1) bytes regardless of graph
 size — the difference between "each worker deserialises Orkut" and
 "each worker opens Orkut".
@@ -28,7 +29,7 @@ Ownership and cleanup semantics
 -------------------------------
 
 :func:`publish_csr` returns a :class:`CSRPublication`, which *owns* the
-external resource (the segment, or the spilled sidecar file):
+segment:
 
 * workers that :func:`attach_csr` a handle own nothing — their mapping
   dies with the process (attachments deliberately bypass the
@@ -41,27 +42,17 @@ external resource (the segment, or the spilled sidecar file):
   are loud in ``-W error::ResourceWarning`` runs (CI sets exactly that
   flag) instead of silently filling ``/dev/shm``.
 
-The ``.npz`` format used by :func:`save_csr_npz` is the plain
-uncompressed archive :func:`numpy.savez` writes, which is also what the
-``repro.graph.io`` edge-list sidecar cache uses — so existing sidecars
-open memmap-native with no conversion step
-(:func:`npz_array_specs` locates each member's raw bytes inside the
-zip and hands them to :class:`numpy.memmap` directly).
+:func:`save_csr_npz` / :func:`load_csr_npz` write and read a graph's
+defining buffers as a checksummed uncompressed ``.npz``.
 """
 
 from __future__ import annotations
 
-import atexit
-import mmap as _mmap_module
 import os
 import pickle
 import re
-import tempfile
-import time
 import uuid
 import warnings
-import weakref
-import zipfile
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
@@ -80,36 +71,29 @@ from repro.exceptions import ConfigurationError, StoreAttachError
 from repro.graph.csr import CSRGraph
 from repro.resilience.faults import fire
 
-#: Buffer backends a CSR graph can live in, and the value set of the
+#: Buffer stores a CSR graph can live in, and the value set of the
 #: service's ``graph_store`` knob.
-GRAPH_STORES: Tuple[str, ...] = ("ram", "shm", "mmap")
-
-#: The backings a dataset can be loaded into (registry, experiment
-#: config, ``table``/``figure`` CLI).  Shared memory is not among them:
-#: the experiment worker pool publishes a RAM graph there by itself.
-DATASET_STORES: Tuple[str, ...] = ("ram", "mmap")
+GRAPH_STORES: Tuple[str, ...] = ("ram", "shm")
 
 #: Buffer alignment inside a shared-memory segment (numpy is happiest
 #: on cache-line-or-better boundaries; 64 covers every dtype here).
 _SHM_ALIGN = 64
 
 
-def validate_graph_store(store: str, allowed: Tuple[str, ...] = GRAPH_STORES) -> str:
+def validate_graph_store(store: str) -> str:
     """Return *store* or raise the shared unknown-graph-store error."""
-    if store not in allowed:
+    if store not in GRAPH_STORES:
         raise ConfigurationError(
-            f"unknown graph store {store!r}; available: {', '.join(allowed)}"
+            f"unknown graph store {store!r}; available: {', '.join(GRAPH_STORES)}"
         )
     return store
 
 
 @dataclass(frozen=True)
 class ArraySpec:
-    """Where one named buffer lives inside a segment or sidecar file.
+    """Where one named buffer lives inside a shared-memory segment.
 
-    ``offset`` is a byte offset — into the shared-memory segment for the
-    ``"shm"`` store, into the ``.npz`` file (past the zip local header
-    and the ``.npy`` member header) for ``"mmap"``.
+    ``offset`` is a byte offset into the segment.
     """
 
     key: str
@@ -120,15 +104,14 @@ class ArraySpec:
 
 @dataclass(frozen=True)
 class CSRHandle:
-    """O(1)-picklable descriptor of an externally-backed CSR graph.
+    """O(1)-picklable descriptor of a shm-backed CSR graph.
 
-    ``location`` is the shared-memory segment name (``store="shm"``) or
-    the sidecar file path (``store="mmap"``); ``arrays`` describes the
-    buffers by key — ``"indptr"`` and ``"indices"`` always, plus
-    ``"label_array"`` / ``"node_ids"`` when the graph carries them.
-    :func:`attach_csr` turns a handle back into a zero-copy
-    :class:`~repro.graph.csr.CSRGraph` in any process that can reach
-    the segment/file.
+    ``location`` is the shared-memory segment name; ``arrays``
+    describes the buffers by key — ``"indptr"`` and ``"indices"``
+    always, plus ``"label_array"`` / ``"node_ids"`` when the graph
+    carries them.  :func:`attach_csr` turns a handle back into a
+    zero-copy :class:`~repro.graph.csr.CSRGraph` in any process on the
+    same host.
 
     Derived caches travel too: any label masks, incident-target-edge
     arrays and ground-truth counts the publisher had already computed
@@ -139,7 +122,6 @@ class CSRHandle:
     a few hundred bytes.
     """
 
-    store: str
     location: str
     arrays: Tuple[ArraySpec, ...]
     #: ``(label, array_key)`` pairs for published label masks.
@@ -148,13 +130,6 @@ class CSRHandle:
     incident: Tuple[Tuple[object, object, str], ...] = ()
     #: ``(t1, t2, count)`` ground-truth target-edge counts.
     target_counts: Tuple[Tuple[object, object, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.store not in ("shm", "mmap"):
-            raise ConfigurationError(
-                f"a CSRHandle describes an external store (shm or mmap), "
-                f"got {self.store!r}"
-            )
 
     def spec(self, key: str) -> Optional[ArraySpec]:
         """The :class:`ArraySpec` named *key*, or ``None``."""
@@ -183,8 +158,8 @@ def _publishable_arrays(csr: CSRGraph) -> List[Tuple[str, np.ndarray]]:
     ]
     if csr._label_sets is not None:
         raise ConfigurationError(
-            "set-labeled CSR graphs cannot be published to an external "
-            "store; relabel with a label_array (the array labelers) first"
+            "set-labeled CSR graphs cannot be published to shared "
+            "memory; relabel with a label_array (the array labelers) first"
         )
     label_array = csr.label_array()
     if label_array is not None:
@@ -194,7 +169,7 @@ def _publishable_arrays(csr: CSRGraph) -> List[Tuple[str, np.ndarray]]:
         if not isinstance(node_ids, np.ndarray):
             raise ConfigurationError(
                 "CSR graphs with Python-object node ids cannot be published "
-                "to an external store; use identity or numpy node ids"
+                "to shared memory; use identity or numpy node ids"
             )
         payload.append(("node_ids", np.ascontiguousarray(node_ids)))
     return payload
@@ -236,9 +211,7 @@ def _align(offset: int) -> int:
     return (offset + _SHM_ALIGN - 1) // _SHM_ALIGN * _SHM_ALIGN
 
 
-def _build_csr(
-    arrays: Dict[str, np.ndarray], store: str, owner, handle: "CSRHandle"
-) -> CSRGraph:
+def _build_csr(arrays: Dict[str, np.ndarray], owner, handle: CSRHandle) -> CSRGraph:
     """Assemble an attached CSRGraph from named buffers (zero-copy).
 
     Published derived caches (label masks, incident counts, ground-truth
@@ -252,7 +225,7 @@ def _build_csr(
         label_array=arrays.get("label_array"),
         validate=False,
     )
-    csr.store = store
+    csr.store = "shm"
     csr._buffer_owner = owner
     csr._handle = handle
     for label, key in handle.masks:
@@ -263,7 +236,7 @@ def _build_csr(
             csr._incident_cache[(t1, t2)] = arrays[key]
     for t1, t2, count in handle.target_counts:
         csr._target_count_cache[(t1, t2)] = int(count)
-    csr.seal_buffers(f"attached from {store}")
+    csr.seal_buffers("attached from shm")
     return csr
 
 
@@ -332,9 +305,7 @@ def _publish_shm(
             spec.shape, dtype=spec.dtype, buffer=segment.buf, offset=spec.offset
         )
         view[...] = array
-    return segment, CSRHandle(
-        "shm", segment.name, tuple(specs), masks, incident, target_counts
-    )
+    return segment, CSRHandle(segment.name, tuple(specs), masks, incident, target_counts)
 
 
 def _attach_shm(handle: CSRHandle) -> CSRGraph:
@@ -346,132 +317,29 @@ def _attach_shm(handle: CSRHandle) -> CSRGraph:
         )
         view.setflags(write=False)
         arrays[spec.key] = view
-    return _build_csr(arrays, "shm", segment, handle)
-
-
-# ----------------------------------------------------------------------
-# memory-mapped npz backend
-# ----------------------------------------------------------------------
-def npz_array_specs(path: Union[str, Path]) -> List[ArraySpec]:
-    """Locate every array member's raw data inside an uncompressed ``.npz``.
-
-    A :func:`numpy.savez` archive stores each array as an uncompressed
-    ``<key>.npy`` zip member, so the array bytes sit contiguously in the
-    file at a computable offset: the member's local zip header, then the
-    ``.npy`` magic/header, then the data.  That offset plus the parsed
-    dtype/shape is everything :class:`numpy.memmap` needs — the sidecar
-    caches written by :mod:`repro.graph.io` open memmap-native with no
-    rewrite.  Compressed members (``np.savez_compressed``) cannot be
-    mapped and raise :class:`ConfigurationError`.
-    """
-    path = Path(path)
-    specs: List[ArraySpec] = []
-    with zipfile.ZipFile(path) as archive, open(path, "rb") as raw:
-        for info in archive.infolist():
-            if info.compress_type != zipfile.ZIP_STORED:
-                raise ConfigurationError(
-                    f"{path}: member {info.filename!r} is compressed; only "
-                    "uncompressed archives (np.savez) can be memory-mapped"
-                )
-            with archive.open(info) as member:
-                version = np.lib.format.read_magic(member)
-                if version == (1, 0):
-                    shape, fortran, dtype = np.lib.format.read_array_header_1_0(member)
-                elif version == (2, 0):
-                    shape, fortran, dtype = np.lib.format.read_array_header_2_0(member)
-                else:  # pragma: no cover - no writer emits other versions
-                    raise ConfigurationError(
-                        f"{path}: unsupported .npy format version {version}"
-                    )
-                header_size = member.tell()
-            if fortran and len(shape) > 1:  # pragma: no cover - 1-d payloads
-                raise ConfigurationError(
-                    f"{path}: Fortran-ordered member {info.filename!r} "
-                    "cannot be memory-mapped as C-contiguous"
-                )
-            # The central directory's extra field can differ from the
-            # local header's, so read the local header to find the data.
-            raw.seek(info.header_offset)
-            local = raw.read(30)
-            if local[:4] != b"PK\x03\x04":
-                raise ConfigurationError(f"{path}: corrupt zip local header")
-            name_len = int.from_bytes(local[26:28], "little")
-            extra_len = int.from_bytes(local[28:30], "little")
-            data_offset = info.header_offset + 30 + name_len + extra_len + header_size
-            key = info.filename[:-4] if info.filename.endswith(".npy") else info.filename
-            specs.append(ArraySpec(key, dtype.str, tuple(shape), data_offset))
-    return specs
-
-
-def _attach_mmap(handle: CSRHandle) -> CSRGraph:
-    path = Path(handle.location)
-    try:
-        arrays: Dict[str, np.ndarray] = {
-            spec.key: np.memmap(
-                path, dtype=np.dtype(spec.dtype), mode="r",
-                offset=spec.offset, shape=spec.shape,
-            )
-            for spec in handle.arrays
-        }
-    except FileNotFoundError as exc:
-        raise StoreAttachError(
-            f"sidecar file {str(path)!r} does not exist (deleted out from "
-            f"under its handle, or spilled on another host)",
-            location=str(path),
-        ) from exc
-    csr = _build_csr(arrays, "mmap", None, handle)
-    # Advise MADV_RANDOM *after* construction: the sequential reads the
-    # constructor performs (np.diff over indptr) still benefit from
-    # readahead, while the walks' random gathers stop paging in 128 KB
-    # of neighbors around every 4-byte access — without this, kernel
-    # readahead quietly makes the whole file resident and the
-    # out-of-core story is fiction.
-    for view in arrays.values():
-        backing = getattr(view, "_mmap", None)
-        if backing is not None and hasattr(_mmap_module, "MADV_RANDOM"):
-            try:
-                backing.madvise(_mmap_module.MADV_RANDOM)
-            except (OSError, ValueError):  # pragma: no cover - advisory only
-                pass
-    return csr
-
-
-def _write_npz(path: Path, payload: Dict[str, np.ndarray]) -> Path:
-    """Write *payload* as a checksummed uncompressed ``.npz``, atomically.
-
-    Delegates to :func:`repro.durability.write_npz`: pid-stamped scratch
-    file in the same directory, blake2b manifest footer, fsync, rename —
-    a concurrent reader never sees a half-written archive, a crashed
-    writer never corrupts an existing one, and the attach paths verify
-    the manifest before mapping a byte.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return _write_checksummed_npz(path, payload)
+    return _build_csr(arrays, segment, handle)
 
 
 def save_csr_npz(csr: CSRGraph, path: Union[str, Path]) -> Path:
-    """Spill *csr*'s buffers to an uncompressed ``.npz`` sidecar.
+    """Write *csr*'s buffers to a checksummed uncompressed ``.npz``.
 
-    Open it back with :func:`load_csr_npz` — memmap-native or fully
-    loaded.  Only the defining buffers are written (derived caches are
-    a :func:`publish_csr` concern; a standalone sidecar is typically
-    spilled before any classification ran).
-    """
-    return _write_npz(Path(path), dict(_publishable_arrays(csr)))
-
-
-def load_csr_npz(path: Union[str, Path], mmap: bool = True) -> CSRGraph:
-    """Open a :func:`save_csr_npz` sidecar as a :class:`CSRGraph`.
-
-    With ``mmap=True`` (default) every buffer is a read-only
-    :class:`numpy.memmap` view — O(1) open, pages fault in on demand,
-    and the resulting graph pickles as its :class:`CSRHandle`.  With
-    ``mmap=False`` the arrays are fully loaded into process RAM.
+    Atomic (pid-stamped scratch file, fsync, rename; see
+    :func:`repro.durability.write_npz`).  Only the defining buffers are
+    written; derived caches are a :func:`publish_csr` concern.  Read it
+    back with :func:`load_csr_npz`.
     """
     path = Path(path)
-    if mmap:
-        verify_artifact(path)
-        return _attach_mmap(CSRHandle("mmap", str(path), tuple(npz_array_specs(path))))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return _write_checksummed_npz(path, dict(_publishable_arrays(csr)))
+
+
+def load_csr_npz(path: Union[str, Path]) -> CSRGraph:
+    """Load a :func:`save_csr_npz` archive into a RAM :class:`CSRGraph`.
+
+    The manifest is verified first, so a torn or bit-flipped file
+    raises :class:`~repro.exceptions.ArtifactCorruptError`.
+    """
+    path = Path(path)
     verify_artifact(path)
     with np.load(path) as payload:
         arrays = {key: np.ascontiguousarray(payload[key]) for key in payload.files}
@@ -490,34 +358,26 @@ def load_csr_npz(path: Union[str, Path], mmap: bool = True) -> CSRGraph:
 class CSRPublication:
     """Ownership token for a published CSR buffer set.
 
-    The publisher-side half of the handle protocol: holds the external
-    resource (shared-memory segment or spilled sidecar file) alive while
-    workers attach, and releases it on :meth:`unlink`.  Usable as a
-    context manager; a publication that is garbage-collected still
-    owning its resource emits a :class:`ResourceWarning` (and cleans up
-    best-effort) so leaks fail ``-W error::ResourceWarning`` runs.
+    The publisher-side half of the handle protocol: holds the
+    shared-memory segment alive while workers attach, and releases it
+    on :meth:`unlink`.  Usable as a context manager; a publication
+    that is garbage-collected still owning its segment emits a
+    :class:`ResourceWarning` (and cleans up best-effort) so leaks fail
+    ``-W error::ResourceWarning`` runs.
     """
 
     def __init__(
         self,
         handle: CSRHandle,
         segment: Optional[shared_memory.SharedMemory] = None,
-        path: Optional[Path] = None,
-        owns_resource: bool = True,
     ) -> None:
         self.handle = handle
         self._segment = segment
-        self._path = path
-        self._owns = owns_resource
-
-    @property
-    def store(self) -> str:
-        """Which backend the publication lives in (``"shm"`` / ``"mmap"``)."""
-        return self.handle.store
+        self._owns = segment is not None
 
     @property
     def owns_resource(self) -> bool:
-        """Whether this publication owns (and must release) the resource.
+        """Whether this publication owns (and must unlink) the segment.
 
         ``False`` for the re-publication of an already-attached graph:
         the pre-existing handle was reused — which also means caches
@@ -542,24 +402,19 @@ class CSRPublication:
                 pass
 
     def unlink(self) -> None:
-        """Release the external resource (idempotent).
+        """Unlink the shared-memory segment (idempotent).
 
-        Shared-memory segments are unlinked from the kernel; spilled
-        sidecar files are deleted.  Attached views in *other* processes
-        stay valid until those processes drop their mappings (POSIX
-        unlink semantics), so the publisher can unlink as soon as every
-        worker has attached.
+        Attached views in *other* processes stay valid until those
+        processes drop their mappings (POSIX unlink semantics), so the
+        publisher can unlink as soon as every worker has attached.
         """
         if not self._owns:
             return
         self._owns = False
-        if self._segment is not None:
-            try:
-                self._segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        if self._path is not None:
-            Path(self._path).unlink(missing_ok=True)
+        try:
+            self._segment.unlink()
+        except FileNotFoundError:  # pragma: no cover - already gone
+            pass
 
     def __enter__(self) -> "CSRPublication":
         return self
@@ -577,122 +432,11 @@ class CSRPublication:
             self.close()
             self.unlink()
             warnings.warn(
-                f"CSRPublication({self.handle.store}:{self.handle.location}) "
+                f"CSRPublication({self.handle.location}) "
                 "was never unlinked; it was released in __del__",
                 ResourceWarning,
                 source=self,
             )
-
-
-def default_mmap_dir() -> Path:
-    """Directory for spilled sidecars (``REPRO_MMAP_DIR`` overrides)."""
-    configured = os.environ.get("REPRO_MMAP_DIR")
-    if configured:
-        return Path(configured)
-    return Path(tempfile.gettempdir()) / "repro-osn-mmap"
-
-
-# ----------------------------------------------------------------------
-# spill-file ownership
-# ----------------------------------------------------------------------
-class SpillOwnership:
-    """Ownership token for one spilled sidecar file under the mmap dir.
-
-    The mmap twin of :class:`CSRPublication`'s discipline, closing the
-    historical leak: sidecars spilled by ``load_dataset(...,
-    graph_store="mmap")`` were never reclaimed, so every run left
-    another ``.npz`` under ``$REPRO_MMAP_DIR``.  Whoever holds the
-    token owns the file; :meth:`release` deletes it (idempotent —
-    POSIX unlink semantics keep live :class:`numpy.memmap` views in
-    this and other processes valid until they unmap).  A token
-    garbage-collected still owning its file cleans up best-effort and
-    emits a :class:`ResourceWarning`, loud under the CI's
-    ``-W error::ResourceWarning`` ladder; tokens still alive at
-    interpreter exit are released quietly first (an :mod:`atexit` hook
-    drains the registry before teardown GC, so long-lived caches don't
-    false-positive).
-    """
-
-    def __init__(self, path: Union[str, Path], owns_resource: bool = True) -> None:
-        self.path = Path(path)
-        self._owns = owns_resource
-
-    @property
-    def owns_resource(self) -> bool:
-        """Whether this token still owns (and must delete) the file."""
-        return self._owns
-
-    def release(self) -> None:
-        """Delete the spilled file (idempotent)."""
-        if not self._owns:
-            return
-        self._owns = False
-        self.path.unlink(missing_ok=True)
-
-    def __enter__(self) -> "SpillOwnership":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()
-
-    def __del__(self) -> None:
-        if getattr(self, "_owns", False):
-            # Clean up before warning: under -W error::ResourceWarning
-            # the warn call raises (surfacing as an unraisable error CI
-            # escalates), and the file must already be gone by then.
-            self.release()
-            warnings.warn(
-                f"SpillOwnership({self.path}) was never released; "
-                "it was deleted in __del__",
-                ResourceWarning,
-                source=self,
-            )
-
-
-#: Live spill tokens of this process, keyed by path.  Weak values: a
-#: token dropped by its holder leaves the registry on its own (after
-#: __del__ has cleaned up), so the registry never extends a lifetime.
-_TRACKED_SPILLS: "weakref.WeakValueDictionary[str, SpillOwnership]" = (
-    weakref.WeakValueDictionary()
-)
-
-
-def track_spill(path: Union[str, Path]) -> SpillOwnership:
-    """Register *path* as a spill this process owns; returns the token."""
-    token = SpillOwnership(path)
-    _TRACKED_SPILLS[str(Path(path))] = token
-    return token
-
-
-@atexit.register
-def _release_tracked_spills() -> None:  # pragma: no cover - exit path
-    """Quietly delete still-owned spills at interpreter exit.
-
-    Long-lived holders (the dataset registry's in-process cache, a
-    serving process's publication) legitimately keep their tokens until
-    the very end; draining them here — before teardown GC runs
-    ``__del__`` — deletes the files without tripping the
-    ResourceWarning meant for mid-run leaks.
-    """
-    for token in list(_TRACKED_SPILLS.values()):
-        token.release()
-
-
-#: File-name patterns whose embedded pid identifies the spilling
-#: process: publish_csr's ``csr-<pid>-<uuid>.npz`` and the dataset
-#: registry's ``<name>-seed<s>-scale<f>-pid<pid>.npz``.
-_SPILL_PID_PATTERNS = (
-    re.compile(r"^csr-(?P<pid>\d+)-[0-9a-f]+\.npz$"),
-    re.compile(r"^.+-pid(?P<pid>\d+)\.npz$"),
-)
-
-
-def _spill_owner_pid(name: str) -> Optional[int]:
-    for pattern in _SPILL_PID_PATTERNS:
-        match = pattern.match(name)
-        if match:
-            return int(match.group("pid"))
-    return None
 
 
 def _owner_dead(pid: int) -> bool:
@@ -706,22 +450,11 @@ def _owner_dead(pid: int) -> bool:
     return False
 
 
-def sweep_orphan_spills(
-    directory: Union[None, str, Path] = None,
-    max_age_seconds: Optional[float] = None,
-    dry_run: bool = False,
-) -> List[Path]:
-    """Delete spill files whose owning process is gone; return the victims.
+def sweep_orphan_spills(directory: Union[str, Path], dry_run: bool = False) -> List[Path]:
+    """Delete durability leftovers under *directory*; return the victims.
 
-    The opt-in janitor for ``$REPRO_MMAP_DIR`` (exposed as ``repro-osn
-    sweep-spills``): ownership tracking reclaims spills on clean exits,
-    but a SIGKILLed run leaves its files behind with nobody holding a
-    token.  Under *directory* (default :func:`default_mmap_dir`),
+    Exposed as ``repro-osn sweep-spills --directory``:
 
-    * a ``.npz`` spill is an orphan when its name embeds a spilling pid
-      that is no longer alive, or when it embeds no pid (hand-named
-      spills, pre-tracking leftovers), *max_age_seconds* is given, and
-      its mtime is older than that;
     * an atomic-write scratch file (``.<name>.pid<pid>.<uuid>.tmp`` —
       the only garbage the durability layer's write protocol can leave)
       is an orphan when its writer pid is dead — that covers sidecar,
@@ -731,38 +464,22 @@ def sweep_orphan_spills(
       **Uncommitted journals are never swept**: they are the resume
       state of a crashed sweep, exactly what ``--resume`` needs.
 
-    Files this process currently owns a token for are never touched,
-    and neither are pid-less spills when no age bound was passed (the
-    sweep refuses to guess).  ``dry_run=True`` reports without
+    Every other file is left alone.  ``dry_run=True`` reports without
     deleting.
     """
-    target = Path(directory) if directory is not None else default_mmap_dir()
+    target = Path(directory)
     if not target.is_dir():
         return []
-    tracked = {str(Path(path)) for path in _TRACKED_SPILLS.keys()}
     victims: List[Path] = []
-    now = time.time()
     for path in sorted(target.iterdir()):
-        if str(path) in tracked or not path.is_file():
+        if not path.is_file():
             continue
         name = path.name
         scratch = SCRATCH_PATTERN.match(name)
         if scratch is not None:
-            pid = int(scratch.group("pid"))
-            orphaned = _owner_dead(pid)
+            orphaned = _owner_dead(int(scratch.group("pid")))
         elif name.endswith(JOURNAL_SUFFIX):
             orphaned = journal_is_committed(path)
-        elif name.endswith(".npz"):
-            pid = _spill_owner_pid(name)
-            if pid is not None:
-                orphaned = _owner_dead(pid)
-            elif max_age_seconds is not None:
-                try:
-                    orphaned = (now - path.stat().st_mtime) > max_age_seconds
-                except FileNotFoundError:  # pragma: no cover - raced deletion
-                    continue
-            else:
-                orphaned = False
         else:
             continue
         if orphaned:
@@ -782,12 +499,11 @@ def sweep_orphan_segments(
 ) -> List[Path]:
     """Unlink shared-memory segments whose publisher is gone; return them.
 
-    The shm twin of :func:`sweep_orphan_spills`: a SIGKILL of a whole
-    process group, ``multiprocessing`` resource tracker included,
-    leaves the publisher's segments behind.  Under *directory* (default
-    ``/dev/shm``, where Linux lists segments as files) a
-    ``repro-<pid>-<hex>`` segment whose pid is dead is unlinked (only
-    reported under ``dry_run``); other names are never touched.
+    A SIGKILL of a whole process group, ``multiprocessing`` resource
+    tracker included, leaves the publisher's segments behind.  Under
+    *directory* (default ``/dev/shm``, where Linux lists segments as
+    files) a ``repro-<pid>-<hex>`` segment whose pid is dead is unlinked
+    (only reported under ``dry_run``); other names are never touched.
     """
     target = Path(directory) if directory is not None else Path("/dev/shm")
     if not target.is_dir():
@@ -805,94 +521,50 @@ def sweep_orphan_segments(
     return victims
 
 
-def publish_csr(
-    csr: CSRGraph,
-    store: str,
-    directory: Union[None, str, Path] = None,
-) -> CSRPublication:
-    """Publish *csr*'s buffers to an external *store*; return the ownership token.
+def publish_csr(csr: CSRGraph) -> CSRPublication:
+    """Publish *csr*'s buffers to shared memory; return the ownership token.
 
-    ``store="shm"`` copies the buffers once into one fresh
-    shared-memory segment; ``store="mmap"`` spills them to an
-    uncompressed ``.npz`` under *directory* (default
-    :func:`default_mmap_dir`).  A graph **already backed** by the
-    requested store is re-published for free: its existing handle is
-    reused and the returned publication owns nothing (``unlink`` is a
-    no-op), so republishing an attached graph can never tear it down.
+    The buffers (and any derived label caches already computed) are
+    copied once into one fresh shared-memory segment.  A graph
+    **already attached** from shared memory is re-published for free:
+    its existing handle is reused and the returned publication owns
+    nothing (``unlink`` is a no-op), so republishing an attached graph
+    can never tear it down.
     """
-    if store not in ("shm", "mmap"):
-        raise ConfigurationError(
-            f"publish_csr targets an external store (shm or mmap), got {store!r}"
-        )
     existing = getattr(csr, "_handle", None)
-    if existing is not None and existing.store == store:
-        csr.seal_buffers(f"published to {store}")
-        return CSRPublication(existing, owns_resource=False)
+    if existing is not None:
+        csr.seal_buffers("published to shm")
+        return CSRPublication(existing)
     payload = _publishable_arrays(csr)
     caches, masks, incident, target_counts = _cache_payload(csr)
-    payload = payload + caches
     # The publisher's own copy must match what workers attached: freeze
     # it so a post-publish in-place write raises instead of silently
     # diverging from the shared buffers (and from version-stamped
     # cached answers in the serving layer).
-    csr.seal_buffers(f"published to {store}")
-    if store == "shm":
-        segment, handle = _publish_shm(payload, masks, incident, target_counts)
-        return CSRPublication(handle, segment=segment)
-    target = Path(directory) if directory is not None else default_mmap_dir()
-    path = target / f"csr-{os.getpid()}-{uuid.uuid4().hex}.npz"
-    _write_npz(path, dict(payload))
-    handle = CSRHandle(
-        "mmap", str(path), tuple(npz_array_specs(path)), masks, incident, target_counts
-    )
-    return CSRPublication(handle, path=path)
+    csr.seal_buffers("published to shm")
+    segment, handle = _publish_shm(payload + caches, masks, incident, target_counts)
+    return CSRPublication(handle, segment=segment)
 
 
 def attach_csr(handle: CSRHandle) -> CSRGraph:
     """Reattach a published CSR graph from its :class:`CSRHandle`.
 
     Zero-copy: the returned graph's ``indptr`` / ``indices`` /
-    ``label_array`` are read-only views over the shared segment or the
-    memory-mapped sidecar.  The attachment owns no external resource —
-    cleanup stays with the :class:`CSRPublication` — and the graph
-    re-pickles as its handle, so it can be forwarded to further
-    processes at O(1) cost.
+    ``label_array`` are read-only views over the shared segment.  The
+    attachment owns no external resource — cleanup stays with the
+    :class:`CSRPublication` — and the graph re-pickles as its handle,
+    so it can be forwarded to further processes at O(1) cost.
     """
     if isinstance(handle, (bytes, bytearray)):  # defensive: raw pickles
         handle = pickle.loads(handle)
     if not isinstance(handle, CSRHandle):
         raise ConfigurationError(f"attach_csr needs a CSRHandle, got {type(handle).__name__}")
-    fire("store.attach", location=handle.location, store=handle.store)
-    if handle.store == "shm":
-        return _attach_shm(handle)
-    # Verify the sidecar's manifest footer *before* memory-mapping a
-    # byte: a torn or bit-flipped spill raises a typed (retryable)
-    # ArtifactCorruptError instead of being silently walked.  Mode via
-    # REPRO_VERIFY_ARTIFACTS (full | sampled | off).  A *missing*
-    # sidecar is an attach race, not corruption — fall through so the
-    # attach raises its usual retryable StoreAttachError.
-    try:
-        verify_artifact(handle.location)
-    except FileNotFoundError:
-        pass
-    return _attach_mmap(handle)
-
-
-def spill_csr_to_mmap(csr: CSRGraph, path: Union[str, Path]) -> CSRGraph:
-    """Spill *csr* to a sidecar at *path* and reopen it memmap-backed.
-
-    The registry's out-of-core hook: a freshly synthesised in-RAM graph
-    becomes a disk-backed one whose arrays page in on demand and whose
-    pickle is an O(1) handle.  The caller owns the file's lifetime
-    (deterministic registry sidecars are left in place for reuse).
-    """
-    save_csr_npz(csr, path)
-    return load_csr_npz(path, mmap=True)
+    fire("store.attach", location=handle.location)
+    return _attach_shm(handle)
 
 
 __all__ = [
     "GRAPH_STORES",
-    "DATASET_STORES",
     "validate_graph_store",
     "is_publishable",
     "ArraySpec",
@@ -902,11 +574,6 @@ __all__ = [
     "attach_csr",
     "save_csr_npz",
     "load_csr_npz",
-    "spill_csr_to_mmap",
-    "npz_array_specs",
-    "default_mmap_dir",
-    "SpillOwnership",
-    "track_spill",
     "sweep_orphan_spills",
     "sweep_orphan_segments",
 ]

@@ -1,9 +1,9 @@
 """Retry with decorrelated-jitter backoff for transient failures.
 
-Used around CSR store attaches (service install and pool-worker init)
-and spill writes: the usual failure there is a short race — a publisher
-mid-rewrite, a sidecar being replaced — so a couple of spaced retries
-almost always succeed, and correlated retry storms are avoided by the
+Used around CSR store attaches (service install and pool-worker init):
+the usual failure there is a short race — a segment not yet visible,
+an injected chaos fault — so a couple of spaced retries almost always
+succeed, and correlated retry storms are avoided by the
 decorrelated-jitter schedule (each sleep is drawn uniformly from
 ``[base, 3 * previous]``, capped), the policy AWS popularized in
 "Exponential Backoff And Jitter".

@@ -3,7 +3,7 @@
 The paper's setting is an analyst issuing repeated target-edge-count
 queries against a restricted social-network API; the batch CLI answers
 them one experiment at a time.  This package is the serving layer the
-ROADMAP asks for: publish a graph **once** into the shm/mmap store at
+ROADMAP asks for: publish a graph **once** into shared memory at
 startup, then answer many concurrent (label-pair, budget, algorithm)
 queries from micro-batched prefix fleets.
 

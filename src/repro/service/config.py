@@ -24,11 +24,9 @@ from repro.utils.validation import (
 class ServiceConfig:
     """Everything ``repro-osn serve`` needs to boot a server.
 
-    ``graph_store="shm"`` serves from a shared-memory publication
-    (fits-in-RAM graphs, fastest); ``"mmap"`` serves from a
-    memory-mapped sidecar (out-of-core graphs); ``"ram"`` skips
-    publication entirely (single-process dev server).  See
-    ``docs/scaling-guide.md`` for the trade-off.
+    ``graph_store="shm"`` serves from a shared-memory publication;
+    ``"ram"`` skips publication entirely (single-process dev server).
+    See ``docs/scaling-guide.md`` for the trade-off.
 
     The resilience knobs (``docs/operations.md`` is the runbook):
 

@@ -3,9 +3,9 @@
 :class:`EstimationService` owns everything below the event loop:
 
 * **Graph publication.**  At startup the graph is frozen into CSR
-  arrays, published into the configured buffer store (``"shm"`` /
-  ``"mmap"`` via :func:`repro.graph.store.publish_csr`, or kept
-  in-process for ``"ram"``), and the service serves from an attached
+  arrays, published into the configured buffer store (``"shm"`` via
+  :func:`repro.graph.store.publish_csr`, or kept in-process for
+  ``"ram"``), and the service serves from an attached
   read-only view.  The source graph is frozen
   (:meth:`~repro.graph.labeled_graph.LabeledGraph.freeze`) and the CSR
   buffers sealed, so nothing can mutate the topology underneath
@@ -61,12 +61,20 @@ from repro.walks.mixing import recommended_burn_in
 
 GraphLike = Union[LabeledGraph, CSRGraph]
 
+#: Most walk steps one query may ask for, ``repetitions × (burn_in +
+#: budget)`` — the product :attr:`PrefixFleet.steps_walked` reports.  A
+#: fleet holds int64 trajectories of that many slots (four such arrays
+#: for a line fleet), so the bound caps what one query can allocate at
+#: a few hundred MB; a paper-scale query (200 walkers at 5% of 10⁶
+#: nodes) asks for about 10.2M steps.
+MAX_QUERY_STEPS = 1 << 24
+
 
 def publishable_csr_view(csr: CSRGraph) -> CSRGraph:
     """A view of *csr* the buffer stores accept (array labels/ids only).
 
     Dict-graph CSR views carry per-node label *sets* and Python-list
-    node ids, which cannot live in a flat shm/mmap buffer.  The paper's
+    node ids, which cannot live in a flat shm buffer.  The paper's
     graphs are all single-label (gender, location, degree bucket), so
     the sets collapse losslessly into a ``label_array`` sharing the
     adjacency buffers — classification reads the same boolean masks
@@ -83,8 +91,8 @@ def publishable_csr_view(csr: CSRGraph) -> CSRGraph:
         node_ids = np.asarray(node_ids)
         if node_ids.dtype == object:
             raise ConfigurationError(
-                "graphs with non-numeric node ids cannot be published to an "
-                "external store; serve with graph_store='ram'"
+                "graphs with non-numeric node ids cannot be published to "
+                "shared memory; serve with graph_store='ram'"
             )
     label_array = csr.label_array()
     if csr._label_sets is not None:
@@ -94,15 +102,15 @@ def publishable_csr_view(csr: CSRGraph) -> CSRGraph:
             if len(labels) != 1:
                 raise ConfigurationError(
                     "multi-labeled graphs cannot be flattened into a "
-                    "label_array for shm/mmap serving; serve with "
+                    "label_array for shm serving; serve with "
                     "graph_store='ram'"
                 )
             flattened.append(next(iter(labels)))
         label_array = np.asarray(flattened)
         if label_array.dtype == object:
             raise ConfigurationError(
-                "graphs with non-numeric labels cannot be published to an "
-                "external store; serve with graph_store='ram'"
+                "graphs with non-numeric labels cannot be published to "
+                "shared memory; serve with graph_store='ram'"
             )
     replacement = CSRGraph(
         node_ids,
@@ -183,10 +191,8 @@ class EstimationService:
         :class:`CSRGraph`.  It is frozen/sealed on construction;
         mutating it afterwards raises at the mutation site.
     graph_store:
-        ``"shm"`` (default: serve from a shared-memory segment),
-        ``"mmap"`` (serve from a memory-mapped sidecar; the paging
-        choice for graphs larger than RAM), or ``"ram"`` (no external
-        publication; single-process serving).
+        ``"shm"`` (default: serve from a shared-memory segment) or
+        ``"ram"`` (no external publication; single-process serving).
     algorithms:
         The servable runner registry; defaults to the full paper suite
         (proposed + EX-* baselines) built against the serving graph.
@@ -279,11 +285,11 @@ class EstimationService:
             # cache, and a version bump under live workers is exactly
             # the stale-answer hazard the service exists to prevent.
             graph.freeze(f"published to the estimation service {self.name!r}")
-        if self.graph_store in ("shm", "mmap"):
-            publication = publish_csr(publishable_csr_view(csr), self.graph_store)
+        if self.graph_store == "shm":
+            publication = publish_csr(publishable_csr_view(csr))
             # Attach with backoff: StoreAttachError is retryable, and
-            # the transient causes (a sidecar mid-rewrite, an injected
-            # chaos fault) clear within a retry or two.
+            # the transient causes (an injected chaos fault) clear
+            # within a retry or two.
             try:
                 serving = Retry(attempts=3, base_seconds=0.05).call(
                     publication.attach, describe="service store attach"
@@ -487,6 +493,14 @@ class EstimationService:
         check_positive_int(query.repetitions, "repetitions")
         if int(query.burn_in) < 0:
             raise ConfigurationError("burn_in must be >= 0")
+        steps = int(query.repetitions) * (int(query.burn_in) + int(query.budget))
+        if steps > MAX_QUERY_STEPS:
+            # Refused here, like an oversized budget: a fleet that fails
+            # to allocate would count against the algorithm's breaker.
+            raise ConfigurationError(
+                f"query asks for {steps} walk steps (repetitions × (burn_in + "
+                f"budget)); the limit is {MAX_QUERY_STEPS}"
+            )
         return replace(
             query,
             budget=int(query.budget),

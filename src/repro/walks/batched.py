@@ -25,13 +25,10 @@ revisits are free.
 
 Buffer stores: the batched engine reads the graph only through numpy
 *gathers* (``indices[indptr[current] + offsets]``, ``degrees[nodes]``),
-so it runs unchanged over shared-memory or memory-mapped CSR buffers
-(:mod:`repro.graph.store`) — a memmapped adjacency faults in just the
-pages the fleet touches and is never densified.  Only the scalar
-single-walker path (:func:`csr_walk`) materialises Python adjacency
-lists via :meth:`CSRGraph.adjacency_lists`; whole-array label passes
-use the chunked-gather fallback documented on
-:meth:`CSRGraph.neighbor_mask_counts`.
+so it runs unchanged over shared-memory CSR buffers
+(:mod:`repro.graph.store`) and never densifies the adjacency.  Only
+the scalar single-walker path (:func:`csr_walk`) materialises Python
+adjacency lists via :meth:`CSRGraph.adjacency_lists`.
 """
 
 from __future__ import annotations

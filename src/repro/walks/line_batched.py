@@ -37,8 +37,8 @@ endpoints of every (possibly rejected) proposal.
 
 Like :class:`~repro.walks.batched.BatchedWalkEngine`, every read of
 ``G`` here is a gather, so the engine runs unchanged over
-shared-memory or memory-mapped CSR buffers (:mod:`repro.graph.store`)
-without densifying the adjacency.
+shared-memory CSR buffers (:mod:`repro.graph.store`) without
+densifying the adjacency.
 """
 
 from __future__ import annotations

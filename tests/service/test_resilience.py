@@ -17,6 +17,7 @@ import pytest
 
 from repro.exceptions import (
     CircuitOpenError,
+    ConfigurationError,
     DeadlineExceededError,
     ServiceOverloadedError,
 )
@@ -29,6 +30,7 @@ from repro.resilience import (
 )
 from repro.service import EstimationService, MicroBatcher, ServiceHTTPServer
 from repro.service.cache import AnswerCache
+from repro.service.core import MAX_QUERY_STEPS
 
 BURN_IN = 5  # matches the conftest fixtures
 ALGO = "NeighborSample-HH"
@@ -344,6 +346,37 @@ class TestResilienceOverHTTP:
         assert all("budget" in body["error"] for _, _, body in responses)
         assert breaker_service.breakers.snapshot() == before
         assert breaker_service.fleets_built == 0
+
+    @pytest.mark.parametrize("field", ["repetitions", "burn_in"])
+    def test_query_beyond_the_step_limit_is_400_and_moves_no_breaker(
+        self, breaker_service, field
+    ):
+        """repetitions × (burn_in + budget) prices a query's memory; a
+        query over MAX_QUERY_STEPS is refused before any fleet allocates."""
+        before = breaker_service.breakers.snapshot()
+
+        async def scenario(port):
+            return [
+                await _raw_request(port, "POST", "/estimate", _query(**{field: 2**40}))
+                for _ in range(3)  # the breaker trips at 2 fleet failures
+            ]
+
+        responses = _run_server(breaker_service, scenario)
+        assert [status for status, _, _ in responses] == [400, 400, 400]
+        assert all("walk steps" in body["error"] for _, _, body in responses)
+        assert breaker_service.breakers.snapshot() == before
+        assert breaker_service.fleets_built == 0
+
+    def test_step_limit_is_inclusive_and_admits_paper_scale_queries(
+        self, breaker_service
+    ):
+        normalize = breaker_service.normalize_query
+        # 200 walkers × (300 burn-in + 5% of 10^6 nodes) ≈ 10.06M steps.
+        assert normalize(_query(repetitions=200, burn_in=50_280, budget=20)).repetitions == 200
+        limit = _query(repetitions=1, burn_in=MAX_QUERY_STEPS - 20, budget=20)
+        assert normalize(limit).burn_in == MAX_QUERY_STEPS - 20
+        with pytest.raises(ConfigurationError, match="walk steps"):
+            normalize(dict(limit, burn_in=MAX_QUERY_STEPS - 19))
 
     def test_open_breaker_is_503_with_retry_after(self, breaker_service):
         _inject("fleet.run=error,count=2")

@@ -133,13 +133,13 @@ class TestReadOnlyServing:
 
 
 class TestStores:
-    def test_mmap_store_serves_identically_to_shm(self, shm_service):
+    def test_ram_store_serves_identically_to_shm(self, shm_service):
         with EstimationService(
-            build_serving_graph(), graph_store="mmap",
-            default_burn_in=BURN_IN, name="mmap-served",
-        ) as mapped:
-            assert mapped.csr.store == "mmap"
-            answer = mapped.estimate(_query(budget=30))
+            build_serving_graph(), graph_store="ram",
+            default_burn_in=BURN_IN, name="ram-served",
+        ) as in_ram:
+            assert in_ram.csr.store == "ram"
+            answer = in_ram.estimate(_query(budget=30))
             reference = shm_service.estimate(_query(budget=30))
             assert answer.estimates == reference.estimates
 

@@ -135,24 +135,20 @@ class TestCommands:
 
 
 class TestGraphStoreFlag:
-    def test_graph_store_parses(self):
+    def test_serve_graph_store_parses(self):
         parser = build_parser()
-        args = parser.parse_args(
-            ["table", "4", "--representation", "csr", "--execution", "fleet",
-             "--graph-store", "mmap"]
-        )
-        assert args.graph_store == "mmap"
-        assert parser.parse_args(["figure", "1"]).graph_store == "ram"
-        assert parser.parse_args(["serve", "--graph-store", "shm"]).graph_store == "shm"
+        assert parser.parse_args(["serve"]).graph_store == "shm"
+        assert parser.parse_args(["serve", "--graph-store", "ram"]).graph_store == "ram"
 
-    def test_unknown_graph_store_rejected(self):
+    @pytest.mark.parametrize("store", ["mmap", "tape"])
+    def test_unknown_graph_store_rejected(self, store):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["table", "4", "--graph-store", "tape"])
+            build_parser().parse_args(["serve", "--graph-store", store])
 
     @pytest.mark.parametrize("command", [["table", "4"], ["figure", "1"]])
-    def test_shm_is_not_a_dataset_store(self, command):
+    def test_table_and_figure_have_no_graph_store_flag(self, command):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(command + ["--graph-store", "shm"])
+            build_parser().parse_args(command + ["--graph-store", "ram"])
 
     @pytest.mark.parametrize("flags", [["--execution", "fleet"], ["--reuse", "prefix"]])
     def test_table_runs_with_jobs(self, capsys, flags):
@@ -275,8 +271,24 @@ class TestSweepSpillsCommand:
         monkeypatch.setattr(
             store, "sweep_orphan_segments", lambda dry_run: real_sweep(shm, dry_run=dry_run)
         )
-        assert main(["sweep-spills", "--directory", str(tmp_path / "spills")]) == 0
+        spills = tmp_path / "spills"
+        spills.mkdir()
+        scratch = spills / f".graph.npz.pid{int(child.stdout)}.{'a' * 8}.tmp"
+        scratch.write_bytes(b"torn")
+        assert main(["sweep-spills", "--directory", str(spills)]) == 0
         out = capsys.readouterr().out
         assert f"removed: {orphan}" in out
-        assert "removed 1 orphaned spill file(s) and segment(s)" in out
-        assert not orphan.exists()
+        assert f"removed: {scratch}" in out
+        assert "removed 2 orphaned spill file(s) and segment(s)" in out
+        assert not orphan.exists() and not scratch.exists()
+
+    def test_without_a_directory_only_segments_are_swept(self, monkeypatch, capsys):
+        from repro.graph import store
+
+        def forbidden(*args, **kwargs):  # pragma: no cover - reached only on a bug
+            raise AssertionError("swept a directory nobody named")
+
+        monkeypatch.setattr(store, "sweep_orphan_spills", forbidden)
+        monkeypatch.setattr(store, "sweep_orphan_segments", lambda dry_run: [])
+        assert main(["sweep-spills", "--dry-run"]) == 0
+        assert "would remove 0 orphaned spill file(s) and segment(s)" in capsys.readouterr().out

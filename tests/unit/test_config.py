@@ -102,33 +102,7 @@ class TestOverrides:
 
 
 class TestGraphStoreConfig:
-    def test_default_is_ram(self):
-        config = ExperimentConfig(dataset="facebook")
-        assert config.graph_store == "ram"
-
-    def test_unknown_store_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown graph store"):
-            ExperimentConfig(dataset="facebook", graph_store="tape")
-
-    def test_external_store_requires_csr_representation(self):
-        with pytest.raises(ConfigurationError, match="representation='csr'"):
-            ExperimentConfig(dataset="facebook", graph_store="mmap")
-
-    def test_shm_is_rejected(self):
-        """Shared memory is how the worker pool ships a graph, not a dataset backing."""
-        with pytest.raises(ConfigurationError, match="unknown graph store 'shm'"):
-            ExperimentConfig(
-                dataset="facebook",
-                representation="csr",
-                execution="fleet",
-                graph_store="shm",
-            )
-
-    def test_mmap_with_csr_accepted(self):
-        config = ExperimentConfig(
-            dataset="facebook",
-            representation="csr",
-            reuse="prefix",
-            graph_store="mmap",
-        )
-        assert config.graph_store == "mmap"
+    def test_graph_store_is_not_a_field(self):
+        """A dataset lives in RAM; the n_jobs pool publishes it to shm itself."""
+        with pytest.raises(TypeError, match="graph_store"):
+            ExperimentConfig(dataset="facebook", graph_store="ram")

@@ -80,18 +80,17 @@ class TestLoadEdgeListCSR:
         assert np.array_equal(cached.indices, first.indices)
         assert cached.node_id_list() == first.node_id_list()
 
-    def test_same_second_rewrite_cannot_serve_stale_mmap_sidecar(self, tmp_path):
+    def test_same_second_rewrite_cannot_serve_stale_sidecar(self, tmp_path):
         # Regression: the old check compared second-resolution st_mtime
         # with >=, so a source rewritten twice within one second kept
-        # serving the first rewrite's memory-mapped sidecar.
+        # serving the first rewrite's sidecar.
         path = tmp_path / "edges.txt"
         path.write_text("0 1\n1 2\n2 0\n")
-        first = load_edge_list_csr(path, cache=True, mmap=True)
+        first = load_edge_list_csr(path, cache=True)
         assert first.num_nodes == 3
         path.write_text("0 1\n1 2\n2 3\n3 0\n")
-        second = load_edge_list_csr(path, cache=True, mmap=True)
+        second = load_edge_list_csr(path, cache=True)
         assert second.num_nodes == 4
-        assert second.store == "mmap"
 
     def test_rewritten_source_invalidates_cache(self, edge_file):
         path, _ = edge_file
@@ -132,53 +131,3 @@ class TestLoadEdgeListCSR:
         rebuilt = load_edge_list_csr(path, cache=True)
         assert rebuilt.num_nodes == 3
         assert rebuilt.num_nodes != first.num_nodes
-
-
-class TestMemoryMappedSidecar:
-    def test_mmap_requires_a_sidecar(self, edge_file):
-        path, _ = edge_file
-        with pytest.raises(DatasetError, match="sidecar"):
-            load_edge_list_csr(path, mmap=True)
-
-    def test_mmap_open_is_memmap_native(self, edge_file):
-        path, _ = edge_file
-        reference = load_edge_list_csr(path, cache=True)
-        mapped = load_edge_list_csr(path, cache=True, mmap=True)
-        assert mapped.store == "mmap"
-        backing = (
-            mapped.indices
-            if isinstance(mapped.indices, np.memmap)
-            else mapped.indices.base
-        )
-        assert isinstance(backing, np.memmap)
-        assert np.array_equal(mapped.indptr, reference.indptr)
-        assert np.array_equal(mapped.indices, reference.indices)
-        assert mapped.node_id_list() == reference.node_id_list()
-
-    def test_mmap_writes_sidecar_on_first_load(self, edge_file):
-        path, _ = edge_file
-        sidecar = path.with_name(path.name + ".npz")
-        assert not sidecar.exists()
-        mapped = load_edge_list_csr(path, cache=True, mmap=True)
-        assert sidecar.exists()
-        assert mapped.store == "mmap"
-
-    def test_stale_sidecar_invalidated_for_mmap(self, edge_file):
-        import os
-
-        path, _ = edge_file
-        sidecar = path.with_name(path.name + ".npz")
-        first = load_edge_list_csr(path, cache=True, mmap=True)
-        path.write_text("0 1\n1 2\n")
-        os.utime(path, (sidecar.stat().st_mtime + 10, sidecar.stat().st_mtime + 10))
-        rebuilt = load_edge_list_csr(path, cache=True, mmap=True)
-        assert rebuilt.num_nodes == 3
-        assert rebuilt.num_nodes != first.num_nodes
-
-    def test_mmap_respects_component_setting(self, tmp_path):
-        path = tmp_path / "two.txt"
-        path.write_text("0 1\n1 2\n5 6\n")
-        raw = load_edge_list_csr(path, keep_largest_component=False, cache=True, mmap=True)
-        assert raw.num_nodes == 5
-        cleaned = load_edge_list_csr(path, keep_largest_component=True, cache=True, mmap=True)
-        assert cleaned.num_nodes == 3

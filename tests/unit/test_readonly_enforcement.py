@@ -14,8 +14,8 @@ hazard the service-layer PR fixes.  Now:
   the CSR arrays, and :func:`publish_csr` seals the publisher's copy —
   a post-publish in-place write raises ``ValueError`` at the write
   site;
-* attached graphs were already read-only (shm views / ``mode="r"``
-  memmaps); the :attr:`CSRGraph.sealed` marker now says so explicitly.
+* attached graphs were already read-only (shm views); the
+  :attr:`CSRGraph.sealed` marker now says so explicitly.
 """
 
 import numpy as np
@@ -95,26 +95,21 @@ class TestMutationAfterPublish:
     def test_publish_seals_the_publishers_buffers(self):
         csr = _array_csr()
         assert csr.sealed is None
-        with publish_csr(csr, "shm"):
+        with publish_csr(csr):
             assert csr.sealed == "published to shm"
             with pytest.raises(ValueError, match="read-only"):
                 csr.indices[0] = 99
             with pytest.raises(ValueError, match="read-only"):
                 csr.label_array()[0] = 99
 
-    def test_mmap_publish_seals_too(self, tmp_path):
+    def test_republish_of_backed_graph_stays_sealed(self):
         csr = _array_csr()
-        with publish_csr(csr, "mmap", directory=tmp_path):
-            with pytest.raises(ValueError, match="read-only"):
-                csr.indptr[0] = 1
-
-    def test_republish_of_backed_graph_stays_sealed(self, tmp_path):
-        csr = _array_csr()
-        with publish_csr(csr, "mmap", directory=tmp_path) as publication:
+        with publish_csr(csr) as publication:
             attached = attach_csr(publication.handle)
-            again = publish_csr(attached, "mmap")
+            again = publish_csr(attached)
             assert not again.owns_resource
             assert attached.sealed is not None
+            del attached
 
     def test_frozen_dict_graph_blocks_the_stale_view_hazard(self, small_graph):
         # csr_view caches by version; mutating after a view was taken
@@ -130,7 +125,7 @@ class TestMutationAfterPublish:
 class TestMutationAfterAttach:
     def test_shm_attachment_is_read_only(self):
         csr = _array_csr()
-        with publish_csr(csr, "shm") as publication:
+        with publish_csr(csr) as publication:
             attached = publication.attach()
             assert attached.sealed == "attached from shm"
             with pytest.raises(ValueError, match="read-only"):
@@ -138,17 +133,9 @@ class TestMutationAfterAttach:
             with pytest.raises(ValueError, match="read-only"):
                 attached.label_array()[0] = 99
 
-    def test_mmap_attachment_is_read_only(self, tmp_path):
-        csr = _array_csr()
-        with publish_csr(csr, "mmap", directory=tmp_path) as publication:
-            attached = publication.attach()
-            assert attached.sealed == "attached from mmap"
-            with pytest.raises(ValueError, match="read-only"):
-                attached.indptr[0] = 1
-
     def test_attached_graph_still_walks_and_classifies(self):
         csr = _array_csr(6)
-        with publish_csr(csr, "shm") as publication:
+        with publish_csr(csr) as publication:
             attached = publication.attach()
             assert attached.count_target_edges(1, 2) == csr.count_target_edges(1, 2)
             assert np.array_equal(attached.label_mask(1), csr.label_mask(1))

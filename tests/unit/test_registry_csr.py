@@ -114,61 +114,12 @@ class TestEscapeHatch:
 
 
 class TestGraphStore:
-    def test_mmap_dataset_is_memmap_backed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_MMAP_DIR", str(tmp_path))
-        dataset = load_dataset(
-            "facebook", seed=9, scale=0.1, representation="csr", graph_store="mmap"
-        )
-        assert dataset.graph.store == "mmap"
-        assert list(tmp_path.glob("facebook-seed9-*.npz"))
-
-    def test_mmap_never_aliases_the_ram_cache_entry(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_MMAP_DIR", str(tmp_path))
-        ram = load_dataset("facebook", seed=9, scale=0.1, representation="csr")
-        mapped = load_dataset(
-            "facebook", seed=9, scale=0.1, representation="csr", graph_store="mmap"
-        )
-        assert ram is not mapped
-        assert ram.graph.store == "ram"
-        assert mapped.graph.store == "mmap"
-        # And each mode keeps serving its own cached entry.
-        assert load_dataset("facebook", seed=9, scale=0.1, representation="csr") is ram
-        assert (
+    def test_csr_datasets_live_in_ram(self):
+        dataset = load_dataset("facebook", seed=9, scale=0.1, representation="csr")
+        assert dataset.graph.store == "ram"
+        # The n_jobs pool publishes to shared memory by itself; the
+        # registry has no store option.
+        with pytest.raises(TypeError, match="graph_store"):
             load_dataset(
-                "facebook", seed=9, scale=0.1, representation="csr", graph_store="mmap"
-            )
-            is mapped
-        )
-
-    def test_mmap_arrays_bit_identical_to_ram(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_MMAP_DIR", str(tmp_path))
-        ram = load_dataset("pokec", seed=10, scale=0.1, representation="csr")
-        mapped = load_dataset(
-            "pokec", seed=10, scale=0.1, representation="csr", graph_store="mmap"
-        )
-        assert np.array_equal(ram.graph.indptr, mapped.graph.indptr)
-        assert np.array_equal(ram.graph.indices, mapped.graph.indices)
-        assert np.array_equal(ram.graph.label_array(), mapped.graph.label_array())
-        assert ram.target_pairs == mapped.target_pairs
-        assert ram.target_counts == mapped.target_counts
-
-    def test_shm_is_rejected(self):
-        from repro.exceptions import ConfigurationError
-
-        # Publication happens in the n_jobs pool; a dataset is RAM or mmap.
-        with pytest.raises(ConfigurationError, match="unknown graph store 'shm'"):
-            load_dataset(
-                "facebook", seed=11, scale=0.1, representation="csr", graph_store="shm"
-            )
-
-    def test_external_store_requires_csr_representation(self):
-        with pytest.raises(DatasetError, match="representation='csr'"):
-            load_dataset("facebook", seed=1, scale=0.1, graph_store="mmap")
-
-    def test_unknown_store_rejected(self):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="unknown graph store"):
-            load_dataset(
-                "facebook", seed=1, scale=0.1, representation="csr", graph_store="tape"
+                "facebook", seed=9, scale=0.1, representation="csr", graph_store="ram"
             )

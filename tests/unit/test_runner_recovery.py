@@ -8,11 +8,14 @@ acceptance criterion, asserted here with a real SIGKILL injected into a
 real pool worker via ``REPRO_FAULTS``.
 """
 
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.experiments.runner as runner_module
 from repro.exceptions import ExperimentError
 from repro.experiments.algorithms import build_algorithm_suite
 from repro.experiments.runner import compare_algorithms
@@ -50,6 +53,24 @@ def _table(graph, suite, **overrides):
     )
     settings.update(overrides)
     return compare_algorithms(graph, 1, 2, **settings)
+
+
+def _pool_breaking_on_second_submit(every_pool):
+    """A process pool whose ``submit`` raises :class:`BrokenProcessPool`
+    on its second call — what a real pool does once a worker died before
+    the next job was handed over.  The count is per pool when
+    *every_pool*, else across all pools (only the first one breaks)."""
+    shared = []
+
+    class Pool(ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            calls = self.__dict__.setdefault("_calls", []) if every_pool else shared
+            calls.append(None)
+            if len(calls) == 2:
+                raise BrokenProcessPool("a worker died before the job was submitted")
+            return super().submit(*args, **kwargs)
+
+    return Pool
 
 
 class TestKillRecovery:
@@ -100,6 +121,31 @@ class TestKillRecovery:
         monkeypatch.delenv(FAULTS_STATE_ENV, raising=False)
         with pytest.raises(ExperimentError, match="giving up after"):
             _table(csr_graph, suite)
+
+    def test_pool_broken_mid_submission_is_respawned_bit_identically(
+        self, csr_graph, suite, monkeypatch
+    ):
+        reference = _table(csr_graph, suite)
+        monkeypatch.setattr(
+            runner_module, "ProcessPoolExecutor", _pool_breaking_on_second_submit(False)
+        )
+        recovered = _table(csr_graph, suite)
+        assert recovered.algorithms() == reference.algorithms()
+        for name in reference.algorithms():
+            for ours, theirs in zip(recovered.cells[name], reference.cells[name]):
+                assert ours.estimates == theirs.estimates
+                assert ours.api_calls == theirs.api_calls
+
+    def test_pools_broken_mid_submission_give_up_with_a_typed_error(
+        self, csr_graph, suite, monkeypatch
+    ):
+        # Each pool runs one job before it breaks: five jobs outlast
+        # the three pools the respawn budget allows.
+        monkeypatch.setattr(
+            runner_module, "ProcessPoolExecutor", _pool_breaking_on_second_submit(True)
+        )
+        with pytest.raises(ExperimentError, match="giving up after"):
+            _table(csr_graph, suite, sample_fractions=(0.02, 0.03, 0.04, 0.05, 0.06))
 
 
 class TestCrashResume:

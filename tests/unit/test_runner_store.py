@@ -18,7 +18,7 @@ from repro.experiments.runner import (
 )
 from repro.graph.csr import CSRGraph, csr_view
 from repro.graph.labeled_graph import LabeledGraph
-from repro.graph.store import is_publishable, load_csr_npz, save_csr_npz
+from repro.graph.store import attach_csr, is_publishable, publish_csr
 
 #: Every (execution, reuse) pair; CSR graphs cannot run the first one.
 KNOBS = [("sequential", "none"), ("fleet", "none"), ("sequential", "prefix"), ("fleet", "prefix")]
@@ -33,6 +33,19 @@ def csr_graph() -> CSRGraph:
     edges = np.concatenate([hub_edges, random_edges])
     labels = rng.integers(1, 3, size=300)
     return CSRGraph.from_edge_array(edges, num_nodes=300, label_array=labels)
+
+
+@pytest.fixture
+def shm_graph(csr_graph):
+    """An shm-attached copy of ``csr_graph``, published without caches."""
+    cold = CSRGraph(
+        None, csr_graph.indptr.copy(), csr_graph.indices.copy(),
+        label_array=np.asarray(csr_graph.label_array()).copy(),
+    )
+    with publish_csr(cold) as publication:
+        attached = publication.attach()
+        yield attached
+        del attached
 
 
 @pytest.fixture(scope="module")
@@ -75,12 +88,11 @@ def _shm_segments():
 
 class TestStoreParity:
     def test_tables_bit_identical_across_backings_and_jobs(
-        self, csr_graph, proposed_suite, tmp_path
+        self, csr_graph, shm_graph, proposed_suite
     ):
         """Any (backing, n_jobs) combination yields the exact same table."""
         reference = _cells(_table(csr_graph, proposed_suite, 1))
-        mmap_graph = load_csr_npz(save_csr_npz(csr_graph, tmp_path / "g.npz"))
-        for graph, n_jobs in [(csr_graph, 2), (csr_graph, 3), (mmap_graph, 2), (mmap_graph, 1)]:
+        for graph, n_jobs in [(csr_graph, 2), (csr_graph, 3), (shm_graph, 2), (shm_graph, 1)]:
             assert _cells(_table(graph, proposed_suite, n_jobs)) == reference
 
     def test_no_segments_leaked_by_successful_runs(self, csr_graph, proposed_suite):
@@ -133,21 +145,16 @@ class TestJobEquivalence:
             assert seen[0] is csr_view(gender_osn)
 
     @pytest.mark.parametrize("execution, reuse", KNOBS[1:])
-    def test_ram_and_mmap_csr_datasets(self, execution, reuse, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_MMAP_DIR", str(tmp_path))
+    def test_ram_and_shm_csr_datasets(self, execution, reuse):
         ram = load_dataset("facebook", seed=9, scale=0.1, representation="csr", use_cache=False)
-        mapped = load_dataset(
-            "facebook", seed=9, scale=0.1, representation="csr", graph_store="mmap",
-            use_cache=False,
-        )
-        try:
-            assert mapped.graph.store == "mmap"
-            suite = build_algorithm_suite(ram.graph, algorithms=["NeighborSample-HH", "EX-MHRW"])
-            reference = _cells(_table(ram.graph, suite, 1, execution, reuse))
-            for graph, n_jobs in [(ram.graph, 2), (mapped.graph, 1), (mapped.graph, 2)]:
+        suite = build_algorithm_suite(ram.graph, algorithms=["NeighborSample-HH", "EX-MHRW"])
+        reference = _cells(_table(ram.graph, suite, 1, execution, reuse))
+        with publish_csr(ram.graph) as publication:
+            attached = publication.attach()
+            assert attached.store == "shm"
+            for graph, n_jobs in [(ram.graph, 2), (attached, 1), (attached, 2)]:
                 assert _cells(_table(graph, suite, n_jobs, execution, reuse)) == reference
-        finally:
-            mapped.release()
+            del attached
 
 
 class TestStoreErrors:
@@ -170,28 +177,25 @@ class TestStoreErrors:
 
 
 class TestHandleShipping:
-    def test_mmap_dataset_ships_as_o1_handle(self, csr_graph, tmp_path):
-        """The pool initargs payload for an mmap graph is the handle, not bytes."""
-        mmap_graph = load_csr_npz(save_csr_npz(csr_graph, tmp_path / "g.npz"))
-        assert len(pickle.dumps(mmap_graph)) < 1024
+    def test_shm_graph_ships_as_o1_handle(self, csr_graph, shm_graph):
+        """The pool initargs payload for an shm graph is the handle, not bytes."""
+        assert len(pickle.dumps(shm_graph)) < 1024
         ram_blob = pickle.dumps(csr_graph)
         assert len(ram_blob) > 10 * 1024  # the by-value pickle it replaces
 
 
 class TestWarmCacheShipping:
-    def test_reused_handle_ships_parent_caches_by_value(self, csr_graph, tmp_path):
-        """An already-mmap-backed graph keeps its cache-less handle on
+    def test_reused_handle_ships_parent_caches_by_value(self, shm_graph):
+        """An already-shm-backed graph keeps its cache-less handle on
         republication; the runner must hand the parent's derived caches
         to workers instead of letting each re-stream the adjacency."""
         from repro.experiments.runner import _WORKER_STATE, _init_job_worker
-        from repro.graph.store import publish_csr
 
-        mmap_graph = load_csr_npz(save_csr_npz(csr_graph, tmp_path / "g.npz"))
-        truth = mmap_graph.count_target_edges(1, 2)  # parent-side classification
-        publication = publish_csr(mmap_graph, "mmap")
+        truth = shm_graph.count_target_edges(1, 2)  # parent-side classification
+        publication = publish_csr(shm_graph)
         assert not publication.owns_resource  # reused the existing handle
         assert publication.handle.target_counts == ()  # which carries no caches
-        exported = mmap_graph.export_label_caches()
+        exported = shm_graph.export_label_caches()
         saved_state = dict(_WORKER_STATE)
         try:
             _init_job_worker(publication.handle, pickle.dumps({}), exported)
@@ -202,14 +206,13 @@ class TestWarmCacheShipping:
         finally:
             _WORKER_STATE.clear()
             _WORKER_STATE.update(saved_state)
-        publication.unlink()  # non-owning: must leave the sidecar alone
-        assert (tmp_path / "g.npz").exists()
+        publication.unlink()  # non-owning: must leave the segment alone
+        assert attach_csr(publication.handle).num_nodes == shm_graph.num_nodes
 
-    def test_mmap_store_tables_still_bit_identical(self, csr_graph, proposed_suite, tmp_path):
-        mmap_graph = load_csr_npz(save_csr_npz(csr_graph, tmp_path / "g2.npz"))
-        mmap_graph.count_target_edges(1, 2)  # warm before the pool runs
+    def test_shm_store_tables_still_bit_identical(self, csr_graph, shm_graph, proposed_suite):
+        shm_graph.count_target_edges(1, 2)  # warm before the pool runs
         reference = _table(csr_graph, proposed_suite, 1)
-        table = _table(mmap_graph, proposed_suite, 2)
+        table = _table(shm_graph, proposed_suite, 2)
         for name in reference.algorithms():
             for ours, theirs in zip(table.cells[name], reference.cells[name]):
                 assert ours.estimates == theirs.estimates

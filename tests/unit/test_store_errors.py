@@ -1,13 +1,11 @@
 """StoreAttachError: typed, located, retryable attach failures.
 
 A worker (or the service) attaching a CSR publication that has vanished
-must get a :class:`StoreAttachError` naming the segment or sidecar —
+must get a :class:`StoreAttachError` naming the segment —
 never a bare :class:`FileNotFoundError` — because the retry policies
 key off its ``retryable`` flag and operators key off the location in
 the message.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -28,7 +26,7 @@ def csr_graph() -> CSRGraph:
 
 class TestShmAttach:
     def test_unlinked_segment_raises_named_retryable_error(self, csr_graph):
-        publication = publish_csr(csr_graph, "shm")
+        publication = publish_csr(csr_graph)
         handle = publication.handle
         publication.close()
         publication.unlink()
@@ -39,27 +37,15 @@ class TestShmAttach:
         assert handle.location in str(excinfo.value)
 
     def test_live_segment_still_attaches(self, csr_graph):
-        with publish_csr(csr_graph, "shm") as publication:
+        with publish_csr(csr_graph) as publication:
             attached = attach_csr(publication.handle)
             assert attached.num_nodes == csr_graph.num_nodes
-
-
-class TestMmapAttach:
-    def test_deleted_sidecar_raises_named_retryable_error(self, csr_graph, tmp_path):
-        with publish_csr(csr_graph, "mmap", directory=tmp_path) as publication:
-            handle = publication.handle
-            os.remove(handle.location)
-            with pytest.raises(StoreAttachError) as excinfo:
-                attach_csr(handle)
-        assert excinfo.value.retryable is True
-        assert excinfo.value.location == handle.location
-        assert handle.location in str(excinfo.value)
 
 
 class TestRetryIntegration:
     def test_attach_is_retried_as_a_transient_failure(self, csr_graph):
         """The worker-init policy: a dead handle costs *attempts* tries."""
-        publication = publish_csr(csr_graph, "shm")
+        publication = publish_csr(csr_graph)
         handle = publication.handle
         publication.close()
         publication.unlink()
