@@ -14,6 +14,7 @@ from repro.exceptions import ConfigurationError, ExperimentError, GraphError
 from repro.experiments.algorithms import build_algorithm_suite
 from repro.experiments.runner import run_trials_prefix
 from repro.service import EstimationService
+from repro.service.core import MAX_QUERY_STEPS
 from repro.service.planner import EstimateQuery
 from repro.utils.rng import derive_seed
 
@@ -180,6 +181,19 @@ class TestValidation:
         assert ram_service.normalize_query(_query(budget=num_nodes)).budget == num_nodes
         with pytest.raises(ConfigurationError, match="budget"):
             ram_service.normalize_query(_query(budget=num_nodes + 1))
+
+    def test_repetitions_are_priced_up_to_the_step_limit(self, ram_service):
+        # 2^20 walkers × (0 burn-in + 16 budget) is exactly 2^24 steps.
+        at_limit = _query(repetitions=MAX_QUERY_STEPS // 16, burn_in=0, budget=16)
+        assert ram_service.normalize_query(at_limit).repetitions == MAX_QUERY_STEPS // 16
+        with pytest.raises(ConfigurationError, match="walk steps"):
+            ram_service.normalize_query(dict(at_limit, repetitions=MAX_QUERY_STEPS // 16 + 1))
+
+    def test_step_limit_error_names_the_ask_and_the_limit(self, ram_service):
+        with pytest.raises(ConfigurationError) as excinfo:
+            ram_service.normalize_query(_query(repetitions=1000, burn_in=20_000, budget=10))
+        assert "20010000 walk steps" in str(excinfo.value)
+        assert f"the limit is {MAX_QUERY_STEPS}" in str(excinfo.value)
 
     def test_negative_burn_in_rejected(self, ram_service):
         with pytest.raises(ConfigurationError, match="burn_in"):

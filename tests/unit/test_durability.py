@@ -14,6 +14,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import zipfile
 
 import numpy as np
 import pytest
@@ -221,6 +222,18 @@ class TestManifest:
         with pytest.raises(ConfigurationError, match="unknown artifact"):
             verify_artifact(target, mode="paranoid")
 
+    def test_manifest_footer_does_not_move_member_offsets(self, tmp_path):
+        """The manifest is a zip comment after all member data: every
+        member sits exactly where a plain ``np.savez`` puts it."""
+        plain = tmp_path / "plain.npz"
+        checked = tmp_path / "checked.npz"
+        with open(plain, "wb") as sink:
+            np.savez(sink, **_arrays())
+        write_npz(checked, _arrays())
+        with zipfile.ZipFile(plain) as a, zipfile.ZipFile(checked) as b:
+            for name in ("indptr.npy", "indices.npy"):
+                assert a.getinfo(name).header_offset == b.getinfo(name).header_offset
+
 
 class TestJournal:
     FP = "f" * 32
@@ -356,6 +369,51 @@ class TestSweepDurabilityFiles:
         resumed = ExperimentJournal(crashed.path, self.FP, resume=True)
         assert set(resumed.completed_cells()) == {("NS-HH", 0)}
         resumed.close()
+
+    def _dead_pid(self):
+        child = subprocess.run(
+            [sys.executable, "-c", "import os; print(os.getpid())"],
+            capture_output=True,
+            text=True,
+        )
+        return int(child.stdout)
+
+    def test_dry_run_reports_without_deleting(self, tmp_path):
+        done = ExperimentJournal(tmp_path / "done", self.FP)
+        done.commit(cells=0)
+        done.close()
+        scratch = tmp_path / f".g.npz.pid{self._dead_pid()}.{'c' * 8}.tmp"
+        scratch.write_bytes(b"torn")
+        expected = sorted([done.path, scratch])
+        assert sweep_orphan_spills(tmp_path, dry_run=True) == expected
+        assert done.path.exists() and scratch.exists()
+        assert sweep_orphan_spills(tmp_path) == expected
+        assert not done.path.exists() and not scratch.exists()
+
+    def test_missing_directory_sweeps_nothing(self, tmp_path):
+        assert sweep_orphan_spills(tmp_path / "absent") == []
+
+    def test_archives_named_after_dead_pids_are_left_alone(self, tmp_path):
+        """Only scratch temps and committed journals are garbage: a
+        finished ``.npz`` is an artifact whatever its name says."""
+        dead = self._dead_pid()
+        keep = [
+            tmp_path / f"facebook-seed9-{dead}-{'d' * 8}.npz",
+            tmp_path / f"graph.pid{dead}.npz",
+            tmp_path / "notes.txt",
+        ]
+        for path in keep:
+            path.write_bytes(b"artifact")
+        assert sweep_orphan_spills(tmp_path) == []
+        assert all(path.exists() for path in keep)
+
+    def test_subdirectories_are_not_descended(self, tmp_path):
+        nested = tmp_path / "nested"
+        nested.mkdir()
+        scratch = nested / f".g.npz.pid{self._dead_pid()}.{'e' * 8}.tmp"
+        scratch.write_bytes(b"torn")
+        assert sweep_orphan_spills(tmp_path) == []
+        assert scratch.exists()
 
 
 class TestValidateInvariants:

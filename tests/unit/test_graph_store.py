@@ -9,9 +9,10 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError, StoreAttachError
+from repro.exceptions import ArtifactCorruptError, ConfigurationError, StoreAttachError
 from repro.graph.csr import CSRGraph
 from repro.graph.store import (
+    GRAPH_STORES,
     attach_csr,
     is_publishable,
     load_csr_npz,
@@ -49,6 +50,9 @@ class TestValidation:
         assert not is_publishable(set_labeled)
         with pytest.raises(ConfigurationError, match="set-labeled"):
             publish_csr(set_labeled)
+
+    def test_stores_are_ram_and_shm(self):
+        assert GRAPH_STORES == ("ram", "shm")
 
     def test_known_stores_pass(self):
         for store in ("ram", "shm"):
@@ -198,6 +202,90 @@ class TestNpzArchive:
         assert loaded.sealed is None
         blob = pickle.dumps(loaded)  # a RAM graph pickles by value
         assert len(blob) > loaded.indices.nbytes
+
+    def test_save_load_round_trip(self, labeled_csr, tmp_path):
+        loaded = load_csr_npz(save_csr_npz(labeled_csr, tmp_path / "graph.npz"))
+        _assert_same_graph(loaded, labeled_csr)
+        for key in ("indptr", "indices"):
+            array = getattr(loaded, key)
+            assert type(array) is np.ndarray  # plain RAM buffers
+            assert array.dtype == getattr(labeled_csr, key).dtype
+        assert loaded.label_array().dtype == labeled_csr.label_array().dtype
+
+    def test_archive_holds_only_the_defining_buffers(self, labeled_csr, tmp_path):
+        labeled_csr.count_target_edges(1, 2)  # warm caches are not written
+        path = save_csr_npz(labeled_csr, tmp_path / "g.npz")
+        with np.load(path) as payload:
+            assert sorted(payload.files) == ["indices", "indptr", "label_array"]
+        loaded = load_csr_npz(path)
+        assert not loaded._target_count_cache
+        assert loaded.count_target_edges(1, 2) == labeled_csr.count_target_edges(1, 2)
+
+    def test_node_ids_round_trip(self, tmp_path):
+        ring = CSRGraph.from_edge_array(np.array([[0, 1], [1, 2], [2, 0]]), num_nodes=3)
+        graph = CSRGraph(np.array([10, 20, 30]), ring.indptr, ring.indices)
+        loaded = load_csr_npz(save_csr_npz(graph, tmp_path / "ids.npz"))
+        assert loaded.node_id_list() == [10, 20, 30]
+        assert loaded.label_array() is None
+
+    def test_unlabeled_identity_graph_round_trip(self, tmp_path):
+        graph = CSRGraph.from_edge_array(np.array([[0, 1], [1, 2], [3, 4]]), num_nodes=5)
+        path = save_csr_npz(graph, tmp_path / "bare.npz")
+        with np.load(path) as payload:
+            assert sorted(payload.files) == ["indices", "indptr"]
+        loaded = load_csr_npz(path)
+        assert loaded.label_array() is None
+        assert loaded.node_id_list() == [0, 1, 2, 3, 4]
+        assert np.array_equal(loaded.indices, graph.indices)
+
+    def test_set_labeled_graph_cannot_be_saved(self, tmp_path):
+        graph = CSRGraph.from_edge_array(np.array([[0, 1], [1, 2]]))
+        graph = graph.with_labels(label_sets=[{"a"}, {"b"}, {"a"}])
+        with pytest.raises(ConfigurationError, match="set-labeled"):
+            save_csr_npz(graph, tmp_path / "sets.npz")
+        assert not list(tmp_path.iterdir())
+
+    def test_save_creates_parents_and_leaves_no_scratch(self, labeled_csr, tmp_path):
+        target = tmp_path / "a" / "b" / "g.npz"
+        assert save_csr_npz(labeled_csr, target) == target
+        assert list(target.parent.iterdir()) == [target]
+
+    def test_bit_flipped_archive_is_refused(self, labeled_csr, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_VERIFY_ARTIFACTS", "full")
+        path = save_csr_npz(labeled_csr, tmp_path / "g.npz")
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) // 2] ^= 0xFF  # inside the indices member
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ArtifactCorruptError):
+            load_csr_npz(path)
+
+    def test_fleet_walk_bit_identical_to_saved_graph(self, labeled_csr, tmp_path):
+        reference = BatchedWalkEngine(labeled_csr, rng=13).run_fleet(6, 40, burn_in=3)
+        loaded = load_csr_npz(save_csr_npz(labeled_csr, tmp_path / "g.npz"))
+        fleet = BatchedWalkEngine(loaded, rng=13).run_fleet(6, 40, burn_in=3)
+        assert np.array_equal(fleet.trajectories, reference.trajectories)
+        assert np.array_equal(fleet.charged_calls(), reference.charged_calls())
+
+    def test_loaded_graph_publishes_to_shm(self, labeled_csr, tmp_path):
+        loaded = load_csr_npz(save_csr_npz(labeled_csr, tmp_path / "g.npz"))
+        with publish_csr(loaded) as publication:
+            assert publication.owns_resource
+            attached = publication.attach()
+            _assert_same_graph(attached, labeled_csr)
+            assert attached.store == "shm"
+            del attached
+
+
+class TestNeighborMaskCounts:
+    def test_counts_match_a_per_row_loop(self, labeled_csr):
+        mask = labeled_csr.label_mask(2)
+        counts = labeled_csr.neighbor_mask_counts(mask)
+        for node in range(labeled_csr.num_nodes):
+            assert counts[node] == int(mask[labeled_csr.neighbors(node)].sum())
+
+    def test_empty_graph(self):
+        empty = CSRGraph(None, np.array([0]), np.array([], dtype=np.int64))
+        assert empty.neighbor_mask_counts(np.array([], dtype=bool)).size == 0
 
 
 class TestHandleShape:

@@ -18,7 +18,13 @@ from repro.experiments.runner import (
 )
 from repro.graph.csr import CSRGraph, csr_view
 from repro.graph.labeled_graph import LabeledGraph
-from repro.graph.store import attach_csr, is_publishable, publish_csr
+from repro.graph.store import (
+    attach_csr,
+    is_publishable,
+    load_csr_npz,
+    publish_csr,
+    save_csr_npz,
+)
 
 #: Every (execution, reuse) pair; CSR graphs cannot run the first one.
 KNOBS = [("sequential", "none"), ("fleet", "none"), ("sequential", "prefix"), ("fleet", "prefix")]
@@ -94,6 +100,16 @@ class TestStoreParity:
         reference = _cells(_table(csr_graph, proposed_suite, 1))
         for graph, n_jobs in [(csr_graph, 2), (csr_graph, 3), (shm_graph, 2), (shm_graph, 1)]:
             assert _cells(_table(graph, proposed_suite, n_jobs)) == reference
+
+    def test_graph_reloaded_from_an_archive_gives_the_same_table(
+        self, csr_graph, proposed_suite, tmp_path
+    ):
+        """A save_csr_npz / load_csr_npz round trip moves no draw."""
+        reference = _cells(_table(csr_graph, proposed_suite, 1))
+        reloaded = load_csr_npz(save_csr_npz(csr_graph, tmp_path / "g.npz"))
+        assert reloaded.store == "ram"
+        for n_jobs in (1, 2):
+            assert _cells(_table(reloaded, proposed_suite, n_jobs)) == reference
 
     def test_no_segments_leaked_by_successful_runs(self, csr_graph, proposed_suite):
         before = _shm_segments()
