@@ -15,7 +15,7 @@ from repro.experiments.reporting import format_frequency_series
 
 def _build_series(settings):
     config = table_config(settings).with_overrides(dataset="orkut")
-    return run_paper_figure(1, config, repetitions=settings["repetitions"])
+    return run_paper_figure(1, config)
 
 
 def test_figure1_orkut_frequency_sweep(benchmark, settings):

@@ -11,7 +11,7 @@ from repro.experiments.reporting import format_frequency_series
 
 def _build_series(settings):
     config = table_config(settings).with_overrides(dataset="livejournal")
-    return run_paper_figure(2, config, repetitions=settings["repetitions"])
+    return run_paper_figure(2, config)
 
 
 def test_figure2_livejournal_frequency_sweep(benchmark, settings):

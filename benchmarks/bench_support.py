@@ -3,7 +3,10 @@
 Default settings are scaled down so the full harness finishes on a
 laptop; set the environment variables to approach the paper's setting::
 
-    REPRO_REPETITIONS=200 REPRO_DATASET_SCALE=1.0 pytest benchmarks/ --benchmark-only
+    REPRO_REPETITIONS=200 REPRO_DATASET_SCALE=1.0 REPRO_JOBS=4 pytest benchmarks/ --benchmark-only
+
+This module is the one reader of those variables; the library itself
+takes run sizes only from its arguments.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ RESULTS_DIR = Path(__file__).parent / "results"
 #: Benchmark-default experiment size (overridable via the environment).
 DEFAULT_REPETITIONS = int(os.environ.get("REPRO_REPETITIONS", "5"))
 DEFAULT_SCALE = float(os.environ.get("REPRO_DATASET_SCALE", "0.25"))
+DEFAULT_JOBS = int(os.environ.get("REPRO_JOBS", "1"))
 DEFAULT_FRACTIONS = (0.01, 0.03, 0.05)
 DEFAULT_SEED = 2018
 
@@ -53,10 +57,11 @@ def merge_json(name: str, payload: dict) -> Path:
 
 
 def bench_settings() -> dict:
-    """The shared (repetitions, scale, fractions, seed) mapping."""
+    """The shared (repetitions, scale, n_jobs, fractions, seed) mapping."""
     return {
         "repetitions": DEFAULT_REPETITIONS,
         "scale": DEFAULT_SCALE,
+        "n_jobs": DEFAULT_JOBS,
         "fractions": DEFAULT_FRACTIONS,
         "seed": DEFAULT_SEED,
     }
@@ -71,6 +76,7 @@ def table_config(settings):
         sample_fractions=settings["fractions"],
         repetitions=settings["repetitions"],
         scale=settings["scale"],
+        n_jobs=settings["n_jobs"],
         seed=settings["seed"],
     )
 

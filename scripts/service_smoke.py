@@ -504,7 +504,7 @@ def _fsck_phase(directory: Path) -> None:
     from repro.durability import verify_artifact
 
     try:
-        verify_artifact(artifact, mode="full")
+        verify_artifact(artifact)
     except ArtifactCorruptError as exc:
         assert exc.retryable and str(artifact) in str(exc)
     else:

@@ -27,8 +27,9 @@ Sub-commands
     ``--directory``, also committed journals and dead-pid scratch temps
     there.
 ``fsck``
-    Verify durable ``.npz`` artifacts: blake2b manifest check plus the
-    deep :meth:`CSRGraph.validate_invariants` structural check.
+    Verify durable ``.npz`` artifacts: every byte against the blake2b
+    manifest, plus the deep :meth:`CSRGraph.validate_invariants`
+    structural check.
 """
 
 from __future__ import annotations
@@ -87,10 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     table = subparsers.add_parser("table", help="reproduce a paper NRMSE table")
     table.add_argument("number", type=int, choices=list_tables())
-    # None sentinels: only flags the user actually passed are pinned
-    # against the REPRO_* environment overrides.
-    table.add_argument("--repetitions", type=int, default=None, help="default: 20")
-    table.add_argument("--scale", type=float, default=None, help="default: 0.25")
+    table.add_argument("--repetitions", type=int, default=20)
+    table.add_argument("--scale", type=float, default=0.25)
     table.add_argument("--seed", type=int, default=2018)
     table.add_argument(
         "--budgets",
@@ -110,9 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument(
         "--jobs",
         type=int,
-        default=None,
+        default=1,
         help="worker processes for the table's jobs, prefix fleets included "
-        "(same table for any worker count; default: 1)",
+        "(same table for any worker count)",
     )
     table.add_argument(
         "--reuse",
@@ -145,8 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     figure = subparsers.add_parser("figure", help="reproduce a paper figure series")
     figure.add_argument("number", type=int, choices=[1, 2])
-    figure.add_argument("--repetitions", type=int, default=None, help="default: 10")
-    figure.add_argument("--scale", type=float, default=None, help="default: 0.25")
+    figure.add_argument("--repetitions", type=int, default=10)
+    figure.add_argument("--scale", type=float, default=0.25)
     figure.add_argument("--seed", type=int, default=2018)
     figure.add_argument(
         "--execution",
@@ -158,9 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument(
         "--jobs",
         type=int,
-        default=None,
+        default=1,
         help="worker processes for the sweep's jobs, prefix fleets included "
-        "(same series for any worker count; default: 1)",
+        "(same series for any worker count)",
     )
     figure.add_argument(
         "--reuse",
@@ -339,19 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     fsck = subparsers.add_parser(
         "fsck",
-        help="verify checksums and CSR invariants of durable .npz artifacts",
+        help="verify every byte of durable .npz artifacts against their "
+        "checksums, and their CSR invariants",
     )
     fsck.add_argument(
         "paths",
         nargs="+",
         help=".npz artifact files, or directories to scan for them",
-    )
-    fsck.add_argument(
-        "--mode",
-        choices=("full", "sampled"),
-        default="full",
-        help="manifest verification depth: every byte, or member sizes "
-        "plus sampled pages (default: full)",
     )
     fsck.add_argument(
         "--no-structure",
@@ -367,28 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="adjacency slots to spot-check for symmetry (0 disables)",
     )
     return parser
-
-
-def _resolve_run_size(args, default_repetitions: int, default_scale: float):
-    """Resolve --repetitions/--scale/--jobs sentinels against defaults.
-
-    Returns ``(repetitions, scale, n_jobs, pinned)`` where *pinned*
-    names only the flags the user actually passed — those beat exported
-    ``REPRO_*`` variables, while untouched defaults stay overridable.
-    """
-    pinned = tuple(
-        name
-        for name, value in (
-            ("repetitions", args.repetitions),
-            ("scale", args.scale),
-            ("n_jobs", args.jobs),
-        )
-        if value is not None
-    )
-    repetitions = default_repetitions if args.repetitions is None else args.repetitions
-    scale = default_scale if args.scale is None else args.scale
-    n_jobs = 1 if args.jobs is None else args.jobs
-    return repetitions, scale, n_jobs, pinned
 
 
 def _command_datasets(args) -> int:
@@ -434,22 +405,18 @@ def _command_estimate(args) -> int:
 
 
 def _command_table(args) -> int:
-    repetitions, scale, n_jobs, pinned = _resolve_run_size(
-        args, default_repetitions=20, default_scale=0.25
-    )
     config = ExperimentConfig(
         dataset="facebook",  # replaced by run_paper_table with the table's dataset
         sample_fractions=tuple(args.budgets),
-        repetitions=repetitions,
+        repetitions=args.repetitions,
         seed=args.seed,
-        scale=scale,
+        scale=args.scale,
         execution=args.execution,
         reuse=args.reuse,
         representation=args.representation,
-        n_jobs=n_jobs,
+        n_jobs=args.jobs,
         journal=args.journal,
         resume=args.resume,
-        pinned=pinned,
     )
     result = run_paper_table(args.number, config)
     print(format_nrmse_table(result.table, caption=f"Reproduction of paper Table {args.number}"))
@@ -465,25 +432,19 @@ def _command_table(args) -> int:
 
 
 def _command_figure(args) -> int:
-    repetitions, scale, n_jobs, pinned = _resolve_run_size(
-        args, default_repetitions=10, default_scale=0.25
-    )
     config = ExperimentConfig(
         dataset="orkut",  # replaced by run_paper_figure with the figure's dataset
-        repetitions=repetitions,
+        repetitions=args.repetitions,
         seed=args.seed,
-        scale=scale,
+        scale=args.scale,
         execution=args.execution,
         reuse=args.reuse,
         representation=args.representation,
-        n_jobs=n_jobs,
+        n_jobs=args.jobs,
         journal=args.journal,
         resume=args.resume,
-        pinned=pinned,
     )
-    result = run_paper_figure(
-        args.number, config, repetitions=None if args.repetitions is None else repetitions
-    )
+    result = run_paper_figure(args.number, config)
     print(
         format_frequency_series(
             result.points,
@@ -650,7 +611,7 @@ def _command_fsck(args) -> int:
     corrupt = 0
     for path in targets:
         try:
-            outcome = verify_artifact(path, mode=args.mode)
+            outcome = verify_artifact(path)
             detail = f"manifest {outcome}"
             if not args.no_structure:
                 with np.load(path) as payload:

@@ -6,8 +6,7 @@ legs, each a module here:
 * :mod:`~repro.durability.atomic` + :mod:`~repro.durability.manifest` —
   every durable write is scratch-file + fsync + ``os.replace``, and
   every ``.npz`` carries a blake2b manifest footer the load paths
-  verify before reading a byte (full / sampled / off, via
-  ``REPRO_VERIFY_ARTIFACTS``);
+  check against every byte before using any;
 * :mod:`~repro.durability.journal` — long sweeps WAL each completed
   cell, fingerprint-keyed, so ``--resume`` replays the finished work
   bit-identically;
@@ -34,14 +33,10 @@ from repro.durability.journal import (
     suite_fingerprint,
 )
 from repro.durability.manifest import (
-    PAGE_BYTES,
-    VERIFY_ENV,
-    VERIFY_MODES,
     artifact_counters,
     attach_manifest,
     read_manifest,
     reset_artifact_counters,
-    resolve_verify_mode,
     verify_artifact,
     write_npz,
 )
@@ -49,10 +44,7 @@ from repro.durability.snapshot import read_blob, write_blob
 
 __all__ = [
     "JOURNAL_SUFFIX",
-    "PAGE_BYTES",
     "SCRATCH_PATTERN",
-    "VERIFY_ENV",
-    "VERIFY_MODES",
     "ExperimentJournal",
     "artifact_counters",
     "atomic_write",
@@ -66,7 +58,6 @@ __all__ = [
     "read_manifest",
     "read_records",
     "reset_artifact_counters",
-    "resolve_verify_mode",
     "scratch_path",
     "suite_fingerprint",
     "verify_artifact",

@@ -9,7 +9,6 @@ of walking, so the benchmark harness and the CLI expose lighter presets;
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
@@ -21,13 +20,6 @@ from repro.utils.validation import check_fraction, check_positive_int
 DEFAULT_SAMPLE_FRACTIONS: Tuple[float, ...] = tuple(
     round(0.005 * step, 4) for step in range(1, 11)
 )
-
-#: Environment variables that let CI / benches shrink the workload
-#: without editing code.
-ENV_REPETITIONS = "REPRO_REPETITIONS"
-ENV_SCALE = "REPRO_DATASET_SCALE"
-ENV_JOBS = "REPRO_JOBS"
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -87,11 +79,6 @@ class ExperimentConfig:
         With :attr:`journal`, replay the finished cells of a previous
         run and execute only the missing ones (bit-identical — cell
         seeds are pre-derived).  Requires :attr:`journal`.
-    pinned:
-        Field names whose values were set explicitly (e.g. CLI flags)
-        and must not be changed by :meth:`apply_environment` — an
-        exported ``REPRO_JOBS`` should fill defaults, not silently beat
-        an explicit ``--jobs``.
     """
 
     dataset: str
@@ -108,7 +95,6 @@ class ExperimentConfig:
     n_jobs: int = 1
     journal: Optional[str] = None
     resume: bool = False
-    pinned: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         check_positive_int(self.repetitions, "repetitions")
@@ -165,26 +151,8 @@ class ExperimentConfig:
         """Return a copy with selected fields replaced."""
         return replace(self, **kwargs)
 
-    def apply_environment(self) -> "ExperimentConfig":
-        """Apply ``REPRO_REPETITIONS`` / ``REPRO_DATASET_SCALE`` /
-        ``REPRO_JOBS`` overrides, skipping :attr:`pinned` fields."""
-        updates = {}
-        repetitions = os.environ.get(ENV_REPETITIONS)
-        if repetitions and "repetitions" not in self.pinned:
-            updates["repetitions"] = int(repetitions)
-        scale = os.environ.get(ENV_SCALE)
-        if scale and "scale" not in self.pinned:
-            updates["scale"] = float(scale)
-        jobs = os.environ.get(ENV_JOBS)
-        if jobs and "n_jobs" not in self.pinned:
-            updates["n_jobs"] = int(jobs)
-        return self.with_overrides(**updates) if updates else self
-
 
 __all__ = [
     "ExperimentConfig",
     "DEFAULT_SAMPLE_FRACTIONS",
-    "ENV_REPETITIONS",
-    "ENV_SCALE",
-    "ENV_JOBS",
 ]

@@ -97,7 +97,6 @@ class PaperFigureResult:
 def run_paper_figure(
     figure_number: int,
     config: Optional[ExperimentConfig] = None,
-    repetitions: Optional[int] = None,
 ) -> PaperFigureResult:
     """Reproduce the data series behind Figure 1 or Figure 2."""
     if figure_number not in FIGURE_DEFINITIONS:
@@ -107,9 +106,6 @@ def run_paper_figure(
     definition = FIGURE_DEFINITIONS[figure_number]
     if config is None:
         config = ExperimentConfig.quick(definition.dataset)
-    config = config.apply_environment()
-    if repetitions is None:
-        repetitions = config.repetitions
 
     dataset = load_dataset(
         definition.dataset,
@@ -122,7 +118,7 @@ def run_paper_figure(
         dataset.graph,
         pairs,
         budget_fraction=definition.budget_fraction,
-        repetitions=repetitions,
+        repetitions=config.repetitions,
         burn_in=config.burn_in,
         seed=config.seed,
         execution=config.execution,

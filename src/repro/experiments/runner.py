@@ -45,11 +45,10 @@ with :func:`derive_seed` before submission, so the result is identical
 for any worker count and scheduling order.  The graph decides how it
 reaches the workers: a dict graph is pickled once per worker (its
 frozen CSR view instead when every job is a fleet job), and a
-:class:`CSRGraph` travels as an O(1) :class:`~repro.graph.store.CSRHandle`
-that workers reattach zero-copy — its own handle when it is already
-shm-backed, a fresh shared-memory publication when it lives in RAM —
-unless no flat buffer can hold it, in which case it is pickled
-too.  The transport never touches a random stream.
+:class:`CSRGraph` is published into a fresh shared-memory segment whose
+O(1) :class:`~repro.graph.store.CSRHandle` workers reattach zero-copy —
+unless no flat buffer can hold it, in which case it is pickled too.
+The transport never touches a random stream.
 
 One durability knob: ``journal=`` names an append-only JSONL WAL
 (:class:`repro.durability.ExperimentJournal`) that records every
@@ -705,22 +704,15 @@ def _derive_group_seed(seed: RandomSource, algorithm: str) -> int:
 _WORKER_STATE: Dict[str, object] = {}
 
 
-def _init_job_worker(
-    graph_ref: Union[LabeledGraph, CSRHandle],
-    suite_blob: bytes,
-    cache_payload: Optional[Dict] = None,
-) -> None:
+def _init_job_worker(graph_ref: Union[LabeledGraph, CSRHandle], suite_blob: bytes) -> None:
     """Materialise the per-worker state from what the parent shipped.
 
     *graph_ref* is either a dict graph (one pickle per worker) or an
     O(1) :class:`CSRHandle` that reattaches the published buffers
-    zero-copy.  *suite_blob* is the suite pickled **once** in the
-    parent — the same bytes serve both the eager picklability check and
-    the transfer, so the suite is never serialized twice.
-    *cache_payload* carries the parent's derived label caches when the
-    handle could not (a re-published graph keeps its pre-existing
-    handle), so workers never repeat the parent's O(|E|) classification
-    passes.
+    zero-copy, derived label caches included.  *suite_blob* is the
+    suite pickled **once** in the parent — the same bytes serve both
+    the eager picklability check and the transfer, so the suite is
+    never serialized twice.
     """
     if isinstance(graph_ref, CSRHandle):
         # Attach with backoff: StoreAttachError is retryable, and an
@@ -729,8 +721,6 @@ def _init_job_worker(
         graph_ref = Retry(attempts=3, base_seconds=0.05).call(
             lambda: attach_csr(handle), describe="worker store attach"
         )
-        if cache_payload is not None:
-            graph_ref.adopt_label_caches(cache_payload)
     _WORKER_STATE["graph"] = graph_ref
     _WORKER_STATE["suite"] = pickle.loads(suite_blob)
 
@@ -763,12 +753,12 @@ def run_jobs_parallel(
     mid-pool) and as the per-worker transfer payload.
 
     The graph picks its own transport.  A dict graph is pickled into
-    each worker.  A :class:`CSRGraph` ships an O(1) handle that workers
-    reattach zero-copy: an shm-backed graph re-uses its own handle
-    (plus the label caches computed since, by value), and a graph in
-    RAM is published once into a shared-memory segment, which seals the
-    caller's buffers read-only; one holding label sets (any
-    :func:`csr_view` of a dict graph) cannot be, and is pickled too.
+    each worker.  A :class:`CSRGraph` is published once into a fresh
+    shared-memory segment, with the label caches the parent already
+    computed, and workers reattach its O(1) handle zero-copy;
+    publishing seals the caller's buffers read-only.  A CSR graph
+    holding label sets (any :func:`csr_view` of a dict graph) cannot
+    be published, and is pickled too.
     Handles win at scale: at the 10⁶-node rung, a 4-worker spawn pool
     fed by-value pickles ran a fleet table about 3× slower than one fed
     handles (the store bench in ``benchmarks/results/BENCH_scale.json``).
@@ -801,18 +791,9 @@ def run_jobs_parallel(
         ) from error
     publication = None
     graph_ref: Union[LabeledGraph, CSRHandle] = graph
-    cache_payload: Optional[Dict] = None
     if isinstance(graph, CSRGraph) and is_publishable(graph):
         publication = publish_csr(graph)
         graph_ref = publication.handle
-        if not publication.owns_resource:
-            # The graph was already shm-backed, so its pre-existing
-            # handle was reused — any caches computed *since* it was
-            # written are not in it; ship them by value (O(|V|), vs the
-            # O(|E|) recompute every worker would otherwise pay).
-            exported = graph.export_label_caches()
-            if any(exported.values()):
-                cache_payload = exported
     done: Set[int] = set()
     respawns = 0
     try:
@@ -821,7 +802,7 @@ def run_jobs_parallel(
             with ProcessPoolExecutor(
                 max_workers=n_jobs,
                 initializer=_init_job_worker,
-                initargs=(graph_ref, suite_blob, cache_payload),
+                initargs=(graph_ref, suite_blob),
             ) as pool:
                 futures: Dict[Future, int] = {}
                 try:

@@ -123,7 +123,6 @@ def run_paper_table(
         config = config.with_overrides(
             dataset=definition.dataset, target_pair_index=definition.target_pair_index
         )
-    config = config.apply_environment()
 
     dataset = load_dataset(
         definition.dataset,

@@ -118,9 +118,9 @@ class CSRGraph:
 
     The arrays need not be process-private RAM: :attr:`store` names the
     backing buffer store (``"ram"`` by default; ``"shm"`` when
-    :mod:`repro.graph.store` attached them), and an
-    externally-backed graph pickles as its O(1) :class:`CSRHandle`
-    instead of by value (see :meth:`__reduce_ex__`).
+    :mod:`repro.graph.store` attached them).  Either way the graph
+    pickles by value; ship the O(1) :class:`~repro.graph.store.CSRHandle`
+    instead to share one segment across processes.
     """
 
     def __init__(
@@ -175,8 +175,6 @@ class CSRGraph:
         # Keeps an attached shared-memory segment mapped while any view
         # into it is alive; None for ram-backed graphs.
         self._buffer_owner: Optional[object] = None
-        # O(1)-picklable reattach descriptor for externally-backed graphs.
-        self._handle: Optional[object] = None
         self._index_of: Optional[Dict[Node, int]] = None
         self._mask_cache: Dict[Label, np.ndarray] = {}
         self._incident_cache: Dict[Tuple[Label, Label], np.ndarray] = {}
@@ -260,9 +258,7 @@ class CSRGraph:
         CSR graphs are immutable, so labeling is re-wrapping: the
         ``indptr`` / ``indices`` buffers are shared (no copy), only the
         label storage and the derived caches are fresh.  The buffer
-        store carries over (so an attached segment stays mapped), but
-        the reattach handle does not — the new labels live in this process only, so the
-        re-wrapped graph pickles by value.
+        store carries over, so an attached segment stays mapped.
         """
         relabeled = CSRGraph(
             self._node_ids,
@@ -276,22 +272,6 @@ class CSRGraph:
         relabeled._buffer_owner = self._buffer_owner
         return relabeled
 
-    def __reduce_ex__(self, protocol):
-        """Pickle externally-backed graphs as their O(1) reattach handle.
-
-        A shm-backed graph serialises to its
-        :class:`~repro.graph.store.CSRHandle` — a few hundred bytes —
-        and unpickles by reattaching the same segment zero-copy in
-        the receiving process.  This is what makes ``n_jobs`` fleets
-        cheap at million-node scale: submitting work never re-ships the
-        adjacency.  RAM-backed graphs keep the default by-value pickle.
-        """
-        if self._handle is not None:
-            from repro.graph.store import attach_csr
-
-            return (attach_csr, (self._handle,))
-        return super().__reduce_ex__(protocol)
-
     def __getstate__(self):
         """By-value pickles must not drag a segment mapping along.
 
@@ -299,12 +279,13 @@ class CSRGraph:
         process-local: its own pickle protocol *re-attaches by name* in
         the receiver — registering with the resource tracker on
         Python < 3.13, whose exit would then unlink the segment out
-        from under every other process.  A graph that pickles by value
-        (e.g. a :meth:`with_labels` re-wrap of an attached graph)
-        serialises its array *data* instead, so the owner is dropped.
+        from under every other process.  The pickle carries the array
+        *data* instead, so the owner is dropped and the copy lives in
+        RAM.
         """
         state = dict(self.__dict__)
         state["_buffer_owner"] = None
+        state["store"] = "ram"
         return state
 
     def to_labeled_graph(self) -> LabeledGraph:
@@ -541,40 +522,6 @@ class CSRGraph:
     def sealed(self) -> Optional[str]:
         """Why the buffers are read-only, or ``None`` when still writable."""
         return getattr(self, "_sealed", None)
-
-    def export_label_caches(self) -> Dict[str, Dict]:
-        """Picklable snapshot of the derived label caches.
-
-        Masks and incident-count arrays are O(|V|) to store but O(|E|)
-        to derive, so a parent that has already classified can hand
-        them to workers instead of letting each one re-stream the
-        adjacency.  Used by the ``n_jobs`` plane when a graph is
-        re-published through a pre-existing handle that cannot carry
-        caches computed since it was written (see
-        :func:`repro.graph.store.publish_csr`, which bakes the caches
-        into *fresh* publications zero-copy).
-        """
-        return {
-            "masks": dict(self._mask_cache),
-            "incident": dict(self._incident_cache),
-            "counts": dict(self._target_count_cache),
-        }
-
-    def adopt_label_caches(self, payload: Dict[str, Dict]) -> None:
-        """Merge caches exported from another instance of the same graph.
-
-        Entries already present locally win (they are views over this
-        graph's own store); only missing keys are filled in.  The
-        caller is responsible for the payload describing the *same*
-        topology and labels — it is only ever built from a handle of
-        this very graph.
-        """
-        for label, mask in payload.get("masks", {}).items():
-            self._mask_cache.setdefault(label, mask)
-        for pair, counts in payload.get("incident", {}).items():
-            self._incident_cache.setdefault(pair, counts)
-        for pair, count in payload.get("counts", {}).items():
-            self._target_count_cache.setdefault(pair, int(count))
 
     def count_target_edges(self, t1: Label, t2: Label) -> int:
         """Exact ground-truth count ``F`` for ``(t1, t2)`` via label masks.

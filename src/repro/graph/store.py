@@ -19,11 +19,10 @@ walk pages in the whole adjacency, so a graph must fit in memory.
 The unit of exchange is a :class:`CSRHandle`: a tiny, picklable
 descriptor (segment name plus per-array dtype, shape and byte offset)
 that reattaches **zero-copy** in another process via
-:func:`attach_csr`.  A shm-backed :class:`CSRGraph` pickles *as* its
-handle (see :meth:`CSRGraph.__reduce_ex__`), so shipping one to a
-``ProcessPoolExecutor`` worker costs O(1) bytes regardless of graph
-size — the difference between "each worker deserialises Orkut" and
-"each worker opens Orkut".
+:func:`attach_csr`.  Shipping the handle to a ``ProcessPoolExecutor``
+worker costs O(1) bytes regardless of graph size — the difference
+between "each worker deserialises Orkut" and "each worker opens Orkut".
+The graph itself always pickles by value, attached or not.
 
 Ownership and cleanup semantics
 -------------------------------
@@ -49,7 +48,6 @@ defining buffers as a checksummed uncompressed ``.npz``.
 from __future__ import annotations
 
 import os
-import pickle
 import re
 import uuid
 import warnings
@@ -227,7 +225,6 @@ def _build_csr(arrays: Dict[str, np.ndarray], owner, handle: CSRHandle) -> CSRGr
     )
     csr.store = "shm"
     csr._buffer_owner = owner
-    csr._handle = handle
     for label, key in handle.masks:
         if key in arrays:
             csr._mask_cache[label] = arrays[key]
@@ -356,36 +353,20 @@ def load_csr_npz(path: Union[str, Path]) -> CSRGraph:
 # publication lifecycle
 # ----------------------------------------------------------------------
 class CSRPublication:
-    """Ownership token for a published CSR buffer set.
+    """Ownership token for one published shared-memory segment.
 
-    The publisher-side half of the handle protocol: holds the
-    shared-memory segment alive while workers attach, and releases it
-    on :meth:`unlink`.  Usable as a context manager; a publication
-    that is garbage-collected still owning its segment emits a
+    The publisher-side half of the handle protocol: holds the segment
+    alive while workers attach, and releases it on :meth:`unlink`.
+    Usable as a context manager; a publication that is
+    garbage-collected before :meth:`unlink` emits a
     :class:`ResourceWarning` (and cleans up best-effort) so leaks fail
     ``-W error::ResourceWarning`` runs.
     """
 
-    def __init__(
-        self,
-        handle: CSRHandle,
-        segment: Optional[shared_memory.SharedMemory] = None,
-    ) -> None:
+    def __init__(self, handle: CSRHandle, segment: shared_memory.SharedMemory) -> None:
         self.handle = handle
         self._segment = segment
-        self._owns = segment is not None
-
-    @property
-    def owns_resource(self) -> bool:
-        """Whether this publication owns (and must unlink) the segment.
-
-        ``False`` for the re-publication of an already-attached graph:
-        the pre-existing handle was reused — which also means caches
-        computed *since* that handle was written are not in it (the
-        caller can ship those by value, see
-        :meth:`CSRGraph.export_label_caches`).
-        """
-        return self._owns
+        self._owns = True
 
     def attach(self) -> CSRGraph:
         """Attach this publication in the current process (zero-copy)."""
@@ -393,13 +374,12 @@ class CSRPublication:
 
     def close(self) -> None:
         """Drop this process's mapping (workers get this implicitly at exit)."""
-        if self._segment is not None:
-            try:
-                self._segment.close()
-            except BufferError:
-                # Attached arrays still alive in this process; the
-                # mapping goes when they do.
-                pass
+        try:
+            self._segment.close()
+        except BufferError:
+            # Attached arrays still alive in this process; the mapping
+            # goes when they do.
+            pass
 
     def unlink(self) -> None:
         """Unlink the shared-memory segment (idempotent).
@@ -525,16 +505,10 @@ def publish_csr(csr: CSRGraph) -> CSRPublication:
     """Publish *csr*'s buffers to shared memory; return the ownership token.
 
     The buffers (and any derived label caches already computed) are
-    copied once into one fresh shared-memory segment.  A graph
-    **already attached** from shared memory is re-published for free:
-    its existing handle is reused and the returned publication owns
-    nothing (``unlink`` is a no-op), so republishing an attached graph
-    can never tear it down.
+    copied once into a fresh shared-memory segment that the returned
+    publication owns.  Every call makes a new segment, so re-publishing
+    an attached graph leaves the segment it was attached from alone.
     """
-    existing = getattr(csr, "_handle", None)
-    if existing is not None:
-        csr.seal_buffers("published to shm")
-        return CSRPublication(existing)
     payload = _publishable_arrays(csr)
     caches, masks, incident, target_counts = _cache_payload(csr)
     # The publisher's own copy must match what workers attached: freeze
@@ -543,7 +517,7 @@ def publish_csr(csr: CSRGraph) -> CSRPublication:
     # cached answers in the serving layer).
     csr.seal_buffers("published to shm")
     segment, handle = _publish_shm(payload + caches, masks, incident, target_counts)
-    return CSRPublication(handle, segment=segment)
+    return CSRPublication(handle, segment)
 
 
 def attach_csr(handle: CSRHandle) -> CSRGraph:
@@ -552,11 +526,8 @@ def attach_csr(handle: CSRHandle) -> CSRGraph:
     Zero-copy: the returned graph's ``indptr`` / ``indices`` /
     ``label_array`` are read-only views over the shared segment.  The
     attachment owns no external resource — cleanup stays with the
-    :class:`CSRPublication` — and the graph re-pickles as its handle,
-    so it can be forwarded to further processes at O(1) cost.
+    :class:`CSRPublication`.
     """
-    if isinstance(handle, (bytes, bytearray)):  # defensive: raw pickles
-        handle = pickle.loads(handle)
     if not isinstance(handle, CSRHandle):
         raise ConfigurationError(f"attach_csr needs a CSRHandle, got {type(handle).__name__}")
     fire("store.attach", location=handle.location)

@@ -33,6 +33,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from pathlib import Path
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Union
 
@@ -56,7 +57,7 @@ from repro.resilience.faults import active_injector, fire
 from repro.resilience.retry import Retry
 from repro.service.cache import AnswerCache
 from repro.service.planner import EstimateQuery, FleetPlan, plan_queries
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_non_negative_int, check_positive_int
 from repro.walks.mixing import recommended_burn_in
 
 GraphLike = Union[LabeledGraph, CSRGraph]
@@ -491,8 +492,18 @@ class EstimationService:
                 "a crawl downloads at most one page per node"
             )
         check_positive_int(query.repetitions, "repetitions")
-        if int(query.burn_in) < 0:
-            raise ConfigurationError("burn_in must be >= 0")
+        check_non_negative_int(query.burn_in, "burn_in")
+        if not isinstance(query.seed, Integral) or isinstance(query.seed, bool):
+            raise ConfigurationError(f"seed must be an integer, got {query.seed!r}")
+        for name in ("t1", "t2"):
+            try:
+                hash(getattr(query, name))
+            except TypeError:
+                # A JSON array or object: unhashable, so no cache key.
+                raise ConfigurationError(
+                    f"{name} must be a label (a number or a string), "
+                    f"got {getattr(query, name)!r}"
+                ) from None
         steps = int(query.repetitions) * (int(query.burn_in) + int(query.budget))
         if steps > MAX_QUERY_STEPS:
             # Refused here, like an oversized budget: a fleet that fails

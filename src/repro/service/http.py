@@ -127,6 +127,16 @@ def _health_payload(service: EstimationService, batcher: MicroBatcher) -> Dict:
     return health
 
 
+def _finite_positive(value: object) -> bool:
+    """Whether *value* is a JSON number (not a bool) in ``(0, inf)``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return 0.0 < float(value) < math.inf
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 async def _dispatch(
     service: EstimationService,
     batcher: MicroBatcher,
@@ -147,9 +157,8 @@ async def _dispatch(
         if not isinstance(payload, dict):
             return 400, {"error": "request body must be a JSON object"}, {}
         deadline_ms = payload.pop("deadline_ms", None)
-        if deadline_ms is not None:
-            if not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0:
-                return 400, {"error": "deadline_ms must be a positive number"}, {}
+        if deadline_ms is not None and not _finite_positive(deadline_ms):
+            return 400, {"error": "deadline_ms must be a finite positive number"}, {}
         try:
             answer = await batcher.submit(
                 payload,

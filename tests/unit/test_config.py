@@ -3,13 +3,7 @@
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.experiments.config import (
-    DEFAULT_SAMPLE_FRACTIONS,
-    ENV_JOBS,
-    ENV_REPETITIONS,
-    ENV_SCALE,
-    ExperimentConfig,
-)
+from repro.experiments.config import DEFAULT_SAMPLE_FRACTIONS, ExperimentConfig
 
 
 class TestDefaults:
@@ -57,24 +51,6 @@ class TestValidation:
         assert config.execution == "fleet"
         assert config.n_jobs == 4
 
-    def test_jobs_environment_override(self, monkeypatch):
-        monkeypatch.setenv(ENV_JOBS, "3")
-        config = ExperimentConfig(dataset="facebook").apply_environment()
-        assert config.n_jobs == 3
-
-    def test_pinned_fields_beat_environment(self, monkeypatch):
-        """Explicit values (CLI flags) must not be stomped by REPRO_*."""
-        monkeypatch.setenv(ENV_JOBS, "16")
-        monkeypatch.setenv(ENV_REPETITIONS, "500")
-        config = ExperimentConfig(
-            dataset="facebook",
-            repetitions=7,
-            n_jobs=1,
-            pinned=("repetitions", "n_jobs"),
-        ).apply_environment()
-        assert config.n_jobs == 1
-        assert config.repetitions == 7
-
     def test_negative_pair_index(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(dataset="facebook", target_pair_index=-1)
@@ -86,19 +62,6 @@ class TestOverrides:
         updated = config.with_overrides(repetitions=3)
         assert updated.repetitions == 3
         assert config.repetitions == 10
-
-    def test_environment_overrides(self, monkeypatch):
-        monkeypatch.setenv(ENV_REPETITIONS, "7")
-        monkeypatch.setenv(ENV_SCALE, "0.125")
-        config = ExperimentConfig.quick("facebook").apply_environment()
-        assert config.repetitions == 7
-        assert config.scale == 0.125
-
-    def test_environment_noop_when_unset(self, monkeypatch):
-        monkeypatch.delenv(ENV_REPETITIONS, raising=False)
-        monkeypatch.delenv(ENV_SCALE, raising=False)
-        config = ExperimentConfig.quick("facebook")
-        assert config.apply_environment() == config
 
 
 class TestGraphStoreConfig:

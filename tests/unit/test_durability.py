@@ -9,6 +9,7 @@ subprocess mid-``write_npz`` and asserts the target survived — that is
 the satellite acceptance probe for the torn-sidecar fix.
 """
 
+import json
 import os
 import signal
 import subprocess
@@ -40,7 +41,6 @@ from repro.durability import (
 )
 from repro.exceptions import (
     ArtifactCorruptError,
-    ConfigurationError,
     ExperimentError,
 )
 from repro.graph.csr import CSRGraph
@@ -152,7 +152,7 @@ class TestAtomicWrite:
 
         # Old artifact byte-identical, and it still verifies.
         assert target.read_bytes() == before
-        assert verify_artifact(target, mode="full") == "verified"
+        assert verify_artifact(target) == "verified"
         # The only garbage is a pid-stamped scratch the sweep can claim.
         leftovers = [p for p in tmp_path.iterdir() if p != target]
         assert len(leftovers) == 1
@@ -175,12 +175,40 @@ class TestManifest:
         assert manifest is not None
         assert sorted(manifest["members"]) == ["indices.npy", "indptr.npy"]
 
-    @pytest.mark.parametrize("mode,verdict", [("full", "verified"), ("sampled", "sampled")])
-    def test_intact_artifact_verifies(self, tmp_path, mode, verdict):
+    def test_intact_artifact_verifies(self, tmp_path):
         target = tmp_path / "artifact.npz"
         write_npz(target, _arrays())
-        assert verify_artifact(target, mode=mode) == verdict
+        assert verify_artifact(target) == "verified"
         assert artifact_counters()["verified"] == 1
+
+    def test_new_manifests_carry_whole_member_digests_only(self, tmp_path):
+        target = tmp_path / "artifact.npz"
+        write_npz(target, _arrays())
+        manifest = read_manifest(target)
+        assert "page_bytes" not in manifest
+        for member in manifest["members"].values():
+            assert sorted(member) == ["digest", "size"]
+
+    def test_manifest_with_page_digests_still_verifies(self, tmp_path):
+        """Older manifests also list per-page digests; they still verify,
+        and the whole-member check still catches a flip in them."""
+        target = tmp_path / "artifact.npz"
+        write_npz(target, _arrays())
+        manifest = read_manifest(target)
+        manifest["page_bytes"] = 1 << 20
+        for member in manifest["members"].values():
+            member["pages"] = [member["digest"]]
+        with zipfile.ZipFile(target, "a") as archive:
+            archive.comment = b"repro-manifest:" + json.dumps(
+                manifest, sort_keys=True, separators=(",", ":")
+            ).encode("ascii")
+        assert read_manifest(target)["page_bytes"] == 1 << 20
+        assert verify_artifact(target) == "verified"
+        raw = bytearray(target.read_bytes())
+        raw[200] ^= 0xFF
+        target.write_bytes(bytes(raw))
+        with pytest.raises(ArtifactCorruptError):
+            verify_artifact(target)
 
     def test_bit_flip_is_detected(self, tmp_path):
         target = tmp_path / "artifact.npz"
@@ -190,7 +218,7 @@ class TestManifest:
         raw[200] ^= 0xFF
         target.write_bytes(bytes(raw))
         with pytest.raises(ArtifactCorruptError) as excinfo:
-            verify_artifact(target, mode="full")
+            verify_artifact(target)
         assert excinfo.value.retryable
         assert artifact_counters()["failed"] == 1
 
@@ -200,27 +228,14 @@ class TestManifest:
         raw = target.read_bytes()
         target.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(ArtifactCorruptError):
-            verify_artifact(target, mode="sampled")
+            verify_artifact(target)
 
     def test_legacy_artifact_without_manifest_is_unchecked(self, tmp_path):
         target = tmp_path / "legacy.npz"
         np.savez(target, **_arrays())
         assert read_manifest(target) is None
-        assert verify_artifact(target, mode="full") == "unchecked"
+        assert verify_artifact(target) == "unchecked"
         assert artifact_counters()["skipped"] == 1
-
-    def test_mode_off_skips(self, tmp_path, monkeypatch):
-        target = tmp_path / "artifact.npz"
-        write_npz(target, _arrays())
-        assert verify_artifact(target, mode="off") == "skipped"
-        monkeypatch.setenv("REPRO_VERIFY_ARTIFACTS", "off")
-        assert verify_artifact(target) == "skipped"
-
-    def test_unknown_mode_is_a_configuration_error(self, tmp_path):
-        target = tmp_path / "artifact.npz"
-        write_npz(target, _arrays())
-        with pytest.raises(ConfigurationError, match="unknown artifact"):
-            verify_artifact(target, mode="paranoid")
 
     def test_manifest_footer_does_not_move_member_offsets(self, tmp_path):
         """The manifest is a zip comment after all member data: every

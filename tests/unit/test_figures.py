@@ -67,7 +67,7 @@ class TestRunPaperFigure:
             scale=0.05,
             seed=13,
         )
-        result = run_paper_figure(1, config, repetitions=2)
+        result = run_paper_figure(1, config)
         assert result.definition.figure_number == 1
         assert len(result.points) >= 2
         for point in result.points:

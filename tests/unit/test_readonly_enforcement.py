@@ -106,9 +106,8 @@ class TestMutationAfterPublish:
         csr = _array_csr()
         with publish_csr(csr) as publication:
             attached = attach_csr(publication.handle)
-            again = publish_csr(attached)
-            assert not again.owns_resource
-            assert attached.sealed is not None
+            with publish_csr(attached):
+                assert attached.sealed is not None
             del attached
 
     def test_frozen_dict_graph_blocks_the_stale_view_hazard(self, small_graph):

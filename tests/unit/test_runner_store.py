@@ -1,6 +1,7 @@
 """The n_jobs worker pool: the graph picks its transport; parity, cleanup."""
 
 import glob
+import os
 import pickle
 
 import numpy as np
@@ -19,7 +20,8 @@ from repro.experiments.runner import (
 from repro.graph.csr import CSRGraph, csr_view
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.store import (
-    attach_csr,
+    _SEGMENT_PATTERN,
+    _owner_dead,
     is_publishable,
     load_csr_npz,
     publish_csr,
@@ -89,7 +91,22 @@ def _job(algorithm):
 
 
 def _shm_segments():
-    return set(glob.glob("/dev/shm/repro-*")) | set(glob.glob("/dev/shm/psm_*"))
+    """The shm segments a leak check can blame on this test process.
+
+    A ``repro-<pid>-*`` segment counts when its publisher is this
+    process or is dead (a crashed worker's); a segment of another live
+    process publishing at the same time is not a leak of ours.  Every
+    ``psm_*`` segment counts.
+    """
+    ours = set()
+    for path in glob.glob("/dev/shm/repro-*"):
+        match = _SEGMENT_PATTERN.match(os.path.basename(path))
+        if match is None:
+            continue
+        pid = int(match.group("pid"))
+        if pid == os.getpid() or _owner_dead(pid):
+            ours.add(path)
+    return ours | set(glob.glob("/dev/shm/psm_*"))
 
 
 class TestStoreParity:
@@ -192,38 +209,31 @@ class TestStoreErrors:
         assert _shm_segments() == before
 
 
-class TestHandleShipping:
-    def test_shm_graph_ships_as_o1_handle(self, csr_graph, shm_graph):
-        """The pool initargs payload for an shm graph is the handle, not bytes."""
-        assert len(pickle.dumps(shm_graph)) < 1024
-        ram_blob = pickle.dumps(csr_graph)
-        assert len(ram_blob) > 10 * 1024  # the by-value pickle it replaces
-
-
-class TestWarmCacheShipping:
-    def test_reused_handle_ships_parent_caches_by_value(self, shm_graph):
-        """An already-shm-backed graph keeps its cache-less handle on
-        republication; the runner must hand the parent's derived caches
-        to workers instead of letting each re-stream the adjacency."""
+class TestWarmWorkers:
+    def test_worker_attaches_with_the_parents_caches(self, shm_graph):
+        """Caches the parent computed after attaching travel in the fresh
+        segment, so a worker never re-streams the adjacency for them."""
         from repro.experiments.runner import _WORKER_STATE, _init_job_worker
 
         truth = shm_graph.count_target_edges(1, 2)  # parent-side classification
-        publication = publish_csr(shm_graph)
-        assert not publication.owns_resource  # reused the existing handle
-        assert publication.handle.target_counts == ()  # which carries no caches
-        exported = shm_graph.export_label_caches()
         saved_state = dict(_WORKER_STATE)
-        try:
-            _init_job_worker(publication.handle, pickle.dumps({}), exported)
-            worker_graph = _WORKER_STATE["graph"]
-            assert worker_graph._target_count_cache[(1, 2)] == truth
-            assert 1 in worker_graph._mask_cache
-            assert (1, 2) in worker_graph._incident_cache
-        finally:
-            _WORKER_STATE.clear()
-            _WORKER_STATE.update(saved_state)
-        publication.unlink()  # non-owning: must leave the segment alone
-        assert attach_csr(publication.handle).num_nodes == shm_graph.num_nodes
+        with publish_csr(shm_graph) as publication:
+            assert publication.handle.target_counts == ((1, 2, truth),)
+            try:
+                _init_job_worker(publication.handle, pickle.dumps({}))
+                worker_graph = _WORKER_STATE["graph"]
+                assert worker_graph._target_count_cache[(1, 2)] == truth
+                for label in (1, 2):
+                    assert np.array_equal(
+                        worker_graph._mask_cache[label], shm_graph.label_mask(label)
+                    )
+                assert np.array_equal(
+                    worker_graph._incident_cache[(1, 2)],
+                    shm_graph.target_incident_counts(1, 2),
+                )
+            finally:
+                _WORKER_STATE.clear()
+                _WORKER_STATE.update(saved_state)
 
     def test_shm_store_tables_still_bit_identical(self, csr_graph, shm_graph, proposed_suite):
         shm_graph.count_target_edges(1, 2)  # warm before the pool runs
