@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
 from repro.experiments.algorithms import AlgorithmRunner, build_algorithm_suite
-from repro.graph.api import RestrictedGraphAPI
+from repro.experiments.runner import run_trials
 from repro.graph.labeled_graph import Label, LabeledGraph
-from repro.utils.rng import RandomSource, spawn_rngs
+from repro.utils.rng import RandomSource
 from repro.utils.validation import check_positive_int
 from repro.walks.mixing import recommended_burn_in
 
@@ -45,8 +45,11 @@ def profile_api_costs(
 ) -> Dict[str, CostProfile]:
     """Measure charged API calls per algorithm for a fixed sample budget.
 
-    Every repetition uses a fresh, caching API wrapper (distinct page
-    downloads are charged once, as in the paper's accounting).
+    Each algorithm is one :func:`~repro.experiments.runner.run_trials`
+    cell on the dict reference engine: every repetition uses a fresh,
+    caching API wrapper (distinct page downloads are charged once, as in
+    the paper's accounting).  Like any cell, a pair with no target edges
+    raises :class:`~repro.exceptions.ExperimentError`.
     """
     check_positive_int(sample_size, "sample_size")
     check_positive_int(repetitions, "repetitions")
@@ -57,20 +60,15 @@ def profile_api_costs(
 
     profiles: Dict[str, CostProfile] = {}
     for name, runner in algorithms.items():
-        calls = []
-        estimates = []
-        for rng in spawn_rngs(seed, repetitions):
-            api = RestrictedGraphAPI(graph)
-            result = runner(api, t1, t2, sample_size, burn_in, rng)
-            calls.append(api.api_calls)
-            estimates.append(result.estimate)
-        mean_calls = sum(calls) / len(calls)
+        outcome = run_trials(
+            graph, t1, t2, runner, name, sample_size, repetitions, burn_in, seed=seed
+        )
         profiles[name] = CostProfile(
             algorithm=name,
             sample_size=sample_size,
-            mean_api_calls=mean_calls,
-            calls_per_sample=mean_calls / sample_size,
-            mean_estimate=sum(estimates) / len(estimates),
+            mean_api_calls=outcome.mean_api_calls,
+            calls_per_sample=outcome.mean_api_calls / sample_size,
+            mean_estimate=outcome.mean_estimate,
         )
     return profiles
 

@@ -6,7 +6,8 @@ property this module packages: a budget-``b`` crawl from a given seed
 seed, for the NS/NE walker fleets **and** the EX-* implicit line-graph
 fleets alike.  Classification is the only label-dependent step, so one
 fleet also answers *every* target pair.  :class:`PrefixFleet` is the
-one fleet dispatcher: the harness's grid driver
+one fleet dispatcher, and :meth:`PrefixFleet.answer_plans` the one
+walk-and-answer path over it: the harness's grid driver
 (:func:`repro.experiments.runner.run_grid`, behind tables and frequency
 sweeps, for prefix fleets and single-budget fleet cells alike),
 :func:`repro.experiments.runner.run_trials_prefix` and the :mod:`repro.service`
@@ -38,7 +39,7 @@ The exactness contract callers rely on:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.baselines.fleet import (
     classify_line_fleet,
@@ -53,11 +54,15 @@ from repro.core.samplers.csr_backend import (
 )
 from repro.exceptions import ConfigurationError
 from repro.graph.csr import CSRGraph
+from repro.graph.labeled_graph import Label
 from repro.utils.rng import RandomSource, ensure_numpy_rng
 from repro.utils.validation import check_positive_int
 from repro.walks.batched import BatchedWalkEngine
 
 from repro.experiments.algorithms import AlgorithmRunner, BaselineRunner
+
+#: One budget's answer: per-repetition estimates and charged-call ledgers.
+Answer = Tuple[List[float], List[int]]
 
 
 @dataclass(frozen=True)
@@ -76,6 +81,10 @@ class FleetSpec:
     seed: RandomSource
     repetitions: int
     burn_in: int
+
+    def steps(self, budget: int) -> int:
+        """Transitions a fleet of this spec walks to *budget*, burn-in included."""
+        return self.repetitions * (self.burn_in + budget)
 
 
 class PrefixFleet:
@@ -137,20 +146,44 @@ class PrefixFleet:
                 spec.repetitions, self.max_budget, spec.burn_in
             )
 
-    @property
-    def algorithm(self) -> str:
-        """Registry name of the runner this fleet walks for."""
-        return self.spec.algorithm
+    @classmethod
+    def answer_plans(
+        cls,
+        csr: CSRGraph,
+        suite: Mapping[str, AlgorithmRunner],
+        plans: Iterable[Tuple[FleetSpec, int, Sequence[Tuple[Label, Label, int]]]],
+    ) -> Iterator[Tuple[FleetSpec, Union[List[Answer], Exception]]]:
+        """Walk each ``(spec, max_budget, asks)`` plan once and answer it.
+
+        Per plan, in order: build ``cls(csr, suite[spec.algorithm], spec,
+        max_budget)`` (``cls``, so a subclass bound to a caller's
+        ``PrefixFleet`` name sees every walk), answer its ``(t1, t2,
+        budget)`` asks with one :meth:`estimate_many` call per distinct
+        pair, and yield ``(spec, answers)`` (one per ask, in order) or
+        ``(spec, exception)`` if walking or answering raised.  The fleet
+        is dropped before the next plan is read: one fleet is alive at a
+        time, and a lazy *plans* lets the caller act between walks.
+        """
+        for spec, max_budget, asks in plans:
+            try:
+                fleet = cls(csr, suite[spec.algorithm], spec, max_budget)
+                by_pair: Dict[Tuple[Label, Label], Dict[int, int]] = {}
+                for index, (t1, t2, budget) in enumerate(asks):
+                    by_pair.setdefault((t1, t2), {})[index] = budget
+                answers: Dict[int, Answer] = {}
+                for (t1, t2), budgets in by_pair.items():
+                    pair_answers = fleet.estimate_many(t1, t2, list(budgets.values()))
+                    answers.update(zip(budgets, pair_answers))
+                result = [answers[index] for index in range(len(asks))]
+            except Exception as exc:
+                result = exc
+            fleet = None  # one fleet alive at a time: drop it before the next walk
+            yield spec, result
 
     @property
     def steps_walked(self) -> int:
-        """Total transitions this fleet advanced (burn-in included).
-
-        The serving layer's throughput accounting: every walker took
-        ``burn_in + max_budget`` transitions regardless of how many
-        budgets/pairs are later read off prefixes.
-        """
-        return self.spec.repetitions * (self.spec.burn_in + self.max_budget)
+        """Total transitions this fleet advanced (burn-in included)."""
+        return self.spec.steps(self.max_budget)
 
     def _check_budget(self, budget: int) -> int:
         check_positive_int(budget, "budget")
@@ -169,7 +202,7 @@ class PrefixFleet:
             return classify_edge_fleet(self.csr, prefix, t1, t2, ledger=ledger)
         return classify_node_fleet(self.csr, prefix, t1, t2, ledger=ledger)
 
-    def estimate(self, t1, t2, budget: int) -> Tuple[List[float], List[int]]:
+    def estimate(self, t1, t2, budget: int) -> Answer:
         """Per-repetition estimates and charged-call ledgers at *budget*.
 
         Classifies the fleet's first *budget* collected steps against
@@ -205,7 +238,7 @@ class PrefixFleet:
 
     def estimate_many(
         self, t1, t2, budgets: Sequence[int]
-    ) -> List[Tuple[List[float], List[int]]]:
+    ) -> List[Answer]:
         """:meth:`estimate` at every budget, in the caller's order.
 
         Every budget is validated before any work is done.  The answers

@@ -23,8 +23,9 @@ A job is one algorithm's walk over some columns, of one of two kinds.
 A *reference* job runs one column on the dict reference engine
 (:func:`run_trials`, one fresh :class:`RestrictedGraphAPI` per
 repetition); it is the accounting reference.  A *fleet* job walks one
-numpy walker fleet (:class:`~repro.experiments.planner.PrefixFleet`)
-and reads its columns off trajectory prefixes.  The knobs pick the kind:
+numpy walker fleet and reads its columns off trajectory prefixes, as
+one plan of :meth:`~repro.experiments.planner.PrefixFleet.answer_plans`
+(the walk-and-answer path the service shares).  The knobs pick the kind:
 
 * ``reuse="prefix"`` gives each registry algorithm **one** fleet job
   at the grid's max budget covering every column.  A budget-``b₁``
@@ -274,9 +275,9 @@ def run_trials_prefix(
     walks for those).
 
     The fleet mechanics live in
-    :class:`repro.experiments.planner.PrefixFleet`, which is shared
-    with the :mod:`repro.service` micro-batcher; this function is a
-    one-pair call into the grid driver's prefix helper (one pair, many
+    :meth:`repro.experiments.planner.PrefixFleet.answer_plans`, which is
+    shared with the :mod:`repro.service` micro-batcher; this function is
+    a one-pair call into the grid driver's prefix helper (one pair, many
     budgets, :class:`TrialOutcome` rows).
     """
     if not sample_sizes:
@@ -332,23 +333,17 @@ def _prefix_outcomes(
     max_budget: int,
     columns: Sequence[GridColumn],
 ) -> List[TrialOutcome]:
-    """*columns* of one algorithm off one :class:`PrefixFleet`, in order.
-
-    The fleet walks once to *max_budget*; the columns of each distinct
-    target pair share one :meth:`PrefixFleet.estimate_many` call over
-    that pair's budgets (one NeighborExploration ledger pass per pair).
-    """
-    fleet = PrefixFleet(csr, runner, spec, max_budget)
-    by_pair: Dict[Tuple[Label, Label], List[int]] = {}
-    for index, column in enumerate(columns):
-        by_pair.setdefault((column.t1, column.t2), []).append(index)
-    answers: Dict[int, Tuple[List[float], List[int]]] = {}
-    for (t1, t2), indices in by_pair.items():
-        budgets = [columns[index].sample_size for index in indices]
-        answers.update(zip(indices, fleet.estimate_many(t1, t2, budgets)))
+    """*columns* of one algorithm, in order, off one
+    :meth:`PrefixFleet.answer_plans` plan walked to *max_budget*."""
+    asks = [(column.t1, column.t2, column.sample_size) for column in columns]
+    ((_, answers),) = PrefixFleet.answer_plans(
+        csr, {spec.algorithm: runner}, [(spec, max_budget, asks)]
+    )
+    if isinstance(answers, Exception):
+        raise answers
     return [
-        TrialOutcome(spec.algorithm, column.sample_size, column.true_count, *answers[index])
-        for index, column in enumerate(columns)
+        TrialOutcome(spec.algorithm, column.sample_size, column.true_count, *answer)
+        for column, answer in zip(columns, answers)
     ]
 
 

@@ -16,10 +16,11 @@
   micro-batcher, or a single synchronous caller) is split into cache
   hits and misses; the misses are grouped by
   :func:`repro.service.planner.plan_queries` into shared max-budget
-  fleets, each executed once through
-  :class:`repro.experiments.planner.PrefixFleet` — the same walks the
-  batch harness does, so served answers are bit-identical to
-  ``run_trials_prefix`` at the same user seed.
+  fleets, each walked and answered once through
+  :meth:`repro.experiments.planner.PrefixFleet.answer_plans` — the same
+  path the batch harness takes, so served answers are bit-identical to
+  ``run_trials_prefix`` at the same user seed.  Client errors are
+  refused before any walk, so a failed walk moves its breaker.
 * **Accounting.**  Steps walked, wall-clock walking time, fleet and
   query counters — the substance behind ``/stats``.
 
@@ -35,7 +36,7 @@ import time
 from dataclasses import dataclass, field, replace
 from numbers import Integral
 from pathlib import Path
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, FrozenSet, Hashable, Iterator, List, Mapping, Optional, Sequence, Union
 
 from repro.durability import artifact_counters, graph_fingerprint, read_blob, write_blob
 from repro.exceptions import (
@@ -47,7 +48,7 @@ from repro.exceptions import (
 )
 from repro.experiments.algorithms import AlgorithmRunner, build_algorithm_suite
 from repro.experiments.metrics import nrmse
-from repro.experiments.planner import PrefixFleet
+from repro.experiments.planner import FleetSpec, PrefixFleet
 from repro.graph.csr import CSRGraph, csr_view
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.store import CSRPublication, is_publishable, publish_csr, validate_graph_store
@@ -63,7 +64,7 @@ from repro.walks.mixing import recommended_burn_in
 GraphLike = Union[LabeledGraph, CSRGraph]
 
 #: Most walk steps one query may ask for, ``repetitions × (burn_in +
-#: budget)`` — the product :attr:`PrefixFleet.steps_walked` reports.  A
+#: budget)`` — :meth:`FleetSpec.steps`, which the step counters read.  A
 #: fleet holds int64 trajectories of that many slots (four such arrays
 #: for a line fleet), so the bound caps what one query can allocate at
 #: a few hundred MB; a paper-scale query (200 walkers at 5% of 10⁶
@@ -248,6 +249,7 @@ class EstimationService:
         self._publication: Optional[CSRPublication] = None
         self._csr: Optional[CSRGraph] = None
         self._suite: Dict[str, AlgorithmRunner] = {}
+        self._labels: FrozenSet[Hashable] = frozenset()
         self._closed = False
         # throughput accounting
         self.queries_served = 0
@@ -307,6 +309,7 @@ class EstimationService:
             algorithms = build_algorithm_suite(serving, include_baselines=True)
         self._publication = publication
         self._csr = serving
+        self._labels = frozenset(serving.all_labels())  # the label gate's set
         self._suite = dict(algorithms)
         self._graph_version += 1
 
@@ -496,15 +499,30 @@ class EstimationService:
         if not isinstance(query.seed, Integral) or isinstance(query.seed, bool):
             raise ConfigurationError(f"seed must be an integer, got {query.seed!r}")
         for name in ("t1", "t2"):
+            label = getattr(query, name)
             try:
-                hash(getattr(query, name))
+                carried = label in self._labels
             except TypeError:
-                # A JSON array or object: unhashable, so no cache key.
+                carried = None  # a JSON array or object: unhashable, no cache key
+            if carried is None or isinstance(label, bool):
+                # True == 1 in Python, so a JSON true would pass as label 1.
                 raise ConfigurationError(
-                    f"{name} must be a label (a number or a string), "
-                    f"got {getattr(query, name)!r}"
-                ) from None
-        steps = int(query.repetitions) * (int(query.burn_in) + int(query.budget))
+                    f"{name} must be a label (a number or a string), got {label!r}"
+                )
+            if not carried:
+                # Refused before any mask, incident array or walk exists.
+                raise ExperimentError(
+                    f"no node of the served graph carries {name}={label!r}, so the "
+                    "pair has no target edges; NRMSE is undefined"
+                )
+        query = replace(
+            query,
+            budget=int(query.budget),
+            seed=int(query.seed),
+            repetitions=int(query.repetitions),
+            burn_in=int(query.burn_in),
+        )
+        steps = query.spec().steps(query.budget)
         if steps > MAX_QUERY_STEPS:
             # Refused here, like an oversized budget: a fleet that fails
             # to allocate would count against the algorithm's breaker.
@@ -512,13 +530,7 @@ class EstimationService:
                 f"query asks for {steps} walk steps (repetitions × (burn_in + "
                 f"budget)); the limit is {MAX_QUERY_STEPS}"
             )
-        return replace(
-            query,
-            budget=int(query.budget),
-            seed=int(query.seed),
-            repetitions=int(query.repetitions),
-            burn_in=int(query.burn_in),
-        )
+        return query
 
     def estimate(
         self, query: Union[EstimateQuery, Mapping[str, object]]
@@ -536,10 +548,11 @@ class EstimationService:
     ) -> List[Union[EstimateAnswer, Exception]]:
         """Answer a batch; returns one answer *or exception* per query.
 
-        Per-query failures (unknown algorithm, zero-target pair, bad
-        budget) are returned in their slots instead of raised, so one
-        bad query can never poison the other members of a coalesced
-        batch — the micro-batcher forwards each slot to its own client.
+        Per-query failures (unknown algorithm, a label no node carries,
+        zero-target pair, bad budget) are refused before any walk and
+        returned in their slots instead of raised, so one bad query can
+        never poison the other members of a coalesced batch — the
+        micro-batcher forwards each slot to its own client.
         Cache misses are grouped by :func:`plan_queries` and each plan
         walks exactly one max-budget fleet.
 
@@ -558,7 +571,6 @@ class EstimationService:
             deadlines = [None] * len(queries)
         results: List[Union[EstimateAnswer, Exception]] = [None] * len(queries)
         with self._lock:
-            misses: List[EstimateQuery] = []
             miss_slots: Dict[int, EstimateQuery] = {}
             miss_deadlines: Dict[EstimateQuery, Optional[Deadline]] = {}
             for index, raw in enumerate(queries):
@@ -577,9 +589,15 @@ class EstimationService:
                 if cached is not None:
                     results[index] = replace(cached, cached=True)
                     self.queries_served += 1
+                elif self._csr.count_target_edges(query.t1, query.t2) <= 0:
+                    # A client error, refused before any walk: no breaker moves.
+                    results[index] = ExperimentError(
+                        f"the target pair ({query.t1!r}, {query.t2!r}) has no target "
+                        "edges in the served graph; NRMSE is undefined"
+                    )
+                    self.query_errors += 1
                 else:
                     miss_slots[index] = query
-                    misses.append(query)
                     # Duplicate queries keep the laxest deadline: one
                     # expired client must not starve a patient one.
                     if query in miss_deadlines:
@@ -589,7 +607,8 @@ class EstimationService:
                         elif previous.remaining() > deadline.remaining():
                             deadline = previous
                     miss_deadlines[query] = deadline
-            answered = self._execute_plans(plan_queries(misses), miss_deadlines)
+            plans = plan_queries(list(miss_slots.values()))
+            answered = self._execute_plans(plans, miss_deadlines)
             for index, query in miss_slots.items():
                 outcome = answered[query]
                 results[index] = outcome
@@ -634,95 +653,69 @@ class EstimationService:
     def _execute_plans(
         self,
         plans: Sequence[FleetPlan],
-        deadlines: Optional[Mapping[EstimateQuery, Optional[Deadline]]] = None,
+        deadlines: Mapping[EstimateQuery, Optional[Deadline]],
     ) -> Dict[EstimateQuery, Union[EstimateAnswer, Exception]]:
-        deadlines = deadlines or {}
+        """Policy around :meth:`PrefixFleet.answer_plans`: deadlines,
+        breakers, accounting and the cache.  Client errors never get
+        here, so a failed plan is a server fault and moves its breaker.
+        """
         answered: Dict[EstimateQuery, Union[EstimateAnswer, Exception]] = {}
-        for plan in plans:
-            # Cooperative cancellation at the plan boundary: expired
-            # queries are answered 504 without walking, and a fully
-            # expired plan never builds its fleet.
-            live: List[EstimateQuery] = []
-            for query in plan.queries:
-                deadline = deadlines.get(query)
-                if deadline is not None and deadline.expired():
-                    answered[query] = self._deadline_miss(deadline)
-                else:
-                    live.append(query)
-            if not live:
-                continue
-            breaker = self.breakers.breaker(plan.spec.algorithm)
-            if not breaker.admit():
-                # Open (or probing) breaker: shed to stale cache when
-                # possible, fail fast otherwise — never walk.
-                for query in live:
-                    fallback = self.degraded_answer(query)
-                    answered[query] = (
-                        fallback
-                        if fallback is not None
-                        else CircuitOpenError(
+        admitted: Dict[FleetSpec, tuple] = {}
+
+        def walks() -> Iterator[tuple]:
+            # Pulled once per plan, after the previous plan's walk: the
+            # cooperative cancellation point.
+            for plan in plans:
+                live: List[EstimateQuery] = []
+                for query in dict.fromkeys(plan.queries):
+                    deadline = deadlines.get(query)
+                    if deadline is not None and deadline.expired():
+                        answered[query] = self._deadline_miss(deadline)
+                    else:
+                        live.append(query)
+                if not live:
+                    continue  # a fully expired plan never walks
+                breaker = self.breakers.breaker(plan.spec.algorithm)
+                if not breaker.admit():
+                    # Open (or probing) breaker: shed to stale cache when
+                    # possible, fail fast otherwise — never walk.
+                    for query in live:
+                        fallback = self.degraded_answer(query)
+                        answered[query] = fallback or CircuitOpenError(
                             plan.spec.algorithm, breaker.retry_after()
                         )
-                    )
-                continue
-            started = time.perf_counter()
-            try:
-                fire("fleet.run", algorithm=plan.spec.algorithm)
-                fleet = PrefixFleet(
-                    self._csr,
-                    self._suite[plan.spec.algorithm],
-                    plan.spec,
-                    plan.max_budget,
-                )
-            except Exception as exc:
+                    continue
+                started = time.perf_counter()
+                try:
+                    fire("fleet.run", algorithm=plan.spec.algorithm)
+                except Exception as exc:
+                    breaker.record_failure()
+                    answered.update(dict.fromkeys(live, exc))
+                    continue
+                admitted[plan.spec] = (breaker, live, plan.max_budget, started)
+                yield plan.spec, plan.max_budget, [(q.t1, q.t2, q.budget) for q in live]
+
+        for spec, answers in PrefixFleet.answer_plans(self._csr, self._suite, walks()):
+            breaker, live, max_budget, started = admitted.pop(spec)
+            if isinstance(answers, Exception):
                 breaker.record_failure()
-                for query in live:
-                    answered[query] = exc
+                answered.update(dict.fromkeys(live, answers))
                 continue
             breaker.record_success()
             self.fleets_built += 1
-            self.steps_walked += fleet.steps_walked
-            for query in live:
-                if query in answered and not isinstance(
-                    answered[query], Exception
-                ):
-                    continue  # duplicate within one batch: answer once
-                deadline = deadlines.get(query)
-                if deadline is not None and deadline.expired():
-                    answered[query] = self._deadline_miss(deadline)
-                    continue
-                try:
-                    answered[query] = self._answer_from_fleet(fleet, query)
-                except Exception as exc:
-                    answered[query] = exc
+            self.steps_walked += spec.steps(max_budget)
+            for query, (estimates, api_calls) in zip(live, answers):
+                answer = EstimateAnswer(
+                    **vars(query),  # the query echoed back
+                    true_count=self._csr.count_target_edges(query.t1, query.t2),
+                    graph_version=self._graph_version,
+                    estimates=estimates,
+                    api_calls=api_calls,
+                )
+                self._cache.put(query.cache_key(self._graph_version), answer)
+                answered[query] = answer
             self.walk_seconds += time.perf_counter() - started
         return answered
-
-    def _answer_from_fleet(
-        self, fleet: PrefixFleet, query: EstimateQuery
-    ) -> EstimateAnswer:
-        true_count = self._csr.count_target_edges(query.t1, query.t2)
-        if true_count <= 0:
-            raise ExperimentError(
-                f"the target pair ({query.t1!r}, {query.t2!r}) has no target "
-                "edges in the served graph; NRMSE is undefined"
-            )
-        estimates, api_calls = fleet.estimate(query.t1, query.t2, query.budget)
-        answer = EstimateAnswer(
-            algorithm=query.algorithm,
-            t1=query.t1,
-            t2=query.t2,
-            budget=query.budget,
-            seed=query.seed,
-            repetitions=query.repetitions,
-            burn_in=query.burn_in,
-            true_count=int(true_count),
-            graph_version=self._graph_version,
-            estimates=estimates,
-            api_calls=api_calls,
-        )
-        self._cache.put(query.cache_key(self._graph_version), answer)
-        return answer
 
     # ------------------------------------------------------------------
     # inspection

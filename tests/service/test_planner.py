@@ -202,3 +202,90 @@ class TestEstimateMany:
         fleet.estimate_many(1, 2, [30, 10])
         # a later pair must not read the previous pair's ledger
         assert fleet.estimate(2, 2, 30) == expected
+
+
+# ----------------------------------------------------------------------
+# PrefixFleet.answer_plans: the one walk-and-answer path
+# ----------------------------------------------------------------------
+#: Two pairs interleaved, a duplicate, and the plan's max budget.
+ASKS = [(1, 2, 25), (2, 2, 9), (1, 2, 1), (2, 2, MAX_BUDGET), (1, 2, 25)]
+
+
+def _spec(name):
+    return FleetSpec(name, derive_seed(5, name, "prefix"), 6, BURN_IN)
+
+
+class TestAnswerPlans:
+    @pytest.mark.parametrize("name", ALL_ALGORITHM_ORDER)
+    def test_answers_equal_per_ask_estimates_in_ask_order(self, planner_graph, name):
+        csr, suite = planner_graph
+        ((spec, answers),) = PrefixFleet.answer_plans(
+            csr, suite, [(_spec(name), MAX_BUDGET, ASKS)]
+        )
+        assert spec == _spec(name)
+        fleet = _fleet(planner_graph, name)
+        assert answers == [fleet.estimate(t1, t2, budget) for t1, t2, budget in ASKS]
+
+    def test_a_failing_plan_yields_its_exception_and_the_next_plan_runs(
+        self, planner_graph
+    ):
+        csr, suite = planner_graph
+        plans = [
+            (_spec("EX-RW"), 10, [(1, 2, MAX_BUDGET)]),  # ask above the walk
+            (_spec("NeighborSample-HH"), 10, [(1, 2, 10)]),
+        ]
+        (_, failed), (_, answers) = PrefixFleet.answer_plans(csr, suite, plans)
+        assert isinstance(failed, ConfigurationError)
+        assert answers == [_fleet(planner_graph, "NeighborSample-HH", 10).estimate(1, 2, 10)]
+
+    def test_plans_are_read_lazily_and_one_fleet_is_alive_at_a_time(
+        self, planner_graph
+    ):
+        import weakref
+
+        alive = weakref.WeakSet()
+        events = []
+
+        class Watched(PrefixFleet):
+            def __init__(self, *args):
+                events.append(("walk", len(alive)))
+                super().__init__(*args)
+                alive.add(self)
+
+        def plans():
+            for name in ("NeighborSample-HH", "EX-RW"):
+                events.append(("read", name))
+                yield _spec(name), 10, [(1, 2, 10)]
+
+        csr, suite = planner_graph
+        results = Watched.answer_plans(csr, suite, plans())
+        next(results)
+        assert events == [("read", "NeighborSample-HH"), ("walk", 0)]
+        assert len(alive) == 0
+        list(results)
+        assert events[2:] == [("read", "EX-RW"), ("walk", 0)]
+
+    def test_one_classification_serves_a_pair_at_several_budgets(
+        self, ram_service, monkeypatch
+    ):
+        """Queries of one plan and pair share one classify call in the
+        service, and still equal a per-query estimate bit for bit."""
+        calls = []
+        for attribute in ("classify_edge_fleet", "classify_node_fleet", "classify_line_fleet"):
+            original = getattr(planner, attribute)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(args)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(planner, attribute, counted)
+        queries = [_query(budget=budget) for budget in (10, 20, 40)]
+        answers = ram_service.estimate_many(queries)
+        assert len(calls) == 1 and ram_service.fleets_built == 1
+        monkeypatch.undo()
+        fleet = PrefixFleet(
+            ram_service.csr, build_algorithm_suite(ram_service.csr)["NeighborSample-HH"],
+            queries[0].spec(), 40,
+        )
+        for query, answer in zip(queries, answers):
+            assert (answer.estimates, answer.api_calls) == fleet.estimate(1, 2, query.budget)

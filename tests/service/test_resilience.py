@@ -19,6 +19,7 @@ from repro.exceptions import (
     CircuitOpenError,
     ConfigurationError,
     DeadlineExceededError,
+    ExperimentError,
     ServiceOverloadedError,
 )
 from repro.resilience import (
@@ -405,3 +406,114 @@ class TestResilienceOverHTTP:
         assert status == 200
         assert body["status"] == "degraded"
         assert body["open_breakers"] == [ALGO]
+
+
+# ----------------------------------------------------------------------
+# client errors refused before any walk; server faults fail whole plans
+# ----------------------------------------------------------------------
+def _label_caches(service):
+    csr = service.csr
+    return (len(csr._mask_cache), len(csr._incident_cache), len(csr._target_count_cache))
+
+
+def _graph_with_a_lonely_label():
+    """The conftest graph with one node relabelled 3: the pair (3, 3) has
+    no target edges although a node carries 3, and (3, 1) has some."""
+    from repro.datasets.labeling import assign_binary_labels
+    from repro.datasets.synthetic import powerlaw_cluster_osn
+
+    graph = powerlaw_cluster_osn(250, 5, 0.3, rng=7)
+    assign_binary_labels(graph, 0.5, labels=(1, 2), rng=8)
+    lonely = next(
+        node for node in graph.nodes()
+        if any(graph.has_label(other, 1) for other in graph.neighbors(node))
+    )
+    graph.set_labels(lonely, [3])
+    return graph
+
+
+class TestLabelGate:
+    def test_labels_no_node_carries_are_400_before_any_walk(self, breaker_service):
+        service = breaker_service
+        breakers, caches = service.breakers.snapshot(), _label_caches(service)
+        labels = range(1000, 1200)
+
+        async def scenario(port):
+            return await asyncio.gather(*(
+                _raw_request(port, "POST", "/estimate", _query(t1=label, t2=2))
+                for label in labels
+            ))
+
+        responses = _run_server(service, scenario)
+        assert [status for status, _, _ in responses] == [400] * len(labels)
+        assert all("no target edges" in body["error"] for _, _, body in responses)
+        assert service.fleets_built == 0
+        assert _label_caches(service) == caches
+        assert service.breakers.snapshot() == breakers
+
+    def test_a_json_boolean_is_not_label_one(self, breaker_service):
+        async def scenario(port):
+            refused = await _raw_request(port, "POST", "/estimate", _query(t1=True))
+            breakers = breaker_service.breakers.snapshot()
+            served = await _raw_request(port, "POST", "/estimate", _query(t1=1))
+            return refused, breakers, served
+
+        (status, _, body), breakers, (served_status, _, answer) = _run_server(
+            breaker_service, scenario
+        )
+        assert status == 400 and "t1 must be a label" in body["error"]
+        assert breakers == {}  # the refusal created no breaker entry
+        assert served_status == 200 and answer["cached"] is False and answer["t1"] == 1
+
+    def test_zero_target_pair_of_carried_labels_is_400_without_a_walk(
+        self, serving_graph
+    ):
+        with EstimationService(
+            serving_graph, graph_store="ram", default_burn_in=BURN_IN,
+            breaker_threshold=1,
+        ) as service:
+            with pytest.raises(ExperimentError, match="carries t1=3"):
+                service.estimate(_query(t1=3, t2=3))
+            service.swap_graph(_graph_with_a_lonely_label())  # refreshes the labels
+            breakers = service.breakers.snapshot()
+
+            async def scenario(port):
+                return await _raw_request(port, "POST", "/estimate", _query(t1=3, t2=3))
+
+            status, _, body = _run_server(service, scenario)
+            assert status == 400 and "no target edges" in body["error"]
+            assert service.fleets_built == 0
+            assert service.breakers.snapshot() == breakers
+            assert service.estimate(_query(t1=3, t2=1)).true_count > 0
+            assert service.fleets_built == 1
+
+
+class TestPlanFailures:
+    def test_a_fault_fails_only_its_own_plan_and_breaker(self, serving_graph):
+        injector = _inject("fleet.run=error,count=1")
+        with EstimationService(
+            serving_graph, graph_store="ram", default_burn_in=BURN_IN,
+            breaker_threshold=1,
+        ) as service:
+            first, sibling, other = service.estimate_many([
+                _query(), _query(budget=10), _query(algorithm="EX-RW"),
+            ])
+            assert isinstance(first, InjectedFaultError) and sibling is first
+            assert other.algorithm == "EX-RW" and len(other.estimates) == 6
+            assert injector.invocations("fleet.run") == 2
+            assert service.fleets_built == 1
+            assert service.breakers.snapshot() == {
+                ALGO: {"state": "open", "trips": 1},
+                "EX-RW": {"state": "closed", "trips": 0},
+            }
+
+    def test_a_deadline_spent_in_the_first_walk_stops_the_second(self, ram_service):
+        _inject("fleet.run=delay,seconds=0.3,count=1")
+        deadline = Deadline(0.1)
+        first, second = ram_service.estimate_many(
+            [_query(), _query(algorithm="EX-RW")], deadlines=[deadline, deadline]
+        )
+        assert first.algorithm == ALGO  # its walk was admitted in time
+        assert isinstance(second, DeadlineExceededError)
+        assert ram_service.fleets_built == 1
+        assert ram_service.deadline_misses == 1

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.exceptions import ExperimentError
 from repro.experiments.algorithms import build_algorithm_suite
 from repro.experiments.cost import CostProfile, format_cost_table, profile_api_costs
+from repro.experiments.runner import run_trials
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +48,19 @@ class TestProfileAPICosts:
         exploration = profiles["NeighborExploration-HH"].mean_api_calls
         sampling = profiles["NeighborSample-HH"].mean_api_calls
         assert exploration > sampling
+
+    def test_profile_is_a_run_trials_cell(self, gender_osn, profiles):
+        """One profile is one reference-engine cell at the same seed."""
+        suite = build_algorithm_suite(gender_osn, include_baselines=False)
+        name = "NeighborExploration-HT"
+        outcome = run_trials(gender_osn, 1, 2, suite[name], name, 50, 2, 20, seed=3)
+        profile = profiles[name]
+        assert profile.mean_api_calls == outcome.mean_api_calls
+        assert profile.mean_estimate == outcome.mean_estimate
+
+    def test_zero_target_pair_raises(self, gender_osn):
+        with pytest.raises(ExperimentError, match="no target edges"):
+            profile_api_costs(gender_osn, "ghost", "ghost", sample_size=5, burn_in=5)
 
     def test_invalid_arguments(self, gender_osn):
         with pytest.raises(Exception):
