@@ -35,9 +35,10 @@ the one-pass budget ledger (:class:`PrefixLedger`) defined here.
 
 The fleet classification paths touch the graph only through gathers
 (label masks indexed by trajectories, ``gather_neighbors`` for the
-exploration ledgers) and the incident-count table
-(:meth:`CSRGraph.neighbor_mask_counts`), so they run unchanged over
-shm-backed CSR buffers (:mod:`repro.graph.store`).
+exploration ledgers and for ``T(u)`` of the explored nodes,
+:meth:`CSRGraph.target_incident_counts`), so they run unchanged over
+shm-backed CSR buffers (:mod:`repro.graph.store`) and leave no
+per-pair state on the graph.
 """
 
 from __future__ import annotations
@@ -295,8 +296,10 @@ def classify_node_fleet(
 ) -> NodeSampleBatch:
     """NeighborExploration classification of an already-walked fleet.
 
-    ``T(u)`` comes from the precomputed vectorized incident counts; the
-    per-trial charged-call ledger adds the pages of the neighbors each
+    ``T(u)`` is read off the neighbor lists of the distinct labeled
+    nodes the fleet sampled (:meth:`CSRGraph.target_incident_counts`),
+    the pages a crawler downloads to explore them; the per-trial
+    charged-call ledger adds the pages of the neighbors each
     trial explores around its labeled sampled nodes — computed per
     target pair, because which nodes get explored depends on it.  A
     caller classifying several prefixes of one fleet against one pair
@@ -307,9 +310,16 @@ def classify_node_fleet(
     m1 = csr.label_mask(t1)
     m2 = csr.label_mask(t2)
     has_label = m1[collected] | m2[collected]
-    incident = np.where(
-        has_label, csr.target_incident_counts(t1, t2)[collected], 0
-    ).astype(np.int64)
+    labeled = collected[has_label]
+    # T(u) of each distinct labeled node sampled, scattered back to its
+    # samples through a transient |V| table (no sort of the samples).
+    seen = np.zeros(csr.num_nodes, dtype=bool)
+    seen[labeled] = True
+    explored = np.flatnonzero(seen)
+    table = np.zeros(csr.num_nodes, dtype=np.int64)
+    table[explored] = csr.target_incident_counts(t1, t2, explored)
+    incident = np.zeros(collected.shape, dtype=np.int64)
+    incident[has_label] = table[labeled]
 
     if ledger is None:
         charges = _prefix_charges(csr, fleet, [fleet.num_steps], has_label)[0]

@@ -27,7 +27,7 @@ The exactness contract callers rely on:
   :meth:`PrefixFleet.estimate` per budget, bit for bit; it only shares
   the work.  It classifies the fleet against the pair **once**, at the
   largest requested budget — target flags, stationary weights, and the
-  NeighborExploration label, incident-count and degree gathers — and
+  NeighborExploration label, ``T(u)`` and degree gathers — and
   answers each budget with a column slice ``[:, :b]`` of that batch
   (:meth:`~repro.core.samplers.base.EdgeSampleBatch.prefix`).  The
   per-walker charged calls of every budget come from one ledger pass

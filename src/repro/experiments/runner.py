@@ -704,7 +704,8 @@ def _init_job_worker(graph_ref: Union[LabeledGraph, CSRHandle], suite_blob: byte
 
     *graph_ref* is either a dict graph (one pickle per worker) or an
     O(1) :class:`CSRHandle` that reattaches the published buffers
-    zero-copy, derived label caches included.  *suite_blob* is the
+    zero-copy; classification derives its masks and ``T(u)`` from them
+    per job, so there is no label state to carry.  *suite_blob* is the
     suite pickled **once** in the parent — the same bytes serve both
     the eager picklability check and the transfer, so the suite is
     never serialized twice.
@@ -749,9 +750,9 @@ def run_jobs_parallel(
 
     The graph picks its own transport.  A dict graph is pickled into
     each worker.  A :class:`CSRGraph` is published once into a fresh
-    shared-memory segment, with the label caches the parent already
-    computed, and workers reattach its O(1) handle zero-copy;
-    publishing seals the caller's buffers read-only.  A CSR graph
+    shared-memory segment (its defining buffers only), and workers
+    reattach its O(1) handle zero-copy; publishing seals the caller's
+    buffers read-only.  A CSR graph
     holding label sets (any :func:`csr_view` of a dict graph) cannot
     be published, and is pickled too.
     Handles win at scale: at the 10⁶-node rung, a 4-worker spawn pool

@@ -20,9 +20,13 @@ Representation notes:
 * ``node_ids=None`` declares the identity mapping (node ``i`` *is*
   index ``i``), which is what the CSR-native generators produce; no
   per-node Python objects are allocated in that case.
-* labels can be per-node *sets* (the dict-graph view) or one integer
+* labels can be per-node *sets* (the dict-graph view) or one label
   per node in a numpy ``label_array`` (the vectorized labelers), with
   the same mask/query API on top of either.
+* the only label-derived state a graph keeps is one edge-label
+  histogram (:meth:`CSRGraph.label_pair_counts`), computed on first
+  use; masks and ``T(u)`` are recomputed per call from the labels and
+  the neighbor lists they concern.
 
 Two properties are load-bearing for replaying the dict reference
 engine over a view frozen from a dict graph:
@@ -40,7 +44,9 @@ dict engine step for step from the same seed.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from collections import Counter
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -76,6 +82,14 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     flags[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=flags[1:])
     return ordered[flags]
+
+
+def canonical_pair(a: Label, b: Label) -> Tuple[Label, Label]:
+    """Order a label pair deterministically so ``(a, b)`` and ``(b, a)`` collapse."""
+    try:
+        return (a, b) if a <= b else (b, a)  # type: ignore[operator]
+    except TypeError:
+        return (a, b) if repr(a) <= repr(b) else (b, a)
 
 
 def indices_dtype(num_nodes: int) -> np.dtype:
@@ -176,9 +190,7 @@ class CSRGraph:
         # into it is alive; None for ram-backed graphs.
         self._buffer_owner: Optional[object] = None
         self._index_of: Optional[Dict[Node, int]] = None
-        self._mask_cache: Dict[Label, np.ndarray] = {}
-        self._incident_cache: Dict[Tuple[Label, Label], np.ndarray] = {}
-        self._target_count_cache: Dict[Tuple[Label, Label], int] = {}
+        self._label_pair_counts: Optional[Dict[Tuple[Label, Label], int]] = None
         self._indptr_list: Optional[List[int]] = None
         self._indices_list: Optional[List[int]] = None
         self._degrees_list: Optional[List[int]] = None
@@ -257,8 +269,8 @@ class CSRGraph:
 
         CSR graphs are immutable, so labeling is re-wrapping: the
         ``indptr`` / ``indices`` buffers are shared (no copy), only the
-        label storage and the derived caches are fresh.  The buffer
-        store carries over, so an attached segment stays mapped.
+        label storage and the edge-label histogram are fresh.  The
+        buffer store carries over, so an attached segment stays mapped.
         """
         relabeled = CSRGraph(
             self._node_ids,
@@ -391,26 +403,25 @@ class CSRGraph:
         return set()
 
     def label_mask(self, label: Label) -> np.ndarray:
-        """Boolean array: ``mask[i]`` iff node ``i`` carries *label* (cached)."""
-        mask = self._mask_cache.get(label)
-        if mask is None:
-            if self._label_array is not None:
-                mask = np.asarray(self._label_array == label)
-                if mask.shape != (self._num_nodes,):
-                    # Incomparable label type: nothing matches.
-                    mask = np.zeros(self._num_nodes, dtype=bool)
-                mask = mask.astype(bool, copy=False)
-            elif self._label_sets is not None:
-                mask = np.fromiter(
-                    (label in labels for labels in self._label_sets),
-                    dtype=bool,
-                    count=len(self._label_sets),
-                )
-            else:
-                mask = np.zeros(self._num_nodes, dtype=bool)
-            mask.setflags(write=False)
-            self._mask_cache[label] = mask
-        return mask
+        """Boolean array: ``mask[i]`` iff node ``i`` carries *label*.
+
+        Recomputed on every call (one vectorized comparison over a
+        ``label_array``; a Python pass over label sets), so asking about
+        many labels leaves nothing behind on the graph.
+        """
+        if self._label_array is not None:
+            mask = np.asarray(self._label_array == label)
+            if mask.shape != (self._num_nodes,):
+                # Incomparable label type: nothing matches.
+                return np.zeros(self._num_nodes, dtype=bool)
+            return mask.astype(bool, copy=False)
+        if self._label_sets is not None:
+            return np.fromiter(
+                (label in labels for labels in self._label_sets),
+                dtype=bool,
+                count=len(self._label_sets),
+            )
+        return np.zeros(self._num_nodes, dtype=bool)
 
     def adjacency_lists(self) -> Tuple[List[int], List[int], List[int]]:
         """``(indptr, indices, degrees)`` as plain Python lists (cached).
@@ -442,50 +453,44 @@ class CSRGraph:
         total = int(lengths.sum())
         if total == 0:
             return np.empty(0, dtype=self.indices.dtype)
-        starts = self.indptr[node_indices]
-        # positions[j] = starts[row of j] + offset of j within its row
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(lengths) - lengths, lengths
-        )
-        return self.indices[np.repeat(starts, lengths) + offsets]
+        # positions[j] = j + (start of j's row - offset of that row in
+        # the output): one repeat instead of one per term.
+        shifts = self.indptr[node_indices] - (np.cumsum(lengths) - lengths)
+        return self.indices[np.arange(total, dtype=np.int64) + np.repeat(shifts, lengths)]
 
     # ------------------------------------------------------------------
     # vectorized label statistics
     # ------------------------------------------------------------------
-    def neighbor_mask_counts(self, mask: np.ndarray) -> np.ndarray:
-        """Per-node count of neighbors for which *mask* is true.
+    def target_incident_counts(self, t1: Label, t2: Label, nodes: np.ndarray) -> np.ndarray:
+        """``T(u)`` of each node in *nodes*: its incident target edges.
 
-        Implemented with a cumulative sum over the flat neighbor array so
-        empty adjacency rows are handled correctly (``np.add.reduceat``
-        is not safe there).
+        Read off the neighbor lists of *nodes* only — the pages a
+        NeighborExploration crawler downloads around its labeled
+        samples (§4.2) — so the cost follows the nodes asked about, not
+        ``|V|``.  Matches :meth:`LabeledGraph.target_edges_incident_to`:
+        a neighbor is counted once even when both branch conditions
+        hold, hence the inclusion–exclusion term for nodes carrying
+        both labels.  Returns ``int64`` aligned with *nodes*.
         """
-        acc = np.concatenate(
-            ([0], np.cumsum(mask[self.indices], dtype=np.int64))
-        )
-        return acc[self.indptr[1:]] - acc[self.indptr[:-1]]
+        nodes = np.asarray(nodes, dtype=np.int64)
+        m1 = self.label_mask(t1)
+        m2 = self.label_mask(t2) if t1 != t2 else m1
 
-    def target_incident_counts(self, t1: Label, t2: Label) -> np.ndarray:
-        """``T(u)`` for every node: incident target edges for ``(t1, t2)``.
+        def neighbors_in(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
+            # Per-row counts by a cumulative sum over the gathered rows,
+            # which handles empty rows (np.add.reduceat does not).
+            acc = np.concatenate(([0], np.cumsum(mask[self.gather_neighbors(rows)])))
+            bounds = np.concatenate(([0], np.cumsum(self.degrees[rows])))
+            return acc[bounds[1:]] - acc[bounds[:-1]]
 
-        Matches :meth:`LabeledGraph.target_edges_incident_to`: a neighbor
-        is counted once even when both branch conditions hold, hence the
-        inclusion–exclusion term for nodes carrying both labels.
-        """
-        key = (t1, t2)
-        counts = self._incident_cache.get(key)
-        if counts is None:
-            m1 = self.label_mask(t1)
-            m2 = self.label_mask(t2)
-            c2 = self.neighbor_mask_counts(m2)
-            if t1 == t2:
-                counts = np.where(m1, c2, 0)
-            else:
-                c1 = self.neighbor_mask_counts(m1)
-                cboth = self.neighbor_mask_counts(m1 & m2)
-                counts = m1 * c2 + m2 * c1 - (m1 & m2) * cboth
-            counts = counts.astype(np.int64)
-            counts.setflags(write=False)
-            self._incident_cache[key] = counts
+        counts = np.zeros(nodes.size, dtype=np.int64)
+        u1, u2 = m1[nodes], m2[nodes]
+        counts[u1] += neighbors_in(nodes[u1], m2)
+        if t1 != t2:
+            counts[u2] += neighbors_in(nodes[u2], m1)
+            both = u1 & u2  # only label sets can carry both
+            if both.any():
+                counts[both] -= neighbors_in(nodes[both], m1 & m2)
         return counts
 
     def seal_buffers(self, reason: str = "buffers are sealed") -> None:
@@ -523,21 +528,77 @@ class CSRGraph:
         """Why the buffers are read-only, or ``None`` when still writable."""
         return getattr(self, "_sealed", None)
 
-    def count_target_edges(self, t1: Label, t2: Label) -> int:
-        """Exact ground-truth count ``F`` for ``(t1, t2)`` via label masks.
+    def label_pair_counts(self) -> Mapping[Tuple[Label, Label], int]:
+        """Edges per unordered label pair: the graph's edge-label histogram.
 
-        ``Σ_u T(u) = 2F`` (every target edge is incident to exactly two
-        nodes), so the count falls out of the cached vectorized
-        incident-target-edge array — no Python edge loop.  The integer
-        itself is cached per pair; a CSR view is immutable, so the cache
-        can never go stale.
+        For an edge ``(u, v)`` every pair ``(a, b)`` with ``a`` a label
+        of ``u`` and ``b`` a label of ``v`` counts once toward its
+        canonical (sorted) pair.  Computed on first use and memoised —
+        the one piece of label-derived state a graph keeps, a few
+        entries per distinct label pair however many pairs are asked
+        about.  Returned read-only; ``edge_label_histogram`` hands out
+        copies.
+
+        A ``label_array`` is counted over dense label codes
+        (``np.unique``), so string labels and widely spread integers
+        count like any others; label sets take a per-edge loop.
         """
-        key = (t1, t2)
-        count = self._target_count_cache.get(key)
-        if count is None:
-            count = int(self.target_incident_counts(t1, t2).sum()) // 2
-            self._target_count_cache[key] = count
-        return count
+        if self._label_pair_counts is None:
+            if self._label_array is not None:
+                self._label_pair_counts = self._label_array_pair_counts()
+            else:
+                self._label_pair_counts = self._label_set_pair_counts()
+        return MappingProxyType(self._label_pair_counts)
+
+    def _label_array_pair_counts(self) -> Dict[Tuple[Label, Label], int]:
+        """Histogram of a ``label_array`` graph over dense label codes.
+
+        Every directed adjacency entry gets the code ``lo · k + hi`` of
+        its endpoints' sorted label codes (``k`` distinct labels); an
+        undirected edge appears twice with the same code, so the counts
+        are halved.  ``np.unique`` orders the codes like the labels, so
+        ``lo ≤ hi`` is the canonical pair order.
+        """
+        labels, inverse = np.unique(self._label_array, return_inverse=True)
+        k = int(labels.size)
+        dtype = np.int32 if k * k < _INT32_LIMIT else np.int64
+        codes = inverse.reshape(-1).astype(dtype)
+        hi = np.repeat(codes, self.degrees)
+        other = codes[self.indices]
+        lo = np.minimum(hi, other)
+        np.maximum(hi, other, out=hi)
+        del other
+        lo *= k
+        lo += hi
+        del hi
+        distinct, counts = np.unique(lo, return_counts=True)
+        values = labels.tolist()
+        return {
+            (values[code // k], values[code % k]): count // 2
+            for code, count in zip(distinct.tolist(), counts.tolist())
+        }
+
+    def _label_set_pair_counts(self) -> Dict[Tuple[Label, Label], int]:
+        """Histogram of a set-labeled graph: the per-edge reference loop."""
+        histogram: Counter = Counter()
+        indptr, indices, _ = self.adjacency_lists()
+        for i in range(self._num_nodes):
+            li = self.labels_of(i)
+            for j in indices[indptr[i] : indptr[i + 1]]:
+                if i < j:
+                    pairs = {canonical_pair(a, b) for a in li for b in self.labels_of(j)}
+                    for pair in pairs:
+                        histogram[pair] += 1
+        return dict(histogram)
+
+    def count_target_edges(self, t1: Label, t2: Label) -> int:
+        """Exact ground-truth count ``F`` for ``(t1, t2)``.
+
+        A lookup in :meth:`label_pair_counts`: an edge is a target edge
+        exactly when ``(t1, t2)`` is one of its label pairs.  After the
+        first call on a graph, a new pair costs no pass over it.
+        """
+        return self.label_pair_counts().get(canonical_pair(t1, t2), 0)
 
     def validate_invariants(
         self,
@@ -706,4 +767,11 @@ def csr_view(graph: Union[LabeledGraph, CSRGraph]) -> CSRGraph:
     return csr
 
 
-__all__ = ["CSRGraph", "csr_view", "ensure_same_graph", "indices_dtype", "sorted_unique"]
+__all__ = [
+    "CSRGraph",
+    "canonical_pair",
+    "csr_view",
+    "ensure_same_graph",
+    "indices_dtype",
+    "sorted_unique",
+]

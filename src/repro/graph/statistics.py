@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Set, Tuple
-
-import numpy as np
+from typing import Dict, List, Set, Tuple
 
 from repro.exceptions import EmptyGraphError
 from repro.graph.csr import CSRGraph, csr_view
@@ -76,17 +74,14 @@ def count_target_edges(graph: LabeledGraph, t1: Label, t2: Label) -> int:
     degenerates to "both endpoints carry the label", which the definition
     also covers.
 
-    Counting goes through the graph's frozen CSR view (label masks, no
-    Python edge loop) and is cached per ``(graph, pair)``: the view is
-    shared via :func:`repro.graph.csr.csr_view` and the per-pair
-    incident-count arrays are cached on it, so a table/sweep harness
-    re-asking for the same ground truth pays nothing.  Graph-likes that
-    are not :class:`LabeledGraph` / :class:`CSRGraph` instances fall
-    back to the dict edge loop.
+    The count is a lookup in the graph's edge-label histogram
+    (:meth:`CSRGraph.label_pair_counts`), counted once per graph — on
+    the frozen CSR view that :func:`repro.graph.csr.csr_view` shares for
+    a dict graph — so a table/sweep harness asking about many pairs
+    pays one pass.  Graph-likes that are not :class:`LabeledGraph` /
+    :class:`CSRGraph` instances fall back to the dict edge loop.
     """
-    if isinstance(graph, CSRGraph):
-        return graph.count_target_edges(t1, t2)
-    if isinstance(graph, LabeledGraph):
+    if isinstance(graph, (CSRGraph, LabeledGraph)):
         return csr_view(graph).count_target_edges(t1, t2)
     return _count_target_edges_dict(graph, t1, t2)
 
@@ -157,85 +152,11 @@ def edge_label_histogram(graph: LabeledGraph) -> Dict[Tuple[Label, Label], int]:
     Orkut and LiveJournal, from which target labels are drawn per
     frequency quartile.
 
-    A :class:`CSRGraph` carrying a one-label-per-node array is counted
-    fully vectorized (pair codes + one sort); other CSR graphs fall
-    back to a per-edge loop over the arrays, dict graphs to the
-    reference loop.
+    Returns a copy of the graph's memoised
+    :meth:`CSRGraph.label_pair_counts` (of its shared CSR view for a
+    dict graph).
     """
-    if isinstance(graph, CSRGraph):
-        label_array = graph.label_array()
-        if label_array is not None:
-            return _edge_label_histogram_array(graph, label_array)
-        return _edge_label_histogram_csr_sets(graph)
-    histogram: Counter = Counter()
-    for u, v in graph.edges():
-        lu = graph.labels_of(u)
-        lv = graph.labels_of(v)
-        pairs: Set[Tuple[Label, Label]] = set()
-        for a in lu:
-            for b in lv:
-                pairs.add(_canonical_pair(a, b))
-        for pair in pairs:
-            histogram[pair] += 1
-    return dict(histogram)
-
-
-def _edge_label_histogram_array(
-    csr: CSRGraph, label_array: np.ndarray
-) -> Dict[Tuple[Label, Label], int]:
-    """Vectorized histogram for integer-array-labeled CSR graphs.
-
-    Each undirected edge appears once (source index < neighbor index in
-    the flat adjacency); its canonical label pair becomes one integer
-    code and the counts are adjacent run lengths after a single sort.
-    """
-    sources = np.repeat(
-        np.arange(csr.num_nodes, dtype=np.int64), np.asarray(csr.degrees)
-    )
-    once = sources < csr.indices
-    a = label_array[sources[once]].astype(np.int64)
-    b = label_array[csr.indices[once]].astype(np.int64)
-    if a.size == 0:
-        return {}
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    base = int(lo.min())
-    span = int(hi.max()) - base + 1
-    codes = np.sort((lo - base) * span + (hi - base))
-    boundaries = np.flatnonzero(
-        np.concatenate(([True], codes[1:] != codes[:-1]))
-    )
-    counts = np.diff(np.concatenate((boundaries, [codes.size])))
-    distinct = codes[boundaries]
-    return {
-        (int(code // span + base), int(code % span + base)): int(count)
-        for code, count in zip(distinct, counts)
-    }
-
-
-def _edge_label_histogram_csr_sets(csr: CSRGraph) -> Dict[Tuple[Label, Label], int]:
-    """Reference per-edge loop over CSR arrays (set-labeled graphs)."""
-    histogram: Counter = Counter()
-    indptr, indices, _ = csr.adjacency_lists()
-    for i in range(csr.num_nodes):
-        li = csr.labels_of(i)
-        for j in indices[indptr[i] : indptr[i + 1]]:
-            if i < j:
-                pairs: Set[Tuple[Label, Label]] = set()
-                for a in li:
-                    for b in csr.labels_of(j):
-                        pairs.add(_canonical_pair(a, b))
-                for pair in pairs:
-                    histogram[pair] += 1
-    return dict(histogram)
-
-
-def _canonical_pair(a: Label, b: Label) -> Tuple[Label, Label]:
-    """Order a label pair deterministically so (a,b) and (b,a) collapse."""
-    try:
-        return (a, b) if a <= b else (b, a)  # type: ignore[operator]
-    except TypeError:
-        return (a, b) if repr(a) <= repr(b) else (b, a)
+    return dict(csr_view(graph).label_pair_counts())
 
 
 def label_pair_by_frequency_quartile(

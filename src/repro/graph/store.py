@@ -22,7 +22,10 @@ that reattaches **zero-copy** in another process via
 :func:`attach_csr`.  Shipping the handle to a ``ProcessPoolExecutor``
 worker costs O(1) bytes regardless of graph size — the difference
 between "each worker deserialises Orkut" and "each worker opens Orkut".
-The graph itself always pickles by value, attached or not.
+The graph itself always pickles by value, attached or not.  Only the
+defining buffers are published: label masks and ``T(u)`` are derived
+per call from them, and the edge-label histogram once per process that
+asks for a ground truth.
 
 Ownership and cleanup semantics
 -------------------------------
@@ -109,25 +112,12 @@ class CSRHandle:
     always, plus ``"label_array"`` / ``"node_ids"`` when the graph
     carries them.  :func:`attach_csr` turns a handle back into a
     zero-copy :class:`~repro.graph.csr.CSRGraph` in any process on the
-    same host.
-
-    Derived caches travel too: any label masks, incident-target-edge
-    arrays and ground-truth counts the publisher had already computed
-    are published alongside the buffers (``masks`` / ``incident`` map
-    label keys to array specs, ``target_counts`` carries the scalars),
-    so an attached graph starts *warm* — a worker never repeats the
-    publisher's O(|E|) classification passes.  The handle itself stays
-    a few hundred bytes.
+    same host.  Only the defining buffers travel: an attached graph
+    derives its masks and ``T(u)`` per call, like any other.
     """
 
     location: str
     arrays: Tuple[ArraySpec, ...]
-    #: ``(label, array_key)`` pairs for published label masks.
-    masks: Tuple[Tuple[object, str], ...] = ()
-    #: ``(t1, t2, array_key)`` triples for published incident counts.
-    incident: Tuple[Tuple[object, object, str], ...] = ()
-    #: ``(t1, t2, count)`` ground-truth target-edge counts.
-    target_counts: Tuple[Tuple[object, object, int], ...] = ()
 
     def spec(self, key: str) -> Optional[ArraySpec]:
         """The :class:`ArraySpec` named *key*, or ``None``."""
@@ -173,49 +163,12 @@ def _publishable_arrays(csr: CSRGraph) -> List[Tuple[str, np.ndarray]]:
     return payload
 
 
-def _cache_payload(csr: CSRGraph) -> Tuple[
-    List[Tuple[str, np.ndarray]],
-    Tuple[Tuple[object, str], ...],
-    Tuple[Tuple[object, object, str], ...],
-    Tuple[Tuple[object, object, int], ...],
-]:
-    """Whatever derived label caches *csr* already computed, as buffers.
-
-    The publisher typically computed the ground truth before fanning
-    out, which populated the label masks and the incident-target-edge
-    arrays — exactly the O(|E|)-to-derive, O(|V|)-to-store arrays every
-    worker needs for classification.  Publishing them costs a few |V|
-    buffers in the segment and saves each attacher the recompute.
-    """
-    payload: List[Tuple[str, np.ndarray]] = []
-    masks = []
-    for position, (label, mask) in enumerate(csr._mask_cache.items()):
-        key = f"cache_mask_{position}"
-        payload.append((key, np.ascontiguousarray(mask)))
-        masks.append((label, key))
-    incident = []
-    for position, (pair, counts) in enumerate(csr._incident_cache.items()):
-        key = f"cache_incident_{position}"
-        payload.append((key, np.ascontiguousarray(counts)))
-        incident.append((pair[0], pair[1], key))
-    target_counts = tuple(
-        (pair[0], pair[1], int(count))
-        for pair, count in csr._target_count_cache.items()
-    )
-    return payload, tuple(masks), tuple(incident), target_counts
-
-
 def _align(offset: int) -> int:
     return (offset + _SHM_ALIGN - 1) // _SHM_ALIGN * _SHM_ALIGN
 
 
-def _build_csr(arrays: Dict[str, np.ndarray], owner, handle: CSRHandle) -> CSRGraph:
-    """Assemble an attached CSRGraph from named buffers (zero-copy).
-
-    Published derived caches (label masks, incident counts, ground-truth
-    counts) are re-wired from the handle's manifest, so the attached
-    graph classifies without repeating the publisher's O(|E|) passes.
-    """
+def _build_csr(arrays: Dict[str, np.ndarray], owner) -> CSRGraph:
+    """Assemble an attached CSRGraph from named buffers (zero-copy)."""
     csr = CSRGraph(
         arrays.get("node_ids"),
         arrays["indptr"],
@@ -225,14 +178,6 @@ def _build_csr(arrays: Dict[str, np.ndarray], owner, handle: CSRHandle) -> CSRGr
     )
     csr.store = "shm"
     csr._buffer_owner = owner
-    for label, key in handle.masks:
-        if key in arrays:
-            csr._mask_cache[label] = arrays[key]
-    for t1, t2, key in handle.incident:
-        if key in arrays:
-            csr._incident_cache[(t1, t2)] = arrays[key]
-    for t1, t2, count in handle.target_counts:
-        csr._target_count_cache[(t1, t2)] = int(count)
     csr.seal_buffers("attached from shm")
     return csr
 
@@ -284,9 +229,6 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
 
 def _publish_shm(
     payload: List[Tuple[str, np.ndarray]],
-    masks: Tuple[Tuple[object, str], ...],
-    incident: Tuple[Tuple[object, object, str], ...],
-    target_counts: Tuple[Tuple[object, object, int], ...],
 ) -> Tuple[shared_memory.SharedMemory, CSRHandle]:
     specs: List[ArraySpec] = []
     offset = 0
@@ -302,7 +244,7 @@ def _publish_shm(
             spec.shape, dtype=spec.dtype, buffer=segment.buf, offset=spec.offset
         )
         view[...] = array
-    return segment, CSRHandle(segment.name, tuple(specs), masks, incident, target_counts)
+    return segment, CSRHandle(segment.name, tuple(specs))
 
 
 def _attach_shm(handle: CSRHandle) -> CSRGraph:
@@ -314,7 +256,7 @@ def _attach_shm(handle: CSRHandle) -> CSRGraph:
         )
         view.setflags(write=False)
         arrays[spec.key] = view
-    return _build_csr(arrays, segment, handle)
+    return _build_csr(arrays, segment)
 
 
 def save_csr_npz(csr: CSRGraph, path: Union[str, Path]) -> Path:
@@ -322,8 +264,8 @@ def save_csr_npz(csr: CSRGraph, path: Union[str, Path]) -> Path:
 
     Atomic (pid-stamped scratch file, fsync, rename; see
     :func:`repro.durability.write_npz`).  Only the defining buffers are
-    written; derived caches are a :func:`publish_csr` concern.  Read it
-    back with :func:`load_csr_npz`.
+    written, as in :func:`publish_csr`.  Read it back with
+    :func:`load_csr_npz`.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -504,19 +446,19 @@ def sweep_orphan_segments(
 def publish_csr(csr: CSRGraph) -> CSRPublication:
     """Publish *csr*'s buffers to shared memory; return the ownership token.
 
-    The buffers (and any derived label caches already computed) are
-    copied once into a fresh shared-memory segment that the returned
-    publication owns.  Every call makes a new segment, so re-publishing
-    an attached graph leaves the segment it was attached from alone.
+    The defining buffers (``indptr``, ``indices`` and any
+    ``label_array`` / ``node_ids``) are copied once into a fresh
+    shared-memory segment that the returned publication owns.  Every
+    call makes a new segment, so re-publishing an attached graph leaves
+    the segment it was attached from alone.
     """
     payload = _publishable_arrays(csr)
-    caches, masks, incident, target_counts = _cache_payload(csr)
     # The publisher's own copy must match what workers attached: freeze
     # it so a post-publish in-place write raises instead of silently
     # diverging from the shared buffers (and from version-stamped
     # cached answers in the serving layer).
     csr.seal_buffers("published to shm")
-    segment, handle = _publish_shm(payload + caches, masks, incident, target_counts)
+    segment, handle = _publish_shm(payload)
     return CSRPublication(handle, segment)
 
 

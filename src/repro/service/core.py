@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass, field, replace
 from numbers import Integral
 from pathlib import Path
-from typing import Dict, FrozenSet, Hashable, Iterator, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Hashable, Iterator, List, Mapping, Optional, Sequence, Union
 
 from repro.durability import artifact_counters, graph_fingerprint, read_blob, write_blob
 from repro.exceptions import (
@@ -70,6 +70,9 @@ GraphLike = Union[LabeledGraph, CSRGraph]
 #: a few hundred MB; a paper-scale query (200 walkers at 5% of 10⁶
 #: nodes) asks for about 10.2M steps.
 MAX_QUERY_STEPS = 1 << 24
+
+#: The label gate's answer for a label no node of the served graph carries.
+_UNCARRIED = object()
 
 
 def publishable_csr_view(csr: CSRGraph) -> CSRGraph:
@@ -249,7 +252,7 @@ class EstimationService:
         self._publication: Optional[CSRPublication] = None
         self._csr: Optional[CSRGraph] = None
         self._suite: Dict[str, AlgorithmRunner] = {}
-        self._labels: FrozenSet[Hashable] = frozenset()
+        self._labels: Dict[Hashable, Hashable] = {}
         self._closed = False
         # throughput accounting
         self.queries_served = 0
@@ -309,7 +312,10 @@ class EstimationService:
             algorithms = build_algorithm_suite(serving, include_baselines=True)
         self._publication = publication
         self._csr = serving
-        self._labels = frozenset(serving.all_labels())  # the label gate's set
+        # The label gate: each carried label mapped to itself, so a query
+        # label that merely compares equal (1.0 for 1) becomes the
+        # graph's own value before it reaches a cache key or an answer.
+        self._labels = {label: label for label in serving.all_labels()}
         self._suite = dict(algorithms)
         self._graph_version += 1
 
@@ -498,10 +504,11 @@ class EstimationService:
         check_non_negative_int(query.burn_in, "burn_in")
         if not isinstance(query.seed, Integral) or isinstance(query.seed, bool):
             raise ConfigurationError(f"seed must be an integer, got {query.seed!r}")
+        labels = {}
         for name in ("t1", "t2"):
             label = getattr(query, name)
             try:
-                carried = label in self._labels
+                carried = self._labels.get(label, _UNCARRIED)
             except TypeError:
                 carried = None  # a JSON array or object: unhashable, no cache key
             if carried is None or isinstance(label, bool):
@@ -509,14 +516,16 @@ class EstimationService:
                 raise ConfigurationError(
                     f"{name} must be a label (a number or a string), got {label!r}"
                 )
-            if not carried:
-                # Refused before any mask, incident array or walk exists.
+            if carried is _UNCARRIED:
+                # Refused before any walk.
                 raise ExperimentError(
                     f"no node of the served graph carries {name}={label!r}, so the "
                     "pair has no target edges; NRMSE is undefined"
                 )
+            labels[name] = carried
         query = replace(
             query,
+            **labels,
             budget=int(query.budget),
             seed=int(query.seed),
             repetitions=int(query.repetitions),

@@ -411,11 +411,6 @@ class TestResilienceOverHTTP:
 # ----------------------------------------------------------------------
 # client errors refused before any walk; server faults fail whole plans
 # ----------------------------------------------------------------------
-def _label_caches(service):
-    csr = service.csr
-    return (len(csr._mask_cache), len(csr._incident_cache), len(csr._target_count_cache))
-
-
 def _graph_with_a_lonely_label():
     """The conftest graph with one node relabelled 3: the pair (3, 3) has
     no target edges although a node carries 3, and (3, 1) has some."""
@@ -435,7 +430,7 @@ def _graph_with_a_lonely_label():
 class TestLabelGate:
     def test_labels_no_node_carries_are_400_before_any_walk(self, breaker_service):
         service = breaker_service
-        breakers, caches = service.breakers.snapshot(), _label_caches(service)
+        breakers = service.breakers.snapshot()
         labels = range(1000, 1200)
 
         async def scenario(port):
@@ -448,7 +443,6 @@ class TestLabelGate:
         assert [status for status, _, _ in responses] == [400] * len(labels)
         assert all("no target edges" in body["error"] for _, _, body in responses)
         assert service.fleets_built == 0
-        assert _label_caches(service) == caches
         assert service.breakers.snapshot() == breakers
 
     def test_a_json_boolean_is_not_label_one(self, breaker_service):
@@ -464,6 +458,26 @@ class TestLabelGate:
         assert status == 400 and "t1 must be a label" in body["error"]
         assert breakers == {}  # the refusal created no breaker entry
         assert served_status == 200 and answer["cached"] is False and answer["t1"] == 1
+
+    def test_a_float_label_is_served_as_the_graphs_own_label(self, breaker_service):
+        """1.0 == 1 in Python: the query takes the graph's value, so it
+        echoes an int and shares one cache entry with the int query."""
+
+        async def scenario(port):
+            replies = []
+            for t1 in (1.0, 1, 1.5):
+                replies.append(await _raw_request(
+                    port, "POST", "/estimate", _query(t1=t1, budget=5, seed=3)
+                ))
+            return replies
+
+        floated, integral, fractional = _run_server(breaker_service, scenario)
+        assert floated[0] == 200 and floated[2]["cached"] is False
+        assert floated[2]["t1"] == 1 and type(floated[2]["t1"]) is int
+        assert integral[0] == 200 and integral[2]["cached"] is True
+        assert type(integral[2]["t1"]) is int
+        assert integral[2]["estimates"] == floated[2]["estimates"]
+        assert fractional[0] == 400 and "carries t1=1.5" in fractional[2]["error"]
 
     def test_zero_target_pair_of_carried_labels_is_400_without_a_walk(
         self, serving_graph

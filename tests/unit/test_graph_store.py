@@ -1,5 +1,6 @@
 """Buffer stores: shm publish/attach, handles, cleanup semantics, npz archives."""
 
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -210,12 +211,11 @@ class TestNpzArchive:
         assert loaded.label_array().dtype == labeled_csr.label_array().dtype
 
     def test_archive_holds_only_the_defining_buffers(self, labeled_csr, tmp_path):
-        labeled_csr.count_target_edges(1, 2)  # warm caches are not written
+        labeled_csr.count_target_edges(1, 2)  # the histogram is not written
         path = save_csr_npz(labeled_csr, tmp_path / "g.npz")
         with np.load(path) as payload:
             assert sorted(payload.files) == ["indices", "indptr", "label_array"]
         loaded = load_csr_npz(path)
-        assert not loaded._target_count_cache
         assert loaded.count_target_edges(1, 2) == labeled_csr.count_target_edges(1, 2)
 
     def test_node_ids_round_trip(self, tmp_path):
@@ -271,16 +271,25 @@ class TestNpzArchive:
             del attached
 
 
-class TestNeighborMaskCounts:
-    def test_counts_match_a_per_row_loop(self, labeled_csr):
-        mask = labeled_csr.label_mask(2)
-        counts = labeled_csr.neighbor_mask_counts(mask)
-        for node in range(labeled_csr.num_nodes):
-            assert counts[node] == int(mask[labeled_csr.neighbors(node)].sum())
+class TestTargetIncidentCounts:
+    def test_node_subsets_match_the_dict_reference(self, labeled_csr):
+        graph = labeled_csr.to_labeled_graph()
+        nodes = np.array([5, 0, 17, 5, 399, 230])
+        for t1, t2 in ((1, 2), (2, 1), (2, 2), (3, 1)):
+            counts = labeled_csr.target_incident_counts(t1, t2, nodes)
+            assert counts.dtype == np.int64
+            assert counts.tolist() == [
+                graph.target_edges_incident_to(int(node), t1, t2) for node in nodes
+            ]
 
-    def test_empty_graph(self):
+    def test_empty_rows_and_empty_subsets(self):
+        lonely = CSRGraph.from_edge_array(
+            np.array([[0, 1]]), num_nodes=3, label_array=np.array([1, 2, 1])
+        )
+        assert lonely.target_incident_counts(1, 2, np.array([2, 0, 1, 2])).tolist() == [0, 1, 1, 0]
+        assert lonely.target_incident_counts(1, 2, np.array([], dtype=np.int64)).size == 0
         empty = CSRGraph(None, np.array([0]), np.array([], dtype=np.int64))
-        assert empty.neighbor_mask_counts(np.array([], dtype=bool)).size == 0
+        assert empty.target_incident_counts(1, 2, np.array([], dtype=np.int64)).size == 0
 
 
 class TestHandleShape:
@@ -289,38 +298,11 @@ class TestHandleShape:
             handle = publication.handle
             assert handle.spec("indptr").shape == (labeled_csr.num_nodes + 1,)
             assert handle.spec("missing") is None
-
-
-class TestPublishedCaches:
-    def test_attached_graph_starts_warm(self, labeled_csr):
-        """Masks/incident/count caches computed before publishing travel along."""
-        truth = labeled_csr.count_target_edges(1, 2)  # populates all three caches
-        with publish_csr(labeled_csr) as publication:
-            assert publication.handle.masks  # manifest recorded
-            assert publication.handle.incident
-            assert publication.handle.target_counts
-            attached = publication.attach()
-            assert (1, 2) in attached._target_count_cache
-            assert 1 in attached._mask_cache and 2 in attached._mask_cache
-            assert np.array_equal(
-                attached._incident_cache[(1, 2)],
-                labeled_csr.target_incident_counts(1, 2),
-            )
-            assert attached.count_target_edges(1, 2) == truth
-            del attached
-
-    def test_cold_publish_has_empty_manifest(self):
-        rng = np.random.default_rng(1)
-        graph = CSRGraph.from_edge_array(
-            rng.integers(0, 50, size=(200, 2)), num_nodes=50,
-            label_array=rng.integers(1, 3, size=50),
-        )
-        with publish_csr(graph) as publication:
-            assert publication.handle.masks == ()
-            assert publication.handle.incident == ()
-            attached = publication.attach()
-            assert attached.count_target_edges(1, 2) == graph.count_target_edges(1, 2)
-            del attached
+            # Only the defining buffers travel; no label state rides along.
+            assert [field.name for field in dataclasses.fields(handle)] == [
+                "location",
+                "arrays",
+            ]
 
 
 class TestReviewRegressions:

@@ -207,38 +207,3 @@ class TestStoreErrors:
         with pytest.raises(ConfigurationError, match="picklable"):
             run_jobs_parallel(csr_graph, closure_suite, [_job("closure")], 2, lambda job, row: None)
         assert _shm_segments() == before
-
-
-class TestWarmWorkers:
-    def test_worker_attaches_with_the_parents_caches(self, shm_graph):
-        """Caches the parent computed after attaching travel in the fresh
-        segment, so a worker never re-streams the adjacency for them."""
-        from repro.experiments.runner import _WORKER_STATE, _init_job_worker
-
-        truth = shm_graph.count_target_edges(1, 2)  # parent-side classification
-        saved_state = dict(_WORKER_STATE)
-        with publish_csr(shm_graph) as publication:
-            assert publication.handle.target_counts == ((1, 2, truth),)
-            try:
-                _init_job_worker(publication.handle, pickle.dumps({}))
-                worker_graph = _WORKER_STATE["graph"]
-                assert worker_graph._target_count_cache[(1, 2)] == truth
-                for label in (1, 2):
-                    assert np.array_equal(
-                        worker_graph._mask_cache[label], shm_graph.label_mask(label)
-                    )
-                assert np.array_equal(
-                    worker_graph._incident_cache[(1, 2)],
-                    shm_graph.target_incident_counts(1, 2),
-                )
-            finally:
-                _WORKER_STATE.clear()
-                _WORKER_STATE.update(saved_state)
-
-    def test_shm_store_tables_still_bit_identical(self, csr_graph, shm_graph, proposed_suite):
-        shm_graph.count_target_edges(1, 2)  # warm before the pool runs
-        reference = _table(csr_graph, proposed_suite, 1)
-        table = _table(shm_graph, proposed_suite, 2)
-        for name in reference.algorithms():
-            for ours, theirs in zip(table.cells[name], reference.cells[name]):
-                assert ours.estimates == theirs.estimates

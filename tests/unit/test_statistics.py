@@ -1,8 +1,12 @@
 """Unit tests for exact graph statistics and ground-truth counting."""
 
+import numpy as np
 import pytest
 
+from repro.datasets.labeling import assign_zipf_labels
+from repro.datasets.synthetic import powerlaw_cluster_osn
 from repro.exceptions import EmptyGraphError
+from repro.graph.csr import CSRGraph, canonical_pair, csr_view
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.statistics import (
     count_target_edges,
@@ -83,6 +87,85 @@ class TestCountTargetEdges:
     def test_fraction_empty_graph_raises(self):
         with pytest.raises(EmptyGraphError):
             target_edge_fraction(LabeledGraph(), "a", "b")
+
+
+class TestLabelPairCounts:
+    """Ground truth and the edge-label histogram read one memoised pass."""
+
+    @staticmethod
+    def _assert_matches_dict_loop(graph, reference):
+        from repro.graph.statistics import _count_target_edges_dict
+
+        labels = sorted(reference.all_labels(), key=repr)
+        histogram = edge_label_histogram(graph)
+        for t1 in labels:
+            for t2 in labels:
+                expected = _count_target_edges_dict(reference, t1, t2)
+                assert count_target_edges(graph, t1, t2) == expected, (t1, t2)
+                assert histogram.get(canonical_pair(t1, t2), 0) == expected, (t1, t2)
+        assert all(count > 0 for count in histogram.values())
+
+    def test_every_pair_on_dict_set_and_array_graphs(self):
+        graph = powerlaw_cluster_osn(150, 3, 0.3, rng=5)
+        assign_zipf_labels(graph, num_labels=8, exponent=1.0, rng=6)
+        view = csr_view(graph)
+        single = [next(iter(view.labels_of(i))) for i in range(view.num_nodes)]
+        array = view.with_labels(label_array=np.array(single))
+        for candidate in (graph, view, array):
+            self._assert_matches_dict_loop(candidate, graph)
+
+    def test_multi_labeled_nodes_with_mixed_label_types(self):
+        graph = powerlaw_cluster_osn(80, 3, 0.3, rng=9)
+        assign_zipf_labels(graph, num_labels=4, exponent=1.0, rng=10)
+        for node in list(graph.nodes())[::5]:
+            graph.set_labels(node, set(graph.labels_of(node)) | {"x"})
+        self._assert_matches_dict_loop(graph, graph)
+        self._assert_matches_dict_loop(csr_view(graph), graph)
+
+    def test_string_label_array(self):
+        graph = CSRGraph.from_edge_array(
+            np.array([[0, 1], [1, 2], [2, 3], [3, 0], [0, 2]]),
+            num_nodes=4,
+            label_array=np.array(["a", "b", "a", "b"]),
+        )
+        assert edge_label_histogram(graph) == {("a", "a"): 1, ("a", "b"): 4}
+        self._assert_matches_dict_loop(graph, graph.to_labeled_graph())
+
+    def test_widely_spread_integer_labels(self):
+        graph = CSRGraph.from_edge_array(
+            np.array([[0, 1], [1, 2], [2, 3], [1, 3], [0, 3]]),
+            num_nodes=4,
+            label_array=np.array([0, 2**40, 2**41, 2**41]),
+        )
+        assert edge_label_histogram(graph) == {
+            (0, 2**40): 1,
+            (0, 2**41): 1,
+            (2**40, 2**41): 2,
+            (2**41, 2**41): 1,
+        }
+        self._assert_matches_dict_loop(graph, graph.to_labeled_graph())
+
+    def test_a_new_pair_is_a_lookup(self, monkeypatch):
+        graph = CSRGraph.from_edge_array(
+            np.array([[0, 1], [1, 2], [2, 0], [2, 3]]),
+            num_nodes=4,
+            label_array=np.array([1, 2, 3, 2]),
+        )
+        assert graph.count_target_edges(1, 2) == 1
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("counting a new pair walked the graph again")
+
+        monkeypatch.setattr(graph, "_label_array_pair_counts", no_pass)
+        monkeypatch.setattr(graph, "label_mask", no_pass)
+        assert graph.count_target_edges(3, 2) == 2
+        assert graph.count_target_edges(3, 3) == 0
+        assert graph.count_target_edges("nope", 2) == 0
+        edge_label_histogram(graph)[(1, 2)] = 99  # callers get a copy
+        assert graph.count_target_edges(2, 1) == 1
+        relabeled = graph.with_labels(label_array=np.array([2, 2, 2, 2]))
+        monkeypatch.undo()
+        assert relabeled.count_target_edges(2, 2) == 4
 
 
 class TestIncidentCounts:
