@@ -595,8 +595,8 @@ def _command_fsck(args) -> int:
     import numpy as np
 
     from repro.durability import verify_artifact
-    from repro.exceptions import ArtifactCorruptError
-    from repro.graph.csr import CSRGraph
+    from repro.exceptions import ArtifactCorruptError, GraphError
+    from repro.graph.store import csr_from_arrays
 
     targets: List = []
     for raw in args.paths:
@@ -617,20 +617,16 @@ def _command_fsck(args) -> int:
                 with np.load(path) as payload:
                     arrays = {key: payload[key] for key in payload.files}
                 if "indptr" in arrays and "indices" in arrays:
-                    report = CSRGraph(
-                        arrays.get("node_ids"),
-                        arrays["indptr"],
-                        arrays["indices"],
-                        label_array=arrays.get("label_array"),
-                        validate=False,
-                    ).validate_invariants(symmetry_samples=args.symmetry_samples)
+                    report = csr_from_arrays(arrays).validate_invariants(
+                        symmetry_samples=args.symmetry_samples
+                    )
                     detail += (
                         f", structure ok ({report['num_nodes']} nodes, "
                         f"{report['num_edges']} edges)"
                     )
                 else:
                     detail += ", structure skipped (not a CSR artifact)"
-        except ArtifactCorruptError as exc:
+        except (ArtifactCorruptError, GraphError) as exc:  # GraphError: members disagree
             corrupt += 1
             print(f"CORRUPT {path}: {exc}")
             continue

@@ -105,8 +105,10 @@ def graph_fingerprint(graph: object) -> str:
             if array is None:
                 continue
             probe = np.asarray(array)
-            digest.update(np.ascontiguousarray(probe[:256]).tobytes())
-            digest.update(np.ascontiguousarray(probe[-256:]).tobytes())
+            for part in (probe[:256], probe[-256:]):
+                if part.dtype == object:  # object bytes are addresses
+                    part = np.array([repr(value) for value in part.tolist()])
+                digest.update(np.ascontiguousarray(part).tobytes())
     return digest.hexdigest()
 
 

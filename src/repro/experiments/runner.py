@@ -44,11 +44,11 @@ one plan of :meth:`~repro.experiments.planner.PrefixFleet.answer_plans`
 a process pool (:func:`run_jobs_parallel`).  Every job's seed is derived
 with :func:`derive_seed` before submission, so the result is identical
 for any worker count and scheduling order.  The graph decides how it
-reaches the workers: a dict graph is pickled once per worker (its
-frozen CSR view instead when every job is a fleet job), and a
-:class:`CSRGraph` is published into a fresh shared-memory segment whose
-O(1) :class:`~repro.graph.store.CSRHandle` workers reattach zero-copy —
-unless no flat buffer can hold it, in which case it is pickled too.
+reaches the workers: a dict graph is pickled once per worker, and a
+:class:`CSRGraph` — a dict graph's frozen CSR view too, which is what
+ships when every job is a fleet job — is published into a fresh
+shared-memory segment whose O(1)
+:class:`~repro.graph.store.CSRHandle` workers reattach zero-copy.
 The transport never touches a random stream.
 
 One durability knob: ``journal=`` names an append-only JSONL WAL
@@ -76,7 +76,7 @@ from repro.core.samplers.csr_backend import validate_execution, validate_reuse
 from repro.exceptions import ConfigurationError, ExperimentError
 from repro.graph.api import RestrictedGraphAPI
 from repro.graph.csr import CSRGraph, csr_view, ensure_same_graph
-from repro.graph.store import CSRHandle, attach_csr, is_publishable, publish_csr
+from repro.graph.store import CSRHandle, attach_csr, publish_csr
 from repro.graph.labeled_graph import Label, LabeledGraph
 from repro.graph.statistics import count_target_edges
 from repro.resilience.faults import fire
@@ -752,9 +752,9 @@ def run_jobs_parallel(
     each worker.  A :class:`CSRGraph` is published once into a fresh
     shared-memory segment (its defining buffers only), and workers
     reattach its O(1) handle zero-copy; publishing seals the caller's
-    buffers read-only.  A CSR graph
-    holding label sets (any :func:`csr_view` of a dict graph) cannot
-    be published, and is pickled too.
+    buffers read-only.  Node ids or label values that no flat buffer
+    holds exactly raise :class:`ConfigurationError` before any worker
+    starts.
     Handles win at scale: at the 10⁶-node rung, a 4-worker spawn pool
     fed by-value pickles ran a fleet table about 3× slower than one fed
     handles (the store bench in ``benchmarks/results/BENCH_scale.json``).
@@ -787,7 +787,7 @@ def run_jobs_parallel(
         ) from error
     publication = None
     graph_ref: Union[LabeledGraph, CSRHandle] = graph
-    if isinstance(graph, CSRGraph) and is_publishable(graph):
+    if isinstance(graph, CSRGraph):
         publication = publish_csr(graph)
         graph_ref = publication.handle
     done: Set[int] = set()

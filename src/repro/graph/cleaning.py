@@ -21,12 +21,12 @@ edge-list loader go through.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import EmptyGraphError
-from repro.graph.csr import sorted_unique
+from repro.graph.csr import gather_rows, sorted_unique
 from repro.graph.labeled_graph import Edge, Label, LabeledGraph, Node
 
 
@@ -139,11 +139,11 @@ def largest_connected_component_csr(csr) -> "CSRGraph":
     """Compact a :class:`~repro.graph.csr.CSRGraph` to its largest component.
 
     Pure array work: the component mask comes from
-    :func:`largest_component_mask`, surviving rows are gathered with one
-    ``repeat``/``cumsum`` pass and neighbor indices are renumbered
-    through a dense old→new map.  Labels (array or sets) and original
-    node identifiers are carried over; a graph that is already connected
-    is returned as-is (no copy).
+    :func:`largest_component_mask`, surviving adjacency and label rows
+    are gathered with one ``repeat``/``cumsum`` pass each and neighbor
+    indices are renumbered through a dense old→new map.  The label
+    table and original node identifiers are carried over; a graph that
+    is already connected is returned as-is (no copy).
     """
     from repro.graph.csr import CSRGraph
 
@@ -155,29 +155,27 @@ def largest_connected_component_csr(csr) -> "CSRGraph":
         return csr
     remap = np.cumsum(mask, dtype=np.int64) - 1
     lengths = csr.degrees[kept]
-    starts = csr.indptr[kept]
-    total = int(lengths.sum())
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(lengths) - lengths, lengths
-    )
+    new_indptr = np.concatenate(([0], np.cumsum(lengths)))
     # A component is closed under adjacency, so every gathered neighbor
     # survives and the remap is total on them.
-    new_indices = remap[csr.indices[np.repeat(starts, lengths) + offsets]]
-    new_indptr = np.zeros(kept.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=new_indptr[1:])
+    new_indices = remap[gather_rows(csr.indices, csr.indptr[kept], lengths)]
+    if csr.label_indptr is None:
+        label_indptr, label_codes = None, csr.label_codes[kept]
+    else:
+        label_lengths = np.diff(csr.label_indptr)[kept]
+        label_indptr = np.concatenate(([0], np.cumsum(label_lengths)))
+        label_codes = gather_rows(csr.label_codes, csr.label_indptr[kept], label_lengths)
 
     old_ids = csr.node_ids
     if isinstance(old_ids, range):
-        node_ids: Optional[np.ndarray] = kept
+        node_ids: Union[np.ndarray, List[Node]] = kept
     elif isinstance(old_ids, np.ndarray):
         node_ids = old_ids[kept]
     else:
-        node_ids = np.asarray([old_ids[i] for i in kept])
-    label_array = csr.label_array()
-    if label_array is not None:
-        return CSRGraph(node_ids, new_indptr, new_indices, label_array=label_array[kept])
-    label_sets = [csr.labels_of(int(i)) for i in kept] if csr.all_labels() else None
-    return CSRGraph(node_ids, new_indptr, new_indices, label_sets)
+        node_ids = [old_ids[i] for i in kept.tolist()]  # as given: mixed types stay
+    return CSRGraph.from_label_codes(
+        node_ids, new_indptr, new_indices, label_codes, label_indptr, csr.label_values
+    )
 
 
 def largest_connected_component(graph: LabeledGraph) -> LabeledGraph:

@@ -20,9 +20,11 @@ Representation notes:
 * ``node_ids=None`` declares the identity mapping (node ``i`` *is*
   index ``i``), which is what the CSR-native generators produce; no
   per-node Python objects are allocated in that case.
-* labels can be per-node *sets* (the dict-graph view) or one label
-  per node in a numpy ``label_array`` (the vectorized labelers), with
-  the same mask/query API on top of either.
+* labels, whether built from per-node sets (the dict-graph view) or a
+  numpy ``label_array`` (the vectorized labelers), are held in one CSR
+  form: ``int32`` ``label_codes``, their rows ``label_indptr`` (``None``
+  when every node carries exactly one label) and ``label_values``, the
+  table a code indexes.
 * the only label-derived state a graph keeps is one edge-label
   histogram (:meth:`CSRGraph.label_pair_counts`), computed on first
   use; masks and ``T(u)`` are recomputed per call from the labels and
@@ -44,7 +46,6 @@ dict engine step for step from the same seed.
 
 from __future__ import annotations
 
-from collections import Counter
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 from weakref import WeakKeyDictionary
@@ -102,6 +103,47 @@ def indices_dtype(num_nodes: int) -> np.dtype:
     return np.dtype(np.int32 if num_nodes < _INT32_LIMIT else np.int64)
 
 
+def gather_rows(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``values[starts[i] : starts[i] + lengths[i]]`` for every ``i``,
+    concatenated in one gather (no per-row arrays)."""
+    # positions[j] = j + (start of j's row - offset of that row in the
+    # output): one repeat instead of one per term.
+    shifts = starts - (np.cumsum(lengths) - lengths)
+    return values[np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(shifts, lengths)]
+
+
+def exact_array(values: Sequence[object]) -> Optional[np.ndarray]:
+    """``np.asarray(values)`` if its ``tolist()`` gives *values* back with their
+    types (numpy would turn mixed ints and strings into strings), else ``None``."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # sequences of uneven lengths
+        return None
+    given = [v.item() if isinstance(v, np.generic) else v for v in values]
+    held = array.tolist() if array.dtype != object and array.ndim == 1 else None
+    exact = held is not None and all(type(h) is type(g) and h == g for h, g in zip(held, given))
+    return array if exact else None
+
+
+def _encode_sets(label_sets: Sequence[Iterable[Label]]):
+    """``(codes, label_indptr, values)`` of per-node label sets, codes in
+    first-seen order; ``values`` is typed when numpy holds it exactly."""
+    code_of: Dict[Label, int] = {}
+    lengths = np.empty(len(label_sets), dtype=np.int64)
+    flat: List[int] = []
+    for node, labels in enumerate(label_sets):
+        row = {code_of.setdefault(label, len(code_of)) for label in labels}
+        flat.extend(row)
+        lengths[node] = len(row)
+    codes = np.fromiter(flat, dtype=np.int32, count=len(flat))
+    label_indptr = None if np.all(lengths == 1) else np.concatenate(([0], np.cumsum(lengths)))
+    values = [v.item() if isinstance(v, np.generic) else v for v in code_of]
+    table = exact_array(values)
+    if table is None:
+        table = np.fromiter(values, dtype=object, count=len(values))
+    return codes, label_indptr, table
+
+
 class CSRGraph:
     """Immutable numpy CSR adjacency plus per-node labels.
 
@@ -121,8 +163,8 @@ class CSRGraph:
         One label set per node, aligned with the node indices.  Mutually
         exclusive with *label_array*; omit both for an unlabeled graph.
     label_array:
-        One integer label per node as a numpy array (the vectorized
-        labelers' output) — far cheaper than a million frozensets.
+        One label per node as a numpy array (the vectorized labelers'
+        output).  Either form is encoded into label codes once, here.
     validate:
         When false, skip the O(|E|) range scan of ``indices``.  The
         attach paths of :mod:`repro.graph.store` pass this: re-opening
@@ -166,16 +208,19 @@ class CSRGraph:
         self.indices = np.ascontiguousarray(indices, dtype=indices_dtype(n))
         if label_sets is not None and label_array is not None:
             raise GraphError("pass label_sets or label_array, not both")
-        self._label_sets: Optional[List[FrozenSet[Label]]] = (
-            None if label_sets is None else [frozenset(s) for s in label_sets]
-        )
-        self._label_array: Optional[np.ndarray] = (
-            None if label_array is None else np.ascontiguousarray(label_array)
-        )
-        if self._label_sets is not None and len(self._label_sets) != n:
-            raise GraphError("label_sets must provide one entry per node")
-        if self._label_array is not None and self._label_array.shape != (n,):
-            raise GraphError("label_array must provide one entry per node")
+        if label_array is not None:
+            label_array = np.asarray(label_array)
+            if label_array.shape != (n,):
+                raise GraphError("label_array must provide one entry per node")
+            if label_array.dtype == object:  # np.unique cannot sort mixed types
+                label_sets = label_array.reshape(n, 1).tolist()
+            else:
+                values, codes = np.unique(label_array, return_inverse=True)
+                self._set_labels(codes.reshape(-1), None, values)
+        if label_sets is not None:
+            self._set_labels(*_encode_sets(list(label_sets)))
+        elif label_array is None:
+            self._set_labels(np.empty(0, np.int32), np.zeros(n + 1, np.int64), np.empty(0))
         if n and (self.indptr[0] != 0 or self.indptr[-1] != self.indices.size):
             raise GraphError("indptr must start at 0 and end at len(indices)")
         if validate and self.indices.size and (
@@ -195,9 +240,30 @@ class CSRGraph:
         self._indices_list: Optional[List[int]] = None
         self._degrees_list: Optional[List[int]] = None
 
+    def _set_labels(self, codes, label_indptr: Optional[np.ndarray], values: np.ndarray) -> None:
+        self.label_codes = np.ascontiguousarray(codes, dtype=np.int32)
+        self.label_indptr = label_indptr
+        n = self._num_nodes
+        rows = (n + 1, n) if label_indptr is None else (len(label_indptr), label_indptr[-1])
+        if rows != (n + 1, self.label_codes.size):
+            raise GraphError("label codes must come in one row per node")
+        self.label_values = values
+        # code -> value, and value -> code (where 1.0 finds the label 1)
+        self._value_list: List[Label] = values.tolist()
+        self._code_of = {value: code for code, value in enumerate(self._value_list)}
+
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
+    @classmethod
+    def from_label_codes(
+        cls, node_ids, indptr, indices, label_codes, label_indptr, label_values, *, validate=True
+    ) -> "CSRGraph":
+        """A graph from labels already encoded, zero-copy (stores, cleaning)."""
+        graph = cls(node_ids, indptr, indices, validate=validate)
+        graph._set_labels(label_codes, label_indptr, label_values)
+        return graph
+
     @classmethod
     def from_labeled_graph(cls, graph: LabeledGraph) -> "CSRGraph":
         """Freeze *graph* into CSR arrays (order-preserving, see module doc)."""
@@ -381,47 +447,43 @@ class CSRGraph:
 
     def labels_of(self, index: int) -> FrozenSet[Label]:
         """Label set of node *index*."""
-        if self._label_sets is not None:
-            return self._label_sets[index]
-        if self._label_array is not None:
-            return frozenset((self._label_array[index].item(),))
-        return frozenset()
+        rows = self.label_indptr
+        lo, hi = (index, index + 1) if rows is None else (rows[index], rows[index + 1])
+        return frozenset(self._value_list[code] for code in self.label_codes[lo:hi].tolist())
 
     def label_array(self) -> Optional[np.ndarray]:
-        """The one-label-per-node array, or ``None`` for set-labeled graphs."""
-        return self._label_array
+        """One label per node (``label_values[label_codes]``, read-only),
+        or ``None`` unless every node carries exactly one label."""
+        if self.label_indptr is not None:
+            return None
+        array = self.label_values[self.label_codes]
+        array.setflags(write=False)
+        return array
 
     def all_labels(self) -> set:
         """Union of every node's labels (Table 1 reporting)."""
-        if self._label_array is not None:
-            return set(np.unique(self._label_array).tolist())
-        if self._label_sets is not None:
-            result: set = set()
-            for labels in self._label_sets:
-                result.update(labels)
-            return result
-        return set()
+        carried = np.bincount(self.label_codes, minlength=len(self._value_list))
+        return {self._value_list[code] for code in np.flatnonzero(carried).tolist()}
 
     def label_mask(self, label: Label) -> np.ndarray:
         """Boolean array: ``mask[i]`` iff node ``i`` carries *label*.
 
-        Recomputed on every call (one vectorized comparison over a
-        ``label_array``; a Python pass over label sets), so asking about
-        many labels leaves nothing behind on the graph.
+        Recomputed on every call (one comparison over the label codes),
+        so asking about many labels leaves nothing behind on the graph;
+        a label no node carries, or an unhashable one, matches nothing.
         """
-        if self._label_array is not None:
-            mask = np.asarray(self._label_array == label)
-            if mask.shape != (self._num_nodes,):
-                # Incomparable label type: nothing matches.
-                return np.zeros(self._num_nodes, dtype=bool)
-            return mask.astype(bool, copy=False)
-        if self._label_sets is not None:
-            return np.fromiter(
-                (label in labels for labels in self._label_sets),
-                dtype=bool,
-                count=len(self._label_sets),
-            )
-        return np.zeros(self._num_nodes, dtype=bool)
+        try:
+            code = self._code_of.get(label)
+        except TypeError:
+            code = None
+        if code is None:
+            return np.zeros(self._num_nodes, dtype=bool)
+        hits = self.label_codes == code
+        if self.label_indptr is None:
+            return hits
+        mask = np.zeros(self._num_nodes, dtype=bool)
+        mask[np.searchsorted(self.label_indptr, np.flatnonzero(hits), side="right") - 1] = True
+        return mask
 
     def adjacency_lists(self) -> Tuple[List[int], List[int], List[int]]:
         """``(indptr, indices, degrees)`` as plain Python lists (cached).
@@ -449,14 +511,7 @@ class CSRGraph:
         NeighborExploration accounting) stays vectorized.
         """
         node_indices = np.atleast_1d(np.asarray(node_indices, dtype=np.int64))
-        lengths = self.degrees[node_indices]
-        total = int(lengths.sum())
-        if total == 0:
-            return np.empty(0, dtype=self.indices.dtype)
-        # positions[j] = j + (start of j's row - offset of that row in
-        # the output): one repeat instead of one per term.
-        shifts = self.indptr[node_indices] - (np.cumsum(lengths) - lengths)
-        return self.indices[np.arange(total, dtype=np.int64) + np.repeat(shifts, lengths)]
+        return gather_rows(self.indices, self.indptr[node_indices], self.degrees[node_indices])
 
     # ------------------------------------------------------------------
     # vectorized label statistics
@@ -488,7 +543,7 @@ class CSRGraph:
         counts[u1] += neighbors_in(nodes[u1], m2)
         if t1 != t2:
             counts[u2] += neighbors_in(nodes[u2], m1)
-            both = u1 & u2  # only label sets can carry both
+            both = u1 & u2
             if both.any():
                 counts[both] -= neighbors_in(nodes[both], m1 & m2)
         return counts
@@ -509,17 +564,13 @@ class CSRGraph:
         copy too, closing the mutate-after-publish gap.  *reason* is
         recorded for diagnostics (:attr:`sealed`).
         """
-        for array in (self.indptr, self.indices, self._label_array):
-            if array is not None and isinstance(array, np.ndarray):
+        buffers = (self.indptr, self.indices, self.label_codes, self.label_indptr)
+        for array in buffers + (self.label_values, self._node_ids):
+            if isinstance(array, np.ndarray):
                 try:
                     array.setflags(write=False)
                 except ValueError:  # pragma: no cover - non-owning view
                     pass
-        if isinstance(self._node_ids, np.ndarray):
-            try:
-                self._node_ids.setflags(write=False)
-            except ValueError:  # pragma: no cover - non-owning view
-                pass
         if getattr(self, "_sealed", None) is None:
             self._sealed = str(reason)
 
@@ -538,58 +589,47 @@ class CSRGraph:
         entries per distinct label pair however many pairs are asked
         about.  Returned read-only; ``edge_label_histogram`` hands out
         copies.
-
-        A ``label_array`` is counted over dense label codes
-        (``np.unique``), so string labels and widely spread integers
-        count like any others; label sets take a per-edge loop.
         """
         if self._label_pair_counts is None:
-            if self._label_array is not None:
-                self._label_pair_counts = self._label_array_pair_counts()
-            else:
-                self._label_pair_counts = self._label_set_pair_counts()
+            self._label_pair_counts = self._count_label_pairs()
         return MappingProxyType(self._label_pair_counts)
 
-    def _label_array_pair_counts(self) -> Dict[Tuple[Label, Label], int]:
-        """Histogram of a ``label_array`` graph over dense label codes.
-
-        Every directed adjacency entry gets the code ``lo · k + hi`` of
-        its endpoints' sorted label codes (``k`` distinct labels); an
-        undirected edge appears twice with the same code, so the counts
-        are halved.  ``np.unique`` orders the codes like the labels, so
-        ``lo ≤ hi`` is the canonical pair order.
-        """
-        labels, inverse = np.unique(self._label_array, return_inverse=True)
-        k = int(labels.size)
-        dtype = np.int32 if k * k < _INT32_LIMIT else np.int64
-        codes = inverse.reshape(-1).astype(dtype)
-        hi = np.repeat(codes, self.degrees)
-        other = codes[self.indices]
+    def _count_label_pairs(self) -> Dict[Tuple[Label, Label], int]:
+        """Count directed adjacency entries (so twice per edge) by label-code
+        pair ``lo · k + hi``.  With several labels per node an entry expands
+        to every pair of its endpoints' label rows, deduplicated per entry:
+        an edge between two ``{1, 2}`` nodes counts ``(1, 2)`` once."""
+        values = self._value_list
+        k = max(len(values), 1)
+        codes, label_indptr = self.label_codes, self.label_indptr
+        entry = None
+        if label_indptr is None:
+            if k * k >= _INT32_LIMIT:
+                codes = codes.astype(np.int64)
+            hi = np.repeat(codes, self.degrees)
+            other = codes[self.indices]
+        else:
+            sizes = np.diff(label_indptr)
+            src = np.repeat(np.arange(self._num_nodes), self.degrees)
+            rows_a, rows_b = sizes[src], sizes[self.indices]
+            per_a = np.repeat(rows_b, rows_a)  # each source label meets a whole target row
+            hi = np.repeat(gather_rows(codes, label_indptr[src], rows_a), per_a).astype(np.int64)
+            other = gather_rows(codes, np.repeat(label_indptr[self.indices], rows_a), per_a)
+            entry = np.repeat(np.arange(rows_a.size), rows_a * rows_b)
         lo = np.minimum(hi, other)
         np.maximum(hi, other, out=hi)
         del other
         lo *= k
         lo += hi
         del hi
+        if entry is not None:  # each distinct pair once per entry
+            lo = np.unique(np.stack([entry, lo]), axis=1)[1]
         distinct, counts = np.unique(lo, return_counts=True)
-        values = labels.tolist()
+        # Set-built codes are in first-seen order, not label order.
         return {
-            (values[code // k], values[code % k]): count // 2
+            canonical_pair(values[code // k], values[code % k]): count // 2
             for code, count in zip(distinct.tolist(), counts.tolist())
         }
-
-    def _label_set_pair_counts(self) -> Dict[Tuple[Label, Label], int]:
-        """Histogram of a set-labeled graph: the per-edge reference loop."""
-        histogram: Counter = Counter()
-        indptr, indices, _ = self.adjacency_lists()
-        for i in range(self._num_nodes):
-            li = self.labels_of(i)
-            for j in indices[indptr[i] : indptr[i + 1]]:
-                if i < j:
-                    pairs = {canonical_pair(a, b) for a in li for b in self.labels_of(j)}
-                    for pair in pairs:
-                        histogram[pair] += 1
-        return dict(histogram)
 
     def count_target_edges(self, t1: Label, t2: Label) -> int:
         """Exact ground-truth count ``F`` for ``(t1, t2)``.
@@ -626,7 +666,8 @@ class CSRGraph:
           :func:`csr_view` freezes, which preserve reference neighbor
           order: pass ``False`` for those);
         * symmetry, spot-checked on *symmetry_samples* seeded random
-          adjacency slots: ``v ∈ row(u)`` must imply ``u ∈ row(v)``.
+          adjacency slots: ``v ∈ row(u)`` must imply ``u ∈ row(v)``;
+        * label codes index the label table; ``label_indptr`` never decreases.
 
         Returns a small report dict on success and raises
         :class:`~repro.exceptions.ArtifactCorruptError` (typed,
@@ -698,6 +739,11 @@ class CSRGraph:
                         "adjacency is not symmetric"
                     )
                 symmetry_checked += 1
+        codes, rows = self.label_codes, self.label_indptr
+        if (codes.size and not 0 <= codes.min() <= codes.max() < len(self._value_list)) or (
+            rows is not None and np.any(np.diff(rows) < 0)
+        ):
+            corrupt("label codes fall outside the label table, or their rows run backwards")
         return {
             "num_nodes": self.num_nodes,
             "num_edges": self.num_edges,
@@ -772,6 +818,8 @@ __all__ = [
     "canonical_pair",
     "csr_view",
     "ensure_same_graph",
+    "exact_array",
+    "gather_rows",
     "indices_dtype",
     "sorted_unique",
 ]

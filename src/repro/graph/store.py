@@ -50,6 +50,7 @@ defining buffers as a checksummed uncompressed ``.npz``.
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import uuid
@@ -57,7 +58,7 @@ import warnings
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -69,7 +70,7 @@ from repro.durability import (
 )
 from repro.durability import write_npz as _write_checksummed_npz
 from repro.exceptions import ConfigurationError, StoreAttachError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, exact_array
 from repro.resilience.faults import fire
 
 #: Buffer stores a CSR graph can live in, and the value set of the
@@ -108,9 +109,8 @@ class CSRHandle:
     """O(1)-picklable descriptor of a shm-backed CSR graph.
 
     ``location`` is the shared-memory segment name; ``arrays``
-    describes the buffers by key — ``"indptr"`` and ``"indices"``
-    always, plus ``"label_array"`` / ``"node_ids"`` when the graph
-    carries them.  :func:`attach_csr` turns a handle back into a
+    describes the buffers by key (see :func:`_publishable_arrays`).
+    :func:`attach_csr` turns a handle back into a
     zero-copy :class:`~repro.graph.csr.CSRGraph` in any process on the
     same host.  Only the defining buffers travel: an attached graph
     derives its masks and ``T(u)`` per call, like any other.
@@ -127,59 +127,65 @@ class CSRHandle:
         return None
 
 
-def is_publishable(csr: CSRGraph) -> bool:
-    """Whether :func:`publish_csr` takes *csr*: no label sets, no object node ids."""
-    node_ids = csr._node_ids
-    return csr._label_sets is None and (node_ids is None or isinstance(node_ids, np.ndarray))
+def _unpublishable(what: str) -> ConfigurationError:
+    return ConfigurationError(
+        f"{what} cannot be published to shared memory or saved; run the "
+        "grid with n_jobs=1, or serve with graph_store='ram'"
+    )
+
+
+def _encode_label_values(values: np.ndarray) -> np.ndarray:
+    """The label table as JSON in a ``uint8`` buffer: its dtype and values."""
+    listed = values.tolist()
+    try:
+        text = json.dumps({"dtype": values.dtype.str, "values": listed})
+        decoded = json.loads(text)["values"]
+    except (TypeError, ValueError):
+        decoded = []
+    if [(type(v), repr(v)) for v in decoded] != [(type(v), repr(v)) for v in listed]:
+        raise _unpublishable("label values JSON cannot hold exactly (tuples, bytes, ...)")
+    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
 
 
 def _publishable_arrays(csr: CSRGraph) -> List[Tuple[str, np.ndarray]]:
-    """The (key, array) payload of *csr*, or raise if it has any.
-
-    Python-object state (per-node label *sets*, non-array node ids)
-    cannot live in a flat buffer; such graphs predate the array-native
-    plane and must be re-labeled with a ``label_array`` first.
-    """
-    payload: List[Tuple[str, np.ndarray]] = [
-        ("indptr", csr.indptr),
-        ("indices", csr.indices),
-    ]
-    if csr._label_sets is not None:
-        raise ConfigurationError(
-            "set-labeled CSR graphs cannot be published to shared "
-            "memory; relabel with a label_array (the array labelers) first"
-        )
-    label_array = csr.label_array()
-    if label_array is not None:
-        payload.append(("label_array", np.ascontiguousarray(label_array)))
+    """The named buffers that define *csr*, the one format of both stores:
+    ``indptr``, ``indices``; for a labeled graph ``label_codes``,
+    ``label_values`` and, unless every node carries one label,
+    ``label_indptr``; ``node_ids`` unless they are the identity."""
+    payload = [("indptr", csr.indptr), ("indices", csr.indices)]
+    if csr.label_codes.size:
+        payload.append(("label_codes", csr.label_codes))
+        if csr.label_indptr is not None:
+            payload.append(("label_indptr", csr.label_indptr))
+        payload.append(("label_values", _encode_label_values(csr.label_values)))
     node_ids = csr._node_ids
     if node_ids is not None:
         if not isinstance(node_ids, np.ndarray):
-            raise ConfigurationError(
-                "CSR graphs with Python-object node ids cannot be published "
-                "to shared memory; use identity or numpy node ids"
-            )
+            node_ids = exact_array(node_ids)
+        if node_ids is None or node_ids.dtype == object:
+            raise _unpublishable("node ids that numpy can hold only as objects (mixed types, say)")
         payload.append(("node_ids", np.ascontiguousarray(node_ids)))
     return payload
 
 
+def csr_from_arrays(arrays: Mapping[str, np.ndarray]) -> CSRGraph:
+    """The graph that named buffers (an shm segment, an npz archive) define.
+
+    Zero-copy and not range-checked.  Archives written before label
+    codes carry one ``label_array`` member instead, and still load.
+    """
+    common = (arrays.get("node_ids"), arrays["indptr"], arrays["indices"])
+    if "label_codes" not in arrays:
+        return CSRGraph(*common, label_array=arrays.get("label_array"), validate=False)
+    table = json.loads(np.asarray(arrays["label_values"]).tobytes().decode("utf-8"))
+    values = np.array(table["values"], dtype=table["dtype"])
+    return CSRGraph.from_label_codes(
+        *common, arrays["label_codes"], arrays.get("label_indptr"), values, validate=False
+    )
+
+
 def _align(offset: int) -> int:
     return (offset + _SHM_ALIGN - 1) // _SHM_ALIGN * _SHM_ALIGN
-
-
-def _build_csr(arrays: Dict[str, np.ndarray], owner) -> CSRGraph:
-    """Assemble an attached CSRGraph from named buffers (zero-copy)."""
-    csr = CSRGraph(
-        arrays.get("node_ids"),
-        arrays["indptr"],
-        arrays["indices"],
-        label_array=arrays.get("label_array"),
-        validate=False,
-    )
-    csr.store = "shm"
-    csr._buffer_owner = owner
-    csr.seal_buffers("attached from shm")
-    return csr
 
 
 # ----------------------------------------------------------------------
@@ -197,34 +203,29 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
     publisher, where it belongs.
     """
     try:
-        return shared_memory.SharedMemory(name=name, create=False, track=False)
+        try:
+            return shared_memory.SharedMemory(name=name, create=False, track=False)
+        except TypeError:  # Python < 3.13: no track parameter
+            # Suppress the tracker registration rather than unregistering
+            # afterwards: an unregister would also knock out the *creator's*
+            # registration when publisher and attacher share a process.
+            original_register = resource_tracker.register
+
+            def _skip_shared_memory(name, rtype):  # pragma: no branch
+                if rtype != "shared_memory":
+                    original_register(name, rtype)
+
+            resource_tracker.register = _skip_shared_memory
+            try:
+                return shared_memory.SharedMemory(name=name, create=False)
+            finally:
+                resource_tracker.register = original_register
     except FileNotFoundError as exc:
         raise StoreAttachError(
             f"shared-memory segment {name!r} does not exist (unlinked by its "
             f"publisher, or published on another host)",
             location=name,
         ) from exc
-    except TypeError:  # Python < 3.13: no track parameter
-        # Suppress the tracker registration rather than unregistering
-        # afterwards: an unregister would also knock out the *creator's*
-        # registration when publisher and attacher share a process.
-        original_register = resource_tracker.register
-
-        def _skip_shared_memory(name, rtype):  # pragma: no branch
-            if rtype != "shared_memory":
-                original_register(name, rtype)
-
-        resource_tracker.register = _skip_shared_memory
-        try:
-            return shared_memory.SharedMemory(name=name, create=False)
-        except FileNotFoundError as exc:
-            raise StoreAttachError(
-                f"shared-memory segment {name!r} does not exist (unlinked by "
-                f"its publisher, or published on another host)",
-                location=name,
-            ) from exc
-        finally:
-            resource_tracker.register = original_register
 
 
 def _publish_shm(
@@ -256,7 +257,11 @@ def _attach_shm(handle: CSRHandle) -> CSRGraph:
         )
         view.setflags(write=False)
         arrays[spec.key] = view
-    return _build_csr(arrays, segment)
+    csr = csr_from_arrays(arrays)
+    csr.store = "shm"
+    csr._buffer_owner = segment
+    csr.seal_buffers("attached from shm")
+    return csr
 
 
 def save_csr_npz(csr: CSRGraph, path: Union[str, Path]) -> Path:
@@ -282,13 +287,7 @@ def load_csr_npz(path: Union[str, Path]) -> CSRGraph:
     verify_artifact(path)
     with np.load(path) as payload:
         arrays = {key: np.ascontiguousarray(payload[key]) for key in payload.files}
-    return CSRGraph(
-        arrays.get("node_ids"),
-        arrays["indptr"],
-        arrays["indices"],
-        label_array=arrays.get("label_array"),
-        validate=False,
-    )
+    return csr_from_arrays(arrays)
 
 
 # ----------------------------------------------------------------------
@@ -446,9 +445,10 @@ def sweep_orphan_segments(
 def publish_csr(csr: CSRGraph) -> CSRPublication:
     """Publish *csr*'s buffers to shared memory; return the ownership token.
 
-    The defining buffers (``indptr``, ``indices`` and any
-    ``label_array`` / ``node_ids``) are copied once into a fresh
-    shared-memory segment that the returned publication owns.  Every
+    The defining buffers (:func:`_publishable_arrays`) are copied once
+    into a fresh shared-memory segment that the returned publication
+    owns.  Only node ids or label values that no flat buffer holds
+    exactly raise :class:`~repro.exceptions.ConfigurationError`.  Every
     call makes a new segment, so re-publishing an attached graph leaves
     the segment it was attached from alone.
     """
@@ -465,8 +465,8 @@ def publish_csr(csr: CSRGraph) -> CSRPublication:
 def attach_csr(handle: CSRHandle) -> CSRGraph:
     """Reattach a published CSR graph from its :class:`CSRHandle`.
 
-    Zero-copy: the returned graph's ``indptr`` / ``indices`` /
-    ``label_array`` are read-only views over the shared segment.  The
+    Zero-copy: the returned graph's ``indptr`` / ``indices`` / label
+    codes are read-only views over the shared segment.  The
     attachment owns no external resource — cleanup stays with the
     :class:`CSRPublication`.
     """
@@ -479,12 +479,12 @@ def attach_csr(handle: CSRHandle) -> CSRGraph:
 __all__ = [
     "GRAPH_STORES",
     "validate_graph_store",
-    "is_publishable",
     "ArraySpec",
     "CSRHandle",
     "CSRPublication",
     "publish_csr",
     "attach_csr",
+    "csr_from_arrays",
     "save_csr_npz",
     "load_csr_npz",
     "sweep_orphan_spills",

@@ -14,8 +14,10 @@ misses coalesce into shared max-budget fleets.
 
 Failure isolation is per-future:
 
-* a query that fails (unknown algorithm, zero-target pair) resolves
-  *its* future with the exception; batch-mates are untouched;
+* a malformed query (unknown algorithm, bad field) is refused in
+  ``submit`` before it parks; one that fails in the batch (zero-target
+  pair) resolves *its* future with the exception; batch-mates are
+  untouched;
 * a client that disappears mid-batch (cancelled ``await``, dropped
   HTTP connection) leaves a cancelled future behind — a future already
   done at flush time is dropped *before* the batch executes, and one
@@ -131,6 +133,9 @@ class MicroBatcher:
         remaining clients.  *deadline_seconds* overrides the batcher's
         default deadline for this query.
         """
+        # Validated before the deadline starts; the payload parks as given
+        # (traces link a submit to its batch by the payload's identity).
+        self.service.normalize_query(query)
         budget = (
             deadline_seconds
             if deadline_seconds is not None

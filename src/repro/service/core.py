@@ -51,7 +51,7 @@ from repro.experiments.metrics import nrmse
 from repro.experiments.planner import FleetSpec, PrefixFleet
 from repro.graph.csr import CSRGraph, csr_view
 from repro.graph.labeled_graph import LabeledGraph
-from repro.graph.store import CSRPublication, is_publishable, publish_csr, validate_graph_store
+from repro.graph.store import CSRPublication, publish_csr, validate_graph_store
 from repro.resilience.breaker import BreakerBoard
 from repro.resilience.deadline import Deadline
 from repro.resilience.faults import active_injector, fire
@@ -73,59 +73,6 @@ MAX_QUERY_STEPS = 1 << 24
 
 #: The label gate's answer for a label no node of the served graph carries.
 _UNCARRIED = object()
-
-
-def publishable_csr_view(csr: CSRGraph) -> CSRGraph:
-    """A view of *csr* the buffer stores accept (array labels/ids only).
-
-    Dict-graph CSR views carry per-node label *sets* and Python-list
-    node ids, which cannot live in a flat shm buffer.  The paper's
-    graphs are all single-label (gender, location, degree bucket), so
-    the sets collapse losslessly into a ``label_array`` sharing the
-    adjacency buffers — classification reads the same boolean masks
-    either way, keeping served answers bit-identical to the batch path
-    on the original graph.  Genuinely multi-labeled graphs cannot be
-    converted and raise with a pointer at ``graph_store="ram"``.
-    """
-    import numpy as np
-
-    if is_publishable(csr):
-        return csr
-    node_ids = csr._node_ids
-    if node_ids is not None and not isinstance(node_ids, np.ndarray):
-        node_ids = np.asarray(node_ids)
-        if node_ids.dtype == object:
-            raise ConfigurationError(
-                "graphs with non-numeric node ids cannot be published to "
-                "shared memory; serve with graph_store='ram'"
-            )
-    label_array = csr.label_array()
-    if csr._label_sets is not None:
-        flattened = []
-        for index in range(csr.num_nodes):
-            labels = csr.labels_of(index)
-            if len(labels) != 1:
-                raise ConfigurationError(
-                    "multi-labeled graphs cannot be flattened into a "
-                    "label_array for shm serving; serve with "
-                    "graph_store='ram'"
-                )
-            flattened.append(next(iter(labels)))
-        label_array = np.asarray(flattened)
-        if label_array.dtype == object:
-            raise ConfigurationError(
-                "graphs with non-numeric labels cannot be published to "
-                "shared memory; serve with graph_store='ram'"
-            )
-    replacement = CSRGraph(
-        node_ids,
-        csr.indptr,
-        csr.indices,
-        label_array=label_array,
-        validate=False,
-    )
-    replacement.store = csr.store
-    return replacement
 
 
 @dataclass(frozen=True)
@@ -204,7 +151,8 @@ class EstimationService:
     default_repetitions / default_burn_in:
         Filled into queries that omit them; *default_burn_in* defaults
         to :func:`repro.walks.mixing.recommended_burn_in` on the
-        serving graph.
+        serving graph, resolved again for each graph
+        :meth:`swap_graph` installs (an explicit value stays as given).
     cache_size:
         LRU capacity of the answer cache (0 disables caching).
     breaker_threshold / breaker_cooldown_seconds:
@@ -270,10 +218,8 @@ class EstimationService:
         self.snapshot_load_error: Optional[str] = None
         self._last_snapshot_at: Optional[float] = None
         self._started_at = time.monotonic()
+        self._fixed_burn_in = default_burn_in  # None: resolved per installed graph
         self._install_graph(graph, algorithms)
-        if default_burn_in is None:
-            default_burn_in = recommended_burn_in(self._csr, rng=0)
-        self.default_burn_in = int(default_burn_in)
         if self.snapshot_path is not None and self.snapshot_path.exists():
             self.load_snapshot()
 
@@ -292,7 +238,7 @@ class EstimationService:
             # the stale-answer hazard the service exists to prevent.
             graph.freeze(f"published to the estimation service {self.name!r}")
         if self.graph_store == "shm":
-            publication = publish_csr(publishable_csr_view(csr))
+            publication = publish_csr(csr)
             # Attach with backoff: StoreAttachError is retryable, and
             # the transient causes (an injected chaos fault) clear
             # within a retry or two.
@@ -317,6 +263,8 @@ class EstimationService:
         # graph's own value before it reaches a cache key or an answer.
         self._labels = {label: label for label in serving.all_labels()}
         self._suite = dict(algorithms)
+        fixed = self._fixed_burn_in
+        self.default_burn_in = recommended_burn_in(serving, rng=0) if fixed is None else int(fixed)
         self._graph_version += 1
 
     @property
@@ -344,7 +292,8 @@ class EstimationService:
         Publishes the new graph, retires the old publication, bumps the
         version, and invalidates the answer cache — in that order, under
         the execution lock, so in-flight batches finish against the old
-        buffers and every later query sees only the new version.
+        buffers and every later query sees only the new version.  An
+        automatic default burn-in is resolved again for the new graph.
         """
         with self._lock:
             old = self._publication

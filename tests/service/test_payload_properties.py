@@ -122,3 +122,13 @@ def test_malformed_field_is_a_client_error(warm_service, field, value):
     assert status == 400, body
     assert field in body["error"]
     assert warm_service.breakers.snapshot() == before
+
+
+def test_malformed_payload_is_refused_before_its_deadline_starts(warm_service):
+    """Validation precedes the deadline clock: however short the deadline, a
+    payload without labels is a 400, never a 504, and moves no breaker."""
+    before = warm_service.breakers.snapshot()
+    status, body = _post(warm_service, {"budget": 5, "deadline_ms": 0.001})
+    assert status == 400, body
+    assert "t1 and t2" in body["error"]
+    assert warm_service.breakers.snapshot() == before

@@ -119,6 +119,56 @@ class TestAnswerCache:
             assert before.graph_version == 1
             assert service.stats()["cache"]["invalidations"] == 1
 
+    @staticmethod
+    def _slow_mixing_ring():
+        """An odd 31-ring: its recommended burn-in is about a hundred
+        times the serving graph's."""
+        from repro.graph.labeled_graph import LabeledGraph
+
+        return LabeledGraph.from_edges(
+            [(i, (i + 1) % 31) for i in range(31)], {i: [1 + i % 2] for i in range(31)}
+        )
+
+    def _served_burn_ins(self, service):
+        """``/stats``' default burn-in and that of a query that names none."""
+        import asyncio
+        import json
+
+        from repro.service.batcher import MicroBatcher
+        from repro.service.http import _dispatch
+
+        async def scenario():
+            batcher = MicroBatcher(service, window_seconds=0.0)
+            _, stats, _ = await _dispatch(service, batcher, "GET", "/stats", b"")
+            query = json.dumps({"t1": 1, "t2": 2, "budget": 5, "repetitions": 2})
+            status, answer, _ = await _dispatch(
+                service, batcher, "POST", "/estimate", query.encode("utf-8")
+            )
+            assert status == 200, answer
+            return stats["defaults"]["burn_in"], answer["burn_in"]
+
+        return asyncio.run(scenario())
+
+    def test_swap_graph_resolves_an_automatic_burn_in_again(self):
+        from repro.graph.csr import csr_view
+        from repro.walks.mixing import recommended_burn_in
+
+        ring = self._slow_mixing_ring()
+        expected = recommended_burn_in(csr_view(ring), rng=0)
+        with EstimationService(build_serving_graph(), graph_store="shm", name="auto") as service:
+            booted = service.default_burn_in
+            assert self._served_burn_ins(service) == (booted, booted)
+            service.swap_graph(ring)
+            assert expected > 10 * booted
+            assert self._served_burn_ins(service) == (expected, expected)
+
+    def test_swap_graph_keeps_an_explicit_burn_in(self):
+        with EstimationService(
+            build_serving_graph(), graph_store="ram", default_burn_in=BURN_IN, name="fixed",
+        ) as service:
+            service.swap_graph(self._slow_mixing_ring())
+            assert self._served_burn_ins(service) == (BURN_IN, BURN_IN)
+
 
 class TestReadOnlyServing:
     def test_source_graph_is_frozen_at_publish(self, serving_graph, shm_service):
@@ -144,19 +194,41 @@ class TestStores:
             reference = shm_service.estimate(_query(budget=30))
             assert answer.estimates == reference.estimates
 
-    def test_array_native_graph_serves_without_conversion(self):
-        # CSRGraph input (label_array already flat) skips the dict path.
+    def test_csr_view_of_a_dict_graph_serves_from_shm(self, ram_service):
+        # The dict graph's set-built view publishes as it is.
         source = build_serving_graph()
         from repro.graph.csr import csr_view
-        from repro.service.core import publishable_csr_view
 
-        csr = publishable_csr_view(csr_view(source))
+        csr = csr_view(source)
         assert isinstance(csr.label_array(), np.ndarray)
         with EstimationService(
             csr, graph_store="shm", default_burn_in=BURN_IN, name="array",
         ) as service:
             answer = service.estimate(_query(budget=15))
             assert len(answer.estimates) == 6
+            assert answer.estimates == ram_service.estimate(_query(budget=15)).estimates
+
+
+    def test_multi_labeled_mixed_type_graph_serves_from_shm_like_ram(self):
+        from repro.graph.statistics import _count_target_edges_dict
+
+        source = build_serving_graph()
+        for node in list(source.nodes())[::3]:
+            source.set_labels(node, set(source.labels_of(node)) | {"x"})
+        pairs = [(t1, t2) for t1 in (1, 2, "x") for t2 in (1, 2, "x")]
+        expected = {pair: _count_target_edges_dict(source, *pair) for pair in pairs}
+        query = _query(t1=1, t2="x", budget=15)
+        with EstimationService(source, graph_store="ram", default_burn_in=BURN_IN) as in_ram:
+            reference = in_ram.estimate(query)
+        with EstimationService(
+            source, graph_store="shm", default_burn_in=BURN_IN, name="multi",
+        ) as service:
+            assert service.csr.store == "shm"
+            assert service.csr.label_array() is None  # some nodes carry two labels
+            assert {pair: service.csr.count_target_edges(*pair) for pair in pairs} == expected
+            answer = service.estimate(query)
+            assert answer.true_count == expected[(1, "x")]
+            assert answer.estimates == reference.estimates
 
 
 class TestValidation:

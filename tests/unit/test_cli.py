@@ -250,6 +250,19 @@ class TestFsckCommand:
         # --no-structure trusts the checksums alone and passes it.
         assert main(["fsck", "--no-structure", str(target)]) == 0
 
+    def test_fsck_flags_label_members_that_disagree_with_the_graph(self, tmp_path, capsys):
+        import numpy as np
+
+        from repro.durability import write_npz
+
+        # Three nodes, but labels for two: a structure error, not a crash.
+        indptr = np.array([0, 1, 3, 4], dtype=np.int64)
+        indices = np.array([1, 0, 2, 1], dtype=np.int64)
+        target = tmp_path / "labels.npz"
+        write_npz(target, {"indptr": indptr, "indices": indices, "label_array": np.array([1, 2])})
+        assert main(["fsck", str(target)]) == 1
+        assert "CORRUPT" in capsys.readouterr().out
+
 
 class TestSweepSpillsCommand:
     def test_dead_publishers_segments_are_swept_too(self, tmp_path, monkeypatch, capsys):

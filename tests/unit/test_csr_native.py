@@ -214,6 +214,17 @@ class TestCSRCleaning:
         lcc = largest_connected_component_csr(csr)
         assert lcc.node_id_list() == [0, 1, 2]
 
+    def test_label_rows_and_mixed_type_ids_survive_compaction(self):
+        csr = CSRGraph.from_edge_array(np.array([[0, 1], [1, 2], [3, 4]]), num_nodes=5)
+        csr = CSRGraph([1, "a", 2, "b", "c"], csr.indptr, csr.indices).with_labels(
+            label_sets=[{1, "x"}, set(), {2}, {"y"}, {"y", 1}]
+        )
+        lcc = largest_connected_component_csr(csr)
+        assert lcc.node_id_list() == [1, "a", 2]
+        assert [lcc.labels_of(i) for i in range(3)] == [{1, "x"}, set(), {2}]
+        assert lcc.all_labels() == {1, "x", 2}
+        assert lcc.label_array() is None
+
     def test_labels_survive_compaction(self):
         csr = CSRGraph.from_edge_array(
             np.array([[0, 1], [1, 2], [3, 4]]), num_nodes=5

@@ -15,7 +15,6 @@ from repro.graph.csr import CSRGraph
 from repro.graph.store import (
     GRAPH_STORES,
     attach_csr,
-    is_publishable,
     load_csr_npz,
     publish_csr,
     save_csr_npz,
@@ -43,14 +42,15 @@ def _assert_same_graph(attached: CSRGraph, original: CSRGraph) -> None:
 
 
 class TestValidation:
-    def test_publishability_follows_the_label_storage(self, labeled_csr):
-        assert is_publishable(labeled_csr)
+    def test_set_labeled_graph_publishes_like_its_label_array(self, labeled_csr):
         set_labeled = labeled_csr.with_labels(
             label_sets=[{int(label)} for label in labeled_csr.label_array()]
         )
-        assert not is_publishable(set_labeled)
-        with pytest.raises(ConfigurationError, match="set-labeled"):
-            publish_csr(set_labeled)
+        with publish_csr(set_labeled) as publication:
+            attached = publication.attach()
+            _assert_same_graph(attached, labeled_csr)
+            assert attached.label_array().dtype == labeled_csr.label_array().dtype
+            del attached
 
     def test_stores_are_ram_and_shm(self):
         assert GRAPH_STORES == ("ram", "shm")
@@ -64,17 +64,34 @@ class TestValidation:
             with pytest.raises(ConfigurationError, match="unknown graph store"):
                 validate_graph_store(store)
 
-    def test_set_labeled_graphs_not_publishable(self):
+    def test_multi_labeled_graphs_publish(self):
         graph = CSRGraph.from_edge_array(np.array([[0, 1], [1, 2]]))
-        graph = graph.with_labels(label_sets=[{"a"}, {"b"}, {"a"}])
-        with pytest.raises(ConfigurationError, match="label_array"):
+        graph = graph.with_labels(label_sets=[{"a", 1}, {"a"}, set()])
+        with publish_csr(graph) as publication:
+            attached = publication.attach()
+            assert [attached.labels_of(i) for i in range(3)] == [{"a", 1}, {"a"}, set()]
+            assert attached.count_target_edges(1, "a") == graph.count_target_edges(1, "a") == 1
+            del attached
+
+    def test_mixed_type_node_ids_not_publishable(self):
+        graph = CSRGraph(
+            ["u", 1], np.array([0, 1, 2]), np.array([1, 0])
+        )
+        with pytest.raises(ConfigurationError, match="n_jobs=1.*graph_store='ram'"):
             publish_csr(graph)
 
-    def test_object_node_ids_not_publishable(self):
-        graph = CSRGraph(
-            ["u", "v"], np.array([0, 1, 2]), np.array([1, 0])
-        )
-        with pytest.raises(ConfigurationError, match="node ids"):
+    def test_string_node_ids_publish(self):
+        graph = CSRGraph(["u", "v"], np.array([0, 1, 2]), np.array([1, 0]))
+        with publish_csr(graph) as publication:
+            attached = publication.attach()
+            assert attached.node_id_list() == ["u", "v"]
+            assert attached.index_of("v") == 1
+            del attached
+
+    def test_labels_json_cannot_hold_exactly_are_refused(self):
+        graph = CSRGraph.from_edge_array(np.array([[0, 1]]))
+        graph = graph.with_labels(label_sets=[{(1, 2)}, {"a"}])
+        with pytest.raises(ConfigurationError, match="label values"):
             publish_csr(graph)
 
     def test_attach_rejects_non_handles(self):
@@ -214,7 +231,7 @@ class TestNpzArchive:
         labeled_csr.count_target_edges(1, 2)  # the histogram is not written
         path = save_csr_npz(labeled_csr, tmp_path / "g.npz")
         with np.load(path) as payload:
-            assert sorted(payload.files) == ["indices", "indptr", "label_array"]
+            assert sorted(payload.files) == ["indices", "indptr", "label_codes", "label_values"]
         loaded = load_csr_npz(path)
         assert loaded.count_target_edges(1, 2) == labeled_csr.count_target_edges(1, 2)
 
@@ -235,12 +252,41 @@ class TestNpzArchive:
         assert loaded.node_id_list() == [0, 1, 2, 3, 4]
         assert np.array_equal(loaded.indices, graph.indices)
 
-    def test_set_labeled_graph_cannot_be_saved(self, tmp_path):
+    def test_multi_labeled_graph_round_trip(self, tmp_path):
         graph = CSRGraph.from_edge_array(np.array([[0, 1], [1, 2]]))
-        graph = graph.with_labels(label_sets=[{"a"}, {"b"}, {"a"}])
-        with pytest.raises(ConfigurationError, match="set-labeled"):
+        graph = graph.with_labels(label_sets=[{"a", 2}, {"b"}, set()])
+        path = save_csr_npz(graph, tmp_path / "sets.npz")
+        with np.load(path) as payload:
+            assert "label_indptr" in payload.files
+        loaded = load_csr_npz(path)
+        assert [loaded.labels_of(i) for i in range(3)] == [{"a", 2}, {"b"}, set()]
+        assert loaded.label_array() is None
+
+    def test_unstorable_labels_leave_no_file(self, tmp_path):
+        graph = CSRGraph.from_edge_array(np.array([[0, 1], [1, 2]]))
+        graph = graph.with_labels(label_sets=[{("a", 1)}, {"b"}, {"a"}])
+        with pytest.raises(ConfigurationError, match="label values"):
             save_csr_npz(graph, tmp_path / "sets.npz")
         assert not list(tmp_path.iterdir())
+
+    def test_label_array_archive_still_loads_and_passes_fsck(self, labeled_csr, tmp_path, capsys):
+        """Archives that store one ``label_array`` member, not label codes."""
+        from repro.cli import main
+        from repro.durability import write_npz
+
+        path = write_npz(
+            tmp_path / "legacy.npz",
+            {
+                "indptr": labeled_csr.indptr,
+                "indices": labeled_csr.indices,
+                "label_array": np.asarray(labeled_csr.label_array()),
+            },
+        )
+        loaded = load_csr_npz(path)
+        _assert_same_graph(loaded, labeled_csr)
+        assert loaded.count_target_edges(1, 2) == labeled_csr.count_target_edges(1, 2)
+        assert main(["fsck", str(path)]) == 0
+        assert "structure ok (400 nodes" in capsys.readouterr().out
 
     def test_save_creates_parents_and_leaves_no_scratch(self, labeled_csr, tmp_path):
         target = tmp_path / "a" / "b" / "g.npz"
@@ -340,3 +386,37 @@ class TestReviewRegressions:
             assert clone.store == "ram"
             assert np.array_equal(clone.indices, labeled_csr.indices)
             assert clone.count_target_edges(1, 2) >= 0
+
+
+class TestFingerprints:
+    def test_zipf_labeled_fingerprint_is_pinned_in_ram_and_attached(self):
+        """Label codes leave the journal/snapshot key of a label-array graph alone."""
+        from repro.datasets.labeling import zipf_label_array
+        from repro.durability import graph_fingerprint
+
+        edges = np.random.default_rng(5).integers(0, 600, size=(3000, 2))
+        graph = CSRGraph.from_edge_array(
+            edges,
+            num_nodes=600,
+            label_array=zipf_label_array(600, num_labels=20, exponent=1.0, rng=3),
+        )
+        pinned = "247faf2526d8b551b55bf97e86e2e634"
+        assert graph_fingerprint(graph) == pinned
+        with publish_csr(graph) as publication:
+            attached = publication.attach()
+            assert graph_fingerprint(attached) == pinned
+            del attached
+
+    def test_mixed_label_fingerprint_does_not_read_addresses(self):
+        from repro.durability import graph_fingerprint
+
+        ring = CSRGraph.from_edge_array(np.array([[0, 1], [1, 2], [2, 0]]))
+
+        def fresh_labels():  # equal values, new objects on every call
+            return [{"".join(["a", "b"])}, {int("1" * 30)}, {"".join(["a", "b"])}]
+
+        first = ring.with_labels(label_sets=fresh_labels())
+        assert first.label_array().dtype == object
+        assert graph_fingerprint(first) == graph_fingerprint(
+            ring.with_labels(label_sets=fresh_labels())
+        )

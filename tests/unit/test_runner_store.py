@@ -22,7 +22,6 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.store import (
     _SEGMENT_PATTERN,
     _owner_dead,
-    is_publishable,
     load_csr_npz,
     publish_csr,
     save_csr_npz,
@@ -149,12 +148,20 @@ class TestJobEquivalence:
         assert _cells(_table(gender_osn, mixed_suite, 2, execution, reuse)) == _cells(serial)
 
     @pytest.mark.parametrize("execution, reuse", [("fleet", "none"), ("fleet", "prefix")])
-    def test_csr_view_of_a_dict_graph(self, gender_osn, mixed_suite, execution, reuse):
-        """A set-labeled CSR view cannot be published; it is pickled instead."""
+    def test_csr_view_of_a_dict_graph(self, gender_osn, mixed_suite, execution, reuse, monkeypatch):
+        """A dict graph's CSR view is published to shm like any CSR graph."""
         view = csr_view(gender_osn)
-        assert not is_publishable(view)
+        published = []
+
+        def spy(graph):
+            publication = publish_csr(graph)
+            published.append(publication.handle)
+            return publication
+
         serial = _table(view, mixed_suite, 1, execution, reuse)
+        monkeypatch.setattr(runner_module, "publish_csr", spy)
         assert _cells(_table(view, mixed_suite, 2, execution, reuse)) == _cells(serial)
+        assert len(published) == 1
         assert _cells(_table(gender_osn, mixed_suite, 1, execution, reuse)) == _cells(serial)
 
     @pytest.mark.parametrize(
@@ -197,6 +204,27 @@ class TestStoreErrors:
         with pytest.raises(KeyError):
             run_jobs_parallel(
                 csr_graph, proposed_suite, [_job("not-in-the-suite")], 2, lambda job, row: None
+            )
+        assert _shm_segments() == before
+
+    def test_mixed_type_node_ids_refused_before_any_worker_starts(
+        self, csr_graph, proposed_suite, monkeypatch
+    ):
+        mixed = CSRGraph(
+            ["hub"] + list(range(1, csr_graph.num_nodes)),
+            csr_graph.indptr,
+            csr_graph.indices,
+            label_array=np.asarray(csr_graph.label_array()).copy(),
+        )
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", no_pool)
+        before = _shm_segments()
+        with pytest.raises(ConfigurationError, match="n_jobs=1"):
+            run_jobs_parallel(
+                mixed, proposed_suite, [_job("NeighborSample-HH")], 2, lambda job, row: None
             )
         assert _shm_segments() == before
 

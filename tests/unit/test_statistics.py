@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.labeling import assign_zipf_labels
 from repro.datasets.synthetic import powerlaw_cluster_osn
@@ -19,6 +21,11 @@ from repro.graph.statistics import (
     target_edge_fraction,
     target_incident_counts,
 )
+
+#: Labels the property test draws node label sets from (mixed int/str).
+LABEL_POOL = st.sampled_from([1, 2, 3, "a", "b"])
+#: Labels it asks about: the pool, an uncarried label and an equal float.
+QUERY_LABELS = (1, 2, 3, "a", "b", "nope", 2.0)
 
 
 class TestCountTargetEdges:
@@ -156,7 +163,7 @@ class TestLabelPairCounts:
         def no_pass(*args, **kwargs):
             raise AssertionError("counting a new pair walked the graph again")
 
-        monkeypatch.setattr(graph, "_label_array_pair_counts", no_pass)
+        monkeypatch.setattr(graph, "_count_label_pairs", no_pass)
         monkeypatch.setattr(graph, "label_mask", no_pass)
         assert graph.count_target_edges(3, 2) == 2
         assert graph.count_target_edges(3, 3) == 0
@@ -166,6 +173,53 @@ class TestLabelPairCounts:
         relabeled = graph.with_labels(label_array=np.array([2, 2, 2, 2]))
         monkeypatch.undo()
         assert relabeled.count_target_edges(2, 2) == 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graph=st.integers(1, 9).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n),
+                st.one_of(
+                    st.lists(st.sets(LABEL_POOL, max_size=3), min_size=n, max_size=n),
+                    st.lists(LABEL_POOL.map(lambda label: {label}), min_size=n, max_size=n),
+                ),
+            )
+        )
+    )
+    def test_every_stored_form_matches_the_dict_graph(self, graph, tmp_path_factory):
+        """RAM view, npz round trip and shm attachment all answer like the dict graph."""
+        from repro.graph.statistics import _count_target_edges_dict
+        from repro.graph.store import load_csr_npz, publish_csr, save_csr_npz
+
+        edges, label_sets = graph
+        reference = LabeledGraph()
+        for node, labels in enumerate(label_sets):
+            reference.add_node(node, labels)
+        for u, v in edges:
+            if u != v:
+                reference.add_edge(u, v)
+        ram = csr_view(reference)
+        path = save_csr_npz(ram, tmp_path_factory.mktemp("npz") / "g.npz")
+        with publish_csr(ram) as publication:
+            attached = publication.attach()
+            for stored in (ram, load_csr_npz(path), attached):
+                ids = stored.node_id_list()
+                everyone = np.arange(stored.num_nodes)
+                assert stored.all_labels() == reference.all_labels()
+                assert [stored.labels_of(i) for i in everyone] == [
+                    reference.labels_of(node) for node in ids
+                ]
+                for t1 in QUERY_LABELS:
+                    assert stored.label_mask(t1).tolist() == [
+                        t1 in reference.labels_of(node) for node in ids
+                    ]
+                    for t2 in QUERY_LABELS:
+                        expected = _count_target_edges_dict(reference, t1, t2)
+                        assert stored.count_target_edges(t1, t2) == expected, (t1, t2)
+                        assert stored.target_incident_counts(t1, t2, everyone).tolist() == [
+                            reference.target_edges_incident_to(node, t1, t2) for node in ids
+                        ]
+            del attached
 
 
 class TestIncidentCounts:
